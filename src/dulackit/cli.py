@@ -2,11 +2,12 @@
 
     dulackit check  spec.json [--out DIR]
     dulackit expand spec.json [--out DIR]
-    dulackit verify spec.json [--out DIR] [--threads N]
+    dulackit verify spec.json [--out DIR]
     dulackit loud   spec.json [--out DIR] [--threads N]
 
-Exit codes: 0 pass, 1 verification fail, 2 hypothesis fail, 3 parse error,
-4 refused preconditions.
+Exit codes: 0 pass, 1 verification fail, 2 degenerate family (DegenerateQ),
+3 parse error, 4 refused preconditions.  `check` reports failed hypotheses
+in check.json and exits 0.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +36,17 @@ EXIT_REFUSED = 4
 
 def _load_spec(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"the top level is a JSON {type(spec).__name__}, not an object")
+    return spec
+
+
+def _number(spec: dict, key: str, default: float) -> float:
+    val = float(spec.get(key, default))
+    if not math.isfinite(val):
+        raise ValueError(f"{key} = {val!r} is not a finite number")
+    return val
 
 
 def _series_from(data) -> TruncatedSeries:
@@ -46,11 +58,12 @@ def _family_from(data) -> family.PolynomialFamily:
 
 
 def _write_json(obj, out_dir: Path, name: str):
+    # serialize first, so a value JSON cannot hold leaves no partial file
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -109,7 +122,7 @@ def cmd_check(spec: dict, out_dir: Path) -> int:
         "newton": nd.to_json(),
     }
     _write_json(report, out_dir, "check.json")
-    print(json.dumps(report["newton"], sort_keys=True))
+    print(json.dumps(report["newton"], sort_keys=True, allow_nan=False))
     return EXIT_PASS
 
 
@@ -119,8 +132,8 @@ def _unfolding_spec(spec: dict, fam, branch) -> expansion.UnfoldingSpec:
         branch=branch,
         V=_series_from(spec.get("V", ["1"])),
         U=_series_from(spec.get("U", ["0"])),
-        lam=float(spec.get("lambda", 1.0)),
-        eps=float(spec.get("eps", 0.0)),
+        lam=_number(spec, "lambda", 1.0),
+        eps=_number(spec, "eps", 0.0),
     )
 
 
@@ -136,7 +149,7 @@ def cmd_expand(spec: dict, out_dir: Path) -> int:
     ell = int(spec.get("ell", 2))
     res = expansion.coefficients(uspec, ell, check_validity=True)
     _write_json(res.to_json(), out_dir, "expansion.json")
-    print(json.dumps(res.to_json(), sort_keys=True))
+    print(json.dumps(res.to_json(), sort_keys=True, allow_nan=False))
     return EXIT_PASS
 
 
@@ -159,13 +172,13 @@ def _quad_config(spec: dict) -> oracle.QuadratureConfig:
     )
 
 
-def cmd_verify(spec: dict, out_dir: Path, threads: int) -> int:
+def cmd_verify(spec: dict, out_dir: Path) -> int:
     kind = spec.get("kind", "orbit")
     fam, branch, nd = _analyze(spec)
     cfg = _quad_config(spec)
     ell = int(spec.get("ell", 2))
     k = int(spec.get("k", 1))
-    x0 = float(spec.get("x0", 1.0))
+    x0 = _number(spec, "x0", 1.0)
     s_grid = _s_grid(spec)
 
     if kind == "orbit":
@@ -193,9 +206,9 @@ def cmd_verify(spec: dict, out_dir: Path, threads: int) -> int:
             family=fam,
             branch=branch,
             V=_series_from(spec.get("V", ["1"])),
-            eps=float(spec.get("eps", 0.0)),
+            eps=_number(spec, "eps", 0.0),
             modes=modes,
-            y0=float(spec.get("y0", 1.0)),
+            y0=_number(spec, "y0", 1.0),
             x0=x0,
         )
         res = expansion.dulac_time_coefficients(ts, ell)
@@ -209,13 +222,13 @@ def cmd_verify(spec: dict, out_dir: Path, threads: int) -> int:
     else:
         raise ValueError(f"unknown verify kind {kind!r}")
 
-    tol = float(spec.get("flatness_tol", 1e-2))
+    tol = _number(spec, "flatness_tol", 1e-2)
     report = oracle.flatness_report([case], s_grid=s_grid, k=k, tol=tol)
     _write_csv(report.to_csv_rows(), out_dir, "flatness.csv")
     summary = report.to_json()
     summary["passed"] = bool(all(report.decay_ok))
     _write_json(summary, out_dir, "verify.json")
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return EXIT_PASS if summary["passed"] else EXIT_FAIL
 
 
@@ -275,7 +288,7 @@ def cmd_loud(spec: dict, out_dir: Path, threads: int) -> int:
         "regularity": report.to_json(),
     }
     _write_json(out, out_dir, "loud.json")
-    print(json.dumps(out["regularity"], sort_keys=True))
+    print(json.dumps(out["regularity"], sort_keys=True, allow_nan=False))
     ok = all(r.near_zero or (r.coherent is True) for r in report.rows)
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -285,12 +298,16 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=["check", "expand", "verify", "loud"])
     parser.add_argument("spec", help="path to the problem spec JSON")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="worker threads for the loud sweep (default DULACKIT_THREADS or 1); "
+        "the other commands ignore it",
+    )
     args = parser.parse_args(argv)
 
     try:
         spec = _load_spec(args.spec)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         sys.stderr.write(f"cannot read spec: {exc}\n")
         return EXIT_PARSE
 
@@ -301,7 +318,7 @@ def main(argv=None) -> int:
         if args.command == "expand":
             return cmd_expand(spec, out_dir)
         if args.command == "verify":
-            return cmd_verify(spec, out_dir, _threads(args))
+            return cmd_verify(spec, out_dir)
         return cmd_loud(spec, out_dir, _threads(args))
     except DegenerateQ as exc:
         sys.stderr.write(f"hypothesis failure: {exc}\n")

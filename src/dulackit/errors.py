@@ -56,7 +56,8 @@ class Inconclusive(DulacKitError):
 # --- expansion --------------------------------------------------------------
 
 class NonUnitV(DulacKitError):
-    """Some shifted V_j has a vanishing constant term; the recursion divides by it."""
+    """Some shifted V_j has a vanishing constant term; the coefficient
+    kernel divides by it."""
 
 
 class ContinuityViolation(DulacKitError):

@@ -1,21 +1,32 @@
-"""Series coefficients of orbits arriving at the unfolded node, by the
-finite-difference recursion, plus the two-sided gluing and the mode
-summation for passage times.
+"""Series coefficients of orbits arriving at the unfolded node, the
+two-sided gluing, and the mode summation for passage times.
 
 At a fixed parameter point the shifted data
 
     U(s) = U(s + theta) / lam,   V(s) = V(s + theta),   Q(s) = Q(s, e)
 
-feed the recursion
+define the coefficients c_j of S_l = sum c_j s^j through the identity
 
-    F_0 = U,   F_{j+1} = V_j * nabla(F_j / V_j),   V_j = V - (j/lam) Q,
+    Q * theta_lam(S_l) = V * S_l - U + s^(l+1) F_(l+1).
 
-and the coefficients are c_j = (F_j / V_j)(0).  Everything is linear in U,
-and in exact rational arithmetic the defining identity
+Its first l+1 coefficients are lower-triangular in c_0..c_l,
 
-    Q * theta_lam(S_l) = V * S_l - U + s^(l+1) F_(l+1),   S_l = sum c_j s^j
+    c_n (V_0 - (n/lam) Q_0) = U_n + sum_{k<n} ((k/lam) Q_{n-k} - V_{n-k}) c_k,
 
-holds with residual exactly zero, which the test suite exploits.
+and the production kernel (:func:`triangular_coefficients`) solves them by
+forward substitution on data truncated at order l.  Only the terms with
+n - k up to the degree d of V and Q are nonzero, so this takes O(l d)
+scalar operations, O(l^2) at most.  The diagonal V_n(0) of
+V_n = V - (n/lam) Q must not vanish.
+
+The paper's finite-difference recursion
+
+    F_0 = U,   F_{j+1} = V_j * nabla(F_j / V_j),   c_j = (F_j / V_j)(0)
+
+is kept as the reference construction (:func:`recursion_coefficients`): it
+also yields the remainder F_(l+1), so :func:`residual_identity_series` can
+check the identity with residual exactly zero in rational arithmetic, and
+the tests check that both constructions give equal coefficients.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from typing import Callable, Sequence
 
 from .errors import ContinuityViolation, NonUnitV, OrderExhausted, TailUnbounded
 from .family import PolynomialFamily, PuiseuxBranch, compute_Q
-from .series import BivariatePoly, TruncatedSeries
+from .series import BivariatePoly, TruncatedSeries, horner
 
 ORDER_MARGIN = 4
 
@@ -95,10 +106,7 @@ class ExpansionResult:
         """Horner evaluation of sum c_j s^j; the empty result is 0."""
         if not self.c:
             return 0 * s
-        acc = self.c[-1]
-        for a in reversed(self.c[:-1]):
-            acc = acc * s + a
-        return acc
+        return horner(self.c, s)
 
     def to_json(self) -> dict:
         from .series import _scalar_to_str
@@ -118,27 +126,61 @@ EMPTY_SUM = ExpansionResult(c=(), ell=-1)
 
 def shifted_data(spec: UnfoldingSpec, order: int):
     """Recentered series (U/lam, V, Q) at the tracked root, all at the
-    given truncation order."""
+    given truncation order.  U and V are shifted as the polynomials they
+    store and padded afterwards, so the cost of the shift does not grow
+    with the order."""
     th = spec.theta_eps
-    U = spec.U.padded(order).shift(th).truncated(order) / spec.lam
-    V = spec.V.padded(order).shift(th).truncated(order)
+    U = spec.U.shift(th).padded(order).truncated(order) / spec.lam
+    V = spec.V.shift(th).padded(order).truncated(order)
     Qs = spec.Q.restrict(spec.e_hat, order)
     return U, V, Qs
 
 
-def _scaled(Q: TruncatedSeries, j, lam):
+def _ratio(j, lam):
+    """j/lam, exact when lam is."""
     if isinstance(lam, (int, Fraction)) and not isinstance(lam, float):
-        return Q * (Fraction(j) / Fraction(lam))
-    return Q * (j / lam)
+        return Fraction(j) / Fraction(lam)
+    return j / lam
 
 
-def recursion_coefficients(U, V, Qs, lam, ell):
-    """Run the recursion on raw series data; returns (coeffs, F_{ell+1})."""
-    order = min(U.order, V.order, Qs.order)
+def _scaled(Q: TruncatedSeries, j, lam):
+    return Q * _ratio(j, lam)
+
+
+def _require_order(order, ell):
     if order < ell + 2:
         raise OrderExhausted(
             f"working order {order} cannot produce {ell + 1} coefficients"
         )
+
+
+def triangular_coefficients(U, V, Qs, lam, ell):
+    """c_0..c_ell by forward substitution in the defining identity; the
+    series need order >= ell.  Raises NonUnitV at the first n with
+    V_n(0) = V_0 - (n/lam) Q_0 = 0, the index the recursion stops at."""
+    # terms with n - k above both degrees vanish, so the cost is
+    # O(ell * degree) rather than O(ell^2)
+    width = max(V.degree(), Qs.degree())
+    U, V, Qs = U.coeffs, V.coeffs, Qs.coeffs
+    r = [_ratio(k, lam) for k in range(ell + 1)]
+    c = []
+    for n in range(ell + 1):
+        diag = V[0] - Qs[0] * r[n]
+        if diag == 0:
+            raise NonUnitV(f"V_{n}(0) = 0 at this parameter point")
+        acc = U[n]
+        for k in range(max(0, n - width), n):
+            acc = acc + (r[k] * Qs[n - k] - V[n - k]) * c[k]
+        c.append(acc / diag)
+    return c
+
+
+def recursion_coefficients(U, V, Qs, lam, ell):
+    """Run the paper's recursion on raw series data; returns
+    (coeffs, F_{ell+1}).  The reference construction: production
+    coefficients come from :func:`triangular_coefficients`."""
+    order = min(U.order, V.order, Qs.order)
+    _require_order(order, ell)
     U = U.truncated(order)
     V = V.truncated(order)
     Qs = Qs.truncated(order)
@@ -160,11 +202,16 @@ def coefficients(
     order: int | None = None,
     check_validity: bool = False,
 ) -> ExpansionResult:
-    """Expansion coefficients c_0..c_ell at the spec's parameter point."""
+    """Expansion coefficients c_0..c_ell at the spec's parameter point.
+
+    ``order`` is the truncation order the recursion would need (reported
+    in meta); below ell + 2 it raises OrderExhausted as the recursion does.
+    The triangular solve itself reads the shifted data up to order ell."""
     if order is None:
         order = working_order(ell, spec.family.mu)
-    U, V, Qs = shifted_data(spec, order)
-    c, _ = recursion_coefficients(U, V, Qs, spec.lam, ell)
+    _require_order(order, ell)
+    U, V, Qs = shifted_data(spec, max(ell, 0))
+    c = triangular_coefficients(U, V, Qs, spec.lam, ell)
     meta = {
         "order": order,
         "eps": float(spec.eps),
@@ -177,10 +224,6 @@ def coefficients(
         meta["eps0"] = eps0
         meta["within_validity_bound"] = abs(float(spec.eps)) <= eps0
     return ExpansionResult(c=tuple(c), ell=ell, meta=meta)
-
-
-def partial_sum(res: ExpansionResult, s):
-    return res.partial_sum(s)
 
 
 def residual_identity_series(U, V, Qs, lam, ell):
@@ -215,7 +258,10 @@ def vbounds(
 ) -> float:
     """Largest grid-certified eps0 such that every V_j, j <= ell, stays in
     [1/2, 2] for |s| <= s0 and |eps| <= eps0.  Advisory: 0 when no probe
-    value qualifies."""
+    value qualifies.
+
+    V_j(s) = V(s) - (j/lam) Q(s) is affine in j, so at each s the extremes
+    over 0 <= j <= ell sit at j = 0 and j = ell; only those are evaluated."""
     probes = [eps_max * (10.0 ** (-6 * k / (n_eps - 1))) for k in range(n_eps)]
     s_grid = [-s0 + 2 * s0 * i / (n_s - 1) for i in range(n_s)]
     certified = 0.0
@@ -224,7 +270,7 @@ def vbounds(
         order = working_order(ell, spec.family.mu)
         _, V, Qs = shifted_data(trial, order)
         ok = True
-        for j in range(ell + 1):
+        for j in (0, ell) if ell > 0 else range(ell + 1):
             Vj = V - _scaled(Qs, j, trial.lam)
             for s in s_grid:
                 val = float(Vj(s))
@@ -340,8 +386,8 @@ class DulacTimeSpec:
     x0: float = 1.0
 
     def __post_init__(self):
-        if self.modes is None and self.modes_fn is None:
-            raise ValueError("need modes or modes_fn")
+        if not self.modes and self.modes_fn is None:
+            raise ValueError("need at least one mode, or modes_fn")
         if not self.V.coeffs[0] > 0:
             raise NonUnitV("V(0) must be positive")
 
@@ -376,9 +422,11 @@ def dulac_time_coefficients(
     """Sum per-mode expansion coefficients over the mode index.
 
     Mode n contributes the coefficients of the scalar problem with
-    U = U_n y0^n and lam = n V(0); summation stops when the certified
-    geometric tail C gamma (r y0)^(N+1) / (1 - r y0) drops below tol,
-    gamma being the largest observed |c_j| / ||U_n y0^n|| ratio."""
+    U = U_n y0^n and lam = n V(0); summation stops when the tail estimate
+    C gamma (r y0)^(N+1) / (1 - r y0) drops below tol.  The estimate is
+    not a bound: gamma is the largest |c_j| / ||U_n y0^n|| ratio observed
+    over the modes summed so far, not a bound on the ratios of later
+    modes."""
     finite = ts.n_modes()
     if finite is None and ts.decay is None:
         raise TailUnbounded("infinite mode list without a decay certificate")
@@ -395,7 +443,7 @@ def dulac_time_coefficients(
         n += 1
         if finite is not None and n > finite:
             if ts.decay is not None:
-                # finite table of a longer decomposition: certified tail
+                # finite table of a longer decomposition: estimated tail
                 C, r = ts.decay
                 r_eff = r * ts.y0
                 tail = C * max(gamma, 1e-300) * r_eff ** (n) / (1 - r_eff)

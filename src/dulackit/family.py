@@ -35,7 +35,7 @@ from .errors import (
     NoRealRoot,
     NotDivisible,
 )
-from .series import BivariatePoly, TruncatedSeries, _scalar_from_str, _scalar_to_str
+from .series import BivariatePoly, TruncatedSeries, _scalar_from_str, _scalar_to_str, horner
 
 DEFAULT_BRANCH_ORDER = 12
 _VALIDATION_GRID = tuple(10.0 ** (-8 + 6 * k / 24) for k in range(25))  # 1e-8 .. 1e-2
@@ -259,7 +259,7 @@ def _rational_roots(p):
     poly = [Fraction(c) for c in ip]
     for c in sorted(cands):
         mult = 0
-        while len(poly) > 1 and _poly_eval(poly, c) == 0:
+        while len(poly) > 1 and horner(poly, c) == 0:
             poly, _ = _poly_divmod(poly, [-c, Fraction(1)])
             mult += 1
         if mult:
@@ -279,13 +279,6 @@ def _divisors(n):
             out.append(n // d)
         d += 1
     return sorted(set(out))
-
-
-def _poly_eval(p, x):
-    acc = p[-1]
-    for c in reversed(p[:-1]):
-        acc = acc * x + c
-    return acc
 
 
 def _real_roots_with_multiplicity(phi):
@@ -545,12 +538,6 @@ def track_biggest_real_root(P: PolynomialFamily, eps: float):
     coeffs = P.x_coeffs(eps)
     rr = np.roots(list(reversed(coeffs)))
 
-    def p_at(x):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
     def dp_at(x):
         acc = 0.0
         n = len(coeffs) - 1
@@ -569,7 +556,7 @@ def track_biggest_real_root(P: PolynomialFamily, eps: float):
             d = dp_at(x)
             if d == 0:
                 break
-            step = p_at(x) / d
+            step = horner(coeffs, x) / d
             if abs(step) > 0.5 * max(1.0, abs(x)):
                 break
             x -= step
@@ -578,7 +565,7 @@ def track_biggest_real_root(P: PolynomialFamily, eps: float):
             default=1.0,
         )
         delta = max(1e-3 * gap, 1e-15 * max(1.0, abs(x)))
-        if p_at(x - delta) * p_at(x + delta) < 0:
+        if horner(coeffs, x - delta) * horner(coeffs, x + delta) < 0:
             if best is None or x > best:
                 best = x
     return best

@@ -30,7 +30,7 @@ from scipy.integrate import quad, solve_ivp
 
 from .errors import QuadratureFailure, StepSizeUnderflow, ToleranceNotMet
 from .expansion import DulacTimeSpec, ExpansionResult, UnfoldingSpec
-from .series import TruncatedSeries
+from .series import TruncatedSeries, horner
 
 _EXP_UNDERFLOW = -745.0
 
@@ -66,22 +66,15 @@ def _v_over_p_integral(spec: UnfoldingSpec, a: float, b: float, cfg: QuadratureC
 
         def integrand(u):
             x = th + math.exp(u)
-            return _horner(Vc, x) / _horner(Qc, x - th)
+            return horner(Vc, x) / horner(Qc, x - th)
 
         val, err = _quad(integrand, ua, ub, cfg)
     else:
         def integrand(x):
-            return _horner(Vc, x) / ((x - th) * _horner(Qc, x - th))
+            return horner(Vc, x) / ((x - th) * horner(Qc, x - th))
 
         val, err = _quad(integrand, a, b, cfg)
     return val
-
-
-def _horner(coeffs, x):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _quad(f, a, b, cfg: QuadratureConfig):
@@ -179,12 +172,12 @@ def particular_solution(
 
     def rhs(u, y):
         x = th + math.exp(u)
-        q = _horner(Qc, x - th)
-        return [(lam * _horner(Vc, x) * y[0] - _horner(Uc, x)) / q]
+        q = horner(Qc, x - th)
+        return [(lam * horner(Vc, x) * y[0] - horner(Uc, x)) / q]
 
     def jac(u, y):
         x = th + math.exp(u)
-        return [[lam * _horner(Vc, x) / _horner(Qc, x - th)]]
+        return [[lam * horner(Vc, x) / horner(Qc, x - th)]]
 
     u0, u1 = math.log(x0 - th), math.log(s)
     if u1 == u0:
@@ -209,7 +202,7 @@ def _x_of_tau(spec_or_ts, s_abs: float, x0: float, tau_cap: float, cfg: Quadratu
     Pc = spec_or_ts.family.x_coeffs(float(spec_or_ts.eps))
 
     def rhs(tau, x):
-        return [_horner(Pc, x[0]) / _horner(Vc, x[0])]
+        return [horner(Pc, x[0]) / horner(Vc, x[0])]
 
     hit = lambda tau, x: x[0] - x0
     hit.terminal = True
@@ -234,7 +227,7 @@ def _y_l_quadrature(spec: UnfoldingSpec, x0: float, s: float, cfg: QuadratureCon
 
     def integrand(tau):
         x = float(sol.sol(tau)[0])
-        return _horner(Uc, x) / _horner(Vc, x) * math.exp(-lam * tau)
+        return horner(Uc, x) / horner(Vc, x) * math.exp(-lam * tau)
 
     # kernel decays like exp(-lam tau); cut where it is far below tolerance
     cut = min(tau_end, 50.0 / lam)
@@ -260,7 +253,7 @@ def dulac_time(ts: DulacTimeSpec, s: float, cfg: QuadratureConfig = DEFAULT_CONF
     def integrand(tau):
         x = float(sol.sol(tau)[0])
         y = ts.y0 * math.exp(-tau)
-        return ts.ua(x, y) * y / _horner(Vc, x)
+        return ts.ua(x, y) * y / horner(Vc, x)
 
     cut = min(tau_end, 55.0)
     val, _ = _quad(integrand, 0.0, cut, cfg)

@@ -21,6 +21,7 @@ Q(. , e0) into the series kernel.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,10 +95,7 @@ class TruncatedSeries:
         return self.coeffs[j]
 
     def __call__(self, x: Scalar) -> Scalar:
-        acc = self.coeffs[-1]
-        for a in reversed(self.coeffs[:-1]):
-            acc = acc * x + a
-        return acc
+        return horner(self.coeffs, x)
 
     def degree(self) -> int:
         """Index of the highest stored nonzero coefficient, -1 for zero."""
@@ -273,18 +271,27 @@ def _scalar_to_str(a: Scalar) -> str:
 
 
 def _scalar_from_str(tok: str) -> Scalar:
+    """'p' or 'p/q' as an exact rational, anything else as a float; raises
+    ValueError for a zero denominator or a value that is not finite."""
     tok = tok.strip()
     if _FRAC_RE.match(tok) or _INT_RE.match(tok):
-        return Fraction(tok)
-    return float(tok)
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {tok!r} has a zero denominator") from None
+    val = float(tok)
+    if not math.isfinite(val):
+        raise ValueError(f"coefficient {tok!r} is not a finite number")
+    return val
 
 
-def add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return f + g
-
-
-def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return f * g
+def horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
+    """Evaluate sum coeffs[j] x^j (low first, at least one coefficient)
+    by Horner's rule."""
+    acc = coeffs[-1]
+    for a in reversed(coeffs[:-1]):
+        acc = acc * x + a
+    return acc
 
 
 def divide(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -300,22 +307,6 @@ def divide(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
             acc = acc - g.coeffs[k] * out[n - k]
         out.append(acc / g0)
     return TruncatedSeries(tuple(out))
-
-
-def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return f.compose(g)
-
-
-def nabla(f: TruncatedSeries) -> TruncatedSeries:
-    return f.nabla()
-
-
-def theta(f: TruncatedSeries, lam: Scalar) -> TruncatedSeries:
-    return f.theta(lam)
-
-
-def norm_ell1(f: TruncatedSeries) -> Scalar:
-    return f.norm_ell1()
 
 
 class BivariatePoly:
@@ -380,11 +371,3 @@ class BivariatePoly:
     @classmethod
     def from_json(cls, data: Iterable[Mapping]) -> "BivariatePoly":
         return cls({(int(d["s"]), int(d["e"])): _scalar_from_str(str(d["c"])) for d in data})
-
-
-def bipoly_eval(q: BivariatePoly, s: Scalar, e: Scalar) -> Scalar:
-    return q.eval(s, e)
-
-
-def bipoly_restrict(q: BivariatePoly, e_value: Scalar, order: int | None = None) -> TruncatedSeries:
-    return q.restrict(e_value, order)

@@ -189,3 +189,35 @@ class TestLoud:
             assert abs(entry["c1_hat"] - entry["limit"]) <= 1e-2
         assert data["gamma_self_test"]["gamma(5)"] == pytest.approx(24.0, rel=1e-12)
         assert (tmp_path / "o" / "period_samples.csv").exists()
+
+
+class TestBadSpecs:
+    """Inputs that used to crash or pass vacuously exit 3 with a message."""
+
+    def run(self, tmp_path, capsys, command, obj):
+        spec = write_spec(tmp_path, "s.json", obj)
+        code = main([command, spec, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command", ["expand", "verify"])
+    def test_zero_denominator(self, tmp_path, capsys, command):
+        obj = TestVerify().base()
+        obj["U"] = ["0", "1/0"]
+        assert "zero denominator" in self.run(tmp_path, capsys, command, obj)
+
+    def test_top_level_array(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, "verify", [TestVerify().base()])
+
+    def test_infinite_lambda(self, tmp_path, capsys):
+        obj = TestExpand().euler_spec()
+        obj["lambda"] = "inf"
+        self.run(tmp_path, capsys, "expand", obj)
+        assert not (tmp_path / "o" / "expansion.json").exists()
+
+    def test_empty_modes(self, tmp_path, capsys):
+        obj = TestVerify().base()
+        obj.update(kind="dulac_time", modes=[])
+        self.run(tmp_path, capsys, "verify", obj)

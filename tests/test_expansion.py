@@ -1,4 +1,5 @@
-"""Coefficient recursion, its defining identity, gluing, mode summation."""
+"""Coefficient kernel and the reference recursion, their defining identity,
+gluing, mode summation."""
 
 import math
 import random
@@ -26,8 +27,11 @@ from dulackit.expansion import (
     residual_identity_series,
     residual_identity_check,
     shifted_data,
+    triangular_coefficients,
     vbounds,
+    working_order,
 )
+from dulackit.family import PolynomialFamily, biggest_real_root_branch
 from dulackit.series import TruncatedSeries as TS
 
 
@@ -45,6 +49,93 @@ def random_rational_series(rng, order, unit=False):
     if unit:
         coeffs[0] = Fr(1)
     return TS(tuple(coeffs))
+
+
+def rational_root_family(roots):
+    """x * prod_i (x - a_i eps): mu = len(roots), exact branches."""
+    poly = {(1, 0): Fr(1)}
+    for a in roots:
+        nxt = {}
+        for (k, m), c in poly.items():
+            nxt[(k + 1, m)] = nxt.get((k + 1, m), 0) + c
+            nxt[(k, m + 1)] = nxt.get((k, m + 1), 0) - a * c
+        poly = nxt
+    return PolynomialFamily(mu=len(roots), coeffs=poly)
+
+
+def random_rational_specs(seed):
+    """(spec, ell) over mu = 1, 2, 3, eps = 0 and eps > 0, ell up to 40."""
+    rng = random.Random(seed)
+    for mu in (1, 2, 3):
+        fam = rational_root_family([Fr(1)] + [Fr(-k, 2) for k in range(1, mu)])
+        branch = biggest_real_root_branch(fam, +1)
+        assert branch.exact
+        for eps in (Fr(0), Fr(1, 20)):
+            for ell in (0, 4, 13, 40):
+                spec = UnfoldingSpec(
+                    family=fam,
+                    branch=branch,
+                    V=random_rational_series(rng, 3, unit=True),
+                    U=random_rational_series(rng, 3),
+                    lam=Fr(rng.randint(1, 7), rng.randint(1, 3)),
+                    eps=eps,
+                )
+                yield spec, ell
+
+
+class TestTriangularKernel:
+    def test_equals_recursion_exactly(self):
+        for spec, ell in random_rational_specs(7):
+            U, V, Qs = shifted_data(spec, working_order(ell, spec.family.mu))
+            reference, _ = recursion_coefficients(U, V, Qs, spec.lam, ell)
+            c = coefficients(spec, ell).c
+            assert list(c) == reference
+            assert all(isinstance(x, Fr) for x in c)
+
+    def test_identity_holds_for_production_coefficients(self):
+        # Q theta(S) - V S + U vanishes through order ell
+        for spec, ell in random_rational_specs(8):
+            U, V, Qs = shifted_data(spec, ell)
+            S = TS(coefficients(spec, ell).c)
+            diff = Qs * S.theta(spec.lam) - V * S + U
+            assert diff.order == ell and diff.is_zero()
+
+    def test_float_rho_two_point(self, fam_quadratic):
+        branch = biggest_real_root_branch(fam_quadratic, +1)
+        assert branch.rho == 2
+        spec = UnfoldingSpec(
+            family=fam_quadratic,
+            branch=branch,
+            V=TS((1.0, 0.5, -0.25)),
+            U=TS((0.0, -1.0, 0.3)),
+            lam=1.5,
+            eps=1e-3,
+        )
+        ell = 12
+        reference, _ = recursion_coefficients(
+            *shifted_data(spec, working_order(ell, 2)), spec.lam, ell
+        )
+        c = coefficients(spec, ell).c
+        assert all(isinstance(x, float) for x in c)
+        assert list(c) == pytest.approx(reference, rel=1e-12, abs=0)
+
+    def test_non_unit_v_at_recursion_index(self, fam_linear, branch_linear_plus):
+        # V_3(0) = 1 - 3 Q(0)/lam = 0 when lam = 3 e_hat
+        spec = UnfoldingSpec(
+            family=fam_linear,
+            branch=branch_linear_plus,
+            V=TS.constant(Fr(1), 2),
+            U=TS.constant(Fr(1), 2),
+            lam=Fr(3, 100),
+            eps=Fr(1, 100),
+        )
+        U, V, Qs = shifted_data(spec, 8)
+        with pytest.raises(NonUnitV, match="V_3"):
+            recursion_coefficients(U, V, Qs, spec.lam, 5)
+        with pytest.raises(NonUnitV, match="V_3"):
+            triangular_coefficients(U, V, Qs, spec.lam, 5)
+        with pytest.raises(NonUnitV, match="V_3"):
+            coefficients(spec, 5)
 
 
 class TestRecursion:
