@@ -3,11 +3,11 @@
     dulackit check  spec.json [--out DIR]
     dulackit expand spec.json [--out DIR]
     dulackit verify spec.json [--out DIR]
-    dulackit loud   spec.json [--out DIR] [--threads N]
+    dulackit loud   spec.json [--out DIR]
 
 Exit codes: 0 pass, 1 verification fail, 2 degenerate family (DegenerateQ),
-3 parse error, 4 refused preconditions.  `check` reports failed hypotheses
-in check.json and exits 0.
+3 parse error or out-of-range spec value, 4 refused preconditions.  `check`
+reports failed hypotheses in check.json and exits 0.
 """
 
 from __future__ import annotations
@@ -16,15 +16,13 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import expansion, family, loud, oracle
-from .errors import DegenerateQ, DulacKitError, Inconclusive
+from .errors import DegenerateQ, DulacKitError
 from .series import TruncatedSeries
 
 EXIT_PASS = 0
@@ -49,12 +47,15 @@ def _number(spec: dict, key: str, default: float) -> float:
     return val
 
 
+def _count(spec: dict, key: str, default: int) -> int:
+    val = int(spec.get(key, default))
+    if val < 0:
+        raise ValueError(f"{key} = {val} is negative")
+    return val
+
+
 def _series_from(data) -> TruncatedSeries:
     return TruncatedSeries.from_json([str(tok) for tok in data])
-
-
-def _family_from(data) -> family.PolynomialFamily:
-    return family.PolynomialFamily.from_json(data)
 
 
 def _write_json(obj, out_dir: Path, name: str):
@@ -77,35 +78,9 @@ def _write_csv(rows, out_dir: Path, name: str):
     return path
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("DULACKIT_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _analyze(spec: dict):
-    fam = _family_from(spec["family"])
-    sign = int(spec.get("sign", +1))
-    branch = family.biggest_real_root_branch(fam, sign)
-    Q = family.compute_Q(fam, branch)
-    nd = family.newton_diagram(Q)
-    family.check_h0(nd)
-    try:
-        family.check_h2(nd)
-    except Inconclusive as exc:
-        nd.h2 = family.Verdict(
-            holds=False,
-            witness=exc.theta,
-            detail=f"inconclusive: {exc}",
-        )
+    fam = family.PolynomialFamily.from_json(spec["family"])
+    branch, nd = family.analyze_family(fam, int(spec.get("sign", +1)))
     return fam, branch, nd
 
 
@@ -126,7 +101,7 @@ def cmd_check(spec: dict, out_dir: Path) -> int:
     return EXIT_PASS
 
 
-def _unfolding_spec(spec: dict, fam, branch) -> expansion.UnfoldingSpec:
+def _unfolding_spec(spec: dict, fam, branch, nd) -> expansion.UnfoldingSpec:
     return expansion.UnfoldingSpec(
         family=fam,
         branch=branch,
@@ -134,6 +109,7 @@ def _unfolding_spec(spec: dict, fam, branch) -> expansion.UnfoldingSpec:
         U=_series_from(spec.get("U", ["0"])),
         lam=_number(spec, "lambda", 1.0),
         eps=_number(spec, "eps", 0.0),
+        Q=nd.Q,
     )
 
 
@@ -145,19 +121,27 @@ def cmd_expand(spec: dict, out_dir: Path) -> int:
             f"h1={nd.h1.holds} h2={nd.h2.holds}\n"
         )
         return EXIT_REFUSED
-    uspec = _unfolding_spec(spec, fam, branch)
-    ell = int(spec.get("ell", 2))
+    uspec = _unfolding_spec(spec, fam, branch, nd)
+    ell = _count(spec, "ell", 2)
     res = expansion.coefficients(uspec, ell, check_validity=True)
     _write_json(res.to_json(), out_dir, "expansion.json")
     print(json.dumps(res.to_json(), sort_keys=True, allow_nan=False))
     return EXIT_PASS
 
 
-def _s_grid(spec: dict):
+def _s_grid(spec: dict, ell: int, k: int):
+    """The log grid of s.  The k log-derivatives of the flatness report use
+    up 4k of its points and need 5 more; h = (value - S_ell) / s^ell needs
+    s^ell > 0 at the smallest s."""
     g = spec.get("s_grid", {})
-    return np.geomspace(
-        float(g.get("min", 1e-3)), float(g.get("max", 1e-1)), int(g.get("n", 25))
-    )
+    lo, hi, n = float(g.get("min", 1e-3)), float(g.get("max", 1e-1)), int(g.get("n", 25))
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"s_grid needs 0 < min < max < inf, got min = {lo!r}, max = {hi!r}")
+    if n < 4 * k + 5:
+        raise ValueError(f"s_grid n = {n} is below 4k + 5 = {4 * k + 5} for k = {k}")
+    if not min(lo, 1.0) ** ell > 0:
+        raise ValueError(f"s_grid min**ell = {lo!r}**{ell} underflows to 0")
+    return np.geomspace(lo, hi, n)
 
 
 def _quad_config(spec: dict) -> oracle.QuadratureConfig:
@@ -176,13 +160,13 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
     kind = spec.get("kind", "orbit")
     fam, branch, nd = _analyze(spec)
     cfg = _quad_config(spec)
-    ell = int(spec.get("ell", 2))
-    k = int(spec.get("k", 1))
+    ell = _count(spec, "ell", 2)
+    k = _count(spec, "k", 1)
     x0 = _number(spec, "x0", 1.0)
-    s_grid = _s_grid(spec)
+    s_grid = _s_grid(spec, ell, k)
 
     if kind == "orbit":
-        uspec = _unfolding_spec(spec, fam, branch)
+        uspec = _unfolding_spec(spec, fam, branch, nd)
         res = expansion.coefficients(uspec, ell)
         res = _apply_overrides(res, spec)
         case = oracle.FlatnessCase(
@@ -192,7 +176,7 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
             lam=float(uspec.lam),
         )
     elif kind == "dulac_map":
-        uspec = _unfolding_spec(spec, fam, branch)
+        uspec = _unfolding_spec(spec, fam, branch, nd)
         res = expansion.ExpansionResult(c=(0.0,) * (ell + 1), ell=ell)
         case = oracle.FlatnessCase(
             label={"case": "dulac_map", "eps": float(uspec.eps)},
@@ -243,7 +227,7 @@ def _apply_overrides(res, spec: dict):
     return expansion.ExpansionResult(c=tuple(c), ell=res.ell, meta=dict(res.meta))
 
 
-def cmd_loud(spec: dict, out_dir: Path, threads: int) -> int:
+def cmd_loud(spec: dict, out_dir: Path) -> int:
     conf = spec.get("loud", {})
     D_grid = [float(d) for d in conf.get("D_grid", [-0.9, -0.75, -0.5, -0.25, -0.1])]
     F = float(conf.get("F", 1.0))
@@ -274,12 +258,11 @@ def cmd_loud(spec: dict, out_dir: Path, threads: int) -> int:
     report = loud.regularity_check(D_grid, F=F, s_grid=s_grid)
 
     samples = [["D", "s", "period"]]
-    def one(D):
+    for D in D_grid:
         p = loud.LoudParams(D=D, F=F)
-        return [(D, float(sj), loud.period_numeric(p, float(sj))) for sj in s_grid]
-    for chunk in _pmap(one, D_grid, threads):
-        for D, sj, P in chunk:
-            samples.append([f"{D:.17g}", f"{sj:.17g}", f"{P:.17g}"])
+        for sj in s_grid:
+            P = loud.period_numeric(p, float(sj))
+            samples.append([f"{D:.17g}", f"{float(sj):.17g}", f"{P:.17g}"])
     _write_csv(samples, out_dir, "period_samples.csv")
 
     out = {
@@ -298,11 +281,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=["check", "expand", "verify", "loud"])
     parser.add_argument("spec", help="path to the problem spec JSON")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads for the loud sweep (default DULACKIT_THREADS or 1); "
-        "the other commands ignore it",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -319,7 +297,7 @@ def main(argv=None) -> int:
             return cmd_expand(spec, out_dir)
         if args.command == "verify":
             return cmd_verify(spec, out_dir)
-        return cmd_loud(spec, out_dir, _threads(args))
+        return cmd_loud(spec, out_dir)
     except DegenerateQ as exc:
         sys.stderr.write(f"hypothesis failure: {exc}\n")
         return EXIT_HYPOTHESIS

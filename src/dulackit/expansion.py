@@ -41,6 +41,13 @@ from .family import PolynomialFamily, PuiseuxBranch, compute_Q
 from .series import BivariatePoly, TruncatedSeries, horner
 
 ORDER_MARGIN = 4
+# vbounds probes eps in [VB_EPS_MAX * 1e-6, VB_EPS_MAX] at VB_N_EPS log-spaced
+# values and s in [-VB_S0, VB_S0] at VB_N_S evenly spaced values
+VB_S0 = 0.1
+VB_EPS_MAX = 0.1
+VB_N_EPS = 16
+VB_N_S = 33
+MAX_MODES = 400
 
 
 def working_order(ell: int, mu: int = 1, k: int = 0) -> int:
@@ -248,22 +255,15 @@ def residual_identity_check(spec: UnfoldingSpec, ell: int, order: int | None = N
     return residual_identity_series(U, V, Qs, spec.lam, ell)
 
 
-def vbounds(
-    spec: UnfoldingSpec,
-    ell: int,
-    s0: float = 0.1,
-    eps_max: float = 0.1,
-    n_eps: int = 16,
-    n_s: int = 33,
-) -> float:
+def vbounds(spec: UnfoldingSpec, ell: int) -> float:
     """Largest grid-certified eps0 such that every V_j, j <= ell, stays in
-    [1/2, 2] for |s| <= s0 and |eps| <= eps0.  Advisory: 0 when no probe
+    [1/2, 2] for |s| <= VB_S0 and |eps| <= eps0.  Advisory: 0 when no probe
     value qualifies.
 
     V_j(s) = V(s) - (j/lam) Q(s) is affine in j, so at each s the extremes
     over 0 <= j <= ell sit at j = 0 and j = ell; only those are evaluated."""
-    probes = [eps_max * (10.0 ** (-6 * k / (n_eps - 1))) for k in range(n_eps)]
-    s_grid = [-s0 + 2 * s0 * i / (n_s - 1) for i in range(n_s)]
+    probes = [VB_EPS_MAX * (10.0 ** (-6 * k / (VB_N_EPS - 1))) for k in range(VB_N_EPS)]
+    s_grid = [-VB_S0 + 2 * VB_S0 * i / (VB_N_S - 1) for i in range(VB_N_S)]
     certified = 0.0
     for eps_probe in sorted(probes):
         trial = spec.at_eps(spec.branch.sign * eps_probe)
@@ -417,7 +417,6 @@ def dulac_time_coefficients(
     ts: DulacTimeSpec,
     ell: int,
     tol: float = 1e-8,
-    max_modes: int = 400,
 ) -> ExpansionResult:
     """Sum per-mode expansion coefficients over the mode index.
 
@@ -426,7 +425,8 @@ def dulac_time_coefficients(
     C gamma (r y0)^(N+1) / (1 - r y0) drops below tol.  The estimate is
     not a bound: gamma is the largest |c_j| / ||U_n y0^n|| ratio observed
     over the modes summed so far, not a bound on the ratios of later
-    modes."""
+    modes.  An infinite mode list that has not converged after MAX_MODES
+    modes raises TailUnbounded."""
     finite = ts.n_modes()
     if finite is None and ts.decay is None:
         raise TailUnbounded("infinite mode list without a decay certificate")
@@ -444,14 +444,12 @@ def dulac_time_coefficients(
         if finite is not None and n > finite:
             if ts.decay is not None:
                 # finite table of a longer decomposition: estimated tail
-                C, r = ts.decay
-                r_eff = r * ts.y0
                 tail = C * max(gamma, 1e-300) * r_eff ** (n) / (1 - r_eff)
             else:
                 tail = 0.0  # the table is the whole decomposition
             break
-        if finite is None and n > max_modes:
-            raise TailUnbounded(f"no convergence within {max_modes} modes")
+        if finite is None and n > MAX_MODES:
+            raise TailUnbounded(f"no convergence within {MAX_MODES} modes")
         U_n = ts.mode(n) * (ts.y0**n)
         spec = UnfoldingSpec(
             family=ts.family,
@@ -468,8 +466,6 @@ def dulac_time_coefficients(
         if norm > 0:
             gamma = max(gamma, max(abs(float(cj)) for cj in res.c) / norm)
         if finite is None:
-            C, r = ts.decay
-            r_eff = r * ts.y0
             tail = C * max(gamma, 1e-300) * r_eff ** (n + 1) / (1 - r_eff)
             if tail < tol and n >= 3:
                 break

@@ -41,6 +41,8 @@ DEFAULT_BRANCH_ORDER = 12
 _VALIDATION_GRID = tuple(10.0 ** (-8 + 6 * k / 24) for k in range(25))  # 1e-8 .. 1e-2
 _RESIDUAL_RTOL = 1e-9
 _MAX_POLYGON_DEPTH = 24
+_Q_CHOP = 1e-12  # relative size below which a float term of Q is noise
+_H2_GRID_POINTS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +332,11 @@ def _support(P: dict):
     return [(k, m) for (k, m), c in P.items() if c != 0]
 
 
-def _lower_hull_edges(P: dict):
-    """Decreasing edges of the lower hull of the support.  Each edge with
-    slope -p/q (lowest terms) balances x ~ c e^(p/q); returned as
-    (p, q, k1, points-on-edge)."""
+def _lower_hull(points):
+    """Vertices of the lower convex hull of lattice points, by increasing
+    first coordinate (monotone chain over the lowest point per column)."""
     pts = {}
-    for k, m in _support(P):
+    for k, m in points:
         if k not in pts or m < pts[k]:
             pts[k] = m
     hull = []
@@ -348,6 +349,14 @@ def _lower_hull_edges(P: dict):
             else:
                 break
         hull.append((k, m))
+    return hull
+
+
+def _lower_hull_edges(P: dict):
+    """Decreasing edges of the lower hull of the support.  Each edge with
+    slope -p/q (lowest terms) balances x ~ c e^(p/q); returned as
+    (p, q, k1, points-on-edge)."""
+    hull = _lower_hull(_support(P))
     edges = []
     for (k1, m1), (k2, m2) in zip(hull, hull[1:]):
         if m1 > m2:
@@ -501,12 +510,6 @@ def _signed_support(P: PolynomialFamily, sign: int) -> dict:
     return {(k, m): c * (sign**m) for (k, m), c in P.coeffs.items()}
 
 
-def _branch_key(rho: int, coeffs, order: int):
-    """Sequence of (exponent, coefficient) pairs in the e-scale, for ordering
-    branches by their value as e -> 0+ (larger first nonzero difference wins)."""
-    return [(Fraction(i, rho), coeffs[i]) for i in range(order + 1) if coeffs[i] != 0]
-
-
 def _compare_branches(a, b, order):
     """-1, 0, +1 comparing branch values for small e > 0."""
     rho_a, ca, _ = a
@@ -537,14 +540,7 @@ def track_biggest_real_root(P: PolynomialFamily, eps: float):
     part thresholds cannot do for eps near 0."""
     coeffs = P.x_coeffs(eps)
     rr = np.roots(list(reversed(coeffs)))
-
-    def dp_at(x):
-        acc = 0.0
-        n = len(coeffs) - 1
-        for k in range(n, 0, -1):
-            acc = acc * x + k * coeffs[k]
-        return acc
-
+    dcoeffs = _poly_deriv(coeffs)
     best = None
     if coeffs[0] == 0.0:
         best = 0.0  # exact root at the origin, any multiplicity
@@ -553,7 +549,7 @@ def track_biggest_real_root(P: PolynomialFamily, eps: float):
             continue
         x = float(r.real)
         for _ in range(3):  # polish; harmless at non-simple candidates
-            d = dp_at(x)
+            d = horner(dcoeffs, x)
             if d == 0:
                 break
             step = horner(coeffs, x) / d
@@ -571,24 +567,17 @@ def track_biggest_real_root(P: PolynomialFamily, eps: float):
     return best
 
 
-def biggest_real_root_branch(
-    P: PolynomialFamily,
-    sign: int,
-    order: int = DEFAULT_BRANCH_ORDER,
-    validate: bool = True,
-    grid: Sequence[float] = _VALIDATION_GRID,
-) -> PuiseuxBranch:
+def biggest_real_root_branch(P: PolynomialFamily, sign: int) -> PuiseuxBranch:
     """Fractional-power branch of the biggest real root of P on one side.
 
-    The polygon iteration produces every real branch; the largest for small
-    |eps| is selected (ties broken by comparing coefficient sequences), then
-    checked against numerically tracked roots on a log grid."""
+    The polygon iteration produces every real branch to DEFAULT_BRANCH_ORDER;
+    the largest for small |eps| is selected (ties broken by comparing
+    coefficient sequences), then checked against numerically tracked roots
+    on the log grid _VALIDATION_GRID."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    tracked = {}
-    if validate:
-        for e in grid:
-            tracked[e] = track_biggest_real_root(P, sign * e)
+    order = DEFAULT_BRANCH_ORDER
+    tracked = {e: track_biggest_real_root(P, sign * e) for e in _VALIDATION_GRID}
 
     try:
         raw = _branches_of(_signed_support(P, sign), order, _MAX_POLYGON_DEPTH)
@@ -608,7 +597,7 @@ def biggest_real_root_branch(
         else:
             seen[key] = exact
             branches.append((rho, coeffs, exact))
-    if validate and all(r is None for r in tracked.values()):
+    if all(r is None for r in tracked.values()):
         raise NoRealRoot(f"no real root of P on the sampled eps grid, sign {sign:+d}")
     if not branches:
         branch = _numeric_fallback_branch(P, sign, tracked)
@@ -627,8 +616,7 @@ def biggest_real_root_branch(
             rho=rho, sigma=TruncatedSeries(tuple(coeffs)), sign=sign, exact=exact
         )
 
-    if validate:
-        _validate_branch(P, branch, tracked)
+    _validate_branch(P, branch, tracked)
     return branch
 
 
@@ -708,16 +696,13 @@ def _validate_branch(P: PolynomialFamily, branch: PuiseuxBranch, tracked: dict):
 # ---------------------------------------------------------------------------
 
 
-def compute_Q(
-    P: PolynomialFamily,
-    branch: PuiseuxBranch,
-    chop: float = 1e-12,
-) -> BivariatePoly:
+def compute_Q(P: PolynomialFamily, branch: PuiseuxBranch) -> BivariatePoly:
     """Q(s, e) = P(s + sigma(e); sign * e^rho) / s.
 
     The substitution is carried out termwise with truncated powers of sigma;
     the constant term in s must vanish (the branch is a root), which is
-    checked before dividing.  For exact branches the result is exact."""
+    checked before dividing.  For exact branches the result is exact; float
+    terms below _Q_CHOP times the largest one are dropped as noise."""
     max_m = max((m for _, m in P.coeffs), default=0)
     if branch.exact:
         order_e = max(
@@ -755,7 +740,7 @@ def compute_Q(
     cleaned = {}
     for key, v in acc.items():
         if isinstance(v, float):
-            if abs(v) > chop * scale:
+            if abs(v) > _Q_CHOP * scale:
                 cleaned[key] = v
         elif v != 0:
             cleaned[key] = v
@@ -786,8 +771,7 @@ def newton_diagram(Q: BivariatePoly) -> NewtonData:
         raise DegenerateQ("Q(0, e) vanishes identically")
     nu, chi = e_axis[0]
     violations = [(i, j) for (i, j) in support if i * nu + j * mu < mu * nu]
-    hull = _diagram_vertices(support)
-    nd = NewtonData(Q=Q, mu=mu, nu=nu, chi=chi, diagram=hull)
+    nd = NewtonData(Q=Q, mu=mu, nu=nu, chi=chi, diagram=_lower_hull(support))
     if violations:
         nd.h1 = Verdict(
             holds=False,
@@ -804,24 +788,6 @@ def newton_diagram(Q: BivariatePoly) -> NewtonData:
     return nd
 
 
-def _diagram_vertices(support):
-    pts = {}
-    for i, j in support:
-        if i not in pts or j < pts[i]:
-            pts[i] = j
-    hull = []
-    for i in sorted(pts):
-        j = pts[i]
-        while len(hull) >= 2:
-            (i1, j1), (i2, j2) = hull[-2], hull[-1]
-            if (i2 - i1) * (j - j1) - (j2 - j1) * (i - i1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append((i, j))
-    return hull
-
-
 def principal_part_on_circle(nd: NewtonData, theta: float) -> float:
     """g(theta) = sum over the compact side of q_ij sin^i cos^j."""
     mu, nu = nd.mu, nd.nu
@@ -833,19 +799,20 @@ def principal_part_on_circle(nd: NewtonData, theta: float) -> float:
     return acc
 
 
-def check_h2(nd: NewtonData, n_points: int = 4096) -> Verdict:
+def check_h2(nd: NewtonData) -> Verdict:
     """Positivity of the principal quasi-homogeneous part on [0, pi/2].
 
-    Certified on a uniform grid with the Lipschitz bound
-    |g'| <= sum_side |q_ij| (i+j): positive iff the grid minimum clears
-    (pi/2 / N) * bound.  A positive but uncertified minimum raises
-    Inconclusive so the caller can retry with a larger grid."""
+    Certified on a uniform grid of N = _H2_GRID_POINTS intervals with the
+    Lipschitz bound |g'| <= sum_side |q_ij| (i+j): positive iff the grid
+    minimum clears (pi/2 / N) * bound.  A positive but uncertified minimum
+    raises Inconclusive; analyze_family records that as a failed h2 whose
+    detail starts with "inconclusive:"."""
     mu, nu = nd.mu, nd.nu
     side = {(i, j): c for (i, j), c in nd.Q.terms.items() if i * nu + j * mu == mu * nu}
     bound = sum(abs(float(c)) * (i + j) for (i, j), c in side.items())
-    h = (math.pi / 2) / n_points
+    h = (math.pi / 2) / _H2_GRID_POINTS
     min_val, min_theta = math.inf, 0.0
-    for k in range(n_points + 1):
+    for k in range(_H2_GRID_POINTS + 1):
         th = k * h
         g = principal_part_on_circle(nd, th)
         if g < min_val:
@@ -874,12 +841,13 @@ def check_h2(nd: NewtonData, n_points: int = 4096) -> Verdict:
     )
 
 
-def check_h0(nd: NewtonData, eps_grid: Sequence[float] = _VALIDATION_GRID) -> Verdict:
-    """Positivity of Q(0, e) near e = 0: chi > 0 plus a grid check."""
+def check_h0(nd: NewtonData) -> Verdict:
+    """Positivity of Q(0, e) near e = 0: chi > 0 plus a check on
+    _VALIDATION_GRID."""
     if not float(nd.chi) > 0:
         nd.h0 = Verdict(holds=False, witness=0.0, detail=f"chi = {nd.chi!r} <= 0")
         return nd.h0
-    for e in eps_grid:
+    for e in _VALIDATION_GRID:
         val = float(nd.Q.eval(0.0, float(e)))
         if val <= 0:
             nd.h0 = Verdict(
@@ -892,16 +860,16 @@ def check_h0(nd: NewtonData, eps_grid: Sequence[float] = _VALIDATION_GRID) -> Ve
     return nd.h0
 
 
-def analyze_family(
-    P: PolynomialFamily,
-    sign: int = +1,
-    order: int = DEFAULT_BRANCH_ORDER,
-    n_points: int = 4096,
-) -> tuple[PuiseuxBranch, NewtonData]:
-    """Branch extraction, Q, and all three hypothesis verdicts in one call."""
-    branch = biggest_real_root_branch(P, sign, order=order)
-    Q = compute_Q(P, branch)
-    nd = newton_diagram(Q)
+def analyze_family(P: PolynomialFamily, sign: int = +1) -> tuple[PuiseuxBranch, NewtonData]:
+    """Branch extraction, Q, and all three hypothesis verdicts in one call.
+
+    An h2 check that cannot certify a positive grid minimum (Inconclusive)
+    is recorded as a failed h2 whose witness is the grid minimizer."""
+    branch = biggest_real_root_branch(P, sign)
+    nd = newton_diagram(compute_Q(P, branch))
     check_h0(nd)
-    check_h2(nd, n_points=n_points)
+    try:
+        check_h2(nd)
+    except Inconclusive as exc:
+        nd.h2 = Verdict(holds=False, witness=exc.theta, detail=f"inconclusive: {exc}")
     return branch, nd

@@ -50,6 +50,7 @@ from .series import TruncatedSeries
 _LOG_W_FLOOR = -650.0
 _Z_SWITCH = 6.0
 _TIME_BUDGET = 200.0
+_NEAR_ZERO_FRACTION = 0.05  # of the largest |dP/ds| over the D grid
 
 
 @dataclass(frozen=True)
@@ -154,18 +155,6 @@ def normal_to_chart(x: float, y: float, p: LoudParams):
 def normal_to_plane(x: float, y: float, p: LoudParams):
     z, w = normal_to_chart(x, y, p)
     return chart_inverse(z, w)
-
-
-def infinity_chart_rhs(p: LoudParams):
-    """Time-rescaled field in (z, w, t): d/dtau with dt = w dtau."""
-    D, F = p.D, p.F
-
-    def rhs(tau, y):
-        z, w, _ = y
-        common = -F - D * z * z + (2 * D + 1) * z * w - (D + 1) * w * w
-        return [z * (common + 1.0), w * common, w]
-
-    return rhs
 
 
 def normal_form_field(x: float, y: float, p: LoudParams):
@@ -537,13 +526,12 @@ def regularity_check(
     D_grid: Sequence[float],
     F: float = 1.0,
     s_grid: Sequence[float] | None = None,
-    near_zero_fraction: float = 0.05,
 ) -> RegularityReport:
     """Sign analysis of the numeric period derivative near the polycycle.
 
     For each D the period P(s) is sampled on the s grid and dP/ds taken by
     central differences.  A row is regular when the derivative keeps one
-    sign; rows with |dP/ds| below near_zero_fraction of the grid maximum
+    sign; rows with |dP/ds| below _NEAR_ZERO_FRACTION of the grid maximum
     are flagged near-zero (inconclusive).  Signs must match sign(2D+1)
     up to one global orientation constant, fitted from the first
     conclusive row."""
@@ -551,19 +539,17 @@ def regularity_check(
         s_grid = np.geomspace(1e-3, 1e-2, 7)
     s = np.asarray([float(x) for x in s_grid])
     rows = []
-    all_slopes = []
     for D in D_grid:
         p = LoudParams(D=float(D), F=float(F))
         P = np.array([period_numeric(p, float(sj)) for sj in s])
         dP = np.gradient(P, s)
-        all_slopes.append(dP)
         rows.append((float(D), dP))
     max_abs = max(float(np.max(np.abs(dp))) for _, dp in rows)
     out = []
     orientation = 0
     for D, dP in rows:
         mean = float(np.mean(dP))
-        near_zero = bool(np.max(np.abs(dP)) < near_zero_fraction * max_abs)
+        near_zero = bool(np.max(np.abs(dP)) < _NEAR_ZERO_FRACTION * max_abs)
         one_sign = bool(np.all(dP > 0) or np.all(dP < 0))
         sgn = int(np.sign(mean)) if one_sign else 0
         coherent = None

@@ -33,6 +33,7 @@ from .expansion import DulacTimeSpec, ExpansionResult, UnfoldingSpec
 from .series import TruncatedSeries, horner
 
 _EXP_UNDERFLOW = -745.0
+_NOISE_FLOOR_REL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -68,12 +69,12 @@ def _v_over_p_integral(spec: UnfoldingSpec, a: float, b: float, cfg: QuadratureC
             x = th + math.exp(u)
             return horner(Vc, x) / horner(Qc, x - th)
 
-        val, err = _quad(integrand, ua, ub, cfg)
+        val, _ = _quad(integrand, ua, ub, cfg)
     else:
         def integrand(x):
             return horner(Vc, x) / ((x - th) * horner(Qc, x - th))
 
-        val, err = _quad(integrand, a, b, cfg)
+        val, _ = _quad(integrand, a, b, cfg)
     return val
 
 
@@ -119,7 +120,6 @@ def trajectory_y(ts: DulacTimeSpec, s_abs: float, x_abs: float, cfg: QuadratureC
         raise ValueError("x must not precede the initial point")
     if x_abs == s_abs:
         return 1.0
-    th = float(spec.theta_eps)
     val = _v_over_p_integral(spec, s_abs, x_abs, cfg)
     if -val < _EXP_UNDERFLOW:
         return 0.0
@@ -335,11 +335,11 @@ def flatness_report(
     s_grid: Sequence[float] | None = None,
     k: int = 1,
     tol: float = 1e-2,
-    noise_floor_rel: float = 1e-13,
 ) -> FlatnessReport:
     """Evaluate h_ell = (value - S_ell)/s^ell on a log grid and check that
     sup over cases of |theta^r h| decays monotonically over the smallest
-    decade and ends below tol, for r = 0..k."""
+    decade and ends below tol, for r = 0..k.  Remainder slopes are fitted
+    only where |value - S_ell| exceeds _NOISE_FLOOR_REL times |value|."""
     if s_grid is None:
         s_grid = np.geomspace(1e-4, 1e-1, 40)
     s = np.asarray(sorted(float(x) for x in s_grid))
@@ -374,7 +374,7 @@ def flatness_report(
     slopes = []
     for i, case in enumerate(cases):
         diff = np.abs(vals[i] - np.array([float(case.expansion.partial_sum(float(x))) for x in s]))
-        floor = np.maximum(noise_floor_rel * np.abs(vals[i]), 1e-290)
+        floor = np.maximum(_NOISE_FLOOR_REL * np.abs(vals[i]), 1e-290)
         mask = diff > floor
         # require the surviving points to span most of a decade
         span_ok = mask.sum() >= 5 and s[mask][-1] / s[mask][0] >= 6.0

@@ -338,9 +338,6 @@ class BivariatePoly:
     def degree_s(self) -> int:
         return max((i for i, _ in self.terms), default=-1)
 
-    def degree_e(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
-
     def eval(self, s: Scalar, e: Scalar) -> Scalar:
         acc = None
         for (i, j), c in self.terms.items():

@@ -6,10 +6,21 @@ import math
 import pytest
 
 from dulackit.cli import main
+from dulackit.family import PolynomialFamily, analyze_family
 
 LINEAR_FAMILY = {
     "mu": 1,
     "terms": [{"x": 2, "eps": 0, "c": "1"}, {"x": 1, "eps": 1, "c": "-1"}],
+}
+
+# x((x - eps)^2 + 1e-6 eps^2): h2 cannot be certified on the grid
+INCONCLUSIVE_FAMILY = {
+    "mu": 2,
+    "terms": [
+        {"x": 3, "eps": 0, "c": "1"},
+        {"x": 2, "eps": 1, "c": "-2"},
+        {"x": 1, "eps": 2, "c": "1000001/1000000"},
+    ],
 }
 
 COUNTEREXAMPLE_FAMILY = {
@@ -44,6 +55,16 @@ class TestCheck:
         nd = report["newton"]
         assert nd["h1"]["holds"] and not nd["h2"]["holds"]
         assert abs(nd["h2"]["witness"] - math.pi / 4) < 1e-12
+
+    def test_inconclusive_h2_is_a_failed_verdict(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "s.json", {"family": INCONCLUSIVE_FAMILY, "sign": 1})
+        assert main(["check", spec, "--out", str(tmp_path / "o")]) == 0
+        nd = json.loads((tmp_path / "o" / "check.json").read_text())["newton"]
+        assert json.loads(capsys.readouterr().out) == nd
+        _, want = analyze_family(PolynomialFamily.from_json(INCONCLUSIVE_FAMILY), +1)
+        assert nd["h0"]["holds"] and nd["h1"]["holds"]
+        assert nd["h2"] == want.h2.to_json()
+        assert nd["h2"]["detail"].startswith("inconclusive:")
 
     def test_linear_all_pass(self, tmp_path):
         spec = write_spec(tmp_path, "s.json", {"family": LINEAR_FAMILY, "sign": 1})
@@ -216,6 +237,32 @@ class TestBadSpecs:
         obj["lambda"] = "inf"
         self.run(tmp_path, capsys, "expand", obj)
         assert not (tmp_path / "o" / "expansion.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, changes",
+        [
+            ("verify", {"ell": 400}),
+            ("verify", {"ell": -1}),
+            ("verify", {"k": -1}),
+            ("verify", {"k": 30}),
+            ("verify", {"s_grid": {"n": 0}}),
+            ("verify", {"s_grid": {"n": 1}}),
+            ("verify", {"s_grid": {"n": 3}}),
+            ("verify", {"s_grid": {"n": 1}, "k": 0}),
+            ("verify", {"s_grid": {"min": 1e-1, "max": 1e-3, "n": 21}}),
+            ("expand", {"ell": -1}),
+        ],
+        ids=[
+            "ell-underflow", "ell-negative", "k-negative", "k-too-large",
+            "n0", "n1", "n3", "n1-k0", "min-above-max",
+            "expand-ell-negative",
+        ],
+    )
+    def test_out_of_range(self, tmp_path, capsys, command, changes):
+        obj = TestVerify().base()
+        obj.update(changes)
+        self.run(tmp_path, capsys, command, obj)
+        assert not (tmp_path / "o").exists()
 
     def test_empty_modes(self, tmp_path, capsys):
         obj = TestVerify().base()

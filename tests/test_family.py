@@ -38,6 +38,16 @@ def fam_counterexample():
     )
 
 
+def fam_inconclusive():
+    """x((x - eps)^2 + 1e-6 eps^2): the branch is x = 0 and the principal part
+    1 - sin(2 theta) + 1e-6 cos^2(theta) has a positive grid minimum below
+    the Lipschitz margin of check_h2."""
+    return PolynomialFamily(
+        mu=2,
+        coeffs={(3, 0): Fr(1), (2, 1): Fr(-2), (1, 2): Fr(1) + Fr(1, 10**6)},
+    )
+
+
 ZOO = [
     (fam_linear(), +1),
     (fam_linear(), -1),
@@ -260,6 +270,14 @@ class TestHypotheses:
         fam = fam_counterexample()
         _, nd = analyze_family(fam, +1)
         assert nd.h0.holds and nd.h1.holds and not nd.h2.holds
+
+    def test_analyze_family_records_inconclusive_h2(self):
+        branch, nd = analyze_family(fam_inconclusive(), +1)
+        assert branch.exact and all(c == 0 for c in branch.sigma.coeffs)
+        assert nd.h0.holds and nd.h1.holds
+        assert not nd.h2.holds
+        assert nd.h2.detail.startswith("inconclusive:")
+        assert abs(nd.h2.witness - math.pi / 4) < 1e-3
 
     def test_metatest_h2_implies_h0(self):
         for fam, sign in ZOO:
