@@ -227,16 +227,35 @@ def _apply_overrides(res, spec: dict):
     return expansion.ExpansionResult(c=tuple(c), ell=res.ell, meta=dict(res.meta))
 
 
-def cmd_loud(spec: dict, out_dir: Path) -> int:
+def _loud_conf(spec: dict):
+    """D grid, F and s grid of a `loud` spec.  The period derivative is a
+    difference quotient along s, so the s grid needs two or more points
+    inside s > 0, strictly increasing."""
     conf = spec.get("loud", {})
+    if not isinstance(conf, dict):
+        raise ValueError("loud must be a JSON object")
     D_grid = [float(d) for d in conf.get("D_grid", [-0.9, -0.75, -0.5, -0.25, -0.1])]
-    F = float(conf.get("F", 1.0))
+    if not D_grid or not all(math.isfinite(d) for d in D_grid):
+        raise ValueError(f"D_grid needs at least one value, all finite, got {D_grid!r}")
+    F = _number(conf, "F", 1.0)
     s_vals = conf.get("s_grid")
-    s_grid = (
-        np.geomspace(1e-3, 1e-2, 7)
-        if s_vals is None
-        else np.asarray([float(x) for x in s_vals])
-    )
+    if s_vals is None:
+        return D_grid, F, np.geomspace(1e-3, 1e-2, 7)
+    s = [float(x) for x in s_vals]
+    if not (
+        len(s) >= 2
+        and all(math.isfinite(x) for x in s)
+        and 0 < s[0]
+        and all(a < b for a, b in zip(s, s[1:]))
+    ):
+        raise ValueError(
+            f"s_grid needs at least 2 finite values with 0 < s_1 < s_2 < ..., got {s!r}"
+        )
+    return D_grid, F, np.asarray(s)
+
+
+def cmd_loud(spec: dict, out_dir: Path) -> int:
+    D_grid, F, s_grid = _loud_conf(spec)
 
     gamma_self_test = {
         "gamma(1)": loud.gamma(1.0),

@@ -4,11 +4,12 @@ biggest real root, the shifted quotient Q, and the hypothesis verdicts.
 Branch extraction runs the classical Newton-polygon iteration on the
 support of P viewed as a polynomial in (x, e), e >= 0.  For each
 admissible edge the characteristic polynomial is solved over the reals;
-simple roots are lifted by undetermined coefficients, multiple roots
-recurse on the substituted polynomial.  Rational characteristic roots are
-kept exact, so the common families produce branches with exact rational
-coefficients.  A numeric tracker (companion-matrix roots on a log grid)
-validates every accepted branch.
+simple roots are lifted by undetermined coefficients (one coefficient of
+P1(v(z), z) per step, from the coefficients of the powers of v kept
+incrementally), multiple roots recurse on the substituted polynomial.
+Rational characteristic roots are kept exact, so the common families
+produce branches with exact rational coefficients.  A numeric tracker
+(companion-matrix roots on a log grid) validates every accepted branch.
 
 The quotient Q(s, e) := P(s + sigma(e); +-e^rho) / s is the object the
 later hypothesis checks and the coefficient recursion consume:
@@ -16,7 +17,8 @@ later hypothesis checks and the coefficient recursion consume:
 * h0: Q(0, e) > 0 near e = 0 (the tracked root stays a simple node),
 * h1: the Newton diagram of Q has a single compact side,
 * h2: the principal quasi-homogeneous part is positive on the closed
-  first quadrant.
+  first quadrant, decided on the quarter circle by a grid minimum against
+  a Lipschitz margin (:func:`check_h2`).
 """
 
 from __future__ import annotations
@@ -389,27 +391,49 @@ def _substitute_edge(P: dict, c, p: int, q: int):
 def _hensel_lift(P1: dict, order: int):
     """Solve P1(v(z), z) = 0 with v(0) = 0 for a simple root (the linear
     coefficient of v at the origin is nonzero).  Returns (series coeffs
-    v_1..v_order, exact flag)."""
+    v_1..v_order, exact flag).
+
+    Step n needs only [z^n] P1(v_{<n}(z), z) = sum q_ij [z^(n-j)] v^i.
+    Since v_0 = 0, [z^m] v^i = sum_{k=1}^{m-1} v_k [z^(m-k)] v^(i-1), so the
+    coefficients of the powers of v are kept incrementally and zero terms
+    are skipped: O(max_v order^2) scalar operations.  Over the rationals
+    this is the undetermined-coefficient solution itself; in floats only
+    the rounding depends on the summation order."""
     a10 = P1.get((1, 0), 0)
     if a10 == 0:
         raise ArithmeticError("lift needs a simple characteristic root")
     max_v = max(i for i, _ in P1)
-    # A_j(z) as truncated series
     zero = 0 * a10
-    A = []
-    for j in range(max_v + 1):
-        coeffs = [zero] * (order + 1)
-        for (i, jz), c in P1.items():
-            if i == j and jz <= order:
-                coeffs[jz] = coeffs[jz] + c
-        A.append(TruncatedSeries(tuple(coeffs)))
-    v = [zero] * (order + 1)  # v_0 = 0
+    const = {jz: c for (i, jz), c in P1.items() if i == 0}
+    terms = [(i, jz, c) for (i, jz), c in P1.items() if i > 0 and (i, jz) != (1, 0)]
+    # mixed exact/float data: from the first step a float coefficient enters,
+    # the coefficients are floats, as in a product of truncated series
+    float_from = min(
+        (max(jz, 1) for (i, jz), c in P1.items() if isinstance(c, float) and (i, jz) != (0, 0)),
+        default=order + 1,
+    )
+    # pw[i][m] = [z^m] v^i; v^i has valuation >= i
+    pw = [None] + [[zero] * (order + 1) for _ in range(max_v)]
+    v = pw[1]  # v_0 = 0
     for n in range(1, order + 1):
-        vs = TruncatedSeries(tuple(v[: n + 1]))
-        acc = A[max_v].truncated(n)
-        for j in range(max_v - 1, -1, -1):
-            acc = acc * vs + A[j].truncated(n)
-        v[n] = -acc[n] / a10
+        for i in range(2, max_v + 1):
+            prev = pw[i - 1]
+            acc = zero
+            for k in range(1, n - i + 2):
+                if v[k] and prev[n - k]:
+                    acc = acc + v[k] * prev[n - k]
+            pw[i][n] = acc
+        # start at +0.0 in floats: an exact-zero v_n is then -0.0 / a10 in every
+        # case, and branch coefficients print their sign ("-0.0")
+        acc = abs(zero)
+        for i, jz, c in terms:
+            if jz < n and pw[i][n - jz]:
+                acc = acc + c * pw[i][n - jz]
+        if n in const:
+            acc = acc + const[n]
+        if n >= float_from and not isinstance(acc, float):
+            acc = float(acc)
+        v[n] = -acc / a10
     # exactness: substitute the polynomial v into P1 without truncation
     exact = False
     if all(isinstance(c, (int, Fraction)) for c in v) and all(
@@ -788,33 +812,28 @@ def newton_diagram(Q: BivariatePoly) -> NewtonData:
     return nd
 
 
-def principal_part_on_circle(nd: NewtonData, theta: float) -> float:
-    """g(theta) = sum over the compact side of q_ij sin^i cos^j."""
-    mu, nu = nd.mu, nd.nu
-    st, ct = math.sin(theta), math.cos(theta)
-    acc = 0.0
-    for (i, j), c in nd.Q.terms.items():
-        if i * nu + j * mu == mu * nu:
-            acc += float(c) * st**i * ct**j
-    return acc
-
-
 def check_h2(nd: NewtonData) -> Verdict:
-    """Positivity of the principal quasi-homogeneous part on [0, pi/2].
+    """Positivity of the principal quasi-homogeneous part
+    g(theta) = sum over the compact side of q_ij sin^i cos^j on [0, pi/2].
 
     Certified on a uniform grid of N = _H2_GRID_POINTS intervals with the
     Lipschitz bound |g'| <= sum_side |q_ij| (i+j): positive iff the grid
-    minimum clears (pi/2 / N) * bound.  A positive but uncertified minimum
-    raises Inconclusive; analyze_family records that as a failed h2 whose
-    detail starts with "inconclusive:"."""
+    minimum clears (pi/2 / N) * bound.  The side is collected once, as
+    (float(q_ij), i, j) in the order of Q.terms, and g is summed in that
+    order at every grid point.  A positive but uncertified minimum raises
+    Inconclusive; analyze_family records that as a failed h2 whose detail
+    starts with "inconclusive:"."""
     mu, nu = nd.mu, nd.nu
-    side = {(i, j): c for (i, j), c in nd.Q.terms.items() if i * nu + j * mu == mu * nu}
-    bound = sum(abs(float(c)) * (i + j) for (i, j), c in side.items())
+    side = [(float(c), i, j) for (i, j), c in nd.Q.terms.items() if i * nu + j * mu == mu * nu]
+    bound = sum(abs(c) * (i + j) for c, i, j in side)
     h = (math.pi / 2) / _H2_GRID_POINTS
     min_val, min_theta = math.inf, 0.0
     for k in range(_H2_GRID_POINTS + 1):
         th = k * h
-        g = principal_part_on_circle(nd, th)
+        st, ct = math.sin(th), math.cos(th)
+        g = 0.0
+        for c, i, j in side:
+            g += c * st**i * ct**j
         if g < min_val:
             min_val, min_theta = g, th
     margin = h * bound

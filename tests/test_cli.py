@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -262,6 +263,32 @@ class TestBadSpecs:
         obj = TestVerify().base()
         obj.update(changes)
         self.run(tmp_path, capsys, command, obj)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "loud, field",
+        [
+            ({"D_grid": [-0.25], "s_grid": [0.001]}, "s_grid"),
+            ({"D_grid": [-0.25], "s_grid": [-0.001, 0.001, 0.002]}, "s_grid"),
+            ({"D_grid": [-0.25], "s_grid": [0.001, 0.001, 0.002]}, "s_grid"),
+            ({"D_grid": [-0.25], "s_grid": [0.002, 0.001]}, "s_grid"),
+            ({"D_grid": [-0.25], "s_grid": [0.001, "inf"]}, "s_grid"),
+            ({"D_grid": []}, "D_grid"),
+            ({"D_grid": [-0.25, "nan"]}, "D_grid"),
+            ({"D_grid": [-0.25], "F": "inf"}, "F"),
+            ([-0.25], "loud"),
+        ],
+        ids=[
+            "s-single", "s-nonpositive", "s-repeated", "s-decreasing", "s-infinite",
+            "D-empty", "D-nan", "F-infinite", "not-an-object",
+        ],
+    )
+    def test_loud_out_of_range(self, tmp_path, capsys, loud, field):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.run(tmp_path, capsys, "loud", {"loud": loud})
+        assert not caught
+        assert field in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_empty_modes(self, tmp_path, capsys):

@@ -15,6 +15,10 @@ from dulackit.errors import (
     TailUnbounded,
 )
 from dulackit.expansion import (
+    VB_EPS_MAX,
+    VB_N_EPS,
+    VB_N_S,
+    VB_S0,
     DulacTimeSpec,
     EMPTY_SUM,
     ExpansionResult,
@@ -32,6 +36,7 @@ from dulackit.expansion import (
     working_order,
 )
 from dulackit.family import PolynomialFamily, biggest_real_root_branch
+from dulackit.loud import LoudParams, normal_family
 from dulackit.series import TruncatedSeries as TS
 
 
@@ -292,7 +297,51 @@ class TestPartialSum:
         assert res.partial_sum(Fr(1, 10)) == Fr(-112, 1000)
 
 
+def vbounds_reference(spec, ell):
+    """eps0 probed with the full shifted data at the working order."""
+    probes = sorted(VB_EPS_MAX * 10.0 ** (-6 * k / (VB_N_EPS - 1)) for k in range(VB_N_EPS))
+    s_grid = [-VB_S0 + 2 * VB_S0 * i / (VB_N_S - 1) for i in range(VB_N_S)]
+    certified = 0.0
+    for eps_probe in probes:
+        trial = spec.at_eps(spec.branch.sign * eps_probe)
+        _, V, Qs = shifted_data(trial, working_order(ell, spec.family.mu))
+        # V_j is affine in j: its extremes over 0 <= j <= ell are at the ends
+        ends = (0, ell) if ell > 0 else (0,)
+        if not all(0.5 <= float((V - _scaled(Qs, j, trial.lam))(s)) <= 2.0 for j in ends for s in s_grid):
+            break
+        certified = eps_probe
+    return certified
+
+
+def vbounds_specs(fam_linear, fam_quadratic):
+    """Exact and float specs on x(x - eps) and on the rho = 2 branch of
+    x^3 - x eps, the last one with Loud's V = 2F - x^2."""
+    for fam in (fam_linear, fam_quadratic):
+        for sign in (+1, -1):
+            branch = biggest_real_root_branch(fam, sign)
+            yield UnfoldingSpec(
+                family=fam, branch=branch, V=TS((Fr(1), Fr(1, 2), Fr(-1, 4))),
+                U=TS((Fr(0), Fr(-1), Fr(3, 10))), lam=Fr(3, 2), eps=Fr(0),
+            )
+            yield UnfoldingSpec(
+                family=fam, branch=branch, V=TS((1.0, 0.5, -0.25)),
+                U=TS((0.0, -1.0, 0.3)), lam=1.5, eps=sign * 1e-3,
+            )
+    fam, V, branch = normal_family(LoudParams(D=-0.25, F=1.001))
+    assert branch.rho == 2
+    yield UnfoldingSpec(family=fam, branch=branch, V=V, U=TS.zero(2), lam=1, eps=0.002)
+
+
 class TestVBounds:
+    def test_equals_full_order_reference(self, fam_linear, fam_quadratic):
+        eps0 = []
+        for spec in vbounds_specs(fam_linear, fam_quadratic):
+            for ell in (0, 1, 6, 20, 40):
+                eps0.append(vbounds(spec, ell))
+                assert eps0[-1] == vbounds_reference(spec, ell)
+        # the probes decide: some certify the whole range, some stop early
+        assert 0.0 < min(e for e in eps0 if e > 0) < VB_EPS_MAX == max(eps0)
+
     def test_euler_positive(self, euler_spec):
         assert vbounds(euler_spec, 3) > 0
 

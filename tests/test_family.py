@@ -4,10 +4,14 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dulackit.errors import BranchAmbiguous, DegenerateQ, NoRealRoot
+from dulackit.errors import BranchAmbiguous, DegenerateQ, Inconclusive, NoRealRoot
 from dulackit.family import (
+    _H2_GRID_POINTS,
     NewtonData,
+    _hensel_lift,
     PolynomialFamily,
     analyze_family,
     biggest_real_root_branch,
@@ -338,3 +342,149 @@ class TestRandomFamilies:
                 assert nd.nu >= 1 and nd.chi != 0
                 produced += 1
         assert produced >= 40  # the generator must mostly produce live cases
+
+
+def h2_reference(nd):
+    """check_h2 written pointwise: g(theta) = sum_side float(q_ij) sin^i cos^j
+    on the same grid, then the same decision.  Returns (holds, witness,
+    detail), with holds = "inconclusive" and detail None below the margin."""
+    side = [(i, j, c) for (i, j), c in nd.Q.terms.items() if i * nd.nu + j * nd.mu == nd.mu * nd.nu]
+    h = (math.pi / 2) / _H2_GRID_POINTS
+
+    def g(theta):
+        acc = 0.0
+        for i, j, c in side:
+            acc += float(c) * math.sin(theta) ** i * math.cos(theta) ** j
+        return acc
+
+    # min() keeps the first minimizer, as a strict "<" scan does
+    min_val, theta = min(((g(k * h), k * h) for k in range(_H2_GRID_POINTS + 1)), key=lambda p: p[0])
+    margin = h * sum(abs(float(c)) * (i + j) for i, j, c in side)
+    if min_val <= 0:
+        return False, theta, f"principal part reaches {min_val:.3g} at theta={theta:.10g}"
+    if min_val > margin:
+        return True, theta, (
+            f"grid minimum {min_val:.3g} at theta={theta:.6g} clears Lipschitz margin {margin:.3g}"
+        )
+    return "inconclusive", theta, None
+
+
+@st.composite
+def quasi_homogeneous_Q(draw):
+    """Q with Q(s, 0) = s^mu, a compact side from (mu, 0) to (0, nu), and
+    terms above it; rational or float coefficients.  Some draws are
+    (a - b)^2 + delta b^2 on the side, a near miss of the grid margin."""
+    exact = draw(st.booleans())
+    coeff = (
+        st.fractions(min_value=-3, max_value=3, max_denominator=12)
+        if exact
+        else st.floats(min_value=-3, max_value=3, allow_nan=False, allow_infinity=False)
+    )
+    mu, nu = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    g = math.gcd(mu, nu)
+    one = Fr(1) if exact else 1.0
+    terms = {(mu, 0): one}
+    if g >= 2 and draw(st.booleans()):
+        a, b = mu // g, nu // g
+        delta = draw(
+            st.fractions(min_value=-1, max_value=1, max_denominator=10**7)
+            if exact
+            else st.floats(min_value=-1e-3, max_value=1e-3)
+        )
+        terms = {(2 * a, 0): one, (a, b): -2 * one, (0, 2 * b): one + delta}
+        mu, nu = 2 * a, 2 * b
+    else:
+        terms[(0, nu)] = draw(coeff.filter(lambda c: c != 0))
+        for k in range(1, g):
+            terms[(k * mu // g, (g - k) * nu // g)] = draw(coeff)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 6)), max_size=3)):
+        if i * nu + j * mu > mu * nu:
+            terms[(i, j)] = draw(coeff)
+    return BivariatePoly({k: c for k, c in terms.items() if c != 0})
+
+
+class TestH2Grid:
+    @given(Q=quasi_homogeneous_Q())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pointwise_reference(self, Q):
+        nd = newton_diagram(Q)
+        holds, witness, detail = h2_reference(nd)
+        if holds == "inconclusive":
+            with pytest.raises(Inconclusive) as err:
+                check_h2(nd)
+            assert err.value.theta == witness
+        else:
+            v = check_h2(nd)
+            assert (v.holds, v.witness, v.detail) == (holds, witness, detail)
+
+
+def lift_reference(P1, order):
+    """The lift by series Horner: step n evaluates P1(v_{<n}(z), z) as
+    truncated series and reads off its z^n coefficient."""
+    a10 = P1[(1, 0)]
+    max_v = max(i for i, _ in P1)
+    zero = 0 * a10
+    A = [
+        TS(tuple(sum((c for (i, jz), c in P1.items() if (i, jz) == (j, m)), zero) for m in range(order + 1)))
+        for j in range(max_v + 1)
+    ]
+    v = [zero] * (order + 1)
+    for n in range(1, order + 1):
+        vs = TS(tuple(v[: n + 1]))
+        acc = A[max_v].truncated(n)
+        for j in range(max_v - 1, -1, -1):
+            acc = acc * vs + A[j].truncated(n)
+        v[n] = -acc[n] / a10
+    return v[1:]
+
+
+@st.composite
+def lift_problem(draw):
+    """(P1, order): P1(v, z) with a simple root v = 0 at z = 0, i.e.
+    P1(0, 0) = 0 and a10 = [v z^0] P1 != 0."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    keys = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)), max_size=8))
+    keys += draw(st.lists(st.tuples(st.just(0), st.integers(1, 6)), max_size=3))  # v != 0
+    P1 = {k: draw(coeff) for k in keys if k not in ((0, 0), (1, 0))}
+    P1[(1, 0)] = draw(coeff.filter(lambda c: c != 0))
+    return {k: c for k, c in P1.items() if c != 0}, draw(st.integers(0, 12))
+
+
+LIFT_RTOL = 1e-12  # float lift against the series-Horner lift, of max |v_k|
+
+
+class TestHenselLift:
+    @given(problem=lift_problem())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_lift_solves_and_equals_reference(self, problem):
+        P1, order = problem
+        v, _ = _hensel_lift(P1, order)
+        assert v == lift_reference(P1, order)
+        assert all(isinstance(c, Fr) for c in v)
+        # P1(v(z), z) vanishes through z^order
+        vz = TS((Fr(0),) + tuple(v))
+        total = TS.zero(order, like=Fr(0))
+        for (i, jz), c in P1.items():
+            if jz <= order:
+                power = TS.constant(Fr(1), order)
+                for _ in range(i):
+                    power = power * vz
+                total = total + power.shifted_up(jz).truncated(order) * c
+        assert total.is_zero()
+
+    @given(problem=lift_problem(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_float_lift_within_tolerance(self, problem, data):
+        P1, order = problem
+        # all floats, or a mix of floats and rationals
+        floats = data.draw(st.sets(st.sampled_from(sorted(P1))) | st.just(set(P1)))
+        P1 = {k: float(c) if k in floats else c for k, c in P1.items()}
+        v, exact = _hensel_lift(P1, order)
+        ref = lift_reference(P1, order)
+        assert [type(c) for c in v] == [type(c) for c in ref]
+        assert not exact or not floats
+        scale = max((abs(float(c)) for c in ref), default=0.0)
+        for a, b in zip(v, ref):
+            assert abs(float(a) - float(b)) <= LIFT_RTOL * scale
+            if a == 0 and b == 0:
+                assert math.copysign(1, a) == math.copysign(1, b)  # reports print -0.0
