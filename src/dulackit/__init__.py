@@ -25,7 +25,6 @@ from .family import (
     newton_diagram,
 )
 from .oracle import (
-    FlatnessCase,
     FlatnessReport,
     QuadratureConfig,
     dulac_map,
@@ -43,7 +42,6 @@ __all__ = [
     "DulacKitError",
     "DulacTimeSpec",
     "ExpansionResult",
-    "FlatnessCase",
     "FlatnessReport",
     "NewtonData",
     "PolynomialFamily",

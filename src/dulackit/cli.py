@@ -40,22 +40,49 @@ def _load_spec(path: str) -> dict:
     return spec
 
 
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a JSON object")
+    return value
+
+
+def _array(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a JSON array")
+    return value
+
+
+def _floats(value, field: str) -> list:
+    """A JSON array of numbers (or numeric strings) as floats."""
+    items = _array(value, field)
+    try:
+        return [float(x) for x in items]
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must hold numbers only") from None
+
+
 def _number(spec: dict, key: str, default: float) -> float:
-    val = float(spec.get(key, default))
+    try:
+        val = float(spec.get(key, default))
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number") from None
     if not math.isfinite(val):
         raise ValueError(f"{key} = {val!r} is not a finite number")
     return val
 
 
 def _count(spec: dict, key: str, default: int) -> int:
-    val = int(spec.get(key, default))
+    try:
+        val = int(spec.get(key, default))
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an integer") from None
     if val < 0:
         raise ValueError(f"{key} = {val} is negative")
     return val
 
 
-def _series_from(data) -> TruncatedSeries:
-    return TruncatedSeries.from_json([str(tok) for tok in data])
+def _series_from(data, field: str) -> TruncatedSeries:
+    return TruncatedSeries.from_json([str(tok) for tok in _array(data, field)])
 
 
 def _write_json(obj, out_dir: Path, name: str):
@@ -79,7 +106,10 @@ def _write_csv(rows, out_dir: Path, name: str):
 
 
 def _analyze(spec: dict):
-    fam = family.PolynomialFamily.from_json(spec["family"])
+    data = _object(spec["family"], "family")
+    for i, term in enumerate(_array(data.get("terms"), "family.terms")):
+        _object(term, f"family.terms[{i}]")
+    fam = family.PolynomialFamily.from_json(data)
     branch, nd = family.analyze_family(fam, int(spec.get("sign", +1)))
     return fam, branch, nd
 
@@ -105,8 +135,8 @@ def _unfolding_spec(spec: dict, fam, branch, nd) -> expansion.UnfoldingSpec:
     return expansion.UnfoldingSpec(
         family=fam,
         branch=branch,
-        V=_series_from(spec.get("V", ["1"])),
-        U=_series_from(spec.get("U", ["0"])),
+        V=_series_from(spec.get("V", ["1"]), "V"),
+        U=_series_from(spec.get("U", ["0"]), "U"),
         lam=_number(spec, "lambda", 1.0),
         eps=_number(spec, "eps", 0.0),
         Q=nd.Q,
@@ -133,7 +163,7 @@ def _s_grid(spec: dict, ell: int, k: int):
     """The log grid of s.  The k log-derivatives of the flatness report use
     up 4k of its points and need 5 more; h = (value - S_ell) / s^ell needs
     s^ell > 0 at the smallest s."""
-    g = spec.get("s_grid", {})
+    g = _object(spec.get("s_grid", {}), "s_grid")
     lo, hi, n = float(g.get("min", 1e-3)), float(g.get("max", 1e-1)), int(g.get("n", 25))
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"s_grid needs 0 < min < max < inf, got min = {lo!r}, max = {hi!r}")
@@ -144,22 +174,9 @@ def _s_grid(spec: dict, ell: int, k: int):
     return np.geomspace(lo, hi, n)
 
 
-def _quad_config(spec: dict) -> oracle.QuadratureConfig:
-    o = spec.get("oracle", {})
-    return oracle.QuadratureConfig(
-        rel_tol=float(o.get("rel_tol", 1e-10)),
-        abs_tol=float(o.get("abs_tol", 1e-13)),
-        max_subdivisions=int(o.get("max_subdivisions", 200)),
-        substitution=bool(o.get("substitution", True)),
-        ode_rel_tol=float(o.get("ode_rel_tol", 1e-9)),
-        ode_abs_tol=float(o.get("ode_abs_tol", 1e-12)),
-    )
-
-
 def cmd_verify(spec: dict, out_dir: Path) -> int:
     kind = spec.get("kind", "orbit")
     fam, branch, nd = _analyze(spec)
-    cfg = _quad_config(spec)
     ell = _count(spec, "ell", 2)
     k = _count(spec, "k", 1)
     x0 = _number(spec, "x0", 1.0)
@@ -167,47 +184,35 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
 
     if kind == "orbit":
         uspec = _unfolding_spec(spec, fam, branch, nd)
-        res = expansion.coefficients(uspec, ell)
-        res = _apply_overrides(res, spec)
-        case = oracle.FlatnessCase(
-            label={"case": "orbit", "eps": float(uspec.eps)},
-            values_fn=lambda s: oracle.particular_solution(uspec, x0, s, cfg),
-            expansion=res,
-            lam=float(uspec.lam),
-        )
+        res = _apply_overrides(expansion.coefficients(uspec, ell), spec)
+        eps, lam = uspec.eps, float(uspec.lam)
+        value = lambda s: oracle.particular_solution(uspec, x0, s)
     elif kind == "dulac_map":
         uspec = _unfolding_spec(spec, fam, branch, nd)
         res = expansion.ExpansionResult(c=(0.0,) * (ell + 1), ell=ell)
-        case = oracle.FlatnessCase(
-            label={"case": "dulac_map", "eps": float(uspec.eps)},
-            values_fn=lambda s: oracle.dulac_map(uspec, s, cfg),
-            expansion=res,
-            lam=float(uspec.lam),
-        )
+        eps, lam = uspec.eps, float(uspec.lam)
+        value = lambda s: oracle.dulac_map(uspec, s)
     elif kind == "dulac_time":
-        modes = tuple(_series_from(m) for m in spec["modes"])
+        modes = _array(spec["modes"], "modes")
         ts = expansion.DulacTimeSpec(
             family=fam,
             branch=branch,
-            V=_series_from(spec.get("V", ["1"])),
+            V=_series_from(spec.get("V", ["1"]), "V"),
             eps=_number(spec, "eps", 0.0),
-            modes=modes,
+            modes=tuple(_series_from(m, f"modes[{i}]") for i, m in enumerate(modes)),
             y0=_number(spec, "y0", 1.0),
             x0=x0,
         )
-        res = expansion.dulac_time_coefficients(ts, ell)
-        res = _apply_overrides(res, spec)
-        case = oracle.FlatnessCase(
-            label={"case": "dulac_time", "eps": float(ts.eps)},
-            values_fn=lambda s: oracle.dulac_time(ts, s, cfg),
-            expansion=res,
-            lam=1.0,
-        )
+        res = _apply_overrides(expansion.dulac_time_coefficients(ts, ell), spec)
+        eps, lam = ts.eps, 1.0
+        value = lambda s: oracle.dulac_time(ts, s)
     else:
         raise ValueError(f"unknown verify kind {kind!r}")
 
     tol = _number(spec, "flatness_tol", 1e-2)
-    report = oracle.flatness_report([case], s_grid=s_grid, k=k, tol=tol)
+    values = [value(s) for s in s_grid.tolist()]
+    label = {"case": kind, "eps": float(eps)}
+    report = oracle.flatness_report(values, res, lam, label, s_grid, k, tol)
     _write_csv(report.to_csv_rows(), out_dir, "flatness.csv")
     summary = report.to_json()
     summary["passed"] = bool(all(report.decay_ok))
@@ -222,8 +227,11 @@ def _apply_overrides(res, spec: dict):
     if not overrides:
         return res
     c = list(res.c)
-    for idx, val in overrides.items():
-        c[int(idx)] = float(val)
+    for idx, val in _object(overrides, "debug_coefficient_overrides").items():
+        j = int(idx)
+        if not 0 <= j <= res.ell:
+            raise ValueError(f"debug_coefficient_overrides index {idx} is not in 0..{res.ell}")
+        c[j] = float(val)
     return expansion.ExpansionResult(c=tuple(c), ell=res.ell, meta=dict(res.meta))
 
 
@@ -231,17 +239,15 @@ def _loud_conf(spec: dict):
     """D grid, F and s grid of a `loud` spec.  The period derivative is a
     difference quotient along s, so the s grid needs two or more points
     inside s > 0, strictly increasing."""
-    conf = spec.get("loud", {})
-    if not isinstance(conf, dict):
-        raise ValueError("loud must be a JSON object")
-    D_grid = [float(d) for d in conf.get("D_grid", [-0.9, -0.75, -0.5, -0.25, -0.1])]
+    conf = _object(spec.get("loud", {}), "loud")
+    D_grid = _floats(conf.get("D_grid", [-0.9, -0.75, -0.5, -0.25, -0.1]), "D_grid")
     if not D_grid or not all(math.isfinite(d) for d in D_grid):
         raise ValueError(f"D_grid needs at least one value, all finite, got {D_grid!r}")
     F = _number(conf, "F", 1.0)
     s_vals = conf.get("s_grid")
     if s_vals is None:
         return D_grid, F, np.geomspace(1e-3, 1e-2, 7)
-    s = [float(x) for x in s_vals]
+    s = _floats(s_vals, "s_grid")
     if not (
         len(s) >= 2
         and all(math.isfinite(x) for x in s)
@@ -274,7 +280,7 @@ def cmd_loud(spec: dict, out_dir: Path) -> int:
                 "limit": loud.c1_hat_limit(D),
             }
         )
-    report = loud.regularity_check(D_grid, F=F, s_grid=s_grid)
+    report = loud.regularity_check(D_grid, s_grid, F=F)
 
     samples = [["D", "s", "period"]]
     for D in D_grid:

@@ -48,13 +48,15 @@ VB_EPS_MAX = 0.1
 VB_N_EPS = 16
 VB_N_S = 33
 MAX_MODES = 400
+MODE_TAIL_TOL = 1e-8  # mode summation stops once its tail estimate is below
+GLUE_TOL = 1e-8  # largest jump of a coefficient across eps = 0
 
 
-def working_order(ell: int, mu: int = 1, k: int = 0) -> int:
-    """Truncation order for an expansion to degree ell with k scale
-    derivatives: each nabla costs one order and each derivative shifts
-    the usable window by mu."""
-    return ell + mu * k + ORDER_MARGIN
+def working_order(ell: int) -> int:
+    """Truncation order of the recursion for an expansion to degree ell:
+    each nabla costs one order, so it needs at least ell + 2, and
+    ORDER_MARGIN leaves two to spare."""
+    return ell + ORDER_MARGIN
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class UnfoldingSpec:
 
     @property
     def theta_eps(self):
-        return self.branch.sigma(self.e_hat)
+        return self.branch.theta(self.eps)
 
     def at_eps(self, eps) -> "UnfoldingSpec":
         return replace(self, eps=eps)
@@ -154,13 +156,6 @@ def _scaled(Q: TruncatedSeries, j, lam):
     return Q * _ratio(j, lam)
 
 
-def _require_order(order, ell):
-    if order < ell + 2:
-        raise OrderExhausted(
-            f"working order {order} cannot produce {ell + 1} coefficients"
-        )
-
-
 def triangular_coefficients(U, V, Qs, lam, ell):
     """c_0..c_ell by forward substitution in the defining identity; the
     series need order >= ell.  Raises NonUnitV at the first n with
@@ -187,7 +182,8 @@ def recursion_coefficients(U, V, Qs, lam, ell):
     (coeffs, F_{ell+1}).  The reference construction: production
     coefficients come from :func:`triangular_coefficients`."""
     order = min(U.order, V.order, Qs.order)
-    _require_order(order, ell)
+    if order < ell + 2:
+        raise OrderExhausted(f"working order {order} cannot produce {ell + 1} coefficients")
     U = U.truncated(order)
     V = V.truncated(order)
     Qs = Qs.truncated(order)
@@ -203,24 +199,15 @@ def recursion_coefficients(U, V, Qs, lam, ell):
     return c, F
 
 
-def coefficients(
-    spec: UnfoldingSpec,
-    ell: int,
-    order: int | None = None,
-    check_validity: bool = False,
-) -> ExpansionResult:
+def coefficients(spec: UnfoldingSpec, ell: int, check_validity: bool = False) -> ExpansionResult:
     """Expansion coefficients c_0..c_ell at the spec's parameter point.
 
-    ``order`` is the truncation order the recursion would need (reported
-    in meta); below ell + 2 it raises OrderExhausted as the recursion does.
-    The triangular solve itself reads the shifted data up to order ell."""
-    if order is None:
-        order = working_order(ell, spec.family.mu)
-    _require_order(order, ell)
+    meta["order"] is the truncation order the recursion would need; the
+    triangular solve itself reads the shifted data up to order ell."""
     U, V, Qs = shifted_data(spec, max(ell, 0))
     c = triangular_coefficients(U, V, Qs, spec.lam, ell)
     meta = {
-        "order": order,
+        "order": working_order(ell),
         "eps": float(spec.eps),
         "e_hat": float(spec.e_hat),
         "lambda": float(spec.lam),
@@ -248,7 +235,7 @@ def residual_identity_series(U, V, Qs, lam, ell):
     return max(abs(a) for a in diff.coeffs)
 
 
-def residual_identity_check(spec: UnfoldingSpec, ell: int, order: int | None = None):
+def residual_identity_check(spec: UnfoldingSpec, ell: int):
     """:func:`residual_identity_series` on the spec's shifted data.
 
     It runs the reference recursion, not the production kernel.  In floats
@@ -257,9 +244,7 @@ def residual_identity_check(spec: UnfoldingSpec, ell: int, order: int | None = N
     of the coefficient scale, the triangular kernel's by 7.9e-15.  So a
     float residual measures the recursion, not the coefficients that
     :func:`coefficients` returns; over the rationals it is exactly zero."""
-    if order is None:
-        order = working_order(ell, spec.family.mu)
-    U, V, Qs = shifted_data(spec, order)
+    U, V, Qs = shifted_data(spec, working_order(ell))
     return residual_identity_series(U, V, Qs, spec.lam, ell)
 
 
@@ -275,7 +260,7 @@ def vbounds(spec: UnfoldingSpec, ell: int) -> float:
     shifted data would not change a Horner value."""
     probes = [VB_EPS_MAX * (10.0 ** (-6 * k / (VB_N_EPS - 1))) for k in range(VB_N_EPS)]
     s_grid = [-VB_S0 + 2 * VB_S0 * i / (VB_N_S - 1) for i in range(VB_N_S)]
-    order = min(working_order(ell, spec.family.mu), max(spec.V.order, spec.Q.degree_s()))
+    order = min(working_order(ell), max(spec.V.order, spec.Q.degree_s()))
     certified = 0.0
     for eps_probe in sorted(probes):
         trial = spec.at_eps(spec.branch.sign * eps_probe)
@@ -321,13 +306,12 @@ def glue_two_sided(
     spec_minus: UnfoldingSpec,
     ell: int,
     grid: Sequence | None = None,
-    tol: float = 1e-8,
 ) -> GlueResult:
     """Sample c_j(eps) across eps = 0 and enforce the matching conditions.
 
     When U has valuation m, the coefficients c_0..c_{m-1} must vanish for
     eps <= 0 (checked exactly in rational arithmetic, to rounding in
-    floats); both one-sided limits at eps = 0 must agree within tol."""
+    floats); both one-sided limits at eps = 0 must agree within GLUE_TOL."""
     if grid is None:
         hi = min(abs(float(spec_plus.eps)) or 1e-3, abs(float(spec_minus.eps)) or 1e-3)
         decades = 9
@@ -358,9 +342,9 @@ def glue_two_sided(
         for j in range(ell + 1):
             d = max(abs(float(below[j]) - float(c0[j])), abs(float(above[j]) - float(c0[j])))
             deltas.append(d)
-            if d > tol:
+            if d > GLUE_TOL:
                 raise ContinuityViolation(
-                    f"c_{j} jumps by {d:g} across eps=0 (tolerance {tol:g})"
+                    f"c_{j} jumps by {d:g} across eps=0 (tolerance {GLUE_TOL:g})"
                 )
     return GlueResult(
         eps=tuple(grid),
@@ -425,19 +409,15 @@ class DulacTimeSpec:
         return acc
 
 
-def dulac_time_coefficients(
-    ts: DulacTimeSpec,
-    ell: int,
-    tol: float = 1e-8,
-) -> ExpansionResult:
+def dulac_time_coefficients(ts: DulacTimeSpec, ell: int) -> ExpansionResult:
     """Sum per-mode expansion coefficients over the mode index.
 
     Mode n contributes the coefficients of the scalar problem with
     U = U_n y0^n and lam = n V(0); summation stops when the tail estimate
-    C gamma (r y0)^(N+1) / (1 - r y0) drops below tol.  The estimate is
-    not a bound: gamma is the largest |c_j| / ||U_n y0^n|| ratio observed
-    over the modes summed so far, not a bound on the ratios of later
-    modes.  An infinite mode list that has not converged after MAX_MODES
+    C gamma (r y0)^(N+1) / (1 - r y0) drops below MODE_TAIL_TOL.  The
+    estimate is not a bound: gamma is the largest |c_j| / ||U_n y0^n|| ratio
+    observed over the modes summed so far, not a bound on the ratios of
+    later modes.  An infinite mode list that has not converged after MAX_MODES
     modes raises TailUnbounded."""
     finite = ts.n_modes()
     if finite is None and ts.decay is None:
@@ -479,7 +459,7 @@ def dulac_time_coefficients(
             gamma = max(gamma, max(abs(float(cj)) for cj in res.c) / norm)
         if finite is None:
             tail = C * max(gamma, 1e-300) * r_eff ** (n + 1) / (1 - r_eff)
-            if tail < tol and n >= 3:
+            if tail < MODE_TAIL_TOL and n >= 3:
                 break
     return ExpansionResult(
         c=tuple(total),

@@ -44,12 +44,13 @@ from .errors import (
 )
 from .expansion import DulacTimeSpec
 from .family import PolynomialFamily, PuiseuxBranch, biggest_real_root_branch
-from .oracle import QuadratureConfig, DEFAULT_CONFIG, dulac_map as _oracle_dulac_map, dulac_time as _oracle_dulac_time
+from .oracle import dulac_map as _oracle_dulac_map, dulac_time as _oracle_dulac_time
 from .series import TruncatedSeries
 
 _LOG_W_FLOOR = -650.0
 _Z_SWITCH = 6.0
 _TIME_BUDGET = 200.0
+_RTOL = 1e-11  # relative tolerance of every period integration
 _NEAR_ZERO_FRACTION = 0.05  # of the largest |dP/ds| over the D grid
 
 
@@ -263,8 +264,9 @@ def normal_family(p: LoudParams) -> tuple[PolynomialFamily, TruncatedSeries, Pui
     return fam, V, branch
 
 
-def node_time_spec(p: LoudParams, y0: float | None = None, x0: float = 1.0) -> DulacTimeSpec:
-    """Time-form data of the node passage with the closed-form factor."""
+def node_time_spec(p: LoudParams) -> DulacTimeSpec:
+    """Time-form data of the node passage with the closed-form factor,
+    entering at the section height and leaving at the section x = 1."""
     fam, V, branch = normal_family(p)
     me = loud_modes(p, order=12)
     return DulacTimeSpec(
@@ -275,12 +277,11 @@ def node_time_spec(p: LoudParams, y0: float | None = None, x0: float = 1.0) -> D
         modes=me.modes,
         ua_fn=lambda x, y: ua(x, y, p),
         decay=(me.C, me.r),
-        y0=y_section_height(p) if y0 is None else y0,
-        x0=x0,
+        y0=y_section_height(p),
     )
 
 
-def dulac_map_node(p: LoudParams, s: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def dulac_map_node(p: LoudParams, s: float) -> float:
     """Transition map of the nodal field (x^2-eps)x dx + 2F(1 - x^2/(2F)) y dy."""
     from .expansion import UnfoldingSpec
 
@@ -288,7 +289,7 @@ def dulac_map_node(p: LoudParams, s: float, cfg: QuadratureConfig = DEFAULT_CONF
     spec = UnfoldingSpec(
         family=fam, branch=branch, V=V, U=TruncatedSeries.zero(2), lam=1, eps=p.eps
     )
-    return _oracle_dulac_map(spec, s, cfg)
+    return _oracle_dulac_map(spec, s)
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +354,19 @@ def c1_hat_limit(D: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _solve(rhs, span, y0, events, rtol, atol, **kw):
-    sol = solve_ivp(rhs, span, y0, events=events, rtol=rtol, atol=atol, **kw)
+def _solve(rhs, span, y0, events, atol, **kw):
+    sol = solve_ivp(rhs, span, y0, events=events, rtol=_RTOL, atol=atol, **kw)
     if sol.status == -1:
         raise EventMissed(sol.message or "integration failed")
     return sol
 
 
-def time_to_entry(p: LoudParams, s: float, y0: float | None = None, rtol: float = 1e-11) -> float:
-    """Time from the section v = 0 to the node entry point Phi(s + theta, y0),
-    by backward integration of the plane field (a short regular arc)."""
-    y0v = y_section_height(p) if y0 is None else y0
+def time_to_entry(p: LoudParams, s: float) -> float:
+    """Time from the section v = 0 to the node entry point Phi(s + theta, y0)
+    at the section height y0, by backward integration of the plane field
+    (a short regular arc)."""
     th = _theta_normal(p)
-    u0, v0 = normal_to_plane(s + th, y0v, p)
+    u0, v0 = normal_to_plane(s + th, y_section_height(p), p)
     rhs = loud_rhs(p)
 
     def back(t, y):
@@ -376,7 +377,7 @@ def time_to_entry(p: LoudParams, s: float, y0: float | None = None, rtol: float 
     ev.terminal = True
     guard = lambda t, y: 1.0 + 1e-9 - y[0]
     guard.terminal = True
-    sol = _solve(back, (0.0, _TIME_BUDGET), [u0, v0], [ev, guard], rtol, 1e-14)
+    sol = _solve(back, (0.0, _TIME_BUDGET), [u0, v0], [ev, guard], 1e-14)
     if len(sol.t_events[1]):
         raise EscapedAnnulus(f"orbit through s={s:g} crossed the invariant line u=1")
     if not len(sol.t_events[0]):
@@ -388,19 +389,14 @@ def _theta_normal(p: LoudParams) -> float:
     return math.sqrt(p.eps) if p.eps > 0 else 0.0
 
 
-def period_numeric(
-    p: LoudParams,
-    s: float,
-    y0: float | None = None,
-    rtol: float = 1e-11,
-) -> float:
-    """Full period of the orbit through the node entry point Phi(s+theta, y0),
-    as twice the v=0-to-v=0 half period, by the three-chart integration."""
-    y0v = y_section_height(p) if y0 is None else y0
+def period_numeric(p: LoudParams, s: float) -> float:
+    """Full period of the orbit through the node entry point Phi(s+theta, y0)
+    at the section height y0, as twice the v=0-to-v=0 half period, by the
+    three-chart integration."""
     th = _theta_normal(p)
-    t_back = time_to_entry(p, s, y0v, rtol)
+    t_back = time_to_entry(p, s)
 
-    z0, w0 = normal_to_chart(s + th, y0v, p)
+    z0, w0 = normal_to_chart(s + th, y_section_height(p), p)
     rhs_zw = _log_w_rhs(p)
     ev_z = lambda tau, y: y[0] - _Z_SWITCH
     ev_z.terminal = True
@@ -410,7 +406,7 @@ def period_numeric(
     ev_w.direction = -1.0
     sol = _solve(
         rhs_zw, (0.0, 1e12), [z0, math.log(w0), 0.0], [ev_z, ev_w],
-        rtol, [1e-13, 1e-9, 1e-15],
+        [1e-13, 1e-9, 1e-15],
     )
     if sol.status != 1:
         raise EventMissed("node passage did not reach either switch event")
@@ -426,7 +422,7 @@ def period_numeric(
             ev = lambda t, y: y[1]
             ev.terminal = True
             ev.direction = -1.0
-            sol3 = _solve(rhs, (0.0, _TIME_BUDGET), [u1, 1.0 / w1], [ev], rtol, 1e-14)
+            sol3 = _solve(rhs, (0.0, _TIME_BUDGET), [u1, 1.0 / w1], [ev], 1e-14)
             if not len(sol3.t_events[0]):
                 raise EventMissed("far v=0 crossing not reached in the plane chart")
             t_rest = float(sol3.t_events[0][0])
@@ -437,7 +433,7 @@ def period_numeric(
             evq.terminal = True
             evq.direction = 1.0
             sol3 = _solve(
-                rhs_pq, (0.0, 1e6), [p0, q0, 0.0], [evq], rtol,
+                rhs_pq, (0.0, 1e6), [p0, q0, 0.0], [evq],
                 [1e-30, 1e-13, 1e-30], first_step=1e-6,
             )
             if not len(sol3.t_events[0]):
@@ -474,18 +470,10 @@ def _horizontal_rhs(p: LoudParams):
     return rhs
 
 
-def period_via_decomposition(
-    p: LoudParams,
-    s: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    y0: float | None = None,
-) -> float:
+def period_via_decomposition(p: LoudParams, s: float) -> float:
     """Cross-check route: twice (entry arc time + node passage time).  Omits
     the arc beyond the outer section whose time is O(transition map value)."""
-    y0v = y_section_height(p) if y0 is None else y0
-    t1 = time_to_entry(p, s, y0v)
-    t2 = _oracle_dulac_time(node_time_spec(p, y0=y0v), s, cfg)
-    return 2.0 * (t1 + t2)
+    return 2.0 * (time_to_entry(p, s) + _oracle_dulac_time(node_time_spec(p), s))
 
 
 @dataclass
@@ -524,8 +512,8 @@ class RegularityReport:
 
 def regularity_check(
     D_grid: Sequence[float],
+    s_grid: Sequence[float],
     F: float = 1.0,
-    s_grid: Sequence[float] | None = None,
 ) -> RegularityReport:
     """Sign analysis of the numeric period derivative near the polycycle.
 
@@ -535,8 +523,6 @@ def regularity_check(
     are flagged near-zero (inconclusive).  Signs must match sign(2D+1)
     up to one global orientation constant, fitted from the first
     conclusive row."""
-    if s_grid is None:
-        s_grid = np.geomspace(1e-3, 1e-2, 7)
     s = np.asarray([float(x) for x in s_grid])
     rows = []
     for D in D_grid:

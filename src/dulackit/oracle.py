@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -34,13 +34,13 @@ from .series import TruncatedSeries, horner
 
 _EXP_UNDERFLOW = -745.0
 _NOISE_FLOOR_REL = 1e-13
+_QUAD_LIMIT = 200  # subintervals quad may bisect into
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
-    max_subdivisions: int = 200
     substitution: bool = True  # log change of variable at the singular endpoint
     ode_rel_tol: float = 1e-9
     ode_abs_tol: float = 1e-12
@@ -81,7 +81,7 @@ def _v_over_p_integral(spec: UnfoldingSpec, a: float, b: float, cfg: QuadratureC
 def _quad(f, a, b, cfg: QuadratureConfig):
     val, err, info, *rest = quad(
         f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions, full_output=True,
+        limit=_QUAD_LIMIT, full_output=True,
     )
     if rest:
         raise QuadratureFailure(f"quadrature on [{a:g}, {b:g}]: {rest[0]}")
@@ -243,7 +243,7 @@ def dulac_time(ts: DulacTimeSpec, s: float, cfg: QuadratureConfig = DEFAULT_CONF
     In the variable tau = A(x) - A(s+theta) the integrand is
     U(x(tau), y0 e^-tau) y0 e^-tau / V(x(tau)): smooth, exponentially
     decaying, no pole."""
-    th = float(ts.branch.sigma(ts.branch.e_hat(ts.eps)))
+    th = float(ts.branch.theta(ts.eps))
     if not s > 0 or s + th > ts.x0 + 1e-15:
         raise ValueError("need 0 < s and s + theta <= x0")
     Vc = [float(c) for c in ts.V.coeffs]
@@ -265,61 +265,51 @@ def dulac_time(ts: DulacTimeSpec, s: float, cfg: QuadratureConfig = DEFAULT_CONF
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlatnessCase:
-    """One parameter point: a value function bound to everything but s."""
-
-    label: dict
-    values_fn: Callable[[float], float]
-    expansion: ExpansionResult
-    lam: float
-
-
 @dataclass
 class FlatnessReport:
     s_grid: tuple
-    cases: tuple
+    label: dict
+    lam: float
     ell: int
     k: int
-    values: np.ndarray        # (cases, s)
-    h: np.ndarray             # (cases, s)
-    theta_h: list             # r -> (cases, s_trimmed) arrays, r = 1..k
-    sup_curve: list           # r -> (s_trimmed,) sup over cases of |theta^r h|
+    values: np.ndarray        # the oracle's value at each s
+    h: np.ndarray             # (value - S_ell) / s^ell at each s
+    theta_h: list             # r -> theta^r h on s_grid[2r : len - 2r], r = 1..k
     decay_ok: list            # r -> bool, r = 0..k
-    fitted_slopes: tuple      # per case, slope of log|value - S_ell| vs log s
+    fitted_slope: float | None  # slope of log|value - S_ell| vs log s
 
     def to_json(self) -> dict:
+        curves = [self.h, *self.theta_h]
         return {
             "ell": self.ell,
             "k": self.k,
             "s_min": self.s_grid[0],
             "s_max": self.s_grid[-1],
             "decay_ok": list(self.decay_ok),
-            "fitted_slopes": [None if v is None else float(v) for v in self.fitted_slopes],
-            "sup_final": [float(c[0]) if len(c) else None for c in self.sup_curve],
-            "cases": [c.label for c in self.cases],
+            "fitted_slopes": [self.fitted_slope],
+            "sup_final": [float(abs(c[0])) for c in curves],
+            "cases": [self.label],
         }
 
     def to_csv_rows(self):
         header = ["case", "eps", "lambda", "s", "value", "h"]
         header += [f"theta{r}_h" for r in range(1, self.k + 1)]
         yield header
-        for i, case in enumerate(self.cases):
-            for j, s in enumerate(self.s_grid):
-                row = [
-                    str(case.label.get("case", i)),
-                    f"{case.label.get('eps', float('nan')):.17g}",
-                    f"{case.lam:.17g}",
-                    f"{s:.17g}",
-                    f"{self.values[i, j]:.17g}",
-                    f"{self.h[i, j]:.17g}",
-                ]
-                for r in range(1, self.k + 1):
-                    arr = self.theta_h[r - 1]
-                    trim = 2 * r
-                    val = arr[i, j - trim] if trim <= j < trim + arr.shape[1] else float("nan")
-                    row.append(f"{val:.17g}")
-                yield row
+        for j, s in enumerate(self.s_grid):
+            row = [
+                str(self.label.get("case", 0)),
+                f"{self.label.get('eps', float('nan')):.17g}",
+                f"{self.lam:.17g}",
+                f"{s:.17g}",
+                f"{self.values[j]:.17g}",
+                f"{self.h[j]:.17g}",
+            ]
+            for r in range(1, self.k + 1):
+                arr = self.theta_h[r - 1]
+                trim = 2 * r
+                val = arr[j - trim] if trim <= j < trim + len(arr) else float("nan")
+                row.append(f"{val:.17g}")
+            yield row
 
 
 def log_derivative(values: np.ndarray, dlog: float) -> np.ndarray:
@@ -331,67 +321,58 @@ def log_derivative(values: np.ndarray, dlog: float) -> np.ndarray:
 
 
 def flatness_report(
-    cases: Sequence[FlatnessCase],
-    s_grid: Sequence[float] | None = None,
-    k: int = 1,
-    tol: float = 1e-2,
+    values: Sequence[float],
+    expansion: ExpansionResult,
+    lam: float,
+    label: dict,
+    s_grid: Sequence[float],
+    k: int,
+    tol: float,
 ) -> FlatnessReport:
-    """Evaluate h_ell = (value - S_ell)/s^ell on a log grid and check that
-    sup over cases of |theta^r h| decays monotonically over the smallest
-    decade and ends below tol, for r = 0..k.  Remainder slopes are fitted
-    only where |value - S_ell| exceeds _NOISE_FLOOR_REL times |value|."""
-    if s_grid is None:
-        s_grid = np.geomspace(1e-4, 1e-1, 40)
-    s = np.asarray(sorted(float(x) for x in s_grid))
+    """Check the oracle's values on an increasing grid, uniform in log s,
+    against the partial sum S_ell: h_ell = (value - S_ell)/s^ell and its
+    scale derivatives theta^r h, r = 1..k, must decay monotonically toward
+    s = 0 over the smallest decade and lie below tol at its first point.
+    The remainder slope is fitted only where |value - S_ell| exceeds
+    _NOISE_FLOOR_REL times |value|."""
+    s = np.asarray(s_grid, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if s.ndim != 1 or vals.shape != s.shape:
+        raise ValueError("need one value per point of a 1-D s grid")
     dlogs = np.diff(np.log(s))
-    if len(s) >= 5 and (dlogs.max() - dlogs.min()) > 1e-8 * dlogs.mean():
-        raise ValueError("s grid must be uniform in log s")
-    dlog = float(dlogs.mean()) if len(dlogs) else 1.0
-    ell = cases[0].expansion.ell
-    vals = np.empty((len(cases), len(s)))
-    h = np.empty_like(vals)
-    for i, case in enumerate(cases):
-        for j, sj in enumerate(s):
-            v = case.values_fn(float(sj))
-            vals[i, j] = v
-            h[i, j] = (v - float(case.expansion.partial_sum(float(sj)))) / float(sj) ** ell
+    if len(s) < 2 or not np.all(dlogs > 0) or dlogs.max() - dlogs.min() > 1e-8 * dlogs.mean():
+        raise ValueError("s grid must increase uniformly in log s")
+    dlog = float(dlogs.mean())
+    pts = s.tolist()
+    ell = expansion.ell
+    partial = np.array([float(expansion.partial_sum(x)) for x in pts])
+    h = (vals - partial) / np.array([x**ell for x in pts])
     theta_h = []
     cur = h
     for r in range(1, k + 1):
-        cur = log_derivative(cur, dlog) / np.array([c.lam for c in cases])[:, None]
+        cur = log_derivative(cur, dlog) / lam
         theta_h.append(cur)
-    sup_curve = []
     decay_ok = []
-    for r in range(0, k + 1):
-        arr = h if r == 0 else theta_h[r - 1]
-        sup = np.max(np.abs(arr), axis=0)
-        sup_curve.append(sup)
-        s_sub = s[2 * r : 2 * r + arr.shape[1]] if r else s
-        in_decade = s_sub <= s_sub[0] * 10.0
-        seg = sup[in_decade]
-        monotone = bool(np.all(np.diff(seg) >= -1e-12 * np.maximum(np.abs(seg[1:]), 1e-300)))
+    for r, arr in enumerate([h, *theta_h]):
+        seg = np.abs(arr[s[2 * r : 2 * r + len(arr)] <= s[2 * r] * 10.0])
+        monotone = bool(np.all(np.diff(seg) >= -1e-12 * np.maximum(seg[1:], 1e-300)))
         decay_ok.append(bool(monotone and seg[0] < tol))
-    slopes = []
-    for i, case in enumerate(cases):
-        diff = np.abs(vals[i] - np.array([float(case.expansion.partial_sum(float(x))) for x in s]))
-        floor = np.maximum(_NOISE_FLOOR_REL * np.abs(vals[i]), 1e-290)
-        mask = diff > floor
-        # require the surviving points to span most of a decade
-        span_ok = mask.sum() >= 5 and s[mask][-1] / s[mask][0] >= 6.0
-        if span_ok:
-            slope = float(np.polyfit(np.log(s[mask]), np.log(diff[mask]), 1)[0])
-            slopes.append(slope)
-        else:
-            slopes.append(None)  # remainder below measurement noise: flat pass
+    diff = np.abs(vals - partial)
+    mask = diff > np.maximum(_NOISE_FLOOR_REL * np.abs(vals), 1e-290)
+    # the surviving points must span most of a decade; else the remainder
+    # is below measurement noise, a flat pass
+    slope = None
+    if mask.sum() >= 5 and s[mask][-1] / s[mask][0] >= 6.0:
+        slope = float(np.polyfit(np.log(s[mask]), np.log(diff[mask]), 1)[0])
     return FlatnessReport(
-        s_grid=tuple(float(x) for x in s),
-        cases=tuple(cases),
+        s_grid=tuple(pts),
+        label=label,
+        lam=lam,
         ell=ell,
         k=k,
         values=vals,
         h=h,
         theta_h=theta_h,
-        sup_curve=sup_curve,
         decay_ok=decay_ok,
-        fitted_slopes=tuple(slopes),
+        fitted_slope=slope,
     )

@@ -241,7 +241,7 @@ def test_criterion_6_two_sidedness():
                 + [10.0**-k for k in range(3, 18)],
                 key=float,
             )
-            g = glue_two_sided(sp, sm, 2, grid=grid, tol=1e-8)
+            g = glue_two_sided(sp, sm, 2, grid=grid)
             for eps, row in zip(g.eps, g.coeffs):
                 if float(eps) <= 0:
                     assert row[0] == 0 and row[1] == 0
@@ -266,7 +266,7 @@ def test_criterion_7_mode_summation():
             modes_fn=mode, decay=(2.0, 0.5),
             ua_fn=lambda x, y: 1.0 / (1.0 - x * y / 2.0),
         )
-        summed = dulac_time_coefficients(ts, 1, tol=1e-8)
+        summed = dulac_time_coefficients(ts, 1)
         assert summed.meta["tail_bound"] < 1e-8
         s_grid = np.geomspace(1e-3, 1e-2, 8)
         vals = np.array([dulac_time(ts, float(s), ORACLE_CFG) for s in s_grid])

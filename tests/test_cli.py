@@ -156,8 +156,8 @@ class TestVerify:
         spec = write_spec(tmp_path, "s.json", obj)
         assert main(["verify", spec, "--out", str(tmp_path / "o")]) == 1
 
-    def test_dulac_map_kind(self, tmp_path):
-        obj = {
+    def dulac_map(self):
+        return {
             "kind": "dulac_map",
             "family": LINEAR_FAMILY,
             "sign": 1,
@@ -169,11 +169,9 @@ class TestVerify:
             "s_grid": {"min": 1e-3, "max": 1e-1, "n": 21},
             "flatness_tol": 1e-2,
         }
-        spec = write_spec(tmp_path, "s.json", obj)
-        assert main(["verify", spec, "--out", str(tmp_path / "o")]) == 0
 
-    def test_dulac_time_kind(self, tmp_path):
-        obj = {
+    def dulac_time(self):
+        return {
             "kind": "dulac_time",
             "family": LINEAR_FAMILY,
             "sign": 1,
@@ -185,11 +183,19 @@ class TestVerify:
             "s_grid": {"min": 1e-3, "max": 1e-1, "n": 21},
             "flatness_tol": 0.1,
         }
-        spec = write_spec(tmp_path, "s.json", obj)
+
+    def test_dulac_map_kind(self, tmp_path):
+        spec = write_spec(tmp_path, "s.json", self.dulac_map())
         assert main(["verify", spec, "--out", str(tmp_path / "o")]) == 0
 
-    def test_deterministic_reports(self, tmp_path):
-        spec = write_spec(tmp_path, "s.json", self.base())
+    def test_dulac_time_kind(self, tmp_path):
+        spec = write_spec(tmp_path, "s.json", self.dulac_time())
+        assert main(["verify", spec, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("kind", ["orbit", "dulac_map", "dulac_time"])
+    def test_deterministic_reports(self, tmp_path, kind):
+        obj = {"orbit": self.base, "dulac_map": self.dulac_map, "dulac_time": self.dulac_time}[kind]()
+        spec = write_spec(tmp_path, "s.json", obj)
         assert main(["verify", spec, "--out", str(tmp_path / "o1")]) == 0
         assert main(["verify", spec, "--out", str(tmp_path / "o2")]) == 0
         for name in ("verify.json", "flatness.csv"):
@@ -252,11 +258,12 @@ class TestBadSpecs:
             ("verify", {"s_grid": {"n": 1}, "k": 0}),
             ("verify", {"s_grid": {"min": 1e-1, "max": 1e-3, "n": 21}}),
             ("expand", {"ell": -1}),
+            ("verify", {"s_grid": 5}),
         ],
         ids=[
             "ell-underflow", "ell-negative", "k-negative", "k-too-large",
             "n0", "n1", "n3", "n1-k0", "min-above-max",
-            "expand-ell-negative",
+            "expand-ell-negative", "s-grid-not-an-object",
         ],
     )
     def test_out_of_range(self, tmp_path, capsys, command, changes):
@@ -277,10 +284,14 @@ class TestBadSpecs:
             ({"D_grid": [-0.25, "nan"]}, "D_grid"),
             ({"D_grid": [-0.25], "F": "inf"}, "F"),
             ([-0.25], "loud"),
+            ({"D_grid": "abc"}, "D_grid"),
+            ({"D_grid": ["abc"]}, "D_grid"),
+            ({"D_grid": [-0.25], "s_grid": 5}, "s_grid"),
         ],
         ids=[
             "s-single", "s-nonpositive", "s-repeated", "s-decreasing", "s-infinite",
             "D-empty", "D-nan", "F-infinite", "not-an-object",
+            "D-string", "D-string-entry", "s-number",
         ],
     )
     def test_loud_out_of_range(self, tmp_path, capsys, loud, field):
@@ -288,6 +299,35 @@ class TestBadSpecs:
             warnings.simplefilter("always")
             err = self.run(tmp_path, capsys, "loud", {"loud": loud})
         assert not caught
+        assert field in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, changes, field",
+        [
+            ("check", {"family": 5}, "family"),
+            ("check", {"family": {"mu": 1, "terms": 5}}, "family.terms"),
+            ("check", {"family": {"mu": 1, "terms": [5]}}, "family.terms[0]"),
+            ("expand", {"V": 5}, "V"),
+            ("expand", {"U": 5}, "U"),
+            ("verify", {"V": "12"}, "V"),
+            ("verify", {"kind": "dulac_time", "modes": 5}, "modes"),
+            ("verify", {"kind": "dulac_time", "modes": [["1"], 5]}, "modes[1]"),
+            ("verify", {"debug_coefficient_overrides": 5}, "debug_coefficient_overrides"),
+            ("verify", {"debug_coefficient_overrides": {"7": 0.5}}, "debug_coefficient_overrides"),
+            ("expand", {"ell": "two"}, "ell"),
+            ("expand", {"lambda": [1.0]}, "lambda"),
+        ],
+        ids=[
+            "family-number", "terms-number", "term-number", "V-number", "U-number",
+            "V-string", "modes-number", "mode-number", "overrides-number",
+            "override-index", "ell-string", "lambda-array",
+        ],
+    )
+    def test_field_named(self, tmp_path, capsys, command, changes, field):
+        obj = TestVerify().base()
+        obj.update(changes)
+        err = self.run(tmp_path, capsys, command, obj)
         assert field in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 

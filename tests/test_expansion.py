@@ -91,7 +91,7 @@ def random_rational_specs(seed):
 class TestTriangularKernel:
     def test_equals_recursion_exactly(self):
         for spec, ell in random_rational_specs(7):
-            U, V, Qs = shifted_data(spec, working_order(ell, spec.family.mu))
+            U, V, Qs = shifted_data(spec, working_order(ell))
             reference, _ = recursion_coefficients(U, V, Qs, spec.lam, ell)
             c = coefficients(spec, ell).c
             assert list(c) == reference
@@ -118,7 +118,7 @@ class TestTriangularKernel:
         )
         ell = 12
         reference, _ = recursion_coefficients(
-            *shifted_data(spec, working_order(ell, 2)), spec.lam, ell
+            *shifted_data(spec, working_order(ell)), spec.lam, ell
         )
         c = coefficients(spec, ell).c
         assert all(isinstance(x, float) for x in c)
@@ -216,8 +216,10 @@ class TestRecursion:
             assert all(a * x + b * y == z for x, y, z in zip(c1, c2, c3))
 
     def test_order_exhausted(self, euler_spec):
+        # order 5 holds 6 coefficients, one short of ell + 2 for ell = 4
+        U, V, Qs = shifted_data(euler_spec, 5)
         with pytest.raises(OrderExhausted):
-            coefficients(euler_spec, 4, order=5)
+            recursion_coefficients(U, V, Qs, euler_spec.lam, 4)
 
     def test_non_unit_v(self, fam_linear, branch_linear_plus):
         # V_1(0) = 1 - Q(0)/lam = 0 when lam = Q(0, e_hat) = e_hat
@@ -304,7 +306,7 @@ def vbounds_reference(spec, ell):
     certified = 0.0
     for eps_probe in probes:
         trial = spec.at_eps(spec.branch.sign * eps_probe)
-        _, V, Qs = shifted_data(trial, working_order(ell, spec.family.mu))
+        _, V, Qs = shifted_data(trial, working_order(ell))
         # V_j is affine in j: its extremes over 0 <= j <= ell are at the ends
         ends = (0, ell) if ell > 0 else (0,)
         if not all(0.5 <= float((V - _scaled(Qs, j, trial.lam))(s)) <= 2.0 for j in ends for s in s_grid):
@@ -465,7 +467,7 @@ class TestModeSummation:
             family=fam_linear, branch=branch_linear_plus, V=TS.constant(Fr(1), 3),
             eps=0.0, modes_fn=mode, decay=(2.0, 0.5),
         )
-        res = dulac_time_coefficients(ts, 1, tol=1e-8)
+        res = dulac_time_coefficients(ts, 1)
         assert res.c[0] == pytest.approx(1.0, abs=1e-12)
         assert res.c[1] == pytest.approx(0.25, abs=1e-12)
         assert res.meta["tail_bound"] < 1e-8

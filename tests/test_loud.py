@@ -232,7 +232,7 @@ class TestPeriod:
         p = P_REF
         s = 0.25
         y0 = y_section_height(p)
-        t_back = time_to_entry(p, s, y0)
+        t_back = time_to_entry(p, s)
         u0, v0 = normal_to_plane(s, y0, p)
         back = lambda t, y: [v for v in (-loud_rhs(p)(t, y)[0], -loud_rhs(p)(t, y)[1])]
         ev = lambda t, y: y[1]

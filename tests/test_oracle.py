@@ -13,7 +13,6 @@ from dulackit.expansion import (
     coefficients,
 )
 from dulackit.oracle import (
-    FlatnessCase,
     QuadratureConfig,
     dulac_map,
     dulac_time,
@@ -210,57 +209,49 @@ class TestDulacTime:
 
 
 class TestFlatness:
+    @staticmethod
+    def euler_values(euler_spec, s_grid):
+        return [particular_solution(euler_spec, 1.0, s, TIGHT, method="quadrature") for s in s_grid]
+
     def test_zero_u_dulac_map_flat(self, v_one_spec):
         spec = v_one_spec(lam=1.0)
-        case = FlatnessCase(
-            label={"case": "d"}, values_fn=lambda s: dulac_map(spec, s),
-            expansion=ExpansionResult(c=(0.0,), ell=0), lam=1.0,
-        )
-        rep = flatness_report([case], s_grid=np.geomspace(1e-3, 1e-1, 25), k=1, tol=1e-3)
+        s_grid = np.geomspace(1e-3, 1e-1, 25)
+        values = [dulac_map(spec, s) for s in s_grid]
+        res = ExpansionResult(c=(0.0,), ell=0)
+        rep = flatness_report(values, res, 1.0, {"case": "d"}, s_grid, k=1, tol=1e-3)
         assert all(rep.decay_ok)
 
     def test_euler_remainder_slope(self, euler_spec):
         res = coefficients(euler_spec, 2)
-        case = FlatnessCase(
-            label={"case": "euler"},
-            values_fn=lambda s: particular_solution(euler_spec, 1.0, s, TIGHT, method="quadrature"),
-            expansion=res, lam=1.0,
-        )
-        rep = flatness_report([case], s_grid=np.geomspace(1e-3, 1e-1, 25), k=1, tol=0.1)
+        s_grid = np.geomspace(1e-3, 1e-1, 25)
+        values = self.euler_values(euler_spec, s_grid)
+        rep = flatness_report(values, res, 1.0, {"case": "euler"}, s_grid, k=1, tol=0.1)
         assert all(rep.decay_ok)
-        assert rep.fitted_slopes[0] == pytest.approx(3.0, abs=0.15)
+        assert rep.fitted_slope == pytest.approx(3.0, abs=0.15)
 
     def test_second_scale_derivative_decays(self, euler_spec):
         # the remainder stays flat under two applications of the scale
         # derivative, not just one
         res = coefficients(euler_spec, 1)
-        case = FlatnessCase(
-            label={"case": "euler"},
-            values_fn=lambda s: particular_solution(euler_spec, 1.0, s, TIGHT, method="quadrature"),
-            expansion=res, lam=1.0,
-        )
-        rep = flatness_report([case], s_grid=np.geomspace(1e-3, 1e-1, 33), k=2, tol=0.2)
+        s_grid = np.geomspace(1e-3, 1e-1, 33)
+        values = self.euler_values(euler_spec, s_grid)
+        rep = flatness_report(values, res, 1.0, {"case": "euler"}, s_grid, k=2, tol=0.2)
         assert all(rep.decay_ok)
 
     def test_wrong_coefficient_fails(self, euler_spec):
         res = coefficients(euler_spec, 1)
         bad = ExpansionResult(c=(float(res.c[0]), float(res.c[1]) + 0.3), ell=1)
-        case = FlatnessCase(
-            label={"case": "bad"},
-            values_fn=lambda s: particular_solution(euler_spec, 1.0, s, TIGHT, method="quadrature"),
-            expansion=bad, lam=1.0,
-        )
-        rep = flatness_report([case], s_grid=np.geomspace(1e-3, 1e-1, 25), k=1, tol=0.1)
+        s_grid = np.geomspace(1e-3, 1e-1, 25)
+        values = self.euler_values(euler_spec, s_grid)
+        rep = flatness_report(values, bad, 1.0, {"case": "bad"}, s_grid, k=1, tol=0.1)
         assert not rep.decay_ok[0]
 
     def test_csv_and_json_shapes(self, euler_spec):
         res = coefficients(euler_spec, 1)
-        case = FlatnessCase(
-            label={"case": "euler", "eps": 0.0},
-            values_fn=lambda s: particular_solution(euler_spec, 1.0, s, TIGHT, method="quadrature"),
-            expansion=res, lam=1.0,
-        )
-        rep = flatness_report([case], s_grid=np.geomspace(1e-3, 1e-1, 10), k=2, tol=0.5)
+        s_grid = np.geomspace(1e-3, 1e-1, 10)
+        values = self.euler_values(euler_spec, s_grid)
+        label = {"case": "euler", "eps": 0.0}
+        rep = flatness_report(values, res, 1.0, label, s_grid, k=2, tol=0.5)
         rows = list(rep.to_csv_rows())
         assert rows[0] == ["case", "eps", "lambda", "s", "value", "h", "theta1_h", "theta2_h"]
         assert len(rows) == 11
