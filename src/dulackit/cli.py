@@ -23,7 +23,7 @@ import numpy as np
 
 from . import expansion, family, loud, oracle
 from .errors import DegenerateQ, DulacKitError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _json_int
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -61,21 +61,22 @@ def _floats(value, field: str) -> list:
         raise ValueError(f"{field} must hold numbers only") from None
 
 
-def _number(spec: dict, key: str, default: float) -> float:
+def _float(value, field: str) -> float:
     try:
-        val = float(spec.get(key, default))
+        return float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a number") from None
+        raise ValueError(f"{field} must be a number") from None
+
+
+def _number(spec: dict, key: str, default: float) -> float:
+    val = _float(spec.get(key, default), key)
     if not math.isfinite(val):
         raise ValueError(f"{key} = {val!r} is not a finite number")
     return val
 
 
 def _count(spec: dict, key: str, default: int) -> int:
-    try:
-        val = int(spec.get(key, default))
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be an integer") from None
+    val = _json_int(spec.get(key, default), key)
     if val < 0:
         raise ValueError(f"{key} = {val} is negative")
     return val
@@ -110,7 +111,7 @@ def _analyze(spec: dict):
     for i, term in enumerate(_array(data.get("terms"), "family.terms")):
         _object(term, f"family.terms[{i}]")
     fam = family.PolynomialFamily.from_json(data)
-    branch, nd = family.analyze_family(fam, int(spec.get("sign", +1)))
+    branch, nd = family.analyze_family(fam, _json_int(spec.get("sign", +1), "sign"))
     return fam, branch, nd
 
 
@@ -160,15 +161,16 @@ def cmd_expand(spec: dict, out_dir: Path) -> int:
 
 
 def _s_grid(spec: dict, ell: int, k: int):
-    """The log grid of s.  The k log-derivatives of the flatness report use
-    up 4k of its points and need 5 more; h = (value - S_ell) / s^ell needs
-    s^ell > 0 at the smallest s."""
+    """The log grid of s, long enough for k scale derivatives
+    (oracle.check_grid_length); h = (value - S_ell) / s^ell needs s^ell > 0
+    at the smallest s."""
     g = _object(spec.get("s_grid", {}), "s_grid")
-    lo, hi, n = float(g.get("min", 1e-3)), float(g.get("max", 1e-1)), int(g.get("n", 25))
+    lo = _float(g.get("min", 1e-3), "s_grid.min")
+    hi = _float(g.get("max", 1e-1), "s_grid.max")
+    n = _json_int(g.get("n", 25), "s_grid.n")
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"s_grid needs 0 < min < max < inf, got min = {lo!r}, max = {hi!r}")
-    if n < 4 * k + 5:
-        raise ValueError(f"s_grid n = {n} is below 4k + 5 = {4 * k + 5} for k = {k}")
+    oracle.check_grid_length(n, k)
     if not min(lo, 1.0) ** ell > 0:
         raise ValueError(f"s_grid min**ell = {lo!r}**{ell} underflows to 0")
     return np.geomspace(lo, hi, n)

@@ -12,17 +12,21 @@ produce branches with exact rational coefficients.  A numeric tracker
 (companion-matrix roots on a log grid) validates every accepted branch.
 
 The quotient Q(s, e) := P(s + sigma(e); +-e^rho) / s is the object the
-later hypothesis checks and the coefficient recursion consume:
+later hypothesis checks and the coefficient recursion consume.  It is
+built from the powers of sigma kept as sparse (t, coefficient) lists,
+which skip the products that are exact zeros (:func:`compute_Q`).
 
 * h0: Q(0, e) > 0 near e = 0 (the tracked root stays a simple node),
 * h1: the Newton diagram of Q has a single compact side,
 * h2: the principal quasi-homogeneous part is positive on the closed
   first quadrant, decided on the quarter circle by a grid minimum against
-  a Lipschitz margin (:func:`check_h2`).
+  a Lipschitz margin (:func:`check_h2`); the grid values of sin^i and
+  cos^j are tabulated once per exponent and shared by every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +41,14 @@ from .errors import (
     NoRealRoot,
     NotDivisible,
 )
-from .series import BivariatePoly, TruncatedSeries, _scalar_from_str, _scalar_to_str, horner
+from .series import (
+    BivariatePoly,
+    TruncatedSeries,
+    _json_int,
+    _scalar_from_str,
+    _scalar_to_str,
+    horner,
+)
 
 DEFAULT_BRANCH_ORDER = 12
 _VALIDATION_GRID = tuple(10.0 ** (-8 + 6 * k / 24) for k in range(25))  # 1e-8 .. 1e-2
@@ -45,6 +56,7 @@ _RESIDUAL_RTOL = 1e-9
 _MAX_POLYGON_DEPTH = 24
 _Q_CHOP = 1e-12  # relative size below which a float term of Q is noise
 _H2_GRID_POINTS = 4096
+_H2_STEP = (math.pi / 2) / _H2_GRID_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +110,17 @@ class PolynomialFamily:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "PolynomialFamily":
-        terms = {
-            (int(t["x"]), int(t["eps"])): _scalar_from_str(str(t["c"]))
-            for t in data["terms"]
-        }
-        return cls(mu=int(data["mu"]), coeffs=terms)
+        """The family of a spec's "family" object; a value that is not a
+        number raises ValueError naming its key."""
+        terms = {}
+        for i, t in enumerate(data["terms"]):
+            field = f"family.terms[{i}]"
+            try:
+                c = _scalar_from_str(str(t["c"]))
+            except ValueError as exc:
+                raise ValueError(f"{field}.c: {exc}") from None
+            terms[(_json_int(t["x"], f"{field}.x"), _json_int(t["eps"], f"{field}.eps"))] = c
+        return cls(mu=_json_int(data["mu"], "family.mu"), coeffs=terms)
 
 
 @dataclass(frozen=True)
@@ -720,13 +738,53 @@ def _validate_branch(P: PolynomialFamily, branch: PuiseuxBranch, tracked: dict):
 # ---------------------------------------------------------------------------
 
 
+def _live_terms(items) -> list:
+    """The (t, c) pairs of a coefficient sequence that are not exact zeros.
+    A float is kept even when it is 0.0: its products are floats."""
+    return [(t, c) for t, c in items if isinstance(c, float) or c != 0]
+
+
+def _times_truncated(a: list, b: list, order: int) -> list:
+    """The product of two (t, c) lists of _live_terms, truncated at order.
+
+    Coefficient n sums a_i * b_(n-i) over increasing i, as the dense product
+    of truncated series does, but skips a product when it is an exact zero
+    (neither factor a float, one of them 0).  A product with a float factor
+    is kept even when the other factor is an exact zero: it makes the sum a
+    float from that point on.  So the kept terms, their order and their
+    types are those of the dense product."""
+    da, db = dict(a), dict(b)
+    b_floats = [j for j, c in b if isinstance(c, float)]
+    out: dict = {}
+    for i in range(order + 1):
+        x = da.get(i, 0)
+        if isinstance(x, float):
+            js = range(order - i + 1)
+        elif x != 0:
+            js = db
+        else:
+            js = b_floats
+        for j in js:
+            n = i + j
+            if n <= order:
+                term = x * db.get(j, 0)
+                out[n] = out[n] + term if n in out else term
+    return _live_terms(sorted(out.items()))
+
+
 def compute_Q(P: PolynomialFamily, branch: PuiseuxBranch) -> BivariatePoly:
     """Q(s, e) = P(s + sigma(e); sign * e^rho) / s.
 
-    The substitution is carried out termwise with truncated powers of sigma;
-    the constant term in s must vanish (the branch is a root), which is
-    checked before dividing.  For exact branches the result is exact; float
-    terms below _Q_CHOP times the largest one are dropped as noise."""
+    The substitution is carried out termwise with the powers sigma^0 ..
+    sigma^(mu+1), truncated at order_e and kept as (t, coefficient) lists
+    without their exact zeros (:func:`_times_truncated`): an exact branch
+    has few nonzero coefficients, so the powers cost a few products each.
+    The terms kept, their order and their types are those of the dense
+    product of truncated series, so Q is the same, term for term and in
+    the same term order, for exact, float and mixed data.  The constant
+    term in s must vanish (the branch is a root), which is checked before
+    dividing.  For exact branches the result is exact; float terms below
+    _Q_CHOP times the largest one are dropped as noise."""
     max_m = max((m for _, m in P.coeffs), default=0)
     if branch.exact:
         order_e = max(
@@ -739,9 +797,10 @@ def compute_Q(P: PolynomialFamily, branch: PuiseuxBranch) -> BivariatePoly:
     exact_field = all(isinstance(c, (int, Fraction)) for c in sigma.coeffs)
     one = 1 if exact_field else 1.0
     # powers of sigma, exact polynomials when branch.exact
-    pow_cache = [TruncatedSeries.constant(one, order_e), sigma]
+    sigma_terms = _live_terms(enumerate(sigma.coeffs))
+    pow_cache = [[(0, one)], sigma_terms]
     for _ in range(P.mu):
-        pow_cache.append(pow_cache[-1] * sigma)
+        pow_cache.append(_times_truncated(pow_cache[-1], sigma_terms, order_e))
 
     acc: dict = {}
     for (k, m), c in P.coeffs.items():
@@ -750,8 +809,7 @@ def compute_Q(P: PolynomialFamily, branch: PuiseuxBranch) -> BivariatePoly:
         for j in range(k + 1):  # (s + sigma)^k
             if j > 0:
                 bc = bc * (k - j + 1) // j
-            sig_pow = pow_cache[k - j]
-            for t, sc in enumerate(sig_pow.coeffs):
+            for t, sc in pow_cache[k - j]:
                 if sc == 0:
                     continue
                 key = (j, t + branch.rho * m)
@@ -812,6 +870,15 @@ def newton_diagram(Q: BivariatePoly) -> NewtonData:
     return nd
 
 
+@functools.cache
+def _h2_power_table(trig, i: int) -> np.ndarray:
+    """trig(k * _H2_STEP) ** i at the h2 grid points k = 0.._H2_GRID_POINTS,
+    taken with Python's float power, as a pointwise evaluation would."""
+    table = np.array([trig(k * _H2_STEP) ** i for k in range(_H2_GRID_POINTS + 1)])
+    table.flags.writeable = False  # shared by every later call
+    return table
+
+
 def check_h2(nd: NewtonData) -> Verdict:
     """Positivity of the principal quasi-homogeneous part
     g(theta) = sum over the compact side of q_ij sin^i cos^j on [0, pi/2].
@@ -820,23 +887,24 @@ def check_h2(nd: NewtonData) -> Verdict:
     Lipschitz bound |g'| <= sum_side |q_ij| (i+j): positive iff the grid
     minimum clears (pi/2 / N) * bound.  The side is collected once, as
     (float(q_ij), i, j) in the order of Q.terms, and g is summed in that
-    order at every grid point.  A positive but uncertified minimum raises
+    order over all grid points at once, as c * sin^i * cos^j from tables
+    of Python float powers (_h2_power_table, cached per exponent): each
+    grid value is the one a pointwise loop computes.  The witness is the
+    first grid minimizer.  A positive but uncertified minimum raises
     Inconclusive; analyze_family records that as a failed h2 whose detail
     starts with "inconclusive:"."""
     mu, nu = nd.mu, nd.nu
     side = [(float(c), i, j) for (i, j), c in nd.Q.terms.items() if i * nu + j * mu == mu * nu]
     bound = sum(abs(c) * (i + j) for c, i, j in side)
-    h = (math.pi / 2) / _H2_GRID_POINTS
-    min_val, min_theta = math.inf, 0.0
-    for k in range(_H2_GRID_POINTS + 1):
-        th = k * h
-        st, ct = math.sin(th), math.cos(th)
-        g = 0.0
-        for c, i, j in side:
-            g += c * st**i * ct**j
-        if g < min_val:
-            min_val, min_theta = g, th
-    margin = h * bound
+    g = np.zeros(_H2_GRID_POINTS + 1)
+    for c, i, j in side:
+        g += c * _h2_power_table(math.sin, i) * _h2_power_table(math.cos, j)
+    # a NaN never compares below the running minimum of a strict "<" scan;
+    # argmin, like that scan, returns the first minimizer
+    g = np.where(np.isnan(g), math.inf, g)
+    k = int(np.argmin(g))
+    min_val, min_theta = float(g[k]), k * _H2_STEP
+    margin = _H2_STEP * bound
     if min_val <= 0:
         nd.h2 = Verdict(
             holds=False,

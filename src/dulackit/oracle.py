@@ -320,6 +320,14 @@ def log_derivative(values: np.ndarray, dlog: float) -> np.ndarray:
     return (4 * d1 - d2) / 3
 
 
+def check_grid_length(n: int, k: int) -> None:
+    """Raise ValueError unless an s grid of n points is long enough for the
+    flatness report's k scale derivatives: they use up 4k of its points
+    (log_derivative takes two per side) and need 5 more."""
+    if n < 4 * k + 5:
+        raise ValueError(f"s_grid n = {n} is below 4k + 5 = {4 * k + 5} for k = {k}")
+
+
 def flatness_report(
     values: Sequence[float],
     expansion: ExpansionResult,
@@ -334,11 +342,13 @@ def flatness_report(
     scale derivatives theta^r h, r = 1..k, must decay monotonically toward
     s = 0 over the smallest decade and lie below tol at its first point.
     The remainder slope is fitted only where |value - S_ell| exceeds
-    _NOISE_FLOOR_REL times |value|."""
+    _NOISE_FLOOR_REL times |value|.  A grid too short for k scale
+    derivatives (check_grid_length) raises ValueError."""
     s = np.asarray(s_grid, dtype=float)
     vals = np.asarray(values, dtype=float)
     if s.ndim != 1 or vals.shape != s.shape:
         raise ValueError("need one value per point of a 1-D s grid")
+    check_grid_length(len(s), k)
     dlogs = np.diff(np.log(s))
     if len(s) < 2 or not np.all(dlogs > 0) or dlogs.max() - dlogs.min() > 1e-8 * dlogs.mean():
         raise ValueError("s grid must increase uniformly in log s")

@@ -285,6 +285,14 @@ def _scalar_from_str(tok: str) -> Scalar:
     return val
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON value as an int; ValueError naming field if it is not one."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be an integer") from None
+
+
 def horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     """Evaluate sum coeffs[j] x^j (low first, at least one coefficient)
     by Horner's rule."""

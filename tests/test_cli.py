@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,20 @@ def write_spec(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["orbit", "mu3", "mixed"])
+@pytest.mark.parametrize("command, report", [("check", "check.json"), ("expand", "expansion.json")])
+def test_golden_reports(tmp_path, capsys, name, command, report):
+    """Reports stay byte-identical to the recorded ones: the README orbit
+    spec, an exact mu = 3 family, and a family with rational and float
+    coefficients whose branch has both."""
+    code = main([command, str(GOLDEN / f"{name}.spec.json"), "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / report).read_bytes() == (GOLDEN / f"{name}.{report}").read_bytes()
 
 
 def test_help_text():
@@ -317,11 +332,26 @@ class TestBadSpecs:
             ("verify", {"debug_coefficient_overrides": {"7": 0.5}}, "debug_coefficient_overrides"),
             ("expand", {"ell": "two"}, "ell"),
             ("expand", {"lambda": [1.0]}, "lambda"),
+            ("verify", {"s_grid": {"min": "x"}}, "s_grid.min"),
+            ("verify", {"s_grid": {"max": "x"}}, "s_grid.max"),
+            ("verify", {"s_grid": {"n": "x"}}, "s_grid.n"),
+            ("check", {"sign": "x"}, "sign"),
+            ("check", {"family": dict(LINEAR_FAMILY, mu="a")}, "family.mu"),
+            ("check", {"family": {"mu": 1, "terms": [{"x": "a", "eps": 0, "c": "1"}]}},
+             "family.terms[0].x"),
+            ("check", {"family": {"mu": 1, "terms": [{"x": 2, "eps": 0, "c": "1"},
+                                                     {"x": 1, "eps": [1], "c": "-1"}]}},
+             "family.terms[1].eps"),
+            ("check", {"family": {"mu": 1, "terms": [{"x": 2, "eps": 0, "c": "1"},
+                                                     {"x": 1, "eps": 1, "c": "x"}]}},
+             "family.terms[1].c"),
         ],
         ids=[
             "family-number", "terms-number", "term-number", "V-number", "U-number",
             "V-string", "modes-number", "mode-number", "overrides-number",
-            "override-index", "ell-string", "lambda-array",
+            "override-index", "ell-string", "lambda-array", "s-min-string",
+            "s-max-string", "s-n-string", "sign-string", "mu-string",
+            "term-x-string", "term-eps-array", "term-c-string",
         ],
     )
     def test_field_named(self, tmp_path, capsys, command, changes, field):

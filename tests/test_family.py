@@ -4,12 +4,21 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dulackit.errors import BranchAmbiguous, DegenerateQ, Inconclusive, NoRealRoot
+from dulackit.errors import (
+    BranchAmbiguous,
+    DegenerateQ,
+    DulacKitError,
+    Inconclusive,
+    NoRealRoot,
+    NotDivisible,
+)
 from dulackit.family import (
     _H2_GRID_POINTS,
+    _Q_CHOP,
+    _h2_power_table,
     NewtonData,
     _hensel_lift,
     PolynomialFamily,
@@ -416,6 +425,116 @@ class TestH2Grid:
         else:
             v = check_h2(nd)
             assert (v.holds, v.witness, v.detail) == (holds, witness, detail)
+
+    @given(Qs=st.lists(quasi_homogeneous_Q(), min_size=2, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_verdict_independent_of_table_order(self, Qs):
+        # the power tables are cached per exponent: whichever Q asks first
+        # fills them, and no verdict may depend on which one that was
+        def outcome(Q):
+            try:
+                v = check_h2(newton_diagram(Q))
+            except Inconclusive as exc:
+                return "inconclusive", str(exc), exc.theta
+            return v.holds, v.witness, v.detail
+
+        def in_order(order):
+            _h2_power_table.cache_clear()
+            found = {n: outcome(Qs[n]) for n in order}
+            return [found[n] for n in range(len(Qs))]
+
+        assert in_order(range(len(Qs))) == in_order(reversed(range(len(Qs))))
+
+
+def Q_reference(P, branch):
+    """compute_Q with dense powers of sigma: products of truncated series,
+    which multiply every pair of coefficients, exact zeros included."""
+    max_m = max(m for _, m in P.coeffs)
+    order_e = branch.sigma.order
+    if branch.exact:
+        order_e = max(branch.sigma.degree() * (P.mu + 1) + branch.rho * max_m, order_e)
+    sigma = branch.sigma.padded(order_e)
+    one = 1 if all(isinstance(c, (int, Fr)) for c in sigma.coeffs) else 1.0
+    powers = [TS.constant(one, order_e), sigma]
+    for _ in range(P.mu):
+        powers.append(powers[-1] * sigma)
+    acc = {}
+    for (k, m), c in P.coeffs.items():
+        for j in range(k + 1):
+            for t, sc in enumerate(powers[k - j].coeffs):
+                if sc != 0:
+                    key = (j, t + branch.rho * m)
+                    acc[key] = acc.get(key, 0) + c * branch.sign**m * math.comb(k, j) * sc
+    if not branch.exact:
+        acc = {(j, t): v for (j, t), v in acc.items() if t <= order_e}
+    scale = max((abs(float(v)) for v in acc.values()), default=1.0)
+    acc = {
+        key: v for key, v in acc.items()
+        if (abs(v) > _Q_CHOP * scale if isinstance(v, float) else v != 0)
+    }
+    for (j, t), v in acc.items():
+        if j == 0 and abs(float(v)) > 1e-9 * scale:
+            raise NotDivisible(f"constant term in s does not vanish (coefficient of e^{t} is {v!r})")
+    Q = BivariatePoly({(j - 1, t): v for (j, t), v in acc.items() if j >= 1})
+    slice0 = {i: c for (i, j), c in Q.terms.items() if j == 0}
+    if slice0 != {P.mu: 1}:
+        raise NotDivisible(f"Q(s, 0) != s^mu; got slice {slice0!r}")
+    return Q
+
+
+def Q_outcome(compute, P, branch):
+    """The terms of Q in order with their types, or the exception raised."""
+    try:
+        Q = compute(P, branch)
+    except DulacKitError as exc:
+        return type(exc), str(exc)
+    return [(key, type(v), v) for key, v in Q.terms.items()]
+
+
+@st.composite
+def random_family(draw):
+    """P = x^(mu+1) + terms in eps, with rational, float, or mixed
+    coefficients, and a side."""
+    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    # |c| >= 1e-6 or 0: a root of a characteristic polynomial with a tinier
+    # coefficient overflows c ** k in _substitute_edge before Q is reached
+    real = st.floats(min_value=-3, max_value=3).filter(lambda c: c == 0 or abs(c) >= 1e-6)
+    coeff = {"exact": rational, "float": real, "mixed": rational | real}[kind]
+    mu = draw(st.integers(1, 3))
+    coeffs = {(mu + 1, 0): Fr(1)}
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs[(draw(st.integers(0, mu)), draw(st.integers(1, 4)))] = draw(coeff)
+    return PolynomialFamily(mu=mu, coeffs=coeffs), draw(st.sampled_from([1, -1]))
+
+
+# x^2 (x - eps^2 - 1.25 eps^3): sigma = (0, 0, 1, 1.25, -0.0, ...) has
+# exact zeros, an exact 1 and floats (-0.0 among them), so its powers have
+# products of an exact zero and a float, which turn their sums into floats
+MIXED_SIGMA = (
+    PolynomialFamily(mu=2, coeffs={(3, 0): Fr(1), (2, 2): Fr(-1), (2, 3): -1.25}),
+    1,
+)
+
+
+class TestQPowers:
+    @given(problem=random_family())
+    @example(problem=MIXED_SIGMA)
+    @example(problem=(MIXED_SIGMA[0], -1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_powers(self, problem):
+        fam, sign = problem
+        try:
+            branch = biggest_real_root_branch(fam, sign)
+        except DulacKitError:
+            return  # no branch: compute_Q is not reached
+        assert Q_outcome(compute_Q, fam, branch) == Q_outcome(Q_reference, fam, branch)
+
+    def test_mixed_sigma_example(self):
+        fam, sign = MIXED_SIGMA
+        branch = biggest_real_root_branch(fam, sign)
+        kinds = {type(c) for c in branch.sigma.coeffs if c != 0}
+        assert kinds == {Fr, float}
 
 
 def lift_reference(P1, order):

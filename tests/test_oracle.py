@@ -246,14 +246,22 @@ class TestFlatness:
         rep = flatness_report(values, bad, 1.0, {"case": "bad"}, s_grid, k=1, tol=0.1)
         assert not rep.decay_ok[0]
 
+    @pytest.mark.parametrize("n, k", [(8, 2), (12, 2), (8, 1)])
+    def test_short_grid_is_a_value_error(self, n, k):
+        # two points per side go to each scale derivative, and 5 must remain
+        s_grid = np.geomspace(1e-3, 1e-1, n)
+        res = ExpansionResult(c=(0.0,), ell=0)
+        with pytest.raises(ValueError, match=rf"s_grid n = {n} is below 4k \+ 5"):
+            flatness_report(np.ones(n), res, 1.0, {"case": "d"}, s_grid, k=k, tol=0.1)
+
     def test_csv_and_json_shapes(self, euler_spec):
         res = coefficients(euler_spec, 1)
-        s_grid = np.geomspace(1e-3, 1e-1, 10)
+        s_grid = np.geomspace(1e-3, 1e-1, 13)
         values = self.euler_values(euler_spec, s_grid)
         label = {"case": "euler", "eps": 0.0}
         rep = flatness_report(values, res, 1.0, label, s_grid, k=2, tol=0.5)
         rows = list(rep.to_csv_rows())
         assert rows[0] == ["case", "eps", "lambda", "s", "value", "h", "theta1_h", "theta2_h"]
-        assert len(rows) == 11
+        assert len(rows) == 14
         summary = rep.to_json()
         assert set(summary) >= {"ell", "k", "decay_ok", "fitted_slopes"}
