@@ -35,6 +35,11 @@ class BranchAmbiguous(DulacKitError):
     or the symbolic branch disagrees with numeric tracking."""
 
 
+class BranchNotFound(DulacKitError):
+    """The Newton-polygon iteration stalled, produced no real branch, or
+    left the float range."""
+
+
 class NotDivisible(DulacKitError):
     """The shifted family is not divisible by s: the branch is not a root."""
 

@@ -36,6 +36,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import ContinuityViolation, NonUnitV, OrderExhausted, TailUnbounded
 from .family import PolynomialFamily, PuiseuxBranch, compute_Q
 from .series import BivariatePoly, TruncatedSeries, horner
@@ -257,29 +259,28 @@ def vbounds(spec: UnfoldingSpec, ell: int) -> float:
     over 0 <= j <= ell sit at j = 0 and j = ell; only those are evaluated.
     Each probe shifts V alone and restricts Q at the order that holds both
     polynomials (at most the working order): the zero padding of the full
-    shifted data would not change a Horner value."""
+    shifted data would not change a Horner value.
+
+    Each V_j is evaluated on all VB_N_S points of the s grid at once, by
+    Horner's rule on a float copy of its coefficients: the grid points are
+    floats, so the scalar evaluation converts every exact coefficient to
+    float before using it, and numpy's float64 products and sums round as
+    Python's do, so each value is the one the scalar evaluation gives."""
     probes = [VB_EPS_MAX * (10.0 ** (-6 * k / (VB_N_EPS - 1))) for k in range(VB_N_EPS)]
-    s_grid = [-VB_S0 + 2 * VB_S0 * i / (VB_N_S - 1) for i in range(VB_N_S)]
+    s_grid = np.array([-VB_S0 + 2 * VB_S0 * i / (VB_N_S - 1) for i in range(VB_N_S)])
     order = min(working_order(ell), max(spec.V.order, spec.Q.degree_s()))
     certified = 0.0
     for eps_probe in sorted(probes):
         trial = spec.at_eps(spec.branch.sign * eps_probe)
         V = trial.V.shift(trial.theta_eps).padded(order).truncated(order)
         Qs = trial.Q.restrict(trial.e_hat, order)
-        ok = True
         for j in (0, ell) if ell > 0 else range(ell + 1):
-            Vj = V - _scaled(Qs, j, trial.lam)
-            for s in s_grid:
-                val = float(Vj(s))
-                if not (0.5 <= val <= 2.0):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            certified = eps_probe
-        else:
-            break
+            coeffs = [float(c) for c in (V - _scaled(Qs, j, trial.lam)).coeffs]
+            with np.errstate(all="ignore"):  # Python floats overflow silently too
+                vals = horner(coeffs, s_grid)
+            if not np.all((0.5 <= vals) & (vals <= 2.0)):
+                return certified
+        certified = eps_probe
     return certified
 
 

@@ -8,8 +8,18 @@ simple roots are lifted by undetermined coefficients (one coefficient of
 P1(v(z), z) per step, from the coefficients of the powers of v kept
 incrementally), multiple roots recurse on the substituted polynomial.
 Rational characteristic roots are kept exact, so the common families
-produce branches with exact rational coefficients.  A numeric tracker
-(companion-matrix roots on a log grid) validates every accepted branch.
+produce branches with exact rational coefficients.  An iteration that
+stalls, yields no real branch or overflows floats raises BranchNotFound.
+
+A numeric tracker (companion-matrix roots on a log grid) validates every
+accepted branch.  It takes the whole grid at once: P's coefficients are
+converted to float once, the companion matrices of one degree share one
+eigvals call, and the candidates are polished and sign-tested as numpy
+arrays (:func:`track_biggest_real_root`); the validation evaluates sigma
+and P from float copies of their coefficients (:func:`_validate_branch`).
+Both are bit-identical to point-by-point evaluation: Python's mixed
+Fraction/float arithmetic converts the Fraction to float first, and
+numpy's float64 products and sums round as Python's floats do.
 
 The quotient Q(s, e) := P(s + sigma(e); +-e^rho) / s is the object the
 later hypothesis checks and the coefficient recursion consume.  It is
@@ -36,6 +46,7 @@ import numpy as np
 
 from .errors import (
     BranchAmbiguous,
+    BranchNotFound,
     DegenerateQ,
     Inconclusive,
     NoRealRoot,
@@ -94,10 +105,23 @@ class PolynomialFamily:
 
     def x_coeffs(self, eps) -> list:
         """Dense coefficients in x (low first) at a fixed eps."""
-        out = [0.0] * (self.mu + 2)
-        for (k, m), c in self.coeffs.items():
-            out[k] += float(c) * float(eps) ** m
-        return out
+        return self.x_coeff_rows([eps])[0].tolist()
+
+    def x_coeff_rows(self, eps_grid) -> np.ndarray:
+        """Row r holds the dense float coefficients in x (low first) at
+        eps_grid[r]: each coefficient is converted to float once, and the
+        terms are added in the order of coeffs, as
+        float(c) * float(eps) ** m with Python's float power, over the
+        whole grid at once."""
+        eps = [float(e) for e in eps_grid]
+        rows = np.zeros((len(eps), self.mu + 2))
+        powers = {}
+        with np.errstate(all="ignore"):  # Python floats overflow silently too
+            for (k, m), c in self.coeffs.items():
+                if m not in powers:
+                    powers[m] = np.array([e**m for e in eps])
+                rows[:, k] += float(c) * powers[m]
+        return rows
 
     def to_json(self) -> dict:
         return {
@@ -462,14 +486,15 @@ def _hensel_lift(P1: dict, order: int):
 
 
 def _exact_substitution_vanishes(P1: dict, v: Sequence) -> bool:
+    """Whether P1(v(z), z) is exactly zero, v taken as a polynomial; the
+    powers v^i are built once each, v^i = v^(i-1) * v."""
+    vp = [Fraction(x) for x in v]
+    powers = [[Fraction(1)]]
+    for _ in range(max(i for i, _ in P1)):
+        powers.append(_poly_mul(powers[-1], vp))
     full = {}
     for (i, jz), c in P1.items():
-        # v(z)^i as exact polynomial
-        poly = [Fraction(1)]
-        vp = [Fraction(x) for x in v]
-        for _ in range(i):
-            poly = _poly_mul(poly, vp)
-        for d, pc in enumerate(poly):
+        for d, pc in enumerate(powers[i]):
             if pc != 0:
                 full[d + jz] = full.get(d + jz, Fraction(0)) + c * pc
     return all(val == 0 for val in full.values())
@@ -491,7 +516,9 @@ def _branches_of(P: dict, order: int, depth: int):
     Returns a list of (rho, coeffs, exact) where x = sum coeffs[i] t^i with
     e = t^rho and coeffs[0] = 0."""
     if depth <= 0:
-        raise RecursionError("polygon iteration stalled")
+        raise BranchNotFound(
+            f"the Newton-polygon iteration stalled after {_MAX_POLYGON_DEPTH} levels"
+        )
     out = []
     P = {k: v for k, v in P.items() if v != 0}
     if not P:
@@ -572,40 +599,97 @@ def _compare_branches(a, b, order):
     return 0
 
 
-def track_biggest_real_root(P: PolynomialFamily, eps: float):
-    """Largest real root of P(., eps), or None.
+def _companion_roots(rows: np.ndarray) -> list:
+    """The values np.roots gives for every row (coefficients low first).
+
+    Each row is trimmed as np.roots trims it, the companion matrices of the
+    rows of one trimmed degree are stacked into one eigvals call, and the
+    roots at the origin are appended as zeros, as np.roots does.  A row of
+    a group with complex roots comes back complex even when its own roots
+    are real (their imaginary parts are then zero)."""
+    out = [np.array([])] * len(rows)
+    groups: dict = {}
+    for r, row in enumerate(rows):
+        nz = np.flatnonzero(row)
+        if len(nz):
+            lo, hi = int(nz[0]), int(nz[-1])
+            groups.setdefault(hi - lo + 1, []).append((r, lo, hi))
+    for n, members in groups.items():
+        if n == 1:
+            w = np.empty((len(members), 0))
+        else:
+            p = np.array([rows[r, lo : hi + 1][::-1] for r, lo, hi in members])
+            A = np.zeros((len(members), n - 1, n - 1))
+            A[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
+            A[:, 0, :] = -p[:, 1:] / p[:, :1]
+            w = np.linalg.eigvals(A)
+        for (r, lo, _), wr in zip(members, w):
+            out[r] = np.hstack((wr, np.zeros(lo, wr.dtype)))
+    return out
+
+
+def _max1(a: np.ndarray) -> np.ndarray:
+    """Python's max(1.0, a) elementwise: a NaN gives 1.0."""
+    return np.where(a > 1.0, a, 1.0)
+
+
+def track_biggest_real_root(P: PolynomialFamily, eps_grid) -> list:
+    """Largest real root of P(., eps) at each eps of the grid, or None.
 
     Companion-matrix roots give candidates; each is polished by real Newton
     steps and accepted only if P changes sign across it.  The sign test
     discriminates genuine (odd-multiplicity) real roots from complex pairs
     that sit within floating resolution of the axis, which plain imaginary
-    part thresholds cannot do for eps near 0."""
-    coeffs = P.x_coeffs(eps)
-    rr = np.roots(list(reversed(coeffs)))
-    dcoeffs = _poly_deriv(coeffs)
-    best = None
-    if coeffs[0] == 0.0:
-        best = 0.0  # exact root at the origin, any multiplicity
-    for i, r in enumerate(rr):
-        if abs(r.imag) > 1e-6 * max(1.0, abs(r)):
-            continue
-        x = float(r.real)
+    part thresholds cannot do for eps near 0.
+
+    The whole grid is done at once: P's coefficients are converted to float
+    once (PolynomialFamily.x_coeff_rows), the companion matrices of one
+    degree share an eigvals call (_companion_roots), and the candidates of
+    all rows are polished and tested as numpy arrays.  numpy's float64
+    operations round as Python's floats do, and the distance to the nearest
+    other root is hypot(x - re, 0.0 - im) as abs() of the complex difference
+    computes it, so each result is the one a per-point np.roots tracker
+    gives."""
+    rows = P.x_coeff_rows(eps_grid)
+    if not len(rows):
+        return []
+    roots = _companion_roots(rows)
+    # the roots of row r are R_re + i R_im at columns 0 .. n_roots[r] - 1
+    n_roots = np.array([len(rr) for rr in roots])
+    width = int(n_roots.max())
+    R_re, R_im = np.zeros((len(rows), width)), np.zeros((len(rows), width))
+    for r, rr in enumerate(roots):
+        R_re[r, : len(rr)], R_im[r, : len(rr)] = rr.real, rr.imag
+    j = np.arange(width)
+    cand_row, cand_idx = np.nonzero(j < n_roots[:, None])
+    re, im = R_re[cand_row, cand_idx], R_im[cand_row, cand_idx]
+    with np.errstate(all="ignore"):
+        keep = ~(np.abs(im) > 1e-6 * _max1(np.hypot(re, im)))
+        cand_row, cand_idx, x = cand_row[keep], cand_idx[keep], re[keep]
+        C = rows[cand_row]
+        D = C[:, 1:] * np.arange(1, C.shape[1])
+        live = np.ones(len(x), dtype=bool)
         for _ in range(3):  # polish; harmless at non-simple candidates
-            d = horner(dcoeffs, x)
-            if d == 0:
-                break
-            step = horner(coeffs, x) / d
-            if abs(step) > 0.5 * max(1.0, abs(x)):
-                break
-            x -= step
-        gap = min(
-            (abs(complex(x, 0.0) - rr[j]) for j in range(len(rr)) if j != i),
-            default=1.0,
-        )
-        delta = max(1e-3 * gap, 1e-15 * max(1.0, abs(x)))
-        if horner(coeffs, x - delta) * horner(coeffs, x + delta) < 0:
-            if best is None or x > best:
-                best = x
+            d = horner(D.T, x)
+            live &= d != 0
+            step = horner(C.T, x) / d
+            live &= ~(np.abs(step) > 0.5 * _max1(np.abs(x)))
+            x = np.where(live, x - step, x)
+        # gap: distance to the nearest other root of the same row, 1.0 if
+        # none; roots are finite (eigvals refuses other matrices), so only a
+        # NaN candidate, which the sign test rejects, gives a NaN distance
+        others = (j != cand_idx[:, None]) & (j < n_roots[cand_row][:, None])
+        dist = np.hypot(x[:, None] - R_re[cand_row], 0.0 - R_im[cand_row])
+        nearest = np.min(np.where(others, dist, np.inf), axis=1, initial=np.inf)
+        gap = np.where(others.any(axis=1), nearest, 1.0)
+        a, b = 1e-3 * gap, 1e-15 * _max1(np.abs(x))
+        delta = np.where(b > a, b, a)
+        accept = horner(C.T, x - delta) * horner(C.T, x + delta) < 0
+    # a zero constant term is an exact root at the origin, of any multiplicity
+    best = [0.0 if c0 == 0.0 else None for c0 in rows[:, 0]]
+    for r, xr in zip(cand_row[accept].tolist(), x[accept].tolist()):
+        if best[r] is None or xr > best[r]:
+            best[r] = xr
     return best
 
 
@@ -615,16 +699,24 @@ def biggest_real_root_branch(P: PolynomialFamily, sign: int) -> PuiseuxBranch:
     The polygon iteration produces every real branch to DEFAULT_BRANCH_ORDER;
     the largest for small |eps| is selected (ties broken by comparing
     coefficient sequences), then checked against numerically tracked roots
-    on the log grid _VALIDATION_GRID."""
+    on the log grid _VALIDATION_GRID.  A polygon iteration that stalls or
+    yields no real branch raises BranchNotFound, as does a float overflow
+    anywhere in the extraction (a characteristic root beyond the float
+    range, say)."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    order = DEFAULT_BRANCH_ORDER
-    tracked = {e: track_biggest_real_root(P, sign * e) for e in _VALIDATION_GRID}
-
     try:
-        raw = _branches_of(_signed_support(P, sign), order, _MAX_POLYGON_DEPTH)
-    except RecursionError:
-        raw = []
+        return _biggest_real_root_branch(P, sign)
+    except OverflowError:
+        raise BranchNotFound(f"float overflow in branch extraction, sign {sign:+d}") from None
+
+
+def _biggest_real_root_branch(P: PolynomialFamily, sign: int) -> PuiseuxBranch:
+    order = DEFAULT_BRANCH_ORDER
+    tracked = dict(
+        zip(_VALIDATION_GRID, track_biggest_real_root(P, [sign * e for e in _VALIDATION_GRID]))
+    )
+    raw = _branches_of(_signed_support(P, sign), order, _MAX_POLYGON_DEPTH)
     branches = []
     seen = {}
     for rho, coeffs, exact in raw:
@@ -642,22 +734,16 @@ def biggest_real_root_branch(P: PolynomialFamily, sign: int) -> PuiseuxBranch:
     if all(r is None for r in tracked.values()):
         raise NoRealRoot(f"no real root of P on the sampled eps grid, sign {sign:+d}")
     if not branches:
-        branch = _numeric_fallback_branch(P, sign, tracked)
-    else:
-        best = branches[0]
-        for b in branches[1:]:
-            cmp = _compare_branches(b, best, order)
-            if cmp > 0:
-                best = b
-            elif cmp == 0 and (b[0] != best[0] or b[1] != best[1]):
-                raise BranchAmbiguous(
-                    "two distinct real branches coincide to the computed order"
-                )
-        rho, coeffs, exact = best
-        branch = PuiseuxBranch(
-            rho=rho, sigma=TruncatedSeries(tuple(coeffs)), sign=sign, exact=exact
-        )
-
+        raise BranchNotFound(f"the Newton-polygon iteration gives no real branch, sign {sign:+d}")
+    best = branches[0]
+    for b in branches[1:]:
+        cmp = _compare_branches(b, best, order)
+        if cmp > 0:
+            best = b
+        elif cmp == 0 and (b[0] != best[0] or b[1] != best[1]):
+            raise BranchAmbiguous("two distinct real branches coincide to the computed order")
+    rho, coeffs, exact = best
+    branch = PuiseuxBranch(rho=rho, sigma=TruncatedSeries(tuple(coeffs)), sign=sign, exact=exact)
     _validate_branch(P, branch, tracked)
     return branch
 
@@ -677,35 +763,6 @@ def _canonical_ramification(rho: int, coeffs, order: int):
     return rho // g, tuple(reduced)
 
 
-def _numeric_fallback_branch(P, sign, tracked):
-    """Leading-order fit used when the polygon iteration yields nothing."""
-    vals = sorted((e, r) for e, r in tracked.items() if r is not None)
-    if not vals:
-        raise NoRealRoot("numeric fallback has no tracked roots")
-    if all(abs(r) <= 1e-12 for _, r in vals):
-        return PuiseuxBranch(
-            rho=1,
-            sigma=TruncatedSeries.zero(DEFAULT_BRANCH_ORDER),
-            sign=sign,
-            exact=False,
-        )
-    es = np.array([e for e, r in vals if abs(r) > 1e-300])
-    rs = np.array([r for _, r in vals if abs(r) > 1e-300])
-    if np.any(rs <= 0):
-        raise BranchAmbiguous("numeric fallback cannot fit a sign-changing root")
-    slope = np.polyfit(np.log(es), np.log(rs), 1)[0]
-    frac = Fraction(slope).limit_denominator(12)
-    rho = frac.denominator
-    pexp = frac.numerator
-    lead = float(np.exp(np.mean(np.log(rs) - float(frac) * np.log(es))))
-    coeffs = [0.0] * (DEFAULT_BRANCH_ORDER + 1)
-    if pexp <= DEFAULT_BRANCH_ORDER:
-        coeffs[pexp] = lead
-    return PuiseuxBranch(
-        rho=rho, sigma=TruncatedSeries(tuple(coeffs)), sign=sign, exact=False
-    )
-
-
 def _validate_branch(P: PolynomialFamily, branch: PuiseuxBranch, tracked: dict):
     """Numeric guard for the selected branch.
 
@@ -713,12 +770,25 @@ def _validate_branch(P: PolynomialFamily, branch: PuiseuxBranch, tracked: dict):
     (sign-change) real root above the prediction means the selection is
     wrong.  A prediction above every confirmed root is allowed only if it is
     itself root-consistent, since even-multiplicity real roots produce no
-    sign change and cannot be confirmed numerically."""
-    for e, root in tracked.items():
-        eps = branch.sign * e
-        pred = float(branch.sigma(e ** (1.0 / branch.rho)))
-        scale = max(1.0, sum(abs(float(c)) for c in P.x_coeffs(eps)))
-        resid = abs(float(P.eval(pred, eps)))
+    sign change and cannot be confirmed numerically.
+
+    sigma and P are evaluated from float copies of their coefficients:
+    Python's mixed Fraction/float arithmetic converts the Fraction to float
+    first, so each value is the one the exact coefficients give at a float
+    point.  sigma is summed by Horner's rule over the whole grid at once."""
+    sigma = [float(c) for c in branch.sigma.coeffs]
+    t = np.array([e ** (1.0 / branch.rho) for e in tracked])
+    with np.errstate(all="ignore"):  # Python floats overflow silently too
+        preds = np.broadcast_to(horner(sigma, t), t.shape).tolist()
+    epses = [branch.sign * e for e in tracked]
+    rows = P.x_coeff_rows(epses).tolist()
+    terms = [(k, m, float(c)) for (k, m), c in P.coeffs.items()]
+    for root, eps, pred, row in zip(tracked.values(), epses, preds, rows):
+        scale = max(1.0, sum(abs(c) for c in row))
+        acc = 0 * pred
+        for k, m, c in terms:
+            acc = acc + c * pred**k * eps**m
+        resid = abs(acc)
         if resid > _RESIDUAL_RTOL * scale:
             raise BranchAmbiguous(
                 f"branch residual {resid:g} exceeds tolerance at eps={eps:g}"

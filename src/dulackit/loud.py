@@ -27,6 +27,7 @@ integration to ~1e-11.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -254,13 +255,20 @@ def loud_modes(p: LoudParams, order: int, n_modes: int = 24) -> ModeExpansion:
     return ModeExpansion(modes=modes, C=C, r=r, y_radius=2 * y_section_height(p))
 
 
+@functools.cache
+def _normal_branch(sign: int) -> tuple[PolynomialFamily, PuiseuxBranch]:
+    """The family x(x^2 - eps) and its biggest-root branch on one side: the
+    family does not depend on D or F, so each side is extracted once, and
+    every caller shares the cached pair (neither is ever modified)."""
+    fam = PolynomialFamily(mu=2, coeffs={(3, 0): 1, (1, 1): -1})
+    return fam, biggest_real_root_branch(fam, sign)
+
+
 def normal_family(p: LoudParams) -> tuple[PolynomialFamily, TruncatedSeries, PuiseuxBranch]:
     """The polynomial family x(x^2 - eps), the unnormalized V = 2F - x^2,
     and the biggest-root branch on the side of eps = 2(F - 1)."""
-    fam = PolynomialFamily(mu=2, coeffs={(3, 0): 1, (1, 1): -1})
+    fam, branch = _normal_branch(+1 if p.eps >= 0 else -1)
     V = TruncatedSeries.from_coeffs([2 * p.F, 0.0, -1.0], order=4)
-    sign = +1 if p.eps >= 0 else -1
-    branch = biggest_real_root_branch(fam, sign)
     return fam, V, branch
 
 

@@ -295,7 +295,9 @@ def _json_int(value, field: str) -> int:
 
 def horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     """Evaluate sum coeffs[j] x^j (low first, at least one coefficient)
-    by Horner's rule."""
+    by Horner's rule.  With numpy arrays for x or for the coefficients
+    (rows of a 2-D array, say), it evaluates elementwise, with the same
+    operations in the same order at each element."""
     acc = coeffs[-1]
     for a in reversed(coeffs[:-1]):
         acc = acc * x + a

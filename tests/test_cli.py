@@ -36,6 +36,18 @@ COUNTEREXAMPLE_FAMILY = {
 }
 
 
+# x(x^2 + 1.6e-287 eps) + eps^2: the characteristic root -1/1.6e-287 of the
+# Newton-polygon edge through (1, 1) and (0, 2) overflows when squared
+OVERFLOW_FAMILY = {
+    "mu": 2,
+    "terms": [
+        {"x": 3, "eps": 0, "c": "1"},
+        {"x": 1, "eps": 1, "c": 1.622687966041273e-287},
+        {"x": 0, "eps": 2, "c": 1.0},
+    ],
+}
+
+
 def write_spec(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -105,6 +117,12 @@ class TestCheck:
         }
         spec = write_spec(tmp_path, "s.json", {"family": fam, "sign": 1})
         assert main(["check", spec, "--out", str(tmp_path / "o")]) == 2
+
+    def test_float_overflow_exits_1(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "s.json", {"family": OVERFLOW_FAMILY})
+        assert main(["check", spec, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "BranchNotFound: float overflow in branch extraction, sign +1\n"
 
 
 class TestExpand:

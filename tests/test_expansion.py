@@ -334,6 +334,37 @@ def vbounds_specs(fam_linear, fam_quadratic):
     yield UnfoldingSpec(family=fam, branch=branch, V=V, U=TS.zero(2), lam=1, eps=0.002)
 
 
+def vbounds_scalar_reference(spec, ell):
+    """eps0 with each V_j evaluated point by point by the series' own Horner
+    rule, stopping at the first value outside [1/2, 2]."""
+    probes = sorted(VB_EPS_MAX * 10.0 ** (-6 * k / (VB_N_EPS - 1)) for k in range(VB_N_EPS))
+    s_grid = [-VB_S0 + 2 * VB_S0 * i / (VB_N_S - 1) for i in range(VB_N_S)]
+    order = min(working_order(ell), max(spec.V.order, spec.Q.degree_s()))
+    certified = 0.0
+    for eps_probe in probes:
+        trial = spec.at_eps(spec.branch.sign * eps_probe)
+        V = trial.V.shift(trial.theta_eps).padded(order).truncated(order)
+        Qs = trial.Q.restrict(trial.e_hat, order)
+        for j in (0, ell) if ell > 0 else (0,):
+            Vj = V - _scaled(Qs, j, trial.lam)
+            for s in s_grid:
+                if not 0.5 <= float(Vj(s)) <= 2.0:
+                    return certified
+        certified = eps_probe
+    return certified
+
+
+def floated(spec):
+    """The spec with V, U, lambda and eps in floats."""
+    return replace(
+        spec,
+        V=TS(tuple(float(c) for c in spec.V.coeffs)),
+        U=TS(tuple(float(c) for c in spec.U.coeffs)),
+        lam=float(spec.lam),
+        eps=float(spec.eps),
+    )
+
+
 class TestVBounds:
     def test_equals_full_order_reference(self, fam_linear, fam_quadratic):
         eps0 = []
@@ -343,6 +374,19 @@ class TestVBounds:
                 assert eps0[-1] == vbounds_reference(spec, ell)
         # the probes decide: some certify the whole range, some stop early
         assert 0.0 < min(e for e in eps0 if e > 0) < VB_EPS_MAX == max(eps0)
+
+    def test_equals_scalar_reference(self, fam_linear, fam_quadratic):
+        """The one-pass grid evaluation gives the eps0 of the point-by-point
+        loop, on exact and float specs."""
+        specs = [s for s in vbounds_specs(fam_linear, fam_quadratic)]
+        specs += [spec for spec, _ in random_rational_specs(11)]
+        eps0 = []
+        for spec in specs + [floated(s) for s in specs]:
+            for ell in (0, 1, 6, 20, 40):
+                eps0.append(vbounds(spec, ell))
+                assert eps0[-1] == vbounds_scalar_reference(spec, ell)
+        probes = [VB_EPS_MAX * 10.0 ** (-6 * k / (VB_N_EPS - 1)) for k in range(VB_N_EPS)]
+        assert any(min(probes) < e < max(probes) for e in eps0)
 
     def test_euler_positive(self, euler_spec):
         assert vbounds(euler_spec, 3) > 0

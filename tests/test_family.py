@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from dulackit.errors import (
 from dulackit.family import (
     _H2_GRID_POINTS,
     _Q_CHOP,
+    _VALIDATION_GRID,
     _h2_power_table,
     NewtonData,
     _hensel_lift,
@@ -30,7 +32,7 @@ from dulackit.family import (
     newton_diagram,
     track_biggest_real_root,
 )
-from dulackit.series import BivariatePoly, TruncatedSeries as TS
+from dulackit.series import BivariatePoly, TruncatedSeries as TS, horner
 
 
 def fam_linear():
@@ -156,7 +158,7 @@ class TestBranch:
 
     def test_tracker_finds_simple_roots(self):
         fam = fam_linear()
-        assert abs(track_biggest_real_root(fam, 1e-4) - 1e-4) < 1e-15
+        assert abs(track_biggest_real_root(fam, [1e-4])[0] - 1e-4) < 1e-15
 
     @pytest.mark.parametrize(
         "coeffs,lead_index,lead",
@@ -535,6 +537,80 @@ class TestQPowers:
         branch = biggest_real_root_branch(fam, sign)
         kinds = {type(c) for c in branch.sigma.coeffs if c != 0}
         assert kinds == {Fr, float}
+
+
+def track_reference(P, eps):
+    """The tracker at one point, with one np.roots call: float coefficients
+    summed term by term, companion-matrix roots, three polishing Newton
+    steps and a sign test across each real candidate."""
+    coeffs = [0.0] * (P.mu + 2)
+    for (k, m), c in P.coeffs.items():
+        coeffs[k] += float(c) * float(eps) ** m
+    rr = np.roots(list(reversed(coeffs)))
+    dcoeffs = [coeffs[k] * k for k in range(1, len(coeffs))]
+    best = 0.0 if coeffs[0] == 0.0 else None
+    for i, r in enumerate(rr):
+        if abs(r.imag) > 1e-6 * max(1.0, abs(r)):
+            continue
+        x = float(r.real)
+        for _ in range(3):
+            d = horner(dcoeffs, x)
+            if d == 0:
+                break
+            step = horner(coeffs, x) / d
+            if abs(step) > 0.5 * max(1.0, abs(x)):
+                break
+            x -= step
+        gap = min((abs(complex(x, 0.0) - rr[j]) for j in range(len(rr)) if j != i), default=1.0)
+        delta = max(1e-3 * gap, 1e-15 * max(1.0, abs(x)))
+        if horner(coeffs, x - delta) * horner(coeffs, x + delta) < 0:
+            if best is None or x > best:
+                best = x
+    return best
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def tracker_problem(draw):
+    """(family, grid): rational, float or mixed coefficients on the
+    validation grid of one side, a few other points, eps = 0 (where P is
+    x^(mu+1)) and eps = 1; rows without a constant term, and rows whose
+    leading term 1 - eps vanishes at eps = 1."""
+    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    real = st.floats(min_value=-3, max_value=3)
+    coeff = {"exact": rational, "float": real, "mixed": rational | real}[kind]
+    mu = draw(st.integers(1, 3))
+    coeffs = {(mu + 1, 0): Fr(1)}
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs[(draw(st.integers(0, mu + 1)), draw(st.integers(1, 4)))] = draw(coeff)
+    if draw(st.booleans()):
+        coeffs = {(k, m): c for (k, m), c in coeffs.items() if k <= mu}
+        coeffs[(mu + 1, 0)], coeffs[(mu + 1, 1)] = Fr(1), Fr(-1)
+    if draw(st.booleans()):
+        coeffs = {(k, m): c for (k, m), c in coeffs.items() if k > 0}
+    sign = draw(st.sampled_from([1, -1]))
+    others = draw(st.lists(st.floats(min_value=-2, max_value=2), max_size=4))
+    grid = [sign * e for e in _VALIDATION_GRID] + others + [0.0, 1.0]
+    return PolynomialFamily(mu=mu, coeffs=coeffs), grid
+
+
+class TestBatchedTracker:
+    @given(problem=tracker_problem())
+    @example(problem=(fam_linear(), [1e-4, 0.0, 1.0]))
+    @example(problem=(PolynomialFamily(mu=1, coeffs={(2, 0): 1, (2, 1): -1, (1, 1): 0.5}), [1.0, 0.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_point_roots(self, problem):
+        fam, grid = problem
+        expected = outcome(lambda: [track_reference(fam, e) for e in grid])
+        assert outcome(track_biggest_real_root, fam, grid) == expected
 
 
 def lift_reference(P1, order):
