@@ -31,7 +31,6 @@ from .oracle import (
     dulac_time,
     flatness_report,
     particular_solution,
-    trajectory_y,
 )
 from .series import BivariatePoly, TruncatedSeries
 
@@ -63,7 +62,6 @@ __all__ = [
     "newton_diagram",
     "particular_solution",
     "residual_identity_check",
-    "trajectory_y",
     "vbounds",
     "__version__",
 ]

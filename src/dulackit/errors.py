@@ -16,10 +16,6 @@ class DivisionByNonUnit(DulacKitError):
     """Series division requires the divisor to have a nonzero constant term."""
 
 
-class CompositionUndefined(DulacKitError):
-    """f(g) needs g(0)=0 unless f is certifiably a polynomial."""
-
-
 class NonpositiveLambda(DulacKitError):
     """The scale derivative is only defined for positive lambda."""
 

@@ -205,7 +205,11 @@ def coefficients(spec: UnfoldingSpec, ell: int, check_validity: bool = False) ->
     """Expansion coefficients c_0..c_ell at the spec's parameter point.
 
     meta["order"] is the truncation order the recursion would need; the
-    triangular solve itself reads the shifted data up to order ell."""
+    triangular solve itself reads the shifted data up to order ell.  With
+    check_validity, meta["eps0"] is the advisory grid check of
+    :func:`vbounds` (V_j kept in [1/2, 2], V evaluated in full, not a
+    certificate) and meta["within_validity_bound"] says whether
+    |eps| <= eps0."""
     U, V, Qs = shifted_data(spec, max(ell, 0))
     c = triangular_coefficients(U, V, Qs, spec.lam, ell)
     meta = {
@@ -251,37 +255,34 @@ def residual_identity_check(spec: UnfoldingSpec, ell: int):
 
 
 def vbounds(spec: UnfoldingSpec, ell: int) -> float:
-    """Largest grid-certified eps0 such that every V_j, j <= ell, stays in
-    [1/2, 2] for |s| <= VB_S0 and |eps| <= eps0.  Advisory: 0 when no probe
-    value qualifies.
+    """The largest eps probe up to which every
+    V_j(s) = V(s + theta) - (j/lam) Q(s, e_hat), 0 <= j <= ell, stays in
+    [1/2, 2] at every point of the VB_N_EPS x VB_N_S grid of eps probes
+    (on the branch side) and s values; 0.0 when the smallest probe fails.
+    It is an advisory grid check, not a certificate: V_j is not looked at
+    between the grid points.
 
-    V_j(s) = V(s) - (j/lam) Q(s) is affine in j, so at each s the extremes
-    over 0 <= j <= ell sit at j = 0 and j = ell; only those are evaluated.
-    Each probe shifts V alone and restricts Q at the order that holds both
-    polynomials (at most the working order): the zero padding of the full
-    shifted data would not change a Horner value.
-
-    Each V_j is evaluated on all VB_N_S points of the s grid at once, by
-    Horner's rule on a float copy of its coefficients: the grid points are
-    floats, so the scalar evaluation converts every exact coefficient to
-    float before using it, and numpy's float64 products and sums round as
-    Python's do, so each value is the one the scalar evaluation gives."""
-    probes = [VB_EPS_MAX * (10.0 ** (-6 * k / (VB_N_EPS - 1))) for k in range(VB_N_EPS)]
-    s_grid = np.array([-VB_S0 + 2 * VB_S0 * i / (VB_N_S - 1) for i in range(VB_N_S)])
-    order = min(working_order(ell), max(spec.V.order, spec.Q.degree_s()))
-    certified = 0.0
-    for eps_probe in sorted(probes):
-        trial = spec.at_eps(spec.branch.sign * eps_probe)
-        V = trial.V.shift(trial.theta_eps).padded(order).truncated(order)
-        Qs = trial.Q.restrict(trial.e_hat, order)
-        for j in (0, ell) if ell > 0 else range(ell + 1):
-            coeffs = [float(c) for c in (V - _scaled(Qs, j, trial.lam)).coeffs]
-            with np.errstate(all="ignore"):  # Python floats overflow silently too
-                vals = horner(coeffs, s_grid)
-            if not np.all((0.5 <= vals) & (vals <= 2.0)):
-                return certified
-        certified = eps_probe
-    return certified
+    V and Q are evaluated in full, from float copies of their coefficients,
+    on the whole grid at once.  theta = sigma(e_hat) is summed by Horner's
+    rule as PuiseuxBranch.theta does, so it is that value bit for bit.
+    V_j is affine in j, so at each point its extremes over 0 <= j <= ell
+    sit at j = 0 and j = ell; only those are evaluated."""
+    probes = sorted(VB_EPS_MAX * (10.0 ** (-6 * k / (VB_N_EPS - 1))) for k in range(VB_N_EPS))
+    s = np.array([-VB_S0 + 2 * VB_S0 * i / (VB_N_S - 1) for i in range(VB_N_S)])
+    branch = spec.branch
+    e = np.array([[branch.e_hat(branch.sign * p)] for p in probes])
+    q = np.zeros((spec.Q.degree_s() + 1, max(j for _, j in spec.Q.terms) + 1))
+    for (i, j), c in spec.Q.terms.items():
+        q[i, j] = float(c)
+    with np.errstate(all="ignore"):  # Python floats overflow silently too
+        theta = horner([float(c) for c in branch.sigma.coeffs], e)
+        V = horner([float(c) for c in spec.V.coeffs], s + theta)
+        Q = horner([horner(row.tolist(), e) for row in q], s)
+        V_ell = V - float(_ratio(ell, spec.lam)) * Q
+        inside = (0.5 <= V) & (V <= 2.0) & (0.5 <= V_ell) & (V_ell <= 2.0)
+    ok = np.broadcast_to(inside, (len(probes), len(s))).all(axis=1)
+    passed = len(probes) if ok.all() else int(np.argmin(ok))
+    return probes[passed - 1] if passed else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -287,22 +287,28 @@ def _pad_pair(a, b):
 
 
 def _rational_roots(p):
-    """All rational roots of an exact-coefficient polynomial, with multiplicity."""
-    p = _poly_trim([Fraction(c) for c in p])
-    den = math.lcm(*(c.denominator for c in p))
-    ip = [int(c * den) for c in p]
+    """All rational roots of an exact-coefficient polynomial, with
+    multiplicity, in increasing order; roots at 0 are left out.
+
+    The candidates come from the real float roots of the squarefree part
+    (:func:`_nearest_fraction_root`); a candidate is kept only if it is an
+    exact root."""
+    ip = _primitive(_poly_trim([Fraction(c) for c in p]))
     while ip and ip[0] == 0:
         ip = ip[1:]  # roots at 0 are not wanted here (c != 0 in the polygon)
     if len(ip) <= 1:
         return []
-    a0, an = abs(ip[0]), abs(ip[-1])
-    cands = set()
-    for pnum in _divisors(a0):
-        for qden in _divisors(an):
-            cands.add(Fraction(pnum, qden))
-            cands.add(Fraction(-pnum, qden))
-    roots = []
     poly = [Fraction(c) for c in ip]
+    sq = _primitive(_poly_divmod(poly, _poly_gcd(poly, _poly_deriv(poly)))[0])
+    if len(sq) == 2:
+        cands = {Fraction(-sq[0], sq[1])}
+    else:
+        cands = {
+            _nearest_fraction_root(sq, z.real)
+            for z in np.roots([float(c) for c in reversed(sq)])
+            if math.isfinite(z.real) and abs(z.imag) <= 1e-4 * max(1.0, abs(z))
+        }
+    roots = []
     for c in sorted(cands):
         mult = 0
         while len(poly) > 1 and horner(poly, c) == 0:
@@ -313,18 +319,36 @@ def _rational_roots(p):
     return roots
 
 
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+def _primitive(p):
+    """The integer polynomial with coprime coefficients that is a positive
+    rational multiple of p."""
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    ip = [int(Fraction(c) * den) for c in p]
+    g = math.gcd(*ip) or 1
+    return [c // g for c in ip]
+
+
+def _nearest_fraction_root(g, z):
+    """The fraction nearest to the root of g near the float z among those
+    whose denominator is at most L = |lead(g)|, for a squarefree primitive
+    integer polynomial g: a rational root's denominator divides L.
+
+    Newton's method in rationals, rounded to multiples of 2^-b with
+    b = 2 bitlen(L) + 4, takes z to within 1/(16 L^2) of a root p/q, and
+    any other fraction with denominator <= L is at least 1/L^2 from p/q."""
+    L = abs(g[-1])
+    ulp = Fraction(1, 2 ** (2 * L.bit_length() + 4))
+    dg = _poly_deriv(g)
+    x = Fraction(z)
+    for _ in range(12):
+        d = horner(dg, x)
+        if d == 0:
+            break
+        step = horner(g, x) / d
+        x = round((x - step) / ulp) * ulp
+        if abs(step) < ulp:
+            break
+    return x.limit_denominator(L)
 
 
 def _real_roots_with_multiplicity(phi):
@@ -545,11 +569,8 @@ def _branches_of(P: dict, order: int, depth: int):
                     coeffs[p] = c
                 else:
                     exact = False  # leading term dropped by the truncation
-                for i, vc in enumerate(v_coeffs, start=1):
-                    if p + i <= order:
-                        coeffs[p + i] = vc
-                    elif vc != 0:
-                        exact = False
+                for i, vc in enumerate(v_coeffs, start=1):  # p + i <= order
+                    coeffs[p + i] = vc
                 out.append((q, tuple(coeffs), exact and isinstance(c, (int, Fraction))))
             else:
                 for rho_sub, vco, exact in _branches_of(P1, order, depth - 1):
@@ -873,6 +894,7 @@ def compute_Q(P: PolynomialFamily, branch: PuiseuxBranch) -> BivariatePoly:
         pow_cache.append(_times_truncated(pow_cache[-1], sigma_terms, order_e))
 
     acc: dict = {}
+    mag: dict = {}  # t -> sum of |float terms| summed into the s^0 e^t coefficient
     for (k, m), c in P.coeffs.items():
         c_signed = c * (branch.sign**m)
         bc = 1
@@ -883,7 +905,10 @@ def compute_Q(P: PolynomialFamily, branch: PuiseuxBranch) -> BivariatePoly:
                 if sc == 0:
                     continue
                 key = (j, t + branch.rho * m)
-                acc[key] = acc.get(key, 0) + c_signed * bc * sc
+                term = c_signed * bc * sc
+                acc[key] = acc.get(key, 0) + term
+                if j == 0 and isinstance(term, float):
+                    mag[key[1]] = mag.get(key[1], 0.0) + abs(term)
     if not branch.exact:
         # e-coefficients beyond the branch truncation are incomplete
         acc = {(j, t): v for (j, t), v in acc.items() if t <= order_e}
@@ -896,9 +921,11 @@ def compute_Q(P: PolynomialFamily, branch: PuiseuxBranch) -> BivariatePoly:
                 cleaned[key] = v
         elif v != 0:
             cleaned[key] = v
-    # the s^0 column must vanish: sigma is a root branch
+    # the s^0 column must vanish: sigma is a root branch.  An exact
+    # coefficient must be 0; a float one is a sum of terms that cancel, so
+    # its rounding is measured against their size
     for (j, t), v in cleaned.items():
-        if j == 0 and abs(float(v)) > 1e-9 * scale:
+        if j == 0 and (not isinstance(v, float) or abs(v) > 1e-9 * max(scale, mag.get(t, 0.0))):
             raise NotDivisible(
                 f"constant term in s does not vanish (coefficient of e^{t} is {v!r})"
             )

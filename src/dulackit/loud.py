@@ -487,7 +487,6 @@ def period_via_decomposition(p: LoudParams, s: float) -> float:
 @dataclass
 class RegularityRow:
     D: float
-    slopes: tuple
     mean_slope: float
     sign: int
     near_zero: bool
@@ -506,12 +505,11 @@ class RegularityRow:
 @dataclass
 class RegularityReport:
     rows: list
-    orientation: int
     s_grid: tuple
 
     def to_json(self):
         return {
-            "orientation": self.orientation,
+            "orientation": 1,  # the paper's rule fixes it: see regularity_check
             "s_min": self.s_grid[0],
             "s_max": self.s_grid[-1],
             "rows": [r.to_json() for r in self.rows],
@@ -528,9 +526,8 @@ def regularity_check(
     For each D the period P(s) is sampled on the s grid and dP/ds taken by
     central differences.  A row is regular when the derivative keeps one
     sign; rows with |dP/ds| below _NEAR_ZERO_FRACTION of the grid maximum
-    are flagged near-zero (inconclusive).  Signs must match sign(2D+1)
-    up to one global orientation constant, fitted from the first
-    conclusive row."""
+    are flagged near-zero (inconclusive).  A conclusive row is coherent
+    when its sign is sign(2D+1), the sign the paper's rule gives dP/ds."""
     s = np.asarray([float(x) for x in s_grid])
     rows = []
     for D in D_grid:
@@ -540,7 +537,6 @@ def regularity_check(
         rows.append((float(D), dP))
     max_abs = max(float(np.max(np.abs(dp))) for _, dp in rows)
     out = []
-    orientation = 0
     for D, dP in rows:
         mean = float(np.mean(dP))
         near_zero = bool(np.max(np.abs(dP)) < _NEAR_ZERO_FRACTION * max_abs)
@@ -548,18 +544,14 @@ def regularity_check(
         sgn = int(np.sign(mean)) if one_sign else 0
         coherent = None
         if not near_zero and one_sign and (2 * D + 1) != 0:
-            expected = int(np.sign(2 * D + 1))
-            if orientation == 0:
-                orientation = sgn * expected
-            coherent = sgn == orientation * expected
+            coherent = sgn == int(np.sign(2 * D + 1))
         out.append(
             RegularityRow(
                 D=D,
-                slopes=tuple(float(x) for x in dP),
                 mean_slope=mean,
                 sign=sgn,
                 near_zero=near_zero,
                 coherent=coherent,
             )
         )
-    return RegularityReport(rows=out, orientation=orientation, s_grid=tuple(float(x) for x in s))
+    return RegularityReport(rows=out, s_grid=tuple(float(x) for x in s))

@@ -30,7 +30,7 @@ from scipy.integrate import quad, solve_ivp
 
 from .errors import QuadratureFailure, StepSizeUnderflow, ToleranceNotMet
 from .expansion import DulacTimeSpec, ExpansionResult, UnfoldingSpec
-from .series import TruncatedSeries, horner
+from .series import horner
 
 _EXP_UNDERFLOW = -745.0
 _NOISE_FLOOR_REL = 1e-13
@@ -110,32 +110,6 @@ def dulac_map(spec: UnfoldingSpec, s: float, cfg: QuadratureConfig = DEFAULT_CON
     if ld < _EXP_UNDERFLOW:
         return 0.0
     return math.exp(ld)
-
-
-def trajectory_y(ts: DulacTimeSpec, s_abs: float, x_abs: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """y(x; s) = exp(-integral_s^x V/P) for the saddle field P dx - V y dy,
-    normalized to 1 at x = s (absolute coordinates, theta < s <= x)."""
-    spec = _saddle_spec(ts)
-    if x_abs < s_abs:
-        raise ValueError("x must not precede the initial point")
-    if x_abs == s_abs:
-        return 1.0
-    val = _v_over_p_integral(spec, s_abs, x_abs, cfg)
-    if -val < _EXP_UNDERFLOW:
-        return 0.0
-    return math.exp(-val)
-
-
-def _saddle_spec(ts: DulacTimeSpec) -> UnfoldingSpec:
-    """Wrap the time-form data as a lam=1 spec carrying (V, Q) for quadrature."""
-    return UnfoldingSpec(
-        family=ts.family,
-        branch=ts.branch,
-        V=ts.V,
-        U=TruncatedSeries.zero(ts.V.order),
-        lam=1,
-        eps=ts.eps,
-    )
 
 
 # ---------------------------------------------------------------------------

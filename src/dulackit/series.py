@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
-    CompositionUndefined,
     DivisionByNonUnit,
     NonpositiveLambda,
     OrderExhausted,
@@ -211,28 +210,7 @@ class TruncatedSeries:
             acc = acc + abs(a)
         return acc
 
-    # -- composition and shifting ------------------------------------------------
-
-    def compose(self, g: "TruncatedSeries") -> "TruncatedSeries":
-        """f(g(s)).  Needs g(0)=0; otherwise f must carry explicit zero
-        padding above its degree, certifying it is an exact polynomial."""
-        if g.coeffs[0] != 0:
-            if self.degree() >= self.order:
-                raise CompositionUndefined(
-                    "inner series has nonzero constant term and the outer series "
-                    "carries no padding certifying it is a polynomial"
-                )
-            order = g.order
-            top = self.degree()
-        else:
-            order = min(self.order, g.order)
-            top = self.order
-        if top < 0:
-            return TruncatedSeries.zero(order, like=self.coeffs[0])
-        acc = TruncatedSeries.constant(self.coeffs[top], order)
-        for j in range(top - 1, -1, -1):
-            acc = acc * g + self.coeffs[j]
-        return acc
+    # -- shifting ----------------------------------------------------------------
 
     def shift(self, c: Scalar) -> "TruncatedSeries":
         """Taylor recentering f(s + c), treating f as an exact polynomial of

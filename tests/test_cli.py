@@ -100,6 +100,17 @@ class TestCheck:
         nd = json.loads((tmp_path / "o" / "check.json").read_text())["newton"]
         assert nd["h0"]["holds"] and nd["h1"]["holds"] and nd["h2"]["holds"]
 
+    @pytest.mark.parametrize("c", [10**15 + 37, 10**20 + 39])
+    def test_wide_constant_coefficient(self, tmp_path, capsys, c):
+        # x^2 - c eps^2: no rational characteristic root, and the s^0 column
+        # of Q cancels up to float rounding of two terms near c
+        family = {"mu": 1, "terms": [{"x": 2, "eps": 0, "c": "1"}, {"x": 0, "eps": 2, "c": str(-c)}]}
+        spec = write_spec(tmp_path, "s.json", {"family": family})
+        assert main(["check", spec, "--out", str(tmp_path / "o")]) == 0
+        assert not capsys.readouterr().err
+        nd = json.loads((tmp_path / "o" / "check.json").read_text())["newton"]
+        assert float(nd["chi"]) == pytest.approx(2 * math.sqrt(c), rel=1e-12)
+
     def test_malformed_json_exits_3(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -250,6 +261,24 @@ class TestLoud:
             assert abs(entry["c1_hat"] - entry["limit"]) <= 1e-2
         assert data["gamma_self_test"]["gamma(5)"] == pytest.approx(24.0, rel=1e-12)
         assert (tmp_path / "o" / "period_samples.csv").exists()
+
+    @pytest.mark.parametrize("D_grid", [[-0.75, -0.25], [-0.75]], ids=["two-sided", "one-value"])
+    def test_global_sign_error_fails(self, tmp_path, monkeypatch, D_grid):
+        """The paper's rule fixes the sign of dP/ds, so negating every period
+        is an error on any grid, one D value included."""
+        from dulackit import loud
+
+        spec = write_spec(tmp_path, "s.json", {"loud": {"D_grid": D_grid}})
+        period = loud.period_numeric
+        monkeypatch.setattr(loud, "period_numeric", lambda p, s: -period(p, s))
+        assert main(["loud", spec, "--out", str(tmp_path / "o")]) == 1
+        data = json.loads((tmp_path / "o" / "loud.json").read_text())
+        assert data["regularity"]["orientation"] == 1
+        assert [row["coherent"] for row in data["regularity"]["rows"]] == [False] * len(D_grid)
+
+    def test_one_value_grid_passes(self, tmp_path):
+        spec = write_spec(tmp_path, "s.json", {"loud": {"D_grid": [-0.75]}})
+        assert main(["loud", spec, "--out", str(tmp_path / "o")]) == 0
 
 
 class TestBadSpecs:

@@ -37,7 +37,7 @@ from dulackit.expansion import (
 )
 from dulackit.family import PolynomialFamily, biggest_real_root_branch
 from dulackit.loud import LoudParams, normal_family
-from dulackit.series import TruncatedSeries as TS
+from dulackit.series import TruncatedSeries as TS, horner
 
 
 def euler_formal_oracle(n):
@@ -354,6 +354,31 @@ def vbounds_scalar_reference(spec, ell):
     return certified
 
 
+def vbounds_exact_reference(spec, ell):
+    """eps0 from V_j = V(s + theta) - (j/lam) Q(s, e) in exact rationals at
+    each probe and grid point, for a rho = 1 exact spec (e_hat = |eps|);
+    asserts that no value sits exactly on the band's ends."""
+    assert spec.branch.rho == 1 and spec.branch.exact
+    probes = sorted(VB_EPS_MAX * 10.0 ** (-6 * k / (VB_N_EPS - 1)) for k in range(VB_N_EPS))
+    s_grid = [Fr(-VB_S0 + 2 * VB_S0 * i / (VB_N_S - 1)) for i in range(VB_N_S)]
+    V = [Fr(c) for c in spec.V.coeffs]
+    certified = 0.0
+    for eps_probe in probes:
+        e = Fr(eps_probe)
+        theta = horner([Fr(c) for c in spec.branch.sigma.coeffs], e)
+        Qe = [Fr(0)] * (spec.Q.degree_s() + 1)
+        for (i, m), c in spec.Q.terms.items():
+            Qe[i] += Fr(c) * e**m
+        for s in s_grid:
+            for j in (0, ell):
+                Vj = horner(V, s + theta) - Fr(j) / Fr(spec.lam) * horner(Qe, s)
+                assert Vj not in (Fr(1, 2), Fr(2))
+                if not Fr(1, 2) <= Vj <= 2:
+                    return certified
+        certified = eps_probe
+    return certified
+
+
 def floated(spec):
     """The spec with V, U, lambda and eps in floats."""
     return replace(
@@ -387,6 +412,31 @@ class TestVBounds:
                 assert eps0[-1] == vbounds_scalar_reference(spec, ell)
         probes = [VB_EPS_MAX * 10.0 ** (-6 * k / (VB_N_EPS - 1)) for k in range(VB_N_EPS)]
         assert any(min(probes) < e < max(probes) for e in eps0)
+
+    def test_equals_exact_definition(self, fam_linear, branch_linear_plus, branch_linear_minus):
+        """eps0 is the one V_j = V(s + theta) - (j/lam) Q(s, e) gives on the
+        grid in exact rationals, with V evaluated in full: for x(x - eps),
+        V = 1 + 10^7 x^8 and ell = 0, V_0 leaves [1/2, 2] at eps = 0.0398,
+        so eps0 is the probe below it."""
+        def spec(branch, V, lam):
+            return UnfoldingSpec(
+                family=fam_linear, branch=branch, V=TS(tuple(V)), U=TS.zero(1), lam=lam, eps=Fr(0),
+            )
+
+        steep = [Fr(1)] + [Fr(0)] * 7 + [Fr(10**7)]
+        assert vbounds(spec(branch_linear_plus, steep, Fr(1)), 0) == VB_EPS_MAX * 10.0 ** -0.8
+        cases = [(spec(branch_linear_plus, steep, Fr(1)), 0)]
+        for branch in (branch_linear_plus, branch_linear_minus):
+            for V in (steep, [Fr(1), Fr(1, 2), Fr(-1, 4)], [Fr(1), Fr(-3)] + [Fr(0)] * 5 + [Fr(-10**6)]):
+                for lam, ell in ((Fr(1), 0), (Fr(7, 3), 1), (Fr(50, 3), 6), (Fr(41), 20)):
+                    cases.append((spec(branch, V, lam), ell))
+        cases += list(random_rational_specs(5))
+        eps0 = []
+        for case, ell in cases:
+            eps0.append(vbounds(case, ell))
+            assert eps0[-1] == vbounds_exact_reference(case, ell)
+        assert 0.0 in eps0 and VB_EPS_MAX in eps0
+        assert len(set(eps0)) > 4
 
     def test_euler_positive(self, euler_spec):
         assert vbounds(euler_spec, 3) > 0

@@ -23,6 +23,7 @@ from dulackit.family import (
     _h2_power_table,
     NewtonData,
     _hensel_lift,
+    _rational_roots,
     PolynomialFamily,
     analyze_family,
     biggest_real_root_branch,
@@ -215,6 +216,100 @@ class TestQ:
         # Q(0, e) = P'(theta) = 2 sqrt(2) e + ...
         assert abs(float(nd.chi) - 2 * math.sqrt(2)) < 1e-9
         assert nd.h1.holds
+
+
+def divisors(n):
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out |= {d, n // d}
+        d += 1
+    return sorted(out) or [1]
+
+
+def rational_roots_reference(p):
+    """The rational roots of p by the rational root theorem: every p/q with
+    p dividing the constant and q the leading coefficient of the integer
+    polynomial is tried, in increasing order, and deflated while it is a
+    root."""
+    p = [Fr(c) for c in p]
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    den = math.lcm(*(c.denominator for c in p))
+    ip = [int(c * den) for c in p]
+    while ip and ip[0] == 0:
+        ip = ip[1:]
+    if len(ip) <= 1:
+        return []
+    cands = {Fr(sign * a, b) for a in divisors(ip[0]) for b in divisors(ip[-1]) for sign in (1, -1)}
+    poly, roots = [Fr(c) for c in ip], []
+    for c in sorted(cands):
+        mult = 0
+        while len(poly) > 1 and horner(poly, c) == 0:
+            poly = deflate(poly, c)
+            mult += 1
+        if mult:
+            roots.append((c, mult))
+    return roots
+
+
+def deflate(poly, c):
+    """poly / (x - c) for a root c, by synthetic division (low first)."""
+    out = [poly[-1]]
+    for a in reversed(poly[1:-1]):
+        out.append(a + c * out[-1])
+    return out[::-1]
+
+
+def times_linear(poly, a, b):
+    """poly * (b x - a), low first."""
+    return [b * y - a * x for x, y in zip(poly + [0], [0] + poly)]
+
+
+@st.composite
+def rational_root_poly(draw):
+    """An integer multiple of prod (b x - a)^m over small-height roots a/b,
+    times a factor without rational roots, or 1."""
+    poly = [Fr(draw(st.integers(1, 12)) * draw(st.sampled_from([1, -1])))]
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(-6, 6))
+        b = draw(st.integers(1, 6))
+        for _ in range(draw(st.integers(1, 3))):
+            poly = times_linear(poly, Fr(a), Fr(b))
+    extra = draw(st.sampled_from([[1], [1, 0, 1], [-2, 0, 1], [3, 0, 0, 1], [1, 1, 1]]))
+    out = [Fr(0)] * (len(poly) + len(extra) - 1)
+    for i, x in enumerate(poly):
+        for j, y in enumerate(extra):
+            out[i + j] += x * y
+    return out
+
+
+class TestRationalRoots:
+    @given(p=rational_root_poly())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_divisor_enumeration(self, p):
+        assert _rational_roots(p) == rational_roots_reference(p)
+
+    def test_large_root_stays_exact(self):
+        # (7x - (10^12 + 1)) (x - 2)^2 (x^2 + 1)
+        p = times_linear([Fr(1), Fr(0), Fr(1)], Fr(10**12 + 1), Fr(7))
+        p = times_linear(times_linear(p, Fr(2), Fr(1)), Fr(2), Fr(1))
+        assert _rational_roots(p) == [(Fr(2), 2), (Fr(10**12 + 1, 7), 1)]
+
+    def test_close_roots_with_large_denominators(self):
+        # the leading coefficient is 8.9e11, so telling these roots from
+        # their neighbours with denominators up to it takes more than floats
+        roots = [Fr(953, 947), Fr(971, 967), Fr(983, 977), Fr(997, 991)]
+        p = [Fr(1)]
+        for r in roots:
+            p = times_linear(p, Fr(r.numerator), Fr(r.denominator))
+        assert _rational_roots(p) == [(r, 1) for r in sorted(roots)]
+
+    def test_large_constant_without_rational_root(self):
+        # x^2 - (10^20 + 39): the divisor enumeration would run to 10^10
+        assert _rational_roots([Fr(-(10**20 + 39)), Fr(0), Fr(1)]) == []
 
 
 class TestDiagram:
@@ -460,13 +555,16 @@ def Q_reference(P, branch):
     powers = [TS.constant(one, order_e), sigma]
     for _ in range(P.mu):
         powers.append(powers[-1] * sigma)
-    acc = {}
+    acc, mag = {}, {}
     for (k, m), c in P.coeffs.items():
         for j in range(k + 1):
             for t, sc in enumerate(powers[k - j].coeffs):
                 if sc != 0:
                     key = (j, t + branch.rho * m)
-                    acc[key] = acc.get(key, 0) + c * branch.sign**m * math.comb(k, j) * sc
+                    term = c * branch.sign**m * math.comb(k, j) * sc
+                    acc[key] = acc.get(key, 0) + term
+                    if isinstance(term, float):
+                        mag[key] = mag.get(key, 0.0) + abs(term)
     if not branch.exact:
         acc = {(j, t): v for (j, t), v in acc.items() if t <= order_e}
     scale = max((abs(float(v)) for v in acc.values()), default=1.0)
@@ -475,7 +573,7 @@ def Q_reference(P, branch):
         if (abs(v) > _Q_CHOP * scale if isinstance(v, float) else v != 0)
     }
     for (j, t), v in acc.items():
-        if j == 0 and abs(float(v)) > 1e-9 * scale:
+        if j == 0 and (not isinstance(v, float) or abs(v) > 1e-9 * max(scale, mag.get((j, t), 0.0))):
             raise NotDivisible(f"constant term in s does not vanish (coefficient of e^{t} is {v!r})")
     Q = BivariatePoly({(j - 1, t): v for (j, t), v in acc.items() if j >= 1})
     slice0 = {i: c for (i, j), c in Q.terms.items() if j == 0}

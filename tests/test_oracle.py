@@ -19,7 +19,6 @@ from dulackit.oracle import (
     flatness_report,
     log_dulac_map,
     particular_solution,
-    trajectory_y,
 )
 from dulackit.series import TruncatedSeries as TS
 
@@ -153,31 +152,6 @@ class TestParticularSolution:
         y2 = particular_solution(mk(U2), 1.0, s, cfg)
         y3 = particular_solution(mk(U1.padded(2) * Fr(3, 4) + U2 * Fr(-3, 2)), 1.0, s, cfg)
         assert abs(y3 - (a * y1 + b * y2)) <= 10 * cfg.ode_rel_tol * max(1.0, abs(y3))
-
-
-class TestTrajectory:
-    def make_ts(self, fam, branch, V=None):
-        return DulacTimeSpec(
-            family=fam,
-            branch=branch,
-            V=V if V is not None else TS.constant(Fr(1), 2),
-            eps=0.0,
-            modes=(TS.constant(Fr(1), 2),),
-        )
-
-    def test_initial_condition(self, fam_linear, branch_linear_plus):
-        ts = self.make_ts(fam_linear, branch_linear_plus)
-        assert trajectory_y(ts, 0.2, 0.2) == 1.0
-
-    def test_decreasing_in_x(self, fam_linear, branch_linear_plus):
-        ts = self.make_ts(fam_linear, branch_linear_plus)
-        ys = [trajectory_y(ts, 0.1, x) for x in (0.1, 0.3, 0.6, 1.0)]
-        assert all(b < a for a, b in zip(ys, ys[1:]))
-
-    def test_closed_form(self, fam_linear, branch_linear_plus):
-        ts = self.make_ts(fam_linear, branch_linear_plus)
-        got = trajectory_y(ts, 0.1, 0.5)
-        assert got == pytest.approx(math.exp(1 / 0.5 - 1 / 0.1), rel=1e-9)
 
 
 class TestDulacTime:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dulackit.errors import (
-    CompositionUndefined,
     DivisionByNonUnit,
     NonpositiveLambda,
     OrderExhausted,
@@ -58,24 +57,6 @@ class TestArithmetic:
     def test_div_needs_unit(self):
         with pytest.raises(DivisionByNonUnit):
             TS.constant(Fr(1), 2) / TS((Fr(0), Fr(1), Fr(0)))
-
-    def test_compose_geometric_with_square(self):
-        f = TS.from_coeffs([1, 1, 1, 1, 1])  # 1/(1-s) to order 4
-        g = TS.monomial(2, 4)
-        assert f.compose(g).coeffs == (1, 0, 1, 0, 1)
-
-    def test_compose_rejects_unpadded_nonunit_inner(self):
-        f = TS((Fr(1), Fr(1)))  # no padding: could be a truncation
-        g = TS((Fr(1), Fr(1)))
-        with pytest.raises(CompositionUndefined):
-            f.compose(g)
-
-    def test_compose_padded_polynomial_at_nonzero(self):
-        # (1+s)^2 with explicit padding is a certified polynomial
-        f = TS.from_coeffs([Fr(1), Fr(2), Fr(1)], order=4)
-        g = TS.from_coeffs([Fr(1), Fr(1)], order=4)  # s+1
-        out = f.compose(g)
-        assert out.coeffs == (4, 4, 1, 0, 0)
 
     def test_shift_is_taylor_recentering(self):
         f = TS.from_coeffs([Fr(0), Fr(0), Fr(1)])  # s^2
