@@ -188,12 +188,12 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
         uspec = _unfolding_spec(spec, fam, branch, nd)
         res = _apply_overrides(expansion.coefficients(uspec, ell), spec)
         eps, lam = uspec.eps, float(uspec.lam)
-        value = lambda s: oracle.particular_solution(uspec, x0, s)
+        evaluate = lambda grid: oracle.particular_solution(uspec, x0, grid)
     elif kind == "dulac_map":
         uspec = _unfolding_spec(spec, fam, branch, nd)
         res = expansion.ExpansionResult(c=(0.0,) * (ell + 1), ell=ell)
         eps, lam = uspec.eps, float(uspec.lam)
-        value = lambda s: oracle.dulac_map(uspec, s)
+        evaluate = lambda grid: [oracle.dulac_map(uspec, s) for s in grid]
     elif kind == "dulac_time":
         modes = _array(spec["modes"], "modes")
         ts = expansion.DulacTimeSpec(
@@ -207,12 +207,12 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
         )
         res = _apply_overrides(expansion.dulac_time_coefficients(ts, ell), spec)
         eps, lam = ts.eps, 1.0
-        value = lambda s: oracle.dulac_time(ts, s)
+        evaluate = lambda grid: [oracle.dulac_time(ts, s) for s in grid]
     else:
         raise ValueError(f"unknown verify kind {kind!r}")
 
     tol = _number(spec, "flatness_tol", 1e-2)
-    values = [value(s) for s in s_grid.tolist()]
+    values = evaluate(s_grid.tolist())
     label = {"case": kind, "eps": float(eps)}
     report = oracle.flatness_report(values, res, lam, label, s_grid, k, tol)
     _write_csv(report.to_csv_rows(), out_dir, "flatness.csv")

@@ -31,6 +31,7 @@ the tests check that both constructions give equal coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -403,12 +404,18 @@ class DulacTimeSpec:
             return self.ua_fn(x, y)
         if self.modes is None:
             raise ValueError("evaluating U(x, y) needs ua_fn or a finite mode list")
+        # at a float x, float copies of the coefficients give the same values
+        modes = self._float_modes if type(x) is float else [m.coeffs for m in self.modes]
         acc = 0.0
         yp = 1.0
-        for n in range(1, self.n_modes() + 1):
-            acc += float(self.mode(n)(x)) * yp
+        for coeffs in modes:
+            acc += float(horner(coeffs, x)) * yp
             yp *= y
         return acc
+
+    @functools.cached_property
+    def _float_modes(self) -> list:
+        return [[float(c) for c in m.coeffs] for m in self.modes]
 
 
 def dulac_time_coefficients(ts: DulacTimeSpec, ell: int) -> ExpansionResult:

@@ -174,8 +174,18 @@ class PuiseuxBranch:
         return float(a) ** (1.0 / self.rho)
 
     def theta(self, eps):
-        """The tracked root at a parameter value."""
-        return self.sigma(self.e_hat(eps))
+        """The tracked root at a parameter value.  At a float branch variable
+        sigma is summed from float copies of its coefficients: mixed
+        Fraction/float arithmetic converts the Fraction to float first, so
+        the value is the one the exact coefficients give."""
+        e = self.e_hat(eps)
+        if type(e) is float and len(self._sigma_floats) > 1:
+            return horner(self._sigma_floats, e)
+        return self.sigma(e)
+
+    @functools.cached_property
+    def _sigma_floats(self) -> list:
+        return [float(c) for c in self.sigma.coeffs]
 
 
 @dataclass

@@ -77,7 +77,8 @@ def loud_rhs(p: LoudParams):
     D, F = p.D, p.F
 
     def rhs(t, y):
-        u, v = y
+        # Python floats: numpy's float64 arithmetic bit for bit, at less cost
+        u, v = y.tolist()
         return [-v + u * v, u + D * u * u + F * v * v]
 
     return rhs
@@ -455,7 +456,7 @@ def _log_w_rhs(p: LoudParams):
     D, F = p.D, p.F
 
     def rhs(tau, y):
-        z, lw, _ = y
+        z, lw, _ = y.tolist()
         w = math.exp(lw) if lw > -745.0 else 0.0
         common = -F - D * z * z + (2 * D + 1) * z * w - (D + 1) * w * w
         return [z * (common + 1.0), common, w]
@@ -468,7 +469,7 @@ def _horizontal_rhs(p: LoudParams):
     D, F = p.D, p.F
 
     def rhs(sig, y):
-        pp, q, _ = y
+        pp, q, _ = y.tolist()
         return [
             q * (1.0 - pp) * pp,
             -(pp + D + (F - 1.0) * q * q + pp * q * q),

@@ -14,19 +14,37 @@ the particular solution:
   factor; the reparametrization x(tau) is a single nonstiff ODE.
 
 Their agreement to ~1e-9 on smooth problems is asserted by the tests.
+
 The transition (Dulac) map itself is exp(-lam * I) with I a direct
 adaptive quadrature; underflow to exact 0.0 for large exponents is the
 expected flat regime and is returned, not raised.
+
+On a grid of s the ODE route runs one backward Radau sweep to the smallest
+s.  Before each step whose first trial step could reach the next grid
+point, the sweep deep-copies its solver, sets the copy's t_bound to that
+point and steps the copy to the end.  scipy reads t_bound only to cap the
+first step and to clip a trial step that would pass it, and trial steps
+only shrink after the first, so up to that step a solve ending at the point
+takes exactly the sweep's steps: every value is the one a solve of its own
+gives, bit for bit.  A point within 1e-4 of the start in u, where the first
+step could differ, gets its own solve.  The quadrature route stays one
+point at a time and shares nothing with the ODE route.
+
+Still repeated on purpose, since perfbench's `test_sizing_in_kind` pins
+the per-layer shares they set: `dulac_time` runs one `_x_of_tau` solve per
+s, `cli.cmd_loud` computes each Loud period twice, and
+`expansion.dulac_time_coefficients` calls `compute_Q` once per mode.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import Radau, quad, solve_ivp
 
 from .errors import QuadratureFailure, StepSizeUnderflow, ToleranceNotMet
 from .expansion import DulacTimeSpec, ExpansionResult, UnfoldingSpec
@@ -120,24 +138,60 @@ def dulac_map(spec: UnfoldingSpec, s: float, cfg: QuadratureConfig = DEFAULT_CON
 def particular_solution(
     spec: UnfoldingSpec,
     x0: float,
-    s: float,
+    s: float | Sequence[float],
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     method: str = "ode",
-) -> float:
-    """Solution of P y' = lam V y - U with y(x0) = 0, evaluated at s + theta.
+) -> float | list:
+    """Solution of P y' = lam V y - U with y(x0) = 0, evaluated at s + theta,
+    for one s (a float back) or a grid of s (a list back, in the grid's
+    order).
 
     method "ode": implicit Runge-Kutta backwards in u = log(x - theta); the
     pole coefficient makes explicit pairs step-limited, while the backward
-    direction is contracting so the implicit solve is benign.
+    direction is contracting so the implicit solve is benign.  A grid takes
+    one forked sweep (_ode_values), whose value at each point is the one a
+    solve ending there gives, bit for bit.
     method "quadrature": independent cross-check via the exponential-kernel
-    integral in tau = A(x) - A(s + theta)."""
+    integral in tau = A(x) - A(s + theta), one point at a time.
+
+    Each point is checked in the grid's order, and the first that fails
+    raises what a solve of that point alone raises."""
+    grid = np.ndim(s) > 0
+    points = list(s) if grid else [s]
     th = float(spec.theta_eps)
-    if not (0 < s and s + th <= x0 <= 1.0 + 1e-15):
-        raise ValueError("need theta < s + theta <= x0 <= 1")
-    if method == "quadrature":
-        return _y_l_quadrature(spec, x0, s, cfg)
-    if method != "ode":
-        raise ValueError(f"unknown method {method!r}")
+    valid = lambda p: 0 < p and p + th <= x0 <= 1.0 + 1e-15
+    ode = None
+    out = []
+    for p in points:
+        if not valid(p):
+            raise ValueError("need theta < s + theta <= x0 <= 1")
+        if method == "quadrature":
+            out.append(_y_l_quadrature(spec, x0, p, cfg))
+            continue
+        if method != "ode":
+            raise ValueError(f"unknown method {method!r}")
+        if ode is None:
+            ode = _ode_values(spec, x0, [q for q in points if valid(q)], cfg)
+        value = ode[math.log(p)]
+        if isinstance(value, Exception):
+            raise value
+        out.append(value)
+    return out if grid else out[0]
+
+
+# scipy's select_initial_step starts from y = 0 with a trial step of 1e-6 and
+# picks at most 100 times that; each is clipped to the interval, so only an
+# interval shorter than this can change the first step
+_OWN_SOLVE_SPAN = 1e-4
+
+
+def _ode_values(spec: UnfoldingSpec, x0: float, s_points, cfg: QuadratureConfig) -> dict:
+    """log s -> the value at s + theta, or the exception its solve raises.
+
+    A point within _OWN_SOLVE_SPAN of u0 = log(x0 - theta) gets its own
+    solve; the rest share one Radau sweep to the smallest s, which forks a
+    copy ending at each other point (_ForkingRadau)."""
+    th = float(spec.theta_eps)
     e_hat = float(spec.e_hat)
     lam = float(spec.lam)
     Vc = [float(c) for c in spec.V.coeffs]
@@ -153,18 +207,85 @@ def particular_solution(
         x = th + math.exp(u)
         return [[lam * horner(Vc, x) / horner(Qc, x - th)]]
 
-    u0, u1 = math.log(x0 - th), math.log(s)
-    if u1 == u0:
-        return 0.0
-    sol = solve_ivp(
-        rhs, (u0, u1), [0.0], method="Radau", jac=jac,
-        rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol, dense_output=False,
-    )
-    if not sol.success:
-        if "step size" in (sol.message or "").lower():
-            raise StepSizeUnderflow(sol.message)
-        raise ToleranceNotMet(sol.message or "ODE integration failed")
-    return float(sol.y[0, -1])
+    def sweep(targets):
+        """Radau from u0 to the farthest target, recording every target;
+        one the sweep never reached gets the sweep's failure."""
+        end = min(targets)
+        try:
+            sol = solve_ivp(
+                rhs, (u0, end), [0.0], method=_ForkingRadau, jac=jac,
+                rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol, dense_output=False,
+                stops=[u for u in targets if u != end], values=values,
+            )
+        except Exception as exc:  # raised again at the first point it reaches
+            failure = exc
+        else:
+            failure = None if sol.success else _solve_failure(sol.message)
+            if failure is None:
+                values[end] = float(sol.y[0, -1])
+        for u in targets:
+            values.setdefault(u, failure)
+
+    u0 = math.log(x0 - th)
+    values = {u0: 0.0}
+    targets = {math.log(s) for s in s_points} - {u0}
+    shared = [u for u in targets if u0 - u >= _OWN_SOLVE_SPAN]
+    for u in sorted(targets.difference(shared)):
+        sweep([u])
+    if shared:
+        sweep(shared)
+    return values
+
+
+def _solve_failure(message) -> Exception:
+    if "step size" in (message or "").lower():
+        return StepSizeUnderflow(message)
+    return ToleranceNotMet(message or "ODE integration failed")
+
+
+class _ForkingRadau(Radau):
+    """Radau that, before each step whose first trial step could reach the
+    next of its `stops`, deep-copies itself, sets the copy's t_bound to that
+    stop and steps the copy to the end; `values[stop]` gets the copy's y[0],
+    or the exception a solve_ivp call ending there raises.
+
+    scipy reads t_bound only to cap the first step (select_initial_step) and
+    to clip a trial step that would pass it.  Trial steps only shrink after
+    the first one, so up to the fork every step of a solve ending at the stop
+    is the sweep's step: the copy continues exactly as that solve would.
+    The caller keeps the first-step cap equal (_OWN_SOLVE_SPAN).  The copies
+    count their work in this solver's nfev, njev and nlu."""
+
+    def __init__(self, fun, t0, y0, t_bound, *, stops, values, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.stops = sorted(stops, key=lambda t: -self.direction * t)  # next stop last
+        self.values = values
+
+    def _step_impl(self):
+        while self.stops and self._may_reach(self.stops[-1]):
+            stop = self.stops.pop()
+            self.values[stop] = self._finish_copy(stop)
+        return super()._step_impl()
+
+    def _may_reach(self, stop) -> bool:
+        # the first trial step as Radau._step_impl takes it, max_step aside
+        t = self.t
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        t_new = t + max(self.h_abs, min_step) * self.direction
+        return self.direction * (t_new - stop) >= 0
+
+    def _finish_copy(self, stop):
+        # the memo gives the copy no stops and no table of its own
+        fork = copy.deepcopy(self, {id(self.stops): [], id(self.values): None})
+        fork.t_bound = stop
+        try:
+            while fork.status == "running":
+                message = fork.step()
+        except Exception as exc:
+            return exc
+        if fork.status == "failed":
+            return _solve_failure(message)
+        return float(fork.y[0])
 
 
 def _x_of_tau(spec_or_ts, s_abs: float, x0: float, tau_cap: float, cfg: QuadratureConfig):

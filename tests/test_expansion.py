@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 from dulackit.errors import (
@@ -565,6 +566,26 @@ class TestModeSummation:
         assert res.c[0] == pytest.approx(1.0, abs=1e-12)
         assert res.c[1] == pytest.approx(0.25, abs=1e-12)
         assert res.meta["tail_bound"] < 1e-8
+
+    @pytest.mark.parametrize("x", [0.37, 1e-3, np.float64(0.2), Fr(3, 7), 2])
+    def test_ua_matches_exact_modes(self, fam_linear, branch_linear_plus, x):
+        # float copies of the modes at a float x: the same value and type
+        modes = (
+            TS.from_coeffs([Fr(1, 3)], order=2),
+            TS.from_coeffs([Fr(2, 7), Fr(-5, 11), Fr(1, 9)], order=2),
+            TS.from_coeffs([Fr(0), Fr(1, 6), Fr(0), Fr(-4, 13)], order=3),
+        )
+        ts = DulacTimeSpec(
+            family=fam_linear, branch=branch_linear_plus, V=TS.constant(Fr(1), 3), eps=0.0, modes=modes,
+        )
+        y = 0.61
+        want, yp = 0.0, 1.0
+        for mode in modes:
+            want += float(mode(x)) * yp
+            yp *= y
+        for _ in range(2):
+            got = ts.ua(x, y)
+            assert got == want and type(got) is float
 
     def test_tail_unbounded(self, fam_linear, branch_linear_plus):
         ts = DulacTimeSpec(

@@ -25,6 +25,7 @@ from dulackit.family import (
     _hensel_lift,
     _rational_roots,
     PolynomialFamily,
+    PuiseuxBranch,
     analyze_family,
     biggest_real_root_branch,
     check_h0,
@@ -124,6 +125,22 @@ class TestBranch:
         b = biggest_real_root_branch(f, +1)
         assert b.rho == 2
         assert abs(float(b.sigma.coeffs[1]) - math.sqrt(2)) < 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.02, 0.5, 0.0, np.float64(0.02), Fr(1, 50), Fr(0), 0])
+    def test_theta_matches_exact_coefficients(self, eps):
+        # theta = sigma(e_hat) with rational sigma, rho = 2: float points use
+        # float copies of sigma's coefficients, with the same value and type
+        f = PolynomialFamily(mu=2, coeffs={(3, 0): Fr(1), (1, 1): Fr(-1), (0, 2): Fr(-1, 3)})
+        b = biggest_real_root_branch(f, +1)
+        assert len(b.sigma.coeffs) > 2 and b.sigma.coeffs[2] == Fr(1, 6)
+        got, want = b.theta(eps), horner(b.sigma.coeffs, b.e_hat(eps))
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.3, Fr(-1, 3)])
+    def test_theta_one_coefficient_sigma(self, eps):
+        b = PuiseuxBranch(rho=1, sigma=TS.from_coeffs([Fr(0)]), sign=-1, exact=True)
+        got = b.theta(eps)
+        assert got == 0 and type(got) is Fr
 
     def test_nested_ramification(self):
         # x^2 = eps^2 (1 + eps): theta = eps sqrt(1+eps) = eps + eps^2/2 - ...

@@ -1,18 +1,23 @@
 """Numeric kernels against closed forms and against each other."""
 
 import math
+import random
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from scipy.integrate import Radau, solve_ivp
 
+from dulackit.errors import StepSizeUnderflow, ToleranceNotMet
 from dulackit.expansion import (
     DulacTimeSpec,
     ExpansionResult,
     UnfoldingSpec,
     coefficients,
 )
+from dulackit.family import biggest_real_root_branch
 from dulackit.oracle import (
+    DEFAULT_CONFIG,
     QuadratureConfig,
     dulac_map,
     dulac_time,
@@ -20,7 +25,7 @@ from dulackit.oracle import (
     log_dulac_map,
     particular_solution,
 )
-from dulackit.series import TruncatedSeries as TS
+from dulackit.series import TruncatedSeries as TS, horner
 
 TIGHT = QuadratureConfig(ode_rel_tol=1e-12, ode_abs_tol=1e-15)
 
@@ -152,6 +157,132 @@ class TestParticularSolution:
         y2 = particular_solution(mk(U2), 1.0, s, cfg)
         y3 = particular_solution(mk(U1.padded(2) * Fr(3, 4) + U2 * Fr(-3, 2)), 1.0, s, cfg)
         assert abs(y3 - (a * y1 + b * y2)) <= 10 * cfg.ode_rel_tol * max(1.0, abs(y3))
+
+
+def solve_alone(spec, x0, s, cfg=DEFAULT_CONFIG):
+    """The ode route's value at one s: a backward Radau solve in
+    u = log(x - theta) from y(x0) = 0 that ends at s + theta."""
+    th = float(spec.theta_eps)
+    if not (0 < s and s + th <= x0 <= 1.0 + 1e-15):
+        raise ValueError("need theta < s + theta <= x0 <= 1")
+    lam = float(spec.lam)
+    Vc = [float(c) for c in spec.V.coeffs]
+    Uc = [float(c) for c in spec.U.coeffs]
+    Qc = [float(c) for c in spec.Q.restrict(float(spec.e_hat)).coeffs]
+
+    def rhs(u, y):
+        x = th + math.exp(u)
+        return [(lam * horner(Vc, x) * y[0] - horner(Uc, x)) / horner(Qc, x - th)]
+
+    def jac(u, y):
+        x = th + math.exp(u)
+        return [[lam * horner(Vc, x) / horner(Qc, x - th)]]
+
+    u0, u1 = math.log(x0 - th), math.log(s)
+    if u1 == u0:
+        return 0.0
+    sol = solve_ivp(
+        rhs, (u0, u1), [0.0], method="Radau", jac=jac,
+        rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol,
+    )
+    if not sol.success:
+        if "step size" in sol.message.lower():
+            raise StepSizeUnderflow(sol.message)
+        raise ToleranceNotMet(sol.message)
+    return float(sol.y[0, -1])
+
+
+def ode_case(fam, sign, lam, eps, V=(1, Fr(1, 2)), U=(1, 1)):
+    return UnfoldingSpec(
+        family=fam, branch=biggest_real_root_branch(fam, sign),
+        V=TS.from_coeffs([Fr(c) for c in V], order=3),
+        U=TS.from_coeffs([Fr(c) for c in U], order=3),
+        lam=lam, eps=eps,
+    )
+
+
+def hard_grid(spec, x0):
+    """An unsorted log grid with duplicates, the point s + theta = x0, and
+    points on both sides of 1e-4 from u0 = log(x0 - theta): at x0 = 0.99999
+    a shared sweep would move the last bit at two of those within 1e-4."""
+    rest = x0 - float(spec.theta_eps)
+    near = [rest * math.exp(-d) for d in (1e-7, 3e-5, 6.7e-5, 9.9e-5, 1e-4, 1.01e-4, 3e-4)]
+    grid = np.geomspace(1e-3, 0.5 * rest, 13).tolist() + near + [rest]
+    grid += grid[3:6] + [near[2], rest]
+    random.Random(len(grid)).shuffle(grid)
+    return grid
+
+
+class TestOdeGrid:
+    """One call on a grid gives every point the value of its own solve."""
+
+    @pytest.mark.parametrize(
+        "mu, sign, lam, eps, x0",
+        [
+            (1, +1, 1.0, 0.0, 1.0),
+            (1, +1, 0.7, 0.0, 0.99999),
+            (1, +1, 5.0, 1e-3, 0.5),
+            (2, +1, 25.0, 1e-3, 1.0),
+            (2, +1, 2.0, 0.0, 0.99999),
+            (2, -1, 3.0, -1e-3, 1.0),
+        ],
+    )
+    def test_equals_one_solve_per_point(self, fam_linear, fam_quadratic, mu, sign, lam, eps, x0):
+        spec = ode_case(fam_linear if mu == 1 else fam_quadratic, sign, lam, eps)
+        grid = hard_grid(spec, x0)
+        got = particular_solution(spec, x0, grid)
+        assert got == [solve_alone(spec, x0, s) for s in grid]
+        assert all(type(v) is float for v in got)
+        assert got[grid.index(x0 - float(spec.theta_eps))] == 0.0
+
+    def test_scalar_and_array_grid(self, euler_spec):
+        assert particular_solution(euler_spec, 1.0, 0.05) == solve_alone(euler_spec, 1.0, 0.05)
+        grid = np.geomspace(1e-3, 1e-1, 9)
+        assert particular_solution(euler_spec, 1.0, grid) == [solve_alone(euler_spec, 1.0, s) for s in grid]
+        assert particular_solution(euler_spec, 1.0, []) == []
+
+    def test_quadrature_route_per_point(self, euler_spec):
+        grid = [0.3, 0.02, 0.3]
+        got = particular_solution(euler_spec, 1.0, grid, TIGHT, method="quadrature")
+        assert got == [particular_solution(euler_spec, 1.0, s, TIGHT, method="quadrature") for s in grid]
+
+    def test_invalid_point_raises_in_grid_order(self, euler_spec):
+        with pytest.raises(ValueError, match="need theta"):
+            particular_solution(euler_spec, 0.5, [0.1, 0.7, 0.2])
+        with pytest.raises(ValueError, match="unknown method"):
+            particular_solution(euler_spec, 1.0, [0.1], method="euler")
+
+    @staticmethod
+    def first_failure(call):
+        try:
+            call()
+        except Exception as exc:
+            return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize("where", ["sweep", "copies", "raises"])
+    def test_failure_as_the_per_point_loop(self, monkeypatch, fam_linear, where):
+        # force failures into Radau: past u = log 0.02 ("sweep" and "raises"),
+        # or at the first step of the solves ending at two chosen points
+        spec = ode_case(fam_linear, +1, 2.0, 0.0)
+        grid = np.geomspace(1e-3, 1e-1, 11).tolist()
+        stop = {math.log(grid[7]): "tolerance not met", math.log(grid[9]): "Required step size is tiny"}
+        step = Radau._step_impl
+
+        def failing(solver):
+            if where == "copies" and solver.t_bound in stop and solver.t - solver.t_bound < 0.6:
+                return False, stop[solver.t_bound]
+            if where != "copies" and solver.t < math.log(0.02):
+                if where == "raises":
+                    raise ZeroDivisionError("forced")
+                return False, "Required step size is less than spacing between numbers."
+            return step(solver)
+
+        monkeypatch.setattr(Radau, "_step_impl", failing)
+        for order in (grid, grid[::-1], grid[5:] + grid[:5]):
+            want = self.first_failure(lambda: [solve_alone(spec, 1.0, s) for s in order])
+            assert want is not None
+            assert self.first_failure(lambda: particular_solution(spec, 1.0, order)) == want
 
 
 class TestDulacTime:
