@@ -1,0 +1,251 @@
+"""scipy's RK45 for small systems, stepped in Python floats.
+
+`solve_ivp` here is a port of ``scipy.integrate.solve_ivp(method="RK45")``
+for the arguments the Loud period integration passes.  Its systems have
+two or three components, where scipy's per-step numpy overhead costs several
+times the right-hand side.  The port keeps everything that decides the
+steps and the events:
+
+* the Dormand-Prince 5(4) tableau, read from ``scipy.integrate.RK45``;
+* the initial step of ``select_initial_step`` (or ``first_step``);
+* the step control: safety 0.9, factors between 0.2 and 10, exponent -1/5,
+  no growth right after a rejected step, failure below ten spacings of t;
+* the event location: the sign test with ``direction``, scipy's ``brentq``
+  at ``xtol = rtol = 4 EPS`` on the same quartic dense output, and a
+  terminal event ending the solve at ``sol(t_event)``.
+
+Each sum is formed in numpy's order (the stages times their weights, then
+times h), so solutions agree with scipy's to rounding in the last bits:
+numpy may fuse a multiply and an add where Python rounds twice.  Only
+``terminal`` values that are booleans are supported (a count above one is
+not).  A right-hand side that keeps returning NaN fails the solve with
+scipy's step-size message; scipy itself loops forever on a NaN step size.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from scipy.integrate import RK45
+from scipy.optimize import brentq
+
+_EPS = 2.0**-52
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_MESSAGES = {
+    0: "The solver successfully reached the end of the integration interval.",
+    1: "A termination event occurred.",
+}
+
+# scipy's tableau, unpacked to Python floats: stage j's weights in row j of A
+_, _C2, _C3, _C4, _C5, _C6 = RK45.C.tolist()
+_A = [row[:i] for i, row in enumerate(RK45.A.tolist())]
+(_A21,), (_A31, _A32), (_A41, _A42, _A43) = _A[1:4]
+(_A51, _A52, _A53, _A54), (_A61, _A62, _A63, _A64, _A65) = _A[4:]
+_B1, _B2, _B3, _B4, _B5, _B6 = RK45.B.tolist()
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = RK45.E.tolist()
+_P_COLUMNS = [list(col) for col in zip(*RK45.P.tolist())]
+
+
+@dataclass
+class Solution:
+    """Outcome of one solve: ``t`` and ``y`` are the final time and state
+    (at the terminal event, if one fired), ``t_events`` a list of event
+    times per event, ``nfev`` the number of right-hand side evaluations."""
+
+    status: int
+    message: str
+    t: float
+    y: list
+    t_events: list
+    nfev: int
+
+
+def _dot(a, b) -> float:
+    acc = 0.0
+    for u, v in zip(a, b):
+        acc += u * v
+    return acc
+
+
+def _rms(x: list) -> float:
+    """scipy's norm: sqrt(x . x) / sqrt(n)."""
+    return math.sqrt(_dot(x, x)) / len(x) ** 0.5
+
+
+def _quotient(a: float, b: float) -> float:
+    """a / b for a, b >= 0 (or NaN) as numpy divides: inf or NaN at b = 0."""
+    if b:
+        return a / b
+    return math.inf if a > 0 else math.nan
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol) -> float:
+    """scipy's select_initial_step (Hairer, Norsett and Wanner, II.4)."""
+    interval_length = abs(t_bound - t0)
+    scale = [a + abs(y) * rtol for y, a in zip(y0, atol)]
+    d0 = _rms([y / s for y, s in zip(y0, scale)])
+    d1 = _rms([f / s for f, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = [y + h0 * direction * f for y, f in zip(y0, f0)]
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = _quotient(_rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]), h0)
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = _quotient(0.01, max(d1, d2)) ** -_ERROR_EXPONENT
+    return min(100 * h0, h1, interval_length)
+
+
+def _dense_output(t_old, h, y_old, K):
+    """The quartic interpolant of the last step: scipy's RkDenseOutput with
+    Q = K^T P."""
+    Q = [[_dot(k, p) for p in _P_COLUMNS] for k in zip(*K)]
+
+    def sol(t):
+        x = (t - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        p = (x, x2, x3, x3 * x)
+        return [h * _dot(q, p) + y for q, y in zip(Q, y_old)]
+
+    return sol
+
+
+def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6, first_step=None) -> Solution:
+    """Integrate y' = fun(t, y) over t_span as scipy's RK45 does.
+
+    ``fun`` receives the state as a list of floats and returns a sequence;
+    ``atol`` is a positive number or one per component; ``events`` are
+    callables ``event(t, y)`` with optional ``terminal`` (bool) and
+    ``direction`` attributes, as for scipy."""
+    t, t_bound = (float(v) for v in t_span)
+    y = [float(v) for v in y0]
+    if not all(math.isfinite(v) for v in y):
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    n = len(y)
+    atol = [float(a) for a in atol] if isinstance(atol, (list, tuple)) else [float(atol)] * n
+    if len(atol) != n or not all(a > 0 for a in atol):
+        raise ValueError("atol must be positive, one value or one per component")
+    direction = -1.0 if t_bound < t else 1.0
+    terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
+    ev_dir = [getattr(ev, "direction", 0) for ev in events]
+    t_events = [[] for _ in events]
+    g = [ev(t, y) for ev in events]
+
+    f = fun(t, y)
+    nfev = 1
+    if t == t_bound:
+        return Solution(0, _MESSAGES[0], t, y, t_events, nfev)
+    if first_step is None:
+        h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
+        nfev += 1
+    else:
+        h_abs = first_step
+
+    status = None
+    while status is None:
+        # one accepted step: scipy's RungeKutta._step_impl
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # NaN fails here too
+                return Solution(-1, _TOO_SMALL_STEP, t, y, t_events, nfev)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+
+            k1 = f
+            k2 = fun(t + _C2 * h, [yi + (a * _A21) * h for yi, a in zip(y, k1)])
+            k3 = fun(
+                t + _C3 * h,
+                [yi + (a * _A31 + b * _A32) * h for yi, a, b in zip(y, k1, k2)],
+            )
+            k4 = fun(
+                t + _C4 * h,
+                [
+                    yi + (a * _A41 + b * _A42 + c * _A43) * h
+                    for yi, a, b, c in zip(y, k1, k2, k3)
+                ],
+            )
+            k5 = fun(
+                t + _C5 * h,
+                [
+                    yi + (a * _A51 + b * _A52 + c * _A53 + d * _A54) * h
+                    for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+                ],
+            )
+            k6 = fun(
+                t + _C6 * h,
+                [
+                    yi + (a * _A61 + b * _A62 + c * _A63 + d * _A64 + e * _A65) * h
+                    for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+                ],
+            )
+            y_new = [
+                yi + h * (a * _B1 + b * _B2 + c * _B3 + d * _B4 + e * _B5 + g6 * _B6)
+                for yi, a, b, c, d, e, g6 in zip(y, k1, k2, k3, k4, k5, k6)
+            ]
+            k7 = fun(t + h, y_new)
+            nfev += 6
+
+            error_norm = _rms(
+                [
+                    (a * _E1 + b * _E2 + c * _E3 + d * _E4 + e * _E5 + g6 * _E6 + g7 * _E7)
+                    * h
+                    / (at + max(abs(yi), abs(yn)) * rtol)
+                    for a, b, c, d, e, g6, g7, yi, yn, at in zip(
+                        k1, k2, k3, k4, k5, k6, k7, y, y_new, atol
+                    )
+                ]
+            )
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected = True
+
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, k7
+        if direction * (t - t_bound) >= 0:
+            status = 0
+
+        if events:
+            g_new = [ev(t, y) for ev in events]
+            active = [
+                i
+                for i, (a, b, d) in enumerate(zip(g, g_new, ev_dir))
+                if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)
+            ]
+            if active:
+                sol = _dense_output(t_old, h, y_old, (k1, k2, k3, k4, k5, k6, k7))
+                roots = [
+                    (brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old, t,
+                            xtol=4 * _EPS, rtol=4 * _EPS), i)
+                    for i in active
+                ]
+                roots.sort(key=lambda r: direction * r[0])
+                for root, i in roots:
+                    t_events[i].append(root)
+                    if terminal[i]:
+                        status = 1
+                        t, y = root, sol(root)
+                        break
+            g = g_new
+
+    return Solution(status, _MESSAGES[status], t, y, t_events, nfev)

@@ -280,6 +280,15 @@ class TestLoud:
         spec = write_spec(tmp_path, "s.json", {"loud": {"D_grid": [-0.75]}})
         assert main(["loud", spec, "--out", str(tmp_path / "o")]) == 0
 
+    def test_step_size_collapse_exits_1(self, tmp_path, capsys):
+        """Near D = -1 at F = 3/2 a period integration needs a step below the
+        spacing of the floats: exit 1 with the integrator's one-line message."""
+        obj = {"loud": {"D_grid": [-0.999], "F": 1.5, "s_grid": [0.5, 0.99]}}
+        spec = write_spec(tmp_path, "s.json", obj)
+        assert main(["loud", spec, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "EventMissed: Required step size is less than spacing between numbers.\n"
+
 
 class TestBadSpecs:
     """Inputs that used to crash or pass vacuously exit 3 with a message."""

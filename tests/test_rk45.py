@@ -1,0 +1,190 @@
+"""The scalar RK45 port against scipy's solve_ivp(method="RK45")."""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+import scipy.integrate
+
+from dulackit import loud
+from dulackit.errors import EventMissed
+from dulackit.rk45 import solve_ivp
+
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+# (D, s) points whose period solves are compared one by one.  Between them
+# they take every chart path: the plane backward arc (v = 0 and guard
+# events) everywhere, the log-w chart ending at the z switch (s = 0.05 and
+# 0.2, which then finish in the horizontal chart with first_step = 1e-6)
+# or at the w floor (s <= 0.01), and D = -1/2.
+COMPARED = [(-0.9, 0.05), (-0.75, 0.01), (-0.5, 1e-3), (-0.25, 0.2), (-0.1, 10**-2.5)]
+# Solves where one step-size decision comes out the other way, because the
+# error norm lands within rounding of 1: at (-0.75, 0.01) the log-w solve
+# takes 572 evaluations against scipy's 578.  From there the two runs
+# differ by the integrator's error, not by rounding, so their final states
+# are compared at the solve's tolerance (z: 1.75e-13 apart, against
+# atol + rtol |z| = 1.8e-13).  Every other compared solve has equal nfev.
+STEPS_DIFFER = {(-0.75, 0.01, "log_w")}
+
+
+def scipy_rk45(fun, t_span, y0, events=(), **kw):
+    """scipy's solve_ivp with the port's result shape (final state in y)."""
+    sol = scipy.integrate.solve_ivp(fun, t_span, y0, events=events, **kw)
+    return SimpleNamespace(
+        status=sol.status,
+        message=sol.message,
+        t=float(sol.t[-1]),
+        y=sol.y[:, -1].tolist(),
+        t_events=[te.tolist() for te in sol.t_events],
+        nfev=sol.nfev,
+    )
+
+
+def chart(y0, events):
+    return {(2, 2): "plane_back", (3, 2): "log_w", (3, 1): "horizontal"}[(len(y0), len(events))]
+
+
+def period_solves(D, s):
+    """Every solve of period_numeric at (D, F = 1, s), run by the port and
+    by scipy."""
+    out = []
+
+    def both(fun, t_span, y0, events=(), **kw):
+        port = solve_ivp(fun, t_span, y0, events=events, **kw)
+        ref = scipy_rk45(fun, t_span, y0, events=events, **kw)
+        out.append((chart(y0, events), fun, kw, port, ref))
+        return port
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(loud, "solve_ivp", both)
+        loud.period_numeric(loud.LoudParams(D=D, F=1.0), s)
+    return out
+
+
+def assert_same_solve(port, ref, fun, state_tol=None):
+    """Same outcome and events; event times within 1e-13 relative; final
+    states within state_tol, by default 1e-13 of max(|y|, 1), once moved
+    along the orbit by the difference of the final times (brentq stops each
+    root within 4 EPS (1 + |t|) of it, and the state's own coordinate runs
+    fast at a z switch)."""
+    assert (port.status, port.message) == (ref.status, ref.message)
+    assert [len(te) for te in port.t_events] == [len(te) for te in ref.t_events]
+    for te_p, te_r in zip(port.t_events, ref.t_events):
+        for a, b in zip(te_p, te_r):
+            assert abs(a - b) <= 1e-13 * abs(b)
+    dt = abs(port.t - ref.t)
+    assert dt <= 1e-13 * max(abs(ref.t), 1.0)
+    if state_tol is None:
+        state_tol = [1e-13 * max(abs(b), 1.0) for b in ref.y]
+    for a, b, f, tol in zip(port.y, ref.y, fun(ref.t, list(ref.y)), state_tol):
+        assert abs(a - b) <= tol + abs(f) * dt
+
+
+@pytest.mark.parametrize("D, s", COMPARED)
+def test_period_solves_match_scipy(D, s):
+    for name, fun, kw, port, ref in period_solves(D, s):
+        if (D, s, name) in STEPS_DIFFER:
+            tol = [a + kw["rtol"] * abs(y) for a, y in zip(kw["atol"], ref.y)]
+            assert_same_solve(port, ref, fun, tol)
+        else:
+            assert_same_solve(port, ref, fun)
+            assert port.nfev == ref.nfev, name
+
+
+def test_compared_points_cover_every_chart_ending():
+    endings = set()
+    for D, s in COMPARED:
+        for name, _, _, port, _ in period_solves(D, s):
+            fired = tuple(i for i, te in enumerate(port.t_events) if te)
+            endings.add((name, fired))
+    assert endings == {
+        ("plane_back", (0,)),  # v = 0 reached
+        ("log_w", (0,)),  # z switch
+        ("log_w", (1,)),  # w floor
+        ("horizontal", (0,)),
+    }
+
+
+def test_default_grid_periods_match_scipy(monkeypatch):
+    s_grid = np.geomspace(1e-3, 1e-2, 7)
+    D_grid = [-0.9, -0.75, -0.5, -0.25, -0.1]
+    points = [(loud.LoudParams(D=D, F=1.0), float(s)) for D in D_grid for s in s_grid]
+    port = [loud.period_numeric(p, s) for p, s in points]
+    monkeypatch.setattr(loud, "solve_ivp", scipy_rk45)
+    ref = [loud.period_numeric(p, s) for p, s in points]
+    for a, b in zip(port, ref):
+        assert abs(a - b) <= 1e-13 * abs(b)
+
+
+def _oscillator(t, y):
+    return [y[1], -y[0]]
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 20.0), (0.0, -20.0)], ids=["forward", "backward"])
+def test_events_and_direction_match_scipy(t_span):
+    """Non-terminal events record every crossing in their direction; the
+    terminal one ends the solve at its root, forward and backward in t."""
+    up = lambda t, y: y[0]
+    up.direction = 1.0
+    either = lambda t, y: y[1] - 0.5
+    stop = lambda t, y: abs(t) - 15.0
+    stop.terminal = True
+    kw = dict(events=[up, either, stop], rtol=1e-10, atol=1e-12)
+    port = solve_ivp(_oscillator, t_span, [1.0, 0.0], **kw)
+    ref = scipy_rk45(_oscillator, t_span, [1.0, 0.0], **kw)
+    assert port.status == 1 and all(port.t_events)
+    assert_same_solve(port, ref, _oscillator)
+    assert port.nfev == ref.nfev
+
+
+def test_whole_interval_without_events_matches_scipy():
+    port = solve_ivp(_oscillator, (0.0, 7.5), [1.0, 0.0], rtol=1e-11, atol=[1e-14, 1e-13])
+    ref = scipy_rk45(_oscillator, (0.0, 7.5), [1.0, 0.0], rtol=1e-11, atol=[1e-14, 1e-13])
+    assert port.status == 0 and port.t == 7.5
+    assert_same_solve(port, ref, _oscillator)
+    assert port.nfev == ref.nfev
+
+
+def test_empty_interval_matches_scipy():
+    port = solve_ivp(_oscillator, (1.0, 1.0), [1.0, 0.0])
+    ref = scipy_rk45(_oscillator, (1.0, 1.0), [1.0, 0.0])
+    assert (port.status, port.t, port.y, port.nfev) == (ref.status, ref.t, ref.y, ref.nfev)
+
+
+class TestFailures:
+    @pytest.mark.parametrize(
+        "rhs, y0",
+        [
+            (lambda t, y: [math.nan if t > 0.5 else 1.0, 1.0], [1.0, 2.0]),
+            # zero slope at the start, NaN at the trial point of the initial
+            # step: scipy divides 0.01 by a zero norm there and gets inf
+            (lambda t, y: [0.0 if t == 0 else math.nan], [1.0]),
+        ],
+        ids=["nan-after-t", "nan-after-start"],
+    )
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_nan_rhs_fails_as_scipy_does(self, rhs, y0):
+        port = solve_ivp(rhs, (0.0, 10.0), y0, rtol=1e-11, atol=1e-14)
+        ref = scipy_rk45(rhs, (0.0, 10.0), y0, rtol=1e-11, atol=1e-14)
+        assert (port.status, port.message) == (-1, TOO_SMALL_STEP)
+        assert (port.status, port.message, port.t, port.nfev) == (ref.status, ref.message, ref.t, ref.nfev)
+
+    def test_nan_from_the_start_fails(self):
+        # scipy never leaves its step loop here: the step size is NaN
+        sol = solve_ivp(lambda t, y: [math.nan], (0.0, 1.0), [1.0], rtol=1e-11, atol=1e-14)
+        assert (sol.status, sol.message) == (-1, TOO_SMALL_STEP)
+
+    def test_loud_solve_raises_event_missed(self):
+        rhs = lambda t, y: [math.nan if t > 0.5 else 1.0, 1.0]
+        with pytest.raises(EventMissed, match="^Required step size"):
+            loud._solve(rhs, (0.0, 10.0), [1.0, 2.0], [], 1e-14)
+
+    @pytest.mark.parametrize("atol", [0.0, [1e-14], -1.0], ids=["zero", "wrong-length", "negative"])
+    def test_bad_atol(self, atol):
+        with pytest.raises(ValueError, match="atol"):
+            solve_ivp(_oscillator, (0.0, 1.0), [1.0, 0.0], atol=atol)
+
+    def test_non_finite_start(self):
+        with pytest.raises(ValueError, match="finite"):
+            solve_ivp(_oscillator, (0.0, 1.0), [math.inf, 0.0])
