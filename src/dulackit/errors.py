@@ -107,3 +107,7 @@ class EscapedAnnulus(DulacKitError):
 
 class EventMissed(DulacKitError):
     """Section crossing not detected within the integration budget."""
+
+
+class OutsideAtlas(DulacKitError):
+    """The period integration would start past a chart switch of its atlas."""

@@ -31,7 +31,6 @@ the tests check that both constructions give equal coefficients.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -263,11 +262,9 @@ def vbounds(spec: UnfoldingSpec, ell: int) -> float:
     It is an advisory grid check, not a certificate: V_j is not looked at
     between the grid points.
 
-    V and Q are evaluated in full, from float copies of their coefficients,
-    on the whole grid at once.  theta = sigma(e_hat) is summed by Horner's
-    rule as PuiseuxBranch.theta does, so it is that value bit for bit.
-    V_j is affine in j, so at each point its extremes over 0 <= j <= ell
-    sit at j = 0 and j = ell; only those are evaluated."""
+    theta = sigma(e_hat), V and Q are evaluated in full on the whole grid
+    at once.  V_j is affine in j, so at each point its extremes over
+    0 <= j <= ell sit at j = 0 and j = ell; only those are evaluated."""
     probes = sorted(VB_EPS_MAX * (10.0 ** (-6 * k / (VB_N_EPS - 1))) for k in range(VB_N_EPS))
     s = np.array([-VB_S0 + 2 * VB_S0 * i / (VB_N_S - 1) for i in range(VB_N_S)])
     branch = spec.branch
@@ -276,8 +273,8 @@ def vbounds(spec: UnfoldingSpec, ell: int) -> float:
     for (i, j), c in spec.Q.terms.items():
         q[i, j] = float(c)
     with np.errstate(all="ignore"):  # Python floats overflow silently too
-        theta = horner([float(c) for c in branch.sigma.coeffs], e)
-        V = horner([float(c) for c in spec.V.coeffs], s + theta)
+        theta = branch.sigma(e)
+        V = spec.V(s + theta)
         Q = horner([horner(row.tolist(), e) for row in q], s)
         V_ell = V - float(_ratio(ell, spec.lam)) * Q
         inside = (0.5 <= V) & (V <= 2.0) & (0.5 <= V_ell) & (V_ell <= 2.0)
@@ -404,18 +401,13 @@ class DulacTimeSpec:
             return self.ua_fn(x, y)
         if self.modes is None:
             raise ValueError("evaluating U(x, y) needs ua_fn or a finite mode list")
-        # at a float x, float copies of the coefficients give the same values
-        modes = self._float_modes if type(x) is float else [m.coeffs for m in self.modes]
+        exact = type(x) is not float
         acc = 0.0
         yp = 1.0
-        for coeffs in modes:
-            acc += float(horner(coeffs, x)) * yp
+        for m in self.modes:
+            acc += float(horner(m.coeffs if exact else m.float_coeffs, x)) * yp
             yp *= y
         return acc
-
-    @functools.cached_property
-    def _float_modes(self) -> list:
-        return [[float(c) for c in m.coeffs] for m in self.modes]
 
 
 def dulac_time_coefficients(ts: DulacTimeSpec, ell: int) -> ExpansionResult:

@@ -15,11 +15,9 @@ A numeric tracker (companion-matrix roots on a log grid) validates every
 accepted branch.  It takes the whole grid at once: P's coefficients are
 converted to float once, the companion matrices of one degree share one
 eigvals call, and the candidates are polished and sign-tested as numpy
-arrays (:func:`track_biggest_real_root`); the validation evaluates sigma
-and P from float copies of their coefficients (:func:`_validate_branch`).
-Both are bit-identical to point-by-point evaluation: Python's mixed
-Fraction/float arithmetic converts the Fraction to float first, and
-numpy's float64 products and sums round as Python's floats do.
+arrays (:func:`track_biggest_real_root`), bit-identical to point-by-point
+evaluation, since numpy's float64 products and sums round as Python's
+floats do.
 
 The quotient Q(s, e) := P(s + sigma(e); +-e^rho) / s is the object the
 later hypothesis checks and the coefficient recursion consume.  It is
@@ -97,9 +95,17 @@ class PolynomialFamily:
         if at_zero != {self.mu + 1: 1}:
             raise ValueError("P(x; 0) must equal x^(mu+1) exactly")
 
+    @functools.cached_property
+    def float_coeffs(self) -> dict:
+        """coeffs with each coefficient converted to float, in the same order."""
+        return {km: float(c) for km, c in self.coeffs.items()}
+
     def eval(self, x, eps):
+        """P(x; eps), term by term in coeffs order; at a float x it sums
+        float_coeffs, by the rule TruncatedSeries.__call__ states."""
+        terms = self.float_coeffs if type(x) is float else self.coeffs
         acc = 0 * x
-        for (k, m), c in self.coeffs.items():
+        for (k, m), c in terms.items():
             acc = acc + c * x**k * eps**m
         return acc
 
@@ -109,18 +115,16 @@ class PolynomialFamily:
 
     def x_coeff_rows(self, eps_grid) -> np.ndarray:
         """Row r holds the dense float coefficients in x (low first) at
-        eps_grid[r]: each coefficient is converted to float once, and the
-        terms are added in the order of coeffs, as
-        float(c) * float(eps) ** m with Python's float power, over the
-        whole grid at once."""
+        eps_grid[r]: the terms of float_coeffs, added in their order as
+        c * float(eps) ** m with Python's float power, on the whole grid."""
         eps = [float(e) for e in eps_grid]
         rows = np.zeros((len(eps), self.mu + 2))
         powers = {}
         with np.errstate(all="ignore"):  # Python floats overflow silently too
-            for (k, m), c in self.coeffs.items():
+            for (k, m), c in self.float_coeffs.items():
                 if m not in powers:
                     powers[m] = np.array([e**m for e in eps])
-                rows[:, k] += float(c) * powers[m]
+                rows[:, k] += c * powers[m]
         return rows
 
     def to_json(self) -> dict:
@@ -174,18 +178,8 @@ class PuiseuxBranch:
         return float(a) ** (1.0 / self.rho)
 
     def theta(self, eps):
-        """The tracked root at a parameter value.  At a float branch variable
-        sigma is summed from float copies of its coefficients: mixed
-        Fraction/float arithmetic converts the Fraction to float first, so
-        the value is the one the exact coefficients give."""
-        e = self.e_hat(eps)
-        if type(e) is float and len(self._sigma_floats) > 1:
-            return horner(self._sigma_floats, e)
-        return self.sigma(e)
-
-    @functools.cached_property
-    def _sigma_floats(self) -> list:
-        return [float(c) for c in self.sigma.coeffs]
+        """The tracked root sigma(e_hat(eps)) at a parameter value."""
+        return self.sigma(self.e_hat(eps))
 
 
 @dataclass
@@ -801,25 +795,15 @@ def _validate_branch(P: PolynomialFamily, branch: PuiseuxBranch, tracked: dict):
     (sign-change) real root above the prediction means the selection is
     wrong.  A prediction above every confirmed root is allowed only if it is
     itself root-consistent, since even-multiplicity real roots produce no
-    sign change and cannot be confirmed numerically.
-
-    sigma and P are evaluated from float copies of their coefficients:
-    Python's mixed Fraction/float arithmetic converts the Fraction to float
-    first, so each value is the one the exact coefficients give at a float
-    point.  sigma is summed by Horner's rule over the whole grid at once."""
-    sigma = [float(c) for c in branch.sigma.coeffs]
+    sign change and cannot be confirmed numerically."""
     t = np.array([e ** (1.0 / branch.rho) for e in tracked])
     with np.errstate(all="ignore"):  # Python floats overflow silently too
-        preds = np.broadcast_to(horner(sigma, t), t.shape).tolist()
+        preds = branch.sigma(t).tolist()
     epses = [branch.sign * e for e in tracked]
     rows = P.x_coeff_rows(epses).tolist()
-    terms = [(k, m, float(c)) for (k, m), c in P.coeffs.items()]
     for root, eps, pred, row in zip(tracked.values(), epses, preds, rows):
         scale = max(1.0, sum(abs(c) for c in row))
-        acc = 0 * pred
-        for k, m, c in terms:
-            acc = acc + c * pred**k * eps**m
-        resid = abs(acc)
+        resid = abs(P.eval(pred, eps))
         if resid > _RESIDUAL_RTOL * scale:
             raise BranchAmbiguous(
                 f"branch residual {resid:g} exceeds tolerance at eps={eps:g}"

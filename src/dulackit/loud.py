@@ -52,6 +52,7 @@ from .errors import (
     EventMissed,
     NegativeG,
     OnSection,
+    OutsideAtlas,
     PoleAtNonPositiveInteger,
 )
 from .expansion import DulacTimeSpec
@@ -231,7 +232,6 @@ class ModeExpansion:
     modes: tuple  # U_1..U_n as series in x
     C: float
     r: float
-    y_radius: float
 
 
 def loud_modes(p: LoudParams, order: int, n_modes: int = 24) -> ModeExpansion:
@@ -269,7 +269,7 @@ def loud_modes(p: LoudParams, order: int, n_modes: int = 24) -> ModeExpansion:
     ]
     r = 1.05 * max(roots_est) if roots_est else 0.5
     C = max(norms[n - 1] / r**n for n in range(1, len(norms) + 1))
-    return ModeExpansion(modes=modes, C=C, r=r, y_radius=2 * p.section_height)
+    return ModeExpansion(modes=modes, C=C, r=r)
 
 
 @functools.cache
@@ -417,11 +417,17 @@ def _theta_normal(p: LoudParams) -> float:
 def period_numeric(p: LoudParams, s: float) -> float:
     """Full period of the orbit through the node entry point Phi(s+theta, y0)
     at the section height y0, as twice the v=0-to-v=0 half period, by the
-    three-chart integration."""
+    three-chart integration.  An entry point at or past the log-w chart's
+    z switch, where the switch event cannot fire, raises OutsideAtlas."""
     th = _theta_normal(p)
     t_back = time_to_entry(p, s)
 
     z0, w0 = normal_to_chart(s + th, p.section_height, p)
+    if z0 >= _Z_SWITCH:
+        raise OutsideAtlas(
+            f"s = {s:g} is outside the chart atlas at D = {p.D:g}, F = {p.F:g}: "
+            f"the node entry has z = {z0:.3g}, at or past the switch z = {_Z_SWITCH:g}"
+        )
     rhs_zw = _log_w_rhs(p)
     ev_z = lambda tau, y: y[0] - _Z_SWITCH
     ev_z.terminal = True

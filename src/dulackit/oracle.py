@@ -31,8 +31,8 @@ step could differ, gets its own solve.  The quadrature route stays one
 point at a time and shares nothing with the ODE route.
 
 Still repeated on purpose, since perfbench's `test_sizing_in_kind` pins
-the per-layer shares they set: `dulac_time` runs one `_x_of_tau` solve per
-s, `cli.cmd_loud` computes each Loud period twice, and
+the per-layer shares they set: `dulac_time` solves x(tau) once per s
+(`_tau_quadrature`), `cli.cmd_loud` computes each Loud period twice, and
 `expansion.dulac_time_coefficients` calls `compute_Q` once per mode.
 """
 
@@ -74,10 +74,8 @@ DEFAULT_CONFIG = QuadratureConfig()
 def _v_over_p_integral(spec: UnfoldingSpec, a: float, b: float, cfg: QuadratureConfig) -> float:
     """A(b) - A(a) with A' = V/P, for theta < a <= b, via u = log(x - theta)."""
     th = float(spec.theta_eps)
-    e_hat = float(spec.e_hat)
-    Vc = [float(c) for c in spec.V.coeffs]
-    Qres = spec.Q.restrict(e_hat)
-    Qc = [float(c) for c in Qres.coeffs]
+    Vc = spec.V.float_coeffs
+    Qc = spec.Q.restrict(float(spec.e_hat)).float_coeffs
     if not b > th or not a > th:
         raise ValueError("integration endpoints must lie right of the root")
     if cfg.substitution:
@@ -192,11 +190,10 @@ def _ode_values(spec: UnfoldingSpec, x0: float, s_points, cfg: QuadratureConfig)
     solve; the rest share one Radau sweep to the smallest s, which forks a
     copy ending at each other point (_ForkingRadau)."""
     th = float(spec.theta_eps)
-    e_hat = float(spec.e_hat)
     lam = float(spec.lam)
-    Vc = [float(c) for c in spec.V.coeffs]
-    Uc = [float(c) for c in spec.U.coeffs]
-    Qc = [float(c) for c in spec.Q.restrict(e_hat).coeffs]
+    Vc = spec.V.float_coeffs
+    Uc = spec.U.float_coeffs
+    Qc = spec.Q.restrict(float(spec.e_hat)).float_coeffs
 
     def rhs(u, y):
         x = th + math.exp(u)
@@ -288,13 +285,12 @@ class _ForkingRadau(Radau):
         return float(fork.y[0])
 
 
-def _x_of_tau(spec_or_ts, s_abs: float, x0: float, tau_cap: float, cfg: QuadratureConfig):
-    """Reparametrize x by tau = A(x) - A(s_abs), dx/dtau = P(x)/V(x).
-
-    Returns (dense solution, tau_end) where tau_end is min(tau at x = x0,
-    tau_cap)."""
-    Vc = [float(c) for c in spec_or_ts.V.coeffs]
-    Pc = spec_or_ts.family.x_coeffs(float(spec_or_ts.eps))
+def _tau_quadrature(Pc, Vc, s_abs: float, x0: float, tau_cap: float, cut: float,
+                    weight, cfg: QuadratureConfig) -> float:
+    """Integral of weight(x(tau), tau) over 0 <= tau <= min(tau_end, cut),
+    where x(tau) solves dx/dtau = P(x)/V(x) (float coefficients Pc, Vc) from
+    x(0) = s_abs, so that tau = A(x) - A(s_abs) with A' = V/P, and tau_end
+    is the tau at which x reaches x0, or tau_cap if it does not."""
 
     def rhs(tau, x):
         return [horner(Pc, x[0]) / horner(Vc, x[0])]
@@ -309,25 +305,23 @@ def _x_of_tau(spec_or_ts, s_abs: float, x0: float, tau_cap: float, cfg: Quadratu
     if not sol.success and sol.status != 1:
         raise ToleranceNotMet(sol.message or "reparametrization ODE failed")
     tau_end = sol.t_events[0][0] if sol.status == 1 and len(sol.t_events[0]) else tau_cap
-    return sol, float(tau_end)
+
+    def integrand(tau):
+        return weight(float(sol.sol(tau)[0]), tau)
+
+    val, _ = _quad(integrand, 0.0, min(float(tau_end), cut), cfg)
+    return val
 
 
 def _y_l_quadrature(spec: UnfoldingSpec, x0: float, s: float, cfg: QuadratureConfig) -> float:
     th = float(spec.theta_eps)
     lam = float(spec.lam)
-    Vc = [float(c) for c in spec.V.coeffs]
-    Uc = [float(c) for c in spec.U.coeffs]
-    tau_cap = (-_EXP_UNDERFLOW + 60.0) / lam
-    sol, tau_end = _x_of_tau(spec, s + th, x0, tau_cap, cfg)
-
-    def integrand(tau):
-        x = float(sol.sol(tau)[0])
-        return horner(Uc, x) / horner(Vc, x) * math.exp(-lam * tau)
-
+    Vc = spec.V.float_coeffs
+    Uc = spec.U.float_coeffs
+    weight = lambda x, tau: horner(Uc, x) / horner(Vc, x) * math.exp(-lam * tau)
     # kernel decays like exp(-lam tau); cut where it is far below tolerance
-    cut = min(tau_end, 50.0 / lam)
-    val, _ = _quad(integrand, 0.0, cut, cfg)
-    return val
+    return _tau_quadrature(spec.family.x_coeffs(float(spec.eps)), Vc, s + th, x0,
+                           (-_EXP_UNDERFLOW + 60.0) / lam, 50.0 / lam, weight, cfg)
 
 
 def dulac_time(ts: DulacTimeSpec, s: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -341,18 +335,14 @@ def dulac_time(ts: DulacTimeSpec, s: float, cfg: QuadratureConfig = DEFAULT_CONF
     th = float(ts.branch.theta(ts.eps))
     if not s > 0 or s + th > ts.x0 + 1e-15:
         raise ValueError("need 0 < s and s + theta <= x0")
-    Vc = [float(c) for c in ts.V.coeffs]
-    tau_cap = -_EXP_UNDERFLOW + 60.0
-    sol, tau_end = _x_of_tau(ts, s + th, ts.x0, tau_cap, cfg)
+    Vc = ts.V.float_coeffs
 
-    def integrand(tau):
-        x = float(sol.sol(tau)[0])
+    def weight(x, tau):
         y = ts.y0 * math.exp(-tau)
         return ts.ua(x, y) * y / horner(Vc, x)
 
-    cut = min(tau_end, 55.0)
-    val, _ = _quad(integrand, 0.0, cut, cfg)
-    return val
+    return _tau_quadrature(ts.family.x_coeffs(float(ts.eps)), Vc, s + th, ts.x0,
+                           -_EXP_UNDERFLOW + 60.0, 55.0, weight, cfg)
 
 
 # ---------------------------------------------------------------------------

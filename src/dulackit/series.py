@@ -21,11 +21,14 @@ Q(. , e0) into the series kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     DivisionByNonUnit,
@@ -93,7 +96,23 @@ class TruncatedSeries:
     def __getitem__(self, j: int) -> Scalar:
         return self.coeffs[j]
 
+    @functools.cached_property
+    def float_coeffs(self) -> tuple:
+        """The coefficients converted to float, once per series."""
+        return tuple(float(a) for a in self.coeffs)
+
     def __call__(self, x: Scalar) -> Scalar:
+        """Horner's rule at x.  At a Python float (two or more coefficients)
+        and at a numpy array it sums float_coeffs: a Fraction or int meeting
+        a float is converted to float first, and numpy's float64 products
+        and sums round as Python's floats do, so the copy gives the exact
+        coefficients' value bit for bit (at an array, as a float array of
+        x's shape).  Other points (int, Fraction, numpy scalars) sum the
+        exact coefficients."""
+        if isinstance(x, np.ndarray):
+            return np.full(x.shape, horner(self.float_coeffs, x))
+        if type(x) is float and len(self.coeffs) > 1:
+            return horner(self.float_coeffs, x)
         return horner(self.coeffs, x)
 
     def degree(self) -> int:

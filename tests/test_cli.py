@@ -68,6 +68,66 @@ def test_golden_reports(tmp_path, capsys, name, command, report):
     assert (tmp_path / report).read_bytes() == (GOLDEN / f"{name}.{report}").read_bytes()
 
 
+# verify's floats against the recorded ones.  Oracle values move by rounding
+# across BLAS builds (numpy's dot products inside scipy's Radau and DOP853),
+# and the remainders h = (value - S_ell) / s^ell and theta^r h divide that
+# change by value - S_ell, as small as 2e-10 of the value here.  Measured on
+# these specs over OpenBLAS core types and one-ulp changes of eps, lambda, x0
+# and y0: values up to 5.7e-13 relative, remainders and their fits up to
+# 2.1e-6.
+VALUE_RTOL = 1e-11
+REMAINDER_RTOL = 1e-4
+
+
+def _remainder_field(name):
+    return name in ("h", "sup_final", "fitted_slopes") or name.startswith("theta")
+
+
+def _assert_close(got, want, rtol, where):
+    if isinstance(want, float) and isinstance(got, float):
+        gap = abs(got - want)
+        assert gap <= rtol * max(abs(got), abs(want)) or (math.isnan(got) and math.isnan(want)), where
+    else:
+        assert got == want and type(got) is type(want), where
+
+
+def _assert_report_close(got, want, rtol, where):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            sub = REMAINDER_RTOL if _remainder_field(key) else rtol
+            _assert_report_close(got[key], want[key], sub, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_report_close(g, w, rtol, f"{where}[{i}]")
+    else:
+        _assert_close(got, want, rtol, where)
+
+
+@pytest.mark.parametrize("name", ["orbit", "dulac_map", "dulac_time", "dulac_time_rho2"])
+def test_golden_verify_reports(tmp_path, capsys, name):
+    """verify on the CI specs of each kind and a rho = 2 dulac_time spec
+    (x^3 - x eps at eps = 0.01): verdicts, keys, lengths and labels as
+    recorded, floats within VALUE_RTOL, remainders within REMAINDER_RTOL."""
+    code = main(["verify", str(GOLDEN / f"{name}.spec.json"), "--out", str(tmp_path)])
+    want = json.loads((GOLDEN / f"{name}.verify.json").read_text())
+    got = json.loads((tmp_path / "verify.json").read_text())
+    assert code == 0 and got["passed"] is want["passed"] is True
+    assert got["decay_ok"] == want["decay_ok"]
+    _assert_report_close(got, want, VALUE_RTOL, name)
+    rows = (tmp_path / "flatness.csv").read_text().splitlines()
+    want_rows = (GOLDEN / f"{name}.flatness.csv").read_text().splitlines()
+    assert len(rows) == len(want_rows) and rows[0] == want_rows[0]
+    header = want_rows[0].split(",")
+    for i, (row, want_row) in enumerate(zip(rows[1:], want_rows[1:])):
+        cells, want_cells = row.split(","), want_row.split(",")
+        assert len(cells) == len(header) and cells[0] == want_cells[0]
+        for field, g, w in zip(header[1:], cells[1:], want_cells[1:]):
+            rtol = REMAINDER_RTOL if _remainder_field(field) else VALUE_RTOL
+            _assert_close(float(g), float(w), rtol, f"{name} row {i} {field}")
+
+
 def test_help_text():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -281,13 +341,17 @@ class TestLoud:
         assert main(["loud", spec, "--out", str(tmp_path / "o")]) == 0
 
     def test_step_size_collapse_exits_1(self, tmp_path, capsys):
-        """Near D = -1 at F = 3/2 a period integration needs a step below the
-        spacing of the floats: exit 1 with the integrator's one-line message."""
+        """Near D = -1 at F = 3/2 the node entry at s = 0.99 lies past the
+        log-w chart's z switch, where the period integration used to collapse
+        its step size: exit 1 with a one-line message naming the point."""
         obj = {"loud": {"D_grid": [-0.999], "F": 1.5, "s_grid": [0.5, 0.99]}}
         spec = write_spec(tmp_path, "s.json", obj)
         assert main(["loud", spec, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err == "EventMissed: Required step size is less than spacing between numbers.\n"
+        assert err == (
+            "OutsideAtlas: s = 0.99 is outside the chart atlas at D = -0.999, F = 1.5: "
+            "the node entry has z = 18.2, at or past the switch z = 6\n"
+        )
 
 
 class TestBadSpecs:

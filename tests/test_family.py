@@ -88,6 +88,19 @@ class TestFamilyType:
         f = fam_counterexample()
         assert PolynomialFamily.from_json(f.to_json()).coeffs == f.coeffs
 
+    @pytest.mark.parametrize("x, eps", [(0.3, 0.01), (-1.7, Fr(1, 3)), (2.5, -0.2), (1e-3, 1)])
+    def test_eval_at_float_point_matches_exact_terms(self, x, eps):
+        f = PolynomialFamily(
+            mu=2,
+            coeffs={(3, 0): 1, (2, 1): Fr(-1, 3), (1, 1): 0.7, (0, 2): Fr(5, 7), (0, 3): 3,
+                    (1, 3): Fr(2**60 + 1, 2**60)},
+        )
+        want = 0 * x
+        for (k, m), c in f.coeffs.items():
+            want = want + c * x**k * eps**m
+        got = f.eval(x, eps)
+        assert got == want and type(got) is float
+
 
 class TestBranch:
     def test_power_family_positive_side(self):

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from dulackit.errors import (
     NonpositiveLambda,
     OrderExhausted,
 )
-from dulackit.series import BivariatePoly, TruncatedSeries as TS
+from dulackit.series import BivariatePoly, TruncatedSeries as TS, horner
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=12
@@ -75,6 +76,32 @@ class TestArithmetic:
         k = min(f.order, g.order)
         assert (f + g).norm_ell1() <= f.truncated(k).norm_ell1() + g.truncated(k).norm_ell1()
         assert (f * g).norm_ell1() <= f.norm_ell1() * g.norm_ell1()
+
+
+class TestFloatPoints:
+    """A series sums its float copy at float points and numpy arrays, with
+    the value and type the exact coefficients give; other points stay exact."""
+
+    coeff = st.one_of(
+        rationals,
+        st.integers(min_value=-10**20, max_value=10**20),
+        st.floats(min_value=-4, max_value=4),
+    )
+    point = st.floats(min_value=-3, max_value=3)
+
+    @given(
+        coeffs=st.lists(coeff, min_size=1, max_size=7),
+        xs=st.lists(point, min_size=1, max_size=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_float_copy_matches_exact_horner(self, coeffs, xs):
+        f = TS(tuple(coeffs))
+        for x in xs + [2, Fr(1, 3), np.float64(0.5)]:
+            got, want = f(x), horner(f.coeffs, x)
+            assert got == want and type(got) is type(want)
+        values = f(np.array(xs))
+        assert values.dtype == np.float64 and values.shape == (len(xs),)
+        assert values.tolist() == [float(f(x)) for x in xs]
 
 
 class TestOperators:
