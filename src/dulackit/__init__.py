@@ -24,17 +24,24 @@ from .family import (
     compute_Q,
     newton_diagram,
 )
-from .oracle import (
-    FlatnessReport,
-    QuadratureConfig,
-    dulac_map,
-    dulac_time,
-    flatness_report,
-    particular_solution,
-)
 from .series import BivariatePoly, TruncatedSeries
 
 __version__ = "0.1.0"
+
+# served on first use (PEP 562): the oracle imports scipy, which `check` and
+# `expand` never call
+_ORACLE_EXPORTS = frozenset(
+    {"FlatnessReport", "QuadratureConfig", "dulac_map", "dulac_time", "flatness_report",
+     "particular_solution"}
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_EXPORTS:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BivariatePoly",

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import expansion, family, loud, oracle
+from . import expansion, family
 from .errors import DegenerateQ, DulacKitError
 from .series import TruncatedSeries, _json_int
 
@@ -79,6 +79,8 @@ def _count(spec: dict, key: str, default: int) -> int:
     val = _json_int(spec.get(key, default), key)
     if val < 0:
         raise ValueError(f"{key} = {val} is negative")
+    if val > sys.maxsize:  # no series or grid can have that many terms
+        raise ValueError(f"{key} is above {sys.maxsize}")
     return val
 
 
@@ -162,7 +164,7 @@ def cmd_expand(spec: dict, out_dir: Path) -> int:
 
 def _s_grid(spec: dict, ell: int, k: int):
     """The log grid of s, long enough for k scale derivatives
-    (oracle.check_grid_length); h = (value - S_ell) / s^ell needs s^ell > 0
+    (expansion.check_grid_length); h = (value - S_ell) / s^ell needs s^ell > 0
     at the smallest s."""
     g = _object(spec.get("s_grid", {}), "s_grid")
     lo = _float(g.get("min", 1e-3), "s_grid.min")
@@ -170,13 +172,15 @@ def _s_grid(spec: dict, ell: int, k: int):
     n = _json_int(g.get("n", 25), "s_grid.n")
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"s_grid needs 0 < min < max < inf, got min = {lo!r}, max = {hi!r}")
-    oracle.check_grid_length(n, k)
+    expansion.check_grid_length(n, k)
     if not min(lo, 1.0) ** ell > 0:
         raise ValueError(f"s_grid min**ell = {lo!r}**{ell} underflows to 0")
     return np.geomspace(lo, hi, n)
 
 
 def cmd_verify(spec: dict, out_dir: Path) -> int:
+    from . import oracle  # scipy is imported only by the commands that solve
+
     kind = spec.get("kind", "orbit")
     fam, branch, nd = _analyze(spec)
     ell = _count(spec, "ell", 2)
@@ -263,6 +267,8 @@ def _loud_conf(spec: dict):
 
 
 def cmd_loud(spec: dict, out_dir: Path) -> int:
+    from . import loud
+
     D_grid, F, s_grid = _loud_conf(spec)
 
     gamma_self_test = {

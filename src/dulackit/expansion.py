@@ -135,6 +135,14 @@ class ExpansionResult:
 EMPTY_SUM = ExpansionResult(c=(), ell=-1)
 
 
+def check_grid_length(n: int, k: int) -> None:
+    """Raise ValueError unless an s grid of n points is long enough for the
+    flatness report's k scale derivatives (oracle.flatness_report): they use
+    up 4k of its points (two per side each) and need 5 more."""
+    if n < 4 * k + 5:
+        raise ValueError(f"s_grid n = {n} is below 4k + 5 = {4 * k + 5} for k = {k}")
+
+
 def shifted_data(spec: UnfoldingSpec, order: int):
     """Recentered series (U/lam, V, Q) at the tracked root, all at the
     given truncation order.  U and V are shifted as the polynomials they

@@ -139,7 +139,8 @@ class PolynomialFamily:
     @classmethod
     def from_json(cls, data: Mapping) -> "PolynomialFamily":
         """The family of a spec's "family" object; a value that is not a
-        number raises ValueError naming its key."""
+        number, or an exponent that is not a nonnegative integer, raises
+        ValueError naming its key."""
         terms = {}
         for i, t in enumerate(data["terms"]):
             field = f"family.terms[{i}]"
@@ -147,7 +148,13 @@ class PolynomialFamily:
                 c = _scalar_from_str(str(t["c"]))
             except ValueError as exc:
                 raise ValueError(f"{field}.c: {exc}") from None
-            terms[(_json_int(t["x"], f"{field}.x"), _json_int(t["eps"], f"{field}.eps"))] = c
+            exponents = []
+            for key in ("x", "eps"):
+                n = _json_int(t[key], f"{field}.{key}")
+                if n < 0:
+                    raise ValueError(f"{field}.{key} = {n} is negative")
+                exponents.append(n)
+            terms[tuple(exponents)] = c
         return cls(mu=_json_int(data["mu"], "family.mu"), coeffs=terms)
 
 

@@ -30,9 +30,18 @@ gives, bit for bit.  A point within 1e-4 of the start in u, where the first
 step could differ, gets its own solve.  The quadrature route stays one
 point at a time and shares nothing with the ODE route.
 
+The quadrature route solves x(tau) with scipy's DOP853 and reads it at
+each quadrature node from the dense output in Python floats (`_dop853_x`):
+each step's interpolant is copied once (`OdeSolution.ts`/`interpolants`,
+`Dop853DenseOutput.F`/`h`/`y_old`) and evaluated with the same operations
+in the same order as `OdeSolution.__call__`, so the values are scipy's bit
+for bit.  Those are scipy internals, and the tests pin them by ==.
+
 Still repeated on purpose, since perfbench's `test_sizing_in_kind` pins
 the per-layer shares they set: `dulac_time` solves x(tau) once per s
-(`_tau_quadrature`), `cli.cmd_loud` computes each Loud period twice, and
+(`_tau_quadrature`; the pin asks the ODE solves for more than half of a
+traced verify round, which one trajectory per grid would not keep),
+`cli.cmd_loud` computes each Loud period twice, and
 `expansion.dulac_time_coefficients` calls `compute_Q` once per mode.
 """
 
@@ -40,6 +49,7 @@ from __future__ import annotations
 
 import copy
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,7 +57,7 @@ import numpy as np
 from scipy.integrate import Radau, quad, solve_ivp
 
 from .errors import QuadratureFailure, StepSizeUnderflow, ToleranceNotMet
-from .expansion import DulacTimeSpec, ExpansionResult, UnfoldingSpec
+from .expansion import DulacTimeSpec, ExpansionResult, UnfoldingSpec, check_grid_length
 from .series import horner
 
 _EXP_UNDERFLOW = -745.0
@@ -290,7 +300,11 @@ def _tau_quadrature(Pc, Vc, s_abs: float, x0: float, tau_cap: float, cut: float,
     """Integral of weight(x(tau), tau) over 0 <= tau <= min(tau_end, cut),
     where x(tau) solves dx/dtau = P(x)/V(x) (float coefficients Pc, Vc) from
     x(0) = s_abs, so that tau = A(x) - A(s_abs) with A' = V/P, and tau_end
-    is the tau at which x reaches x0, or tau_cap if it does not."""
+    is the tau at which x reaches x0, or tau_cap if it does not.
+
+    One DOP853 solve per call, through the module's solve_ivp binding; the
+    integrand reads x(tau) from its dense output in Python floats
+    (_dop853_x), bit for bit what sol.sol(tau) gives."""
 
     def rhs(tau, x):
         return [horner(Pc, x[0]) / horner(Vc, x[0])]
@@ -306,11 +320,36 @@ def _tau_quadrature(Pc, Vc, s_abs: float, x0: float, tau_cap: float, cut: float,
         raise ToleranceNotMet(sol.message or "reparametrization ODE failed")
     tau_end = sol.t_events[0][0] if sol.status == 1 and len(sol.t_events[0]) else tau_cap
 
-    def integrand(tau):
-        return weight(float(sol.sol(tau)[0]), tau)
-
-    val, _ = _quad(integrand, 0.0, min(float(tau_end), cut), cfg)
+    x_of = _dop853_x(sol.sol)
+    val, _ = _quad(lambda tau: weight(x_of(tau), tau), 0.0, min(float(tau_end), cut), cfg)
     return val
+
+
+def _dop853_x(dense):
+    """x(tau) from solve_ivp's DOP853 dense output (an OdeSolution over an
+    increasing tau), evaluated in Python floats.
+
+    Each segment is copied once: its t_old, h, the rows of F reversed and
+    y_old[0].  A call picks the segment as OdeSolution._call_single does
+    (leftmost knot >= tau, clamped to the segments) and runs
+    Dop853DenseOutput._call_impl's loop on one float.  Those are IEEE
+    double operations in the same order, so every value equals
+    float(dense(tau)[0]) bit for bit; the tests pin that."""
+    knots = dense.ts.tolist()
+    segments = [(float(p.t_old), float(p.h), p.F[::-1, 0].tolist(), float(p.y_old[0]))
+                for p in dense.interpolants]
+    last = len(segments) - 1
+
+    def x_of(tau):
+        t_old, h, rows, x_old = segments[min(max(bisect_left(knots, tau) - 1, 0), last)]
+        z = (tau - t_old) / h
+        factors = (z, 1 - z)
+        x = 0.0
+        for i, f in enumerate(rows):  # y += f, then y *= x or y *= 1 - x in turn
+            x = (x + f) * factors[i % 2]
+        return x + x_old
+
+    return x_of
 
 
 def _y_l_quadrature(spec: UnfoldingSpec, x0: float, s: float, cfg: QuadratureConfig) -> float:
@@ -403,14 +442,6 @@ def log_derivative(values: np.ndarray, dlog: float) -> np.ndarray:
     d1 = (values[..., 3:-1] - values[..., 1:-3]) / (2 * dlog)
     d2 = (values[..., 4:] - values[..., :-4]) / (4 * dlog)
     return (4 * d1 - d2) / 3
-
-
-def check_grid_length(n: int, k: int) -> None:
-    """Raise ValueError unless an s grid of n points is long enough for the
-    flatness report's k scale derivatives: they use up 4k of its points
-    (log_derivative takes two per side) and need 5 more."""
-    if n < 4 * k + 5:
-        raise ValueError(f"s_grid n = {n} is below 4k + 5 = {4 * k + 5} for k = {k}")
 
 
 def flatness_report(

@@ -283,11 +283,18 @@ def _scalar_from_str(tok: str) -> Scalar:
 
 
 def _json_int(value, field: str) -> int:
-    """A JSON value as an int; ValueError naming field if it is not one."""
-    try:
+    """A JSON integer as an int: an integral number or an integer string,
+    not a boolean; ValueError naming field if it is not one."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field} must be an integer") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{field} must be an integer")
 
 
 def horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:

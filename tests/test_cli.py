@@ -1,12 +1,19 @@
 """End-to-end command-line runs with exit-code and determinism checks."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dulackit
 from dulackit.cli import main
 from dulackit.family import PolynomialFamily, analyze_family
 
@@ -126,6 +133,26 @@ def test_golden_verify_reports(tmp_path, capsys, name):
         for field, g, w in zip(header[1:], cells[1:], want_cells[1:]):
             rtol = REMAINDER_RTOL if _remainder_field(field) else VALUE_RTOL
             _assert_close(float(g), float(w), rtol, f"{name} row {i} {field}")
+
+
+def test_check_and_expand_without_scipy(tmp_path):
+    """check and expand solve nothing, so a process that runs them never
+    imports scipy, and they still write the recorded reports."""
+    spec = str(GOLDEN / "orbit.spec.json")
+    script = "\n".join([
+        "import sys",
+        "from dulackit.cli import main",
+        f"assert main(['check', {spec!r}, '--out', {str(tmp_path)!r}]) == 0",
+        f"assert main(['expand', {spec!r}, '--out', {str(tmp_path)!r}]) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(dulackit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    for report in ("check.json", "expansion.json"):
+        assert (tmp_path / report).read_bytes() == (GOLDEN / f"orbit.{report}").read_bytes()
 
 
 def test_help_text():
@@ -465,6 +492,23 @@ class TestBadSpecs:
             ("check", {"family": {"mu": 1, "terms": [{"x": 2, "eps": 0, "c": "1"},
                                                      {"x": 1, "eps": 1, "c": "x"}]}},
              "family.terms[1].c"),
+            ("expand", {"ell": 2.5}, "ell"),
+            ("expand", {"ell": True}, "ell"),
+            ("expand", {"ell": 1e19}, "ell"),
+            ("expand", {"ell": 1e308}, "ell"),
+            ("check", {"sign": True}, "sign"),
+            ("check", {"family": {"mu": 1, "terms": [*LINEAR_FAMILY["terms"],
+                                                     {"x": 1, "eps": 1.5, "c": "1"}]}},
+             "family.terms[2].eps"),
+            ("expand", {"family": {"mu": 1, "terms": [*LINEAR_FAMILY["terms"],
+                                                      {"x": 1, "eps": 1.5, "c": "1"}]}},
+             "family.terms[2].eps"),
+            ("check", {"family": {"mu": 1, "terms": [*LINEAR_FAMILY["terms"],
+                                                     {"x": -5, "eps": 1, "c": "1"}]}},
+             "family.terms[2].x"),
+            ("check", {"family": {"mu": 1, "terms": [{"x": 2, "eps": 0, "c": "1"},
+                                                     {"x": 1, "eps": -1, "c": "-1"}]}},
+             "family.terms[1].eps"),
         ],
         ids=[
             "family-number", "terms-number", "term-number", "V-number", "U-number",
@@ -472,6 +516,9 @@ class TestBadSpecs:
             "override-index", "ell-string", "lambda-array", "s-min-string",
             "s-max-string", "s-n-string", "sign-string", "mu-string",
             "term-x-string", "term-eps-array", "term-c-string",
+            "ell-fraction", "ell-boolean", "ell-past-index", "ell-1e308", "sign-boolean",
+            "term-eps-fraction", "expand-term-eps-fraction", "term-x-negative",
+            "term-eps-negative",
         ],
     )
     def test_field_named(self, tmp_path, capsys, command, changes, field):
@@ -485,3 +532,77 @@ class TestBadSpecs:
         obj = TestVerify().base()
         obj.update(kind="dulac_time", modes=[])
         self.run(tmp_path, capsys, "verify", obj)
+
+
+# -- fuzzing check and expand --------------------------------------------------
+
+README_SPEC = json.loads((GOLDEN / "orbit.spec.json").read_text())
+# the fields check and expand read
+FUZZ_FIELDS = [
+    ("family",), ("family", "mu"), ("family", "terms"), ("family", "terms", 0),
+    ("family", "terms", 0, "x"), ("family", "terms", 1, "x"), ("family", "terms", 1, "eps"),
+    ("family", "terms", 0, "c"), ("family", "terms", 1, "c"), ("sign",), ("V",), ("V", 0),
+    ("U",), ("U", 1), ("lambda",), ("eps",), ("ell",),
+]
+
+
+class Delete:
+    def __repr__(self):
+        return "DELETE"
+
+
+DELETE = Delete()
+# every int here keeps ell <= 4, so a mutated spec stays cheap to expand
+BAD_VALUES = [
+    DELETE, None, True, False, 0, 1, 3, -1, -5, 2.5, -0.5, 1e308, -1e308, 1e19,
+    float("nan"), float("inf"), "x", "1/0", "", "2", "-1", "nan", "inf", "1e400",
+    [], {}, [None], ["1/0"], {"x": 1},
+]
+
+
+def mutate(spec, field, value):
+    """spec with the value at field replaced (or deleted); a field whose
+    parent an earlier mutation removed is left alone."""
+    *parents, last = field
+    node = spec
+    for key in parents:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    if isinstance(node, list) and isinstance(last, int) and last < len(node):
+        if value is DELETE:
+            del node[last]
+            return
+    elif not isinstance(node, dict):
+        return
+    elif value is DELETE:
+        node.pop(last, None)
+        return
+    node[last] = json.loads(json.dumps(value))
+
+
+@given(
+    command=st.sampled_from(["check", "expand"]),
+    changes=st.lists(
+        st.tuples(st.sampled_from(FUZZ_FIELDS), st.sampled_from(BAD_VALUES)), min_size=1, max_size=2
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_fuzz_check_and_expand(tmp_path_factory, command, changes):
+    """A README spec with one or two fields set to bad values: the exit code
+    is a documented one, no traceback reaches stderr, and an exit-3 message
+    is one line."""
+    spec = json.loads(json.dumps(README_SPEC))
+    for field, value in changes:
+        mutate(spec, field, value)
+    work = tmp_path_factory.mktemp("fuzz")
+    path = write_spec(work, "s.json", spec)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, path, "--out", str(work / "o")])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.count("\n") == 1 and err.endswith("\n")

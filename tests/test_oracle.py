@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import Radau, solve_ivp
 
+from dulackit import oracle
 from dulackit.errors import StepSizeUnderflow, ToleranceNotMet
 from dulackit.expansion import (
     DulacTimeSpec,
@@ -19,6 +20,7 @@ from dulackit.family import biggest_real_root_branch
 from dulackit.oracle import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _dop853_x,
     dulac_map,
     dulac_time,
     flatness_report,
@@ -311,6 +313,80 @@ class TestDulacTime:
         )
         ts_vals = [dulac_time(ts, s) for s in (0.01, 0.05, 0.2)]
         assert ts_vals[0] > ts_vals[1] > ts_vals[2]
+
+
+def dop853_solve(fam, V, s_abs, x0, tau_cap):
+    """The DOP853 x(tau) solve of oracle._tau_quadrature at eps = 0."""
+    Pc, Vc = fam.x_coeffs(0.0), V.float_coeffs
+    hit = lambda tau, x: x[0] - x0
+    hit.terminal, hit.direction = True, 1.0
+    return solve_ivp(
+        lambda tau, x: [horner(Pc, x[0]) / horner(Vc, x[0])], (0.0, tau_cap), [s_abs],
+        method="DOP853", events=hit, rtol=1e-11, atol=1e-14, dense_output=True,
+    ).sol
+
+
+class TestDop853Evaluator:
+    """The float evaluator of the DOP853 dense output equals scipy's
+    OdeSolution by ==: if scipy changes its interpolant, these fail."""
+
+    @pytest.mark.parametrize(
+        "mu, s_abs, x0, tau_cap",
+        [(1, 0.01, 1.0, 805.0), (1, 0.3, 1.0, 805.0), (1, 1e-3, 1.0, 805.0), (2, 0.02, 0.8, 805.0)],
+        ids=["to-x0", "short-to-x0", "to-cap", "cubic-to-cap"],
+    )
+    def test_equals_ode_solution(self, fam_linear, fam_quadratic, mu, s_abs, x0, tau_cap):
+        dense = dop853_solve(fam_linear if mu == 1 else fam_quadratic,
+                             TS.from_coeffs([Fr(1), Fr(1, 2)], order=3), s_abs, x0, tau_cap)
+        knots = dense.ts.tolist()
+        assert len(knots) > 10 and knots[0] == 0.0
+        taus = list(knots)  # every knot, 0 and the last one included
+        for a, b in zip(knots, knots[1:]):
+            taus += [a + f * (b - a) for f in (1e-9, 0.1, 0.37, 0.5, 0.9)]
+            taus += [math.nextafter(a, b), math.nextafter(b, a)]
+        taus += [-1.0, -1e-300, math.nextafter(knots[-1], math.inf), knots[-1] + 1.0]  # clamped
+        x_of = _dop853_x(dense)
+        for tau in taus:
+            got = x_of(tau)
+            assert type(got) is float and got == float(dense(tau)[0]), tau
+
+    @pytest.fixture()
+    def through_ode_solution(self, monkeypatch):
+        """Run the oracle with x(tau) read through OdeSolution.__call__."""
+        def run(call):
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_dop853_x", lambda dense: lambda tau: float(dense(tau)[0]))
+                return call()
+        return run
+
+    def test_dulac_time_equals_reference(self, fam_linear, fam_quadratic, branch_linear_plus,
+                                         through_ode_solution):
+        specs = [
+            DulacTimeSpec(family=fam_linear, branch=branch_linear_plus, V=TS.constant(Fr(1), 2),
+                          eps=0.005, modes=(TS.constant(Fr(1), 2), TS.from_coeffs([Fr(0), Fr(1, 2)], 2))),
+            # rho = 2: x^3 - x eps at eps = 0.01, the tests/golden spec
+            DulacTimeSpec(family=fam_quadratic, branch=biggest_real_root_branch(fam_quadratic, +1),
+                          V=TS.from_coeffs([Fr(1), Fr(0), Fr(1, 3)], 3), eps=0.01,
+                          modes=(TS.constant(Fr(1), 3), TS.from_coeffs([Fr(1, 3), Fr(1, 2)], 3),
+                                 TS.from_coeffs([Fr(0), Fr(0), Fr(1, 4)], 3))),
+        ]
+        assert specs[1].branch.rho == 2
+        for ts in specs:
+            for s in (1e-3, 0.02, 0.1):
+                assert dulac_time(ts, s) == through_ode_solution(lambda: dulac_time(ts, s))
+
+    def test_quadrature_route_equals_reference(self, euler_spec, fam_linear, branch_linear_plus,
+                                               through_ode_solution):
+        off_origin = UnfoldingSpec(
+            family=fam_linear, branch=branch_linear_plus,
+            V=TS.from_coeffs([Fr(1), Fr(1, 2)], order=3),
+            U=TS.from_coeffs([Fr(1), Fr(0), Fr(1)], order=3), lam=5.0, eps=1e-3,
+        )
+        grid = [1e-3, 0.02, 0.5]
+        for spec in (euler_spec, off_origin):
+            got = particular_solution(spec, 1.0, grid, method="quadrature")
+            assert got == through_ode_solution(
+                lambda: particular_solution(spec, 1.0, grid, method="quadrature"))
 
 
 class TestFlatness:
