@@ -68,11 +68,15 @@ def _float(value, field: str) -> float:
         raise ValueError(f"{field} must be a number") from None
 
 
-def _number(spec: dict, key: str, default: float) -> float:
-    val = _float(spec.get(key, default), key)
+def _finite(value, field: str) -> float:
+    val = _float(value, field)
     if not math.isfinite(val):
-        raise ValueError(f"{key} = {val!r} is not a finite number")
+        raise ValueError(f"{field} = {val!r} is not a finite number")
     return val
+
+
+def _number(spec: dict, key: str, default: float) -> float:
+    return _finite(spec.get(key, default), key)
 
 
 def _count(spec: dict, key: str, default: int) -> int:
@@ -162,10 +166,16 @@ def cmd_expand(spec: dict, out_dir: Path) -> int:
     return EXIT_PASS
 
 
+# verify runs the oracle at every grid point, a quadrature or more each, so
+# a million points is already minutes to hours of work; past that, numpy
+# would try to allocate the grid before anything could refuse it
+_S_GRID_MAX_N = 10**6
+
+
 def _s_grid(spec: dict, ell: int, k: int):
     """The log grid of s, long enough for k scale derivatives
-    (expansion.check_grid_length); h = (value - S_ell) / s^ell needs s^ell > 0
-    at the smallest s."""
+    (expansion.check_grid_length) and at most _S_GRID_MAX_N points;
+    h = (value - S_ell) / s^ell needs s^ell > 0 at the smallest s."""
     g = _object(spec.get("s_grid", {}), "s_grid")
     lo = _float(g.get("min", 1e-3), "s_grid.min")
     hi = _float(g.get("max", 1e-1), "s_grid.max")
@@ -173,6 +183,8 @@ def _s_grid(spec: dict, ell: int, k: int):
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"s_grid needs 0 < min < max < inf, got min = {lo!r}, max = {hi!r}")
     expansion.check_grid_length(n, k)
+    if n > _S_GRID_MAX_N:
+        raise ValueError(f"s_grid.n = {n} is above {_S_GRID_MAX_N}")
     if not min(lo, 1.0) ** ell > 0:
         raise ValueError(f"s_grid min**ell = {lo!r}**{ell} underflows to 0")
     return np.geomspace(lo, hi, n)
@@ -216,7 +228,10 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
         raise ValueError(f"unknown verify kind {kind!r}")
 
     tol = _number(spec, "flatness_tol", 1e-2)
-    values = evaluate(s_grid.tolist())
+    # a float overflow inside numpy, in the solvers, raises at once (exit 1)
+    # instead of warning on stderr and failing later as a bad-spec ValueError
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        values = evaluate(s_grid.tolist())
     label = {"case": kind, "eps": float(eps)}
     report = oracle.flatness_report(values, res, lam, label, s_grid, k, tol)
     _write_csv(report.to_csv_rows(), out_dir, "flatness.csv")
@@ -228,16 +243,21 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
 
 
 def _apply_overrides(res, spec: dict):
-    """Debug hook: replace chosen coefficients before verification."""
+    """Debug hook: replace chosen coefficients before verification.  Each
+    key is an index in 0..ell, each value a finite number."""
     overrides = spec.get("debug_coefficient_overrides")
     if not overrides:
         return res
     c = list(res.c)
     for idx, val in _object(overrides, "debug_coefficient_overrides").items():
-        j = int(idx)
+        field = f"debug_coefficient_overrides[{idx}]"
+        try:
+            j = int(idx)
+        except ValueError:
+            raise ValueError(f"{field}: the index is not an integer") from None
         if not 0 <= j <= res.ell:
-            raise ValueError(f"debug_coefficient_overrides index {idx} is not in 0..{res.ell}")
-        c[j] = float(val)
+            raise ValueError(f"{field}: the index is not in 0..{res.ell}")
+        c[j] = _finite(val, field)
     return expansion.ExpansionResult(c=tuple(c), ell=res.ell, meta=dict(res.meta))
 
 
@@ -338,6 +358,9 @@ def main(argv=None) -> int:
         sys.stderr.write(f"bad spec: {exc}\n")
         return EXIT_PARSE
     except DulacKitError as exc:
+        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
+        return EXIT_FAIL
+    except ArithmeticError as exc:  # a numeric routine left the float range
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return EXIT_FAIL
 

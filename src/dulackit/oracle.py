@@ -36,12 +36,16 @@ each step's interpolant is copied once (`OdeSolution.ts`/`interpolants`,
 `Dop853DenseOutput.F`/`h`/`y_old`) and evaluated with the same operations
 in the same order as `OdeSolution.__call__`, so the values are scipy's bit
 for bit.  Those are scipy internals, and the tests pin them by ==.
+The solve ends after its first accepted step that reaches the
+quadrature's cut (`_StoppingDOP853`); tau_cap only caps scipy's first
+step, and the values are those of a solve run on to tau_cap, bit for bit.
+A solve that would fail only past cut does not raise.
 
 Still repeated on purpose, since perfbench's `test_sizing_in_kind` pins
 the per-layer shares they set: `dulac_time` solves x(tau) once per s
 (`_tau_quadrature`; the pin asks the ODE solves for more than half of a
-traced verify round, which one trajectory per grid would not keep),
-`cli.cmd_loud` computes each Loud period twice, and
+traced verify round, about 0.55 at seed 3, which one trajectory per grid
+would not keep), `cli.cmd_loud` computes each Loud period twice, and
 `expansion.dulac_time_coefficients` calls `compute_Q` once per mode.
 """
 
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import Radau, quad, solve_ivp
+from scipy.integrate import DOP853, Radau, quad, solve_ivp
 
 from .errors import QuadratureFailure, StepSizeUnderflow, ToleranceNotMet
 from .expansion import DulacTimeSpec, ExpansionResult, UnfoldingSpec, check_grid_length
@@ -302,9 +306,12 @@ def _tau_quadrature(Pc, Vc, s_abs: float, x0: float, tau_cap: float, cut: float,
     x(0) = s_abs, so that tau = A(x) - A(s_abs) with A' = V/P, and tau_end
     is the tau at which x reaches x0, or tau_cap if it does not.
 
-    One DOP853 solve per call, through the module's solve_ivp binding; the
-    integrand reads x(tau) from its dense output in Python floats
-    (_dop853_x), bit for bit what sol.sol(tau) gives."""
+    One DOP853 solve per call, through the module's solve_ivp binding, that
+    ends after its first step reaching cut (_StoppingDOP853); tau_cap only
+    sets scipy's first-step cap.  The integrand reads x(tau) from its dense
+    output in Python floats (_dop853_x), bit for bit what sol.sol(tau) of a
+    solve run on to tau_cap gives.  A solve that would fail only past cut
+    does not raise."""
 
     def rhs(tau, x):
         return [horner(Pc, x[0]) / horner(Vc, x[0])]
@@ -313,8 +320,8 @@ def _tau_quadrature(Pc, Vc, s_abs: float, x0: float, tau_cap: float, cut: float,
     hit.terminal = True
     hit.direction = 1.0
     sol = solve_ivp(
-        rhs, (0.0, tau_cap), [s_abs], method="DOP853", events=hit,
-        rtol=min(cfg.ode_rel_tol, 1e-11), atol=1e-14, dense_output=True,
+        rhs, (0.0, tau_cap), [s_abs], method=_StoppingDOP853, events=hit,
+        rtol=min(cfg.ode_rel_tol, 1e-11), atol=1e-14, dense_output=True, stop=cut,
     )
     if not sol.success and sol.status != 1:
         raise ToleranceNotMet(sol.message or "reparametrization ODE failed")
@@ -323,6 +330,27 @@ def _tau_quadrature(Pc, Vc, s_abs: float, x0: float, tau_cap: float, cut: float,
     x_of = _dop853_x(sol.sol)
     val, _ = _quad(lambda tau: weight(x_of(tau), tau), 0.0, min(float(tau_end), cut), cfg)
     return val
+
+
+class _StoppingDOP853(DOP853):
+    """DOP853 that finishes after the first accepted step whose end reaches
+    `stop`, without clipping that step.
+
+    solve_ivp handles events on that step before it leaves its loop, so an
+    event inside it is still found, and every interpolant over [0, stop]
+    (or up to an earlier terminal event) is the one a solve run on to
+    t_bound builds.  t_bound still caps the first step and clips a step
+    that would pass it.  A forward solve only."""
+
+    def __init__(self, fun, t0, y0, t_bound, *, stop, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.stop = stop
+
+    def step(self):
+        message = super().step()
+        if self.status == "running" and self.t >= self.stop:
+            self.status = "finished"
+        return message
 
 
 def _dop853_x(dense):

@@ -482,6 +482,11 @@ class TestBadSpecs:
             ("verify", {"s_grid": {"min": "x"}}, "s_grid.min"),
             ("verify", {"s_grid": {"max": "x"}}, "s_grid.max"),
             ("verify", {"s_grid": {"n": "x"}}, "s_grid.n"),
+            ("verify", {"s_grid": {"n": 1e19}}, "s_grid.n"),
+            ("verify", {"s_grid": {"n": 10**6 + 1}}, "s_grid.n"),
+            ("verify", {"debug_coefficient_overrides": {"0": [1]}}, "debug_coefficient_overrides[0]"),
+            ("verify", {"debug_coefficient_overrides": {"a": 1}}, "debug_coefficient_overrides[a]"),
+            ("verify", {"debug_coefficient_overrides": {"0": "nan"}}, "debug_coefficient_overrides[0]"),
             ("check", {"sign": "x"}, "sign"),
             ("check", {"family": dict(LINEAR_FAMILY, mu="a")}, "family.mu"),
             ("check", {"family": {"mu": 1, "terms": [{"x": "a", "eps": 0, "c": "1"}]}},
@@ -514,7 +519,8 @@ class TestBadSpecs:
             "family-number", "terms-number", "term-number", "V-number", "U-number",
             "V-string", "modes-number", "mode-number", "overrides-number",
             "override-index", "ell-string", "lambda-array", "s-min-string",
-            "s-max-string", "s-n-string", "sign-string", "mu-string",
+            "s-max-string", "s-n-string", "s-n-1e19", "s-n-past-max", "override-array",
+            "override-index-string", "override-nan", "sign-string", "mu-string",
             "term-x-string", "term-eps-array", "term-c-string",
             "ell-fraction", "ell-boolean", "ell-past-index", "ell-1e308", "sign-boolean",
             "term-eps-fraction", "expand-term-eps-fraction", "term-x-negative",
@@ -534,7 +540,33 @@ class TestBadSpecs:
         self.run(tmp_path, capsys, "verify", obj)
 
 
-# -- fuzzing check and expand --------------------------------------------------
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # y0^n in the mode sum: a traceback before
+        ({"kind": "dulac_time", "modes": [["1"], ["0", "1/2"]], "y0": 1e308}, "OverflowError"),
+        # lambda V(0) = 1e308 in the Radau sweep: numpy warnings on stderr,
+        # then exit 3 with "array must not contain infs or NaNs" before
+        ({"V": [1e308]}, "FloatingPointError"),
+        ({"U": ["0", 1e308]}, "FloatingPointError"),
+    ],
+    ids=["y0", "V", "U"],
+)
+def test_float_overflow_exits_1(tmp_path, capsys, changes, message):
+    """A verify spec whose numbers overflow the solvers' floats: exit 1,
+    one stderr line, no warning."""
+    obj = TestVerify().base()
+    obj.update(changes)
+    spec = write_spec(tmp_path, "s.json", obj)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", spec, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith(message) and err.count("\n") == 1
+    assert not caught
+
+
+# -- fuzzing the four commands --------------------------------------------------
 
 README_SPEC = json.loads((GOLDEN / "orbit.spec.json").read_text())
 # the fields check and expand read
@@ -556,7 +588,7 @@ DELETE = Delete()
 BAD_VALUES = [
     DELETE, None, True, False, 0, 1, 3, -1, -5, 2.5, -0.5, 1e308, -1e308, 1e19,
     float("nan"), float("inf"), "x", "1/0", "", "2", "-1", "nan", "inf", "1e400",
-    [], {}, [None], ["1/0"], {"x": 1},
+    [], {}, [None], ["1/0"], {"x": 1}, {"0": [1]}, {"a": 1}, {"0": "nan"},
 ]
 
 
@@ -582,27 +614,71 @@ def mutate(spec, field, value):
     node[last] = json.loads(json.dumps(value))
 
 
-@given(
-    command=st.sampled_from(["check", "expand"]),
-    changes=st.lists(
-        st.tuples(st.sampled_from(FUZZ_FIELDS), st.sampled_from(BAD_VALUES)), min_size=1, max_size=2
-    ),
-)
-@settings(max_examples=300, deadline=None)
-def test_fuzz_check_and_expand(tmp_path_factory, command, changes):
-    """A README spec with one or two fields set to bad values: the exit code
-    is a documented one, no traceback reaches stderr, and an exit-3 message
-    is one line."""
-    spec = json.loads(json.dumps(README_SPEC))
+def run_fuzzed(tmp_path_factory, command, spec, changes):
+    """Run command on spec with changes applied: the exit code is a
+    documented one, no traceback or warning reaches stderr (pytest would
+    swallow a warning that the console script prints), and an exit-3
+    message is one line."""
+    spec = json.loads(json.dumps(spec))
     for field, value in changes:
         mutate(spec, field, value)
     work = tmp_path_factory.mktemp("fuzz")
     path = write_spec(work, "s.json", spec)
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main([command, path, "--out", str(work / "o")])
     err = err.getvalue()
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
     if code == 3:
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def fuzz_changes(fields):
+    return st.lists(st.tuples(st.sampled_from(fields), st.sampled_from(BAD_VALUES)),
+                    min_size=1, max_size=2)
+
+
+@given(command=st.sampled_from(["check", "expand"]), changes=fuzz_changes(FUZZ_FIELDS))
+@settings(max_examples=300, deadline=None)
+def test_fuzz_check_and_expand(tmp_path_factory, command, changes):
+    """A README spec with one or two fields set to bad values."""
+    run_fuzzed(tmp_path_factory, command, README_SPEC, changes)
+
+
+# verify's cheapest specs: ell 2, and the smallest grid check_grid_length
+# allows for k = 1, for each kind
+VERIFY_SPECS = {
+    "orbit": dict(README_SPEC, s_grid={"min": 1e-3, "max": 1e-1, "n": 9}),
+    "dulac_map": dict(README_SPEC, kind="dulac_map", s_grid={"min": 1e-3, "max": 1e-1, "n": 9}),
+    "dulac_time": dict(README_SPEC, kind="dulac_time", modes=[["1"], ["0", "1/2"]],
+                       s_grid={"min": 1e-3, "max": 1e-1, "n": 9}),
+}
+VERIFY_FIELDS = [
+    *FUZZ_FIELDS, ("kind",), ("k",), ("x0",), ("y0",), ("flatness_tol",), ("s_grid",),
+    ("s_grid", "min"), ("s_grid", "max"), ("s_grid", "n"), ("debug_coefficient_overrides",),
+    ("modes",), ("modes", 1), ("modes", 1, 1),
+]
+# one D value and two s points
+LOUD_SPEC = {"loud": {"D_grid": [-0.25], "F": 1.0, "s_grid": [1e-3, 2e-3]}}
+LOUD_FIELDS = [
+    ("loud",), ("loud", "D_grid"), ("loud", "D_grid", 0), ("loud", "F"),
+    ("loud", "s_grid"), ("loud", "s_grid", 0), ("loud", "s_grid", 1),
+]
+
+
+@given(kind=st.sampled_from(sorted(VERIFY_SPECS)), changes=fuzz_changes(VERIFY_FIELDS))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_verify(tmp_path_factory, kind, changes):
+    """A cheap verify spec of each kind with one or two fields set to bad values."""
+    run_fuzzed(tmp_path_factory, "verify", VERIFY_SPECS[kind], changes)
+
+
+@given(changes=fuzz_changes(LOUD_FIELDS))
+@settings(max_examples=100, deadline=None)
+def test_fuzz_loud(tmp_path_factory, changes):
+    """A one-row loud spec with one or two fields set to bad values."""
+    run_fuzzed(tmp_path_factory, "loud", LOUD_SPEC, changes)

@@ -1,8 +1,11 @@
 """Numeric kernels against closed forms and against each other."""
 
+import json
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from dulackit.expansion import (
     UnfoldingSpec,
     coefficients,
 )
-from dulackit.family import biggest_real_root_branch
+from dulackit.family import PolynomialFamily, biggest_real_root_branch
 from dulackit.oracle import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -387,6 +390,109 @@ class TestDop853Evaluator:
             got = particular_solution(spec, 1.0, grid, method="quadrature")
             assert got == through_ode_solution(
                 lambda: particular_solution(spec, 1.0, grid, method="quadrature"))
+
+
+def golden_time_spec(name):
+    """The DulacTimeSpec of a tests/golden verify spec."""
+    spec = json.loads((Path(__file__).parent / "golden" / f"{name}.spec.json").read_text())
+    fam = PolynomialFamily.from_json(spec["family"])
+    return DulacTimeSpec(
+        family=fam, branch=biggest_real_root_branch(fam, spec["sign"]), V=TS.from_json(spec["V"]),
+        eps=spec["eps"], modes=tuple(TS.from_json(m) for m in spec["modes"]),
+    )
+
+
+class TestStoppedSolve:
+    """The tau route's x(tau) solve ends after its first step reaching cut;
+    every value equals the same quadrature read from a DOP853 solve run on
+    to tau_cap, by ==."""
+
+    # golden rho = 1 spec: s -> where x0 is hit, for the full solve
+    RHO1_POINTS = {
+        1e-3: "past cut",  # tau = 357
+        0.0153: "past cut",  # tau = 55.55, a step after the one crossing cut
+        0.01547: "in the step crossing cut, past it",  # tau = 55.009 in [54.938, 55.037]
+        0.015475: "in the step crossing cut, before it",  # tau = 54.993 in [54.923, 55.021]
+        0.02: "before cut",
+        0.3: "before cut",
+    }
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        """call() with every x(tau) solve recorded as (stop, solution): as
+        the oracle runs it, or, with full=True, run on to tau_cap."""
+        def run(call, full=False):
+            seen = []
+
+            def recorded(*args, method, stop, **options):
+                assert method is oracle._StoppingDOP853
+                if full:
+                    sol = solve_ivp(*args, method="DOP853", **options)
+                else:
+                    sol = solve_ivp(*args, method=method, stop=stop, **options)
+                seen.append((stop, sol))
+                return sol
+
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "solve_ivp", recorded)
+                return call(), seen
+        return run
+
+    def check(self, solves, call):
+        got, stopped = solves(call)
+        want, full = solves(call, full=True)
+        assert got == want
+        assert len(stopped) == len(full) > 0
+        for (cut, short), (_, whole) in zip(stopped, full):
+            knots, all_knots = short.sol.ts.tolist(), whole.sol.ts.tolist()
+            assert knots == all_knots[:bisect_left(all_knots, cut) + 1]
+            assert short.t_events[0].tolist() == [t for t in whole.t_events[0] if t <= knots[-1]]
+        return full
+
+    @staticmethod
+    def hit_at(cut, sol) -> str:
+        hit = sol.t_events[0].tolist()
+        if not hit:
+            return "never"
+        last = sol.sol.interpolants[-1]  # the step the hit ends
+        if last.t < cut:
+            return "before cut"
+        if last.t_old >= cut:
+            return "past cut"
+        return "in the step crossing cut, " + ("before" if hit[0] < cut else "past") + " it"
+
+    def test_dulac_time_rho1(self, solves):
+        ts = golden_time_spec("dulac_time")
+        for s, where in self.RHO1_POINTS.items():
+            (cut, sol), = self.check(solves, lambda: dulac_time(ts, s))
+            assert self.hit_at(cut, sol) == where, s
+
+    def test_dulac_time_rho2(self, solves):
+        ts = golden_time_spec("dulac_time_rho2")
+        assert ts.branch.rho == 2
+        for s in (1e-3, 0.02, 0.1):
+            self.check(solves, lambda: dulac_time(ts, s))
+
+    def test_quadrature_route(self, solves, euler_spec, fam_linear, branch_linear_plus):
+        off_origin = UnfoldingSpec(
+            family=fam_linear, branch=branch_linear_plus,
+            V=TS.from_coeffs([Fr(1), Fr(1, 2)], order=3),
+            U=TS.from_coeffs([Fr(1), Fr(0), Fr(1)], order=3), lam=5.0, eps=1e-3,
+        )
+        cases = [
+            (euler_spec, ["never", "before cut", "before cut"]),
+            (off_origin, ["never", "past cut", "before cut"]),  # cut = 10 at lam = 5
+        ]
+        for spec, where in cases:
+            full = self.check(solves, lambda: particular_solution(
+                spec, 1.0, [1e-3, 0.02, 0.5], method="quadrature"))
+            assert [self.hit_at(cut, sol) for cut, sol in full] == where
+
+    def test_last_knot_is_first_past_cut(self, solves):
+        ts = golden_time_spec("dulac_time")
+        _, [(cut, sol)] = solves(lambda: dulac_time(ts, 1e-3))
+        knots = sol.sol.ts.tolist()
+        assert sol.status == 0 and knots[-2] < cut <= knots[-1] < 2 * cut
 
 
 class TestFlatness:
