@@ -262,18 +262,24 @@ def _apply_overrides(res, spec: dict):
 
 
 def _loud_conf(spec: dict):
-    """D grid, F and s grid of a `loud` spec.  The period derivative is a
-    difference quotient along s, so the s grid needs two or more points
-    inside s > 0, strictly increasing."""
+    """D grid, F and s grid of a `loud` spec.  D and F are checked against
+    `loud.LoudParams`'s ranges here, so that a message names the entry.  The
+    period derivative is a difference quotient along s, so the s grid needs
+    two or more points inside s > 0, strictly increasing."""
     conf = _object(spec.get("loud", {}), "loud")
-    D_grid = _floats(conf.get("D_grid", [-0.9, -0.75, -0.5, -0.25, -0.1]), "D_grid")
-    if not D_grid or not all(math.isfinite(d) for d in D_grid):
-        raise ValueError(f"D_grid needs at least one value, all finite, got {D_grid!r}")
-    F = _number(conf, "F", 1.0)
+    D_grid = _floats(conf.get("D_grid", [-0.9, -0.75, -0.5, -0.25, -0.1]), "loud.D_grid")
+    if not D_grid:
+        raise ValueError("loud.D_grid needs at least one value")
+    for i, D in enumerate(D_grid):
+        if not -1.0 < D < 0.0:
+            raise ValueError(f"loud.D_grid[{i}] = {D!r}: D must lie in (-1, 0)")
+    F = _finite(conf.get("F", 1.0), "loud.F")
+    if not F > 0.5:
+        raise ValueError(f"loud.F = {F!r}: F must exceed 1/2")
     s_vals = conf.get("s_grid")
     if s_vals is None:
         return D_grid, F, np.geomspace(1e-3, 1e-2, 7)
-    s = _floats(s_vals, "s_grid")
+    s = _floats(s_vals, "loud.s_grid")
     if not (
         len(s) >= 2
         and all(math.isfinite(x) for x in s)
@@ -281,7 +287,7 @@ def _loud_conf(spec: dict):
         and all(a < b for a, b in zip(s, s[1:]))
     ):
         raise ValueError(
-            f"s_grid needs at least 2 finite values with 0 < s_1 < s_2 < ..., got {s!r}"
+            f"loud.s_grid needs at least 2 finite values with 0 < s_1 < s_2 < ..., got {s!r}"
         )
     return D_grid, F, np.asarray(s)
 

@@ -25,8 +25,12 @@ event fires.  Where both are feasible this agrees with single-chart
 integration to ~1e-11.
 
 Every chart is integrated by `rk45.solve_ivp`, scipy's RK45 stepped in
-Python floats: on these 2- and 3-component systems it takes about a
-quarter of the time of scipy's solve_ivp.  It keeps RK45's Dormand-Prince
+Python floats with each step written out per component: on these 2- and
+3-component systems it takes about an eighth of the time of scipy's
+solve_ivp (the 35 default-grid periods: 0.06-0.08 s against 0.50-0.69 s on
+a 2-core x86-64 host).  A solve that would need more than its budget of
+10^6 right-hand side evaluations raises EventMissed; no solve of a sweep
+over 0.51 <= F <= 100 took more than 4,808.  It keeps RK45's Dormand-Prince
 tableau, step control and event location, so it takes scipy's steps and
 differs from it only by rounding.  On the default grid the periods agree
 with scipy's to 1.6e-15 relative (1e-13 is the stated tolerance; 1.6e-13
@@ -392,11 +396,11 @@ def time_to_entry(p: LoudParams, s: float) -> float:
     (a short regular arc)."""
     th = _theta_normal(p)
     u0, v0 = normal_to_plane(s + th, p.section_height, p)
-    rhs = loud_rhs(p)
+    D, F = p.D, p.F
 
-    def back(t, y):
-        du, dv = rhs(t, y)
-        return [-du, -dv]
+    def back(t, y):  # loud_rhs, negated, written out: the same bits
+        u, v = y
+        return [-(-v + u * v), -(u + D * u * u + F * v * v)]
 
     ev = lambda t, y: y[1]
     ev.terminal = True
@@ -418,16 +422,17 @@ def period_numeric(p: LoudParams, s: float) -> float:
     """Full period of the orbit through the node entry point Phi(s+theta, y0)
     at the section height y0, as twice the v=0-to-v=0 half period, by the
     three-chart integration.  An entry point at or past the log-w chart's
-    z switch, where the switch event cannot fire, raises OutsideAtlas."""
+    z switch, where the switch event cannot fire, raises OutsideAtlas before
+    anything is integrated."""
     th = _theta_normal(p)
-    t_back = time_to_entry(p, s)
-
     z0, w0 = normal_to_chart(s + th, p.section_height, p)
     if z0 >= _Z_SWITCH:
         raise OutsideAtlas(
             f"s = {s:g} is outside the chart atlas at D = {p.D:g}, F = {p.F:g}: "
             f"the node entry has z = {z0:.3g}, at or past the switch z = {_Z_SWITCH:g}"
         )
+    t_back = time_to_entry(p, s)
+
     rhs_zw = _log_w_rhs(p)
     ev_z = lambda tau, y: y[0] - _Z_SWITCH
     ev_z.terminal = True

@@ -20,10 +20,31 @@ numpy may fuse a multiply and an add where Python rounds twice.  Only
 ``terminal`` values that are booleans are supported (a count above one is
 not).  A right-hand side that keeps returning NaN fails the solve with
 scipy's step-size message; scipy itself loops forever on a NaN step size.
+
+The step is written out component by component: `_step` builds one step
+function per state dimension from a template, once per dimension, as
+``collections.namedtuple`` builds its class.  Each stage state, each
+component of the new state and each error-norm term is one expression in
+local floats, so a step builds no zip and runs no comprehension.  The
+expressions are the sums over the components' lists, in the same order and
+grouping (``y + (k1*a1 + ... + kj*aj)*h``, ``y + h*(k1*b1 + ... + k6*b6)``,
+the squared error terms added to 0.0 in component order), and Python floats
+are IEEE doubles that never fuse a multiply and an add, so writing them out
+changes no bit.  On the default-grid Loud periods a step costs 8-10 µs on
+a 2-core x86-64 host, 3-4 µs of it in the right-hand side; summed by list
+comprehensions, the same step took 15-21 µs there, and scipy's solve_ivp
+takes about eight times as long as this port.
+
+A solve that would take more than `_NFEV_BUDGET` = 10^6 right-hand side
+evaluations stops with status -1 and a message that names the budget;
+scipy has no such limit.  A stiff system, such as the Loud entry arc at
+F = 1e19, shrinks the step without end and would otherwise run for hours.
+No Loud period solve of a sweep over 0.51 <= F <= 100 took more than 4,808.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +57,10 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_NFEV_BUDGET = 10**6  # right-hand side evaluations per solve
+_BUDGET_SPENT = (
+    f"The solve needs more than its budget of {_NFEV_BUDGET} right-hand side evaluations."
+)
 _MESSAGES = {
     0: "The solver successfully reached the end of the integration interval.",
     1: "A termination event occurred.",
@@ -117,6 +142,49 @@ def _dense_output(t_old, h, y_old, K):
     return sol
 
 
+def _step_source(n: int) -> str:
+    """Source of one RK45 step for an n-component state, with the stage
+    states, y_new and the error-norm terms written out per component."""
+
+    def each(pattern: str) -> list:
+        """pattern once per component, "#" standing for its index."""
+        return [pattern.replace("#", str(i)) for i in range(n)]
+
+    def row(pattern: str) -> str:
+        return ", ".join(each(pattern))
+
+    def weighted(weights: str, count: int) -> str:
+        """k1_# * <weights>1 + ... + k<count>_# * <weights><count>."""
+        return " + ".join(f"k{m}_# * {weights}{m}" for m in range(1, count + 1))
+
+    body = [f"{row('y_#')}, = y", f"{row('k1_#')}, = k1"]
+    for j in range(2, 7):
+        state = row(f"y_# + ({weighted('_A' + str(j), j - 1)}) * h")
+        body += [f"k{j} = fun(t + _C{j} * h, [{state}])", f"{row(f'k{j}_#')}, = k{j}"]
+    body += each(f"yn_# = y_# + h * ({weighted('_B', 6)})")
+    body += [
+        f"y_new = [{row('yn_#')}]",
+        "k7 = fun(t + h, y_new)",
+        f"{row('k7_#')}, = k7",
+        f"{row('atol_#')}, = atol",
+    ]
+    body += each(f"e_# = ({weighted('_E', 7)}) * h / (atol_# + max(abs(y_#), abs(yn_#)) * rtol)")
+    squares = "".join(each(" + e_# * e_#"))
+    body += [
+        f"error_norm = math.sqrt(0.0{squares}) / {n} ** 0.5",
+        "return y_new, error_norm, (k1, k2, k3, k4, k5, k6, k7)",
+    ]
+    return "def step(fun, t, h, y, k1, atol, rtol):\n" + "".join(f"    {line}\n" for line in body)
+
+
+@functools.cache
+def _step(n: int):
+    """The step for n components, compiled once per n."""
+    namespace = {}
+    exec(compile(_step_source(n), f"<rk45 step, n = {n}>", "exec"), globals(), namespace)
+    return namespace["step"]
+
+
 def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6, first_step=None) -> Solution:
     """Integrate y' = fun(t, y) over t_span as scipy's RK45 does.
 
@@ -132,6 +200,7 @@ def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6, first_step=None)
     atol = [float(a) for a in atol] if isinstance(atol, (list, tuple)) else [float(atol)] * n
     if len(atol) != n or not all(a > 0 for a in atol):
         raise ValueError("atol must be positive, one value or one per component")
+    step = _step(n)
     direction = -1.0 if t_bound < t else 1.0
     terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
     ev_dir = [getattr(ev, "direction", 0) for ev in events]
@@ -164,50 +233,10 @@ def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6, first_step=None)
             h = t_new - t
             h_abs = abs(h)
 
-            k1 = f
-            k2 = fun(t + _C2 * h, [yi + (a * _A21) * h for yi, a in zip(y, k1)])
-            k3 = fun(
-                t + _C3 * h,
-                [yi + (a * _A31 + b * _A32) * h for yi, a, b in zip(y, k1, k2)],
-            )
-            k4 = fun(
-                t + _C4 * h,
-                [
-                    yi + (a * _A41 + b * _A42 + c * _A43) * h
-                    for yi, a, b, c in zip(y, k1, k2, k3)
-                ],
-            )
-            k5 = fun(
-                t + _C5 * h,
-                [
-                    yi + (a * _A51 + b * _A52 + c * _A53 + d * _A54) * h
-                    for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-                ],
-            )
-            k6 = fun(
-                t + _C6 * h,
-                [
-                    yi + (a * _A61 + b * _A62 + c * _A63 + d * _A64 + e * _A65) * h
-                    for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-                ],
-            )
-            y_new = [
-                yi + h * (a * _B1 + b * _B2 + c * _B3 + d * _B4 + e * _B5 + g6 * _B6)
-                for yi, a, b, c, d, e, g6 in zip(y, k1, k2, k3, k4, k5, k6)
-            ]
-            k7 = fun(t + h, y_new)
+            if nfev + 6 > _NFEV_BUDGET:
+                return Solution(-1, _BUDGET_SPENT, t, y, t_events, nfev)
+            y_new, error_norm, K = step(fun, t, h, y, f, atol, rtol)
             nfev += 6
-
-            error_norm = _rms(
-                [
-                    (a * _E1 + b * _E2 + c * _E3 + d * _E4 + e * _E5 + g6 * _E6 + g7 * _E7)
-                    * h
-                    / (at + max(abs(yi), abs(yn)) * rtol)
-                    for a, b, c, d, e, g6, g7, yi, yn, at in zip(
-                        k1, k2, k3, k4, k5, k6, k7, y, y_new, atol
-                    )
-                ]
-            )
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -221,19 +250,20 @@ def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6, first_step=None)
             rejected = True
 
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, k7
+        t, y, f = t_new, y_new, K[6]
         if direction * (t - t_bound) >= 0:
             status = 0
 
         if events:
-            g_new = [ev(t, y) for ev in events]
-            active = [
-                i
-                for i, (a, b, d) in enumerate(zip(g, g_new, ev_dir))
-                if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0)
-            ]
+            g_new = []
+            active = []
+            for i, ev in enumerate(events):
+                a, b, d = g[i], ev(t, y), ev_dir[i]
+                g_new.append(b)
+                if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0):
+                    active.append(i)
             if active:
-                sol = _dense_output(t_old, h, y_old, (k1, k2, k3, k4, k5, k6, k7))
+                sol = _dense_output(t_old, h, y_old, K)
                 roots = [
                     (brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old, t,
                             xtol=4 * _EPS, rtol=4 * _EPS), i)

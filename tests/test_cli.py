@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dulackit
 from dulackit.cli import main
@@ -133,6 +133,20 @@ def test_golden_verify_reports(tmp_path, capsys, name):
         for field, g, w in zip(header[1:], cells[1:], want_cells[1:]):
             rtol = REMAINDER_RTOL if _remainder_field(field) else VALUE_RTOL
             _assert_close(float(g), float(w), rtol, f"{name} row {i} {field}")
+
+
+@pytest.mark.parametrize("name", ["loud_f1", "loud_f09"])
+def test_golden_loud_reports(tmp_path, capsys, name):
+    """loud's reports stay byte-identical to the recorded ones, which guards
+    the integrator's bits: the periods come from Python float arithmetic
+    alone (the stepper, the right-hand sides, math.exp and math.log), and
+    the section height from numpy's roots of a quadratic.  F = 1 and
+    F = 0.9; between them the s grids take every chart ending of
+    tests/test_rk45.py::test_compared_points_cover_every_chart_ending."""
+    code = main(["loud", str(GOLDEN / f"{name}.spec.json"), "--out", str(tmp_path)])
+    assert code == 0
+    for report in ("loud.json", "period_samples.csv"):
+        assert (tmp_path / report).read_bytes() == (GOLDEN / f"{name}.{report}").read_bytes()
 
 
 def test_check_and_expand_without_scipy(tmp_path):
@@ -380,6 +394,26 @@ class TestLoud:
             "the node entry has z = 18.2, at or past the switch z = 6\n"
         )
 
+    @pytest.mark.parametrize(
+        "loud, s, F, z",
+        [
+            # F = 1e19 used to hang in the entry arc, which now also stops at
+            # the integrator's evaluation budget (tests/test_rk45.py)
+            ({"D_grid": [-0.25], "F": 1e19, "s_grid": [0.001, 0.002]}, "0.001", "1e+19", "6.32e+09"),
+            # the entry point's plane coordinates overflow; this exited 3
+            ({"D_grid": [-0.25], "s_grid": [0.001, 1e308]}, "1e+308", "1", "2.27e+154"),
+        ],
+        ids=["huge-F", "huge-s"],
+    )
+    def test_entry_past_the_atlas_exits_1(self, tmp_path, capsys, loud, s, F, z):
+        """The atlas's range is checked before the entry arc is integrated."""
+        spec = write_spec(tmp_path, "s.json", {"loud": loud})
+        assert main(["loud", spec, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"OutsideAtlas: s = {s} is outside the chart atlas at D = -0.25, F = {F}: "
+            f"the node entry has z = {z}, at or past the switch z = 6\n"
+        )
+
 
 class TestBadSpecs:
     """Inputs that used to crash or pass vacuously exit 3 with a message."""
@@ -449,11 +483,14 @@ class TestBadSpecs:
             ({"D_grid": "abc"}, "D_grid"),
             ({"D_grid": ["abc"]}, "D_grid"),
             ({"D_grid": [-0.25], "s_grid": 5}, "s_grid"),
+            ({"D_grid": [-0.25, 0.5]}, "loud.D_grid[1] = 0.5: D must lie in (-1, 0)"),
+            ({"D_grid": [-1.0]}, "loud.D_grid[0] = -1.0: D must lie in (-1, 0)"),
+            ({"D_grid": [-0.25], "F": 0.3}, "loud.F = 0.3: F must exceed 1/2"),
         ],
         ids=[
             "s-single", "s-nonpositive", "s-repeated", "s-decreasing", "s-infinite",
             "D-empty", "D-nan", "F-infinite", "not-an-object",
-            "D-string", "D-string-entry", "s-number",
+            "D-string", "D-string-entry", "s-number", "D-positive", "D-minus-one", "F-half-or-less",
         ],
     )
     def test_loud_out_of_range(self, tmp_path, capsys, loud, field):
@@ -678,6 +715,8 @@ def test_fuzz_verify(tmp_path_factory, kind, changes):
 
 
 @given(changes=fuzz_changes(LOUD_FIELDS))
+@example(changes=[(("loud", "F"), 1e19)])  # in BAD_VALUES; it used to hang
+@example(changes=[(("loud", "F"), 1e19), (("loud", "s_grid", 1), 1e308)])
 @settings(max_examples=100, deadline=None)
 def test_fuzz_loud(tmp_path_factory, changes):
     """A one-row loud spec with one or two fields set to bad values."""

@@ -121,28 +121,50 @@ def _oscillator(t, y):
     return [y[1], -y[0]]
 
 
+def _system(n):
+    """An n-component test system in which every component's stage states
+    reach a derivative: for n = 1, y0' = -sin t - (y0 - cos t) / 2 (solved
+    by cos t); for n = 2, the oscillator; for n = 3 and 4, further
+    components integrate y0 and y2, and the last one feeds back into y0'.
+    Each n runs its own written-out step."""
+    return {
+        1: lambda t, y: [-math.sin(t) - 0.5 * (y[0] - math.cos(t))],
+        2: _oscillator,
+        3: lambda t, y: [y[1] + 0.1 * y[2], -y[0], y[0]],
+        4: lambda t, y: [y[1] + 0.1 * y[3], -y[0], y[0], y[2]],
+    }[n]
+
+
+DIMENSIONS = pytest.mark.parametrize("n", [1, 2, 3, 4], ids=lambda n: f"n{n}")
+
+
+@DIMENSIONS
 @pytest.mark.parametrize("t_span", [(0.0, 20.0), (0.0, -20.0)], ids=["forward", "backward"])
-def test_events_and_direction_match_scipy(t_span):
+def test_events_and_direction_match_scipy(t_span, n):
     """Non-terminal events record every crossing in their direction; the
     terminal one ends the solve at its root, forward and backward in t."""
     up = lambda t, y: y[0]
     up.direction = 1.0
-    either = lambda t, y: y[1] - 0.5
+    either = lambda t, y: y[-1] - 0.5
     stop = lambda t, y: abs(t) - 15.0
     stop.terminal = True
     kw = dict(events=[up, either, stop], rtol=1e-10, atol=1e-12)
-    port = solve_ivp(_oscillator, t_span, [1.0, 0.0], **kw)
-    ref = scipy_rk45(_oscillator, t_span, [1.0, 0.0], **kw)
+    fun, y0 = _system(n), [1.0, 0.0, 0.0, 0.0][:n]
+    port = solve_ivp(fun, t_span, y0, **kw)
+    ref = scipy_rk45(fun, t_span, y0, **kw)
     assert port.status == 1 and all(port.t_events)
-    assert_same_solve(port, ref, _oscillator)
+    assert_same_solve(port, ref, fun)
     assert port.nfev == ref.nfev
 
 
-def test_whole_interval_without_events_matches_scipy():
-    port = solve_ivp(_oscillator, (0.0, 7.5), [1.0, 0.0], rtol=1e-11, atol=[1e-14, 1e-13])
-    ref = scipy_rk45(_oscillator, (0.0, 7.5), [1.0, 0.0], rtol=1e-11, atol=[1e-14, 1e-13])
+@DIMENSIONS
+def test_whole_interval_without_events_matches_scipy(n):
+    fun, y0 = _system(n), [1.0, 0.0, 0.0, 0.0][:n]
+    kw = dict(rtol=1e-11, atol=[1e-14, 1e-13, 1e-14, 1e-13][:n])
+    port = solve_ivp(fun, (0.0, 7.5), y0, **kw)
+    ref = scipy_rk45(fun, (0.0, 7.5), y0, **kw)
     assert port.status == 0 and port.t == 7.5
-    assert_same_solve(port, ref, _oscillator)
+    assert_same_solve(port, ref, fun)
     assert port.nfev == ref.nfev
 
 
@@ -179,6 +201,23 @@ class TestFailures:
         rhs = lambda t, y: [math.nan if t > 0.5 else 1.0, 1.0]
         with pytest.raises(EventMissed, match="^Required step size"):
             loud._solve(rhs, (0.0, 10.0), [1.0, 2.0], [], 1e-14)
+
+    def test_evaluation_budget(self):
+        """A stiff linear equation: stability holds the explicit steps near
+        3.3e-6, so the interval needs about 2e7 evaluations, and the solve
+        stops at the budget with status -1 and a message that names it."""
+        sol = solve_ivp(lambda t, y: [-1e6 * y[0]], (0.0, 10.0), [1.0], rtol=1e-6, atol=1e-9)
+        assert sol.status == -1
+        assert sol.message == (
+            "The solve needs more than its budget of 1000000 right-hand side evaluations."
+        )
+        assert 1_000_000 - 6 < sol.nfev <= 1_000_000 and 0 < sol.t < 10
+
+    def test_stiff_entry_arc_stops_at_the_budget(self):
+        """At F = 1e19 the backward plane arc stiffens through the F v^2
+        term (it used to run for hours): EventMissed naming the budget."""
+        with pytest.raises(EventMissed, match="^The solve needs more than its budget of 1000000 "):
+            loud.time_to_entry(loud.LoudParams(D=-0.25, F=1e19), 0.001)
 
     @pytest.mark.parametrize("atol", [0.0, [1e-14], -1.0], ids=["zero", "wrong-length", "negative"])
     def test_bad_atol(self, atol):
