@@ -23,7 +23,7 @@ import numpy as np
 
 from . import expansion, family
 from .errors import DegenerateQ, DulacKitError
-from .series import TruncatedSeries, _json_int
+from .series import TruncatedSeries, _json_int, _scalar_from_str
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -89,7 +89,18 @@ def _count(spec: dict, key: str, default: int) -> int:
 
 
 def _series_from(data, field: str) -> TruncatedSeries:
-    return TruncatedSeries.from_json([str(tok) for tok in _array(data, field)])
+    """A JSON array of coefficients as a series; a ValueError names the
+    entry (as in V[1]) or the array it comes from."""
+    coeffs = []
+    for i, tok in enumerate(_array(data, field)):
+        try:
+            coeffs.append(_scalar_from_str(str(tok)))
+        except ValueError as exc:
+            raise ValueError(f"{field}[{i}]: {exc}") from None
+    try:
+        return TruncatedSeries(tuple(coeffs))
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
 
 
 def _write_json(obj, out_dir: Path, name: str):
@@ -331,8 +342,16 @@ def cmd_loud(spec: dict, out_dir: Path) -> int:
     }
     _write_json(out, out_dir, "loud.json")
     print(json.dumps(out["regularity"], sort_keys=True, allow_nan=False))
-    ok = all(r.near_zero or (r.coherent is True) for r in report.rows)
-    return EXIT_PASS if ok else EXIT_FAIL
+    failed = [r for r in report.rows if not (r.near_zero or r.coherent is True)]
+    if failed:
+        rows = "; ".join(
+            f"D = {r.D!r} (sign {r.sign}, coherent {json.dumps(r.coherent)}, "
+            f"near_zero {json.dumps(r.near_zero)})"
+            for r in failed
+        )
+        sys.stderr.write(f"regularity check failed: {rows}\n")
+        return EXIT_FAIL
+    return EXIT_PASS
 
 
 def main(argv=None) -> int:

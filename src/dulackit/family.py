@@ -140,7 +140,8 @@ class PolynomialFamily:
     def from_json(cls, data: Mapping) -> "PolynomialFamily":
         """The family of a spec's "family" object; a value that is not a
         number, or an exponent that is not a nonnegative integer, raises
-        ValueError naming its key."""
+        ValueError naming its key, and a family of the wrong shape (degree
+        in x other than mu + 1, say) one naming `family`."""
         terms = {}
         for i, t in enumerate(data["terms"]):
             field = f"family.terms[{i}]"
@@ -155,7 +156,11 @@ class PolynomialFamily:
                     raise ValueError(f"{field}.{key} = {n} is negative")
                 exponents.append(n)
             terms[tuple(exponents)] = c
-        return cls(mu=_json_int(data["mu"], "family.mu"), coeffs=terms)
+        mu = _json_int(data["mu"], "family.mu")
+        try:
+            return cls(mu=mu, coeffs=terms)
+        except ValueError as exc:
+            raise ValueError(f"family: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ event fires.  Where both are feasible this agrees with single-chart
 integration to ~1e-11.
 
 Every chart is integrated by `rk45.solve_ivp`, scipy's RK45 stepped in
-Python floats with each step written out per component: on these 2- and
+Python floats with each step written out per component (its tableau written
+out as fractions, its event roots found by a port of scipy's brentq, so
+neither this module nor rk45 imports scipy): on these 2- and
 3-component systems it takes about an eighth of the time of scipy's
 solve_ivp (the 35 default-grid periods: 0.06-0.08 s against 0.50-0.69 s on
 a 2-core x86-64 host).  A solve that would need more than its budget of
@@ -39,6 +41,9 @@ to 1.0e-11 relative (2e-11 stated), on the near-zero D = -1/2 row, a
 difference of nearly equal periods.  A higher-order pair such as DOP853
 would change the periods by its integration error instead, and moved
 `mean_slope` by up to 3e-8 relative.
+
+The oracle, which imports scipy, is imported on first use, by the two
+cross-checks that call it: `dulac_map_node` and `period_via_decomposition`.
 """
 
 from __future__ import annotations
@@ -59,9 +64,8 @@ from .errors import (
     OutsideAtlas,
     PoleAtNonPositiveInteger,
 )
-from .expansion import DulacTimeSpec
+from .expansion import DulacTimeSpec, UnfoldingSpec
 from .family import PolynomialFamily, PuiseuxBranch, biggest_real_root_branch
-from .oracle import dulac_map as _oracle_dulac_map, dulac_time as _oracle_dulac_time
 from .rk45 import solve_ivp
 from .series import TruncatedSeries
 
@@ -312,13 +316,13 @@ def node_time_spec(p: LoudParams) -> DulacTimeSpec:
 
 def dulac_map_node(p: LoudParams, s: float) -> float:
     """Transition map of the nodal field (x^2-eps)x dx + 2F(1 - x^2/(2F)) y dy."""
-    from .expansion import UnfoldingSpec
+    from . import oracle  # the oracle imports scipy, which the period sweep never needs
 
     fam, V, branch = normal_family(p)
     spec = UnfoldingSpec(
         family=fam, branch=branch, V=V, U=TruncatedSeries.zero(2), lam=1, eps=p.eps
     )
-    return _oracle_dulac_map(spec, s)
+    return oracle.dulac_map(spec, s)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +513,9 @@ def _horizontal_rhs(p: LoudParams):
 def period_via_decomposition(p: LoudParams, s: float) -> float:
     """Cross-check route: twice (entry arc time + node passage time).  Omits
     the arc beyond the outer section whose time is O(transition map value)."""
-    return 2.0 * (time_to_entry(p, s) + _oracle_dulac_time(node_time_spec(p), s))
+    from . import oracle
+
+    return 2.0 * (time_to_entry(p, s) + oracle.dulac_time(node_time_spec(p), s))
 
 
 @dataclass

@@ -6,13 +6,22 @@ two or three components, where scipy's per-step numpy overhead costs several
 times the right-hand side.  The port keeps everything that decides the
 steps and the events:
 
-* the Dormand-Prince 5(4) tableau, read from ``scipy.integrate.RK45``;
+* the Dormand-Prince 5(4) tableau, written out as the fractions of scipy's
+  source, each the float that scipy's array holds;
 * the initial step of ``select_initial_step`` (or ``first_step``);
 * the step control: safety 0.9, factors between 0.2 and 10, exponent -1/5,
   no growth right after a rejected step, failure below ten spacings of t;
-* the event location: the sign test with ``direction``, scipy's ``brentq``
-  at ``xtol = rtol = 4 EPS`` on the same quartic dense output, and a
+* the event location: the sign test with ``direction``, Brent's root
+  finder at ``xtol = rtol = 4 EPS`` on the same quartic dense output, and a
   terminal event ending the solve at ``sol(t_event)``.
+
+The module imports nothing from scipy, so the Loud period sweep runs
+without loading it.  The root finder `_brentq` is a line-by-line port of
+scipy's ``brentq`` (the C routine ``brentq.c``, Brent's method in the form
+of R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973,
+ch. 4, behind scipy's wrapper that raises on a NaN value): it evaluates the
+function at the same points as ``scipy.optimize.brentq`` and returns its
+root bit for bit.
 
 Each sum is formed in numpy's order (the stages times their weights, then
 times h), so solutions agree with scipy's to rounding in the last bits:
@@ -48,14 +57,11 @@ import functools
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import RK45
-from scipy.optimize import brentq
-
 _EPS = 2.0**-52
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+_ERROR_EXPONENT = -1.0 / (4 + 1)  # the error estimator has order 4
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _NFEV_BUDGET = 10**6  # right-hand side evaluations per solve
 _BUDGET_SPENT = (
@@ -66,14 +72,43 @@ _MESSAGES = {
     1: "A termination event occurred.",
 }
 
-# scipy's tableau, unpacked to Python floats: stage j's weights in row j of A
-_, _C2, _C3, _C4, _C5, _C6 = RK45.C.tolist()
-_A = [row[:i] for i, row in enumerate(RK45.A.tolist())]
-(_A21,), (_A31, _A32), (_A41, _A42, _A43) = _A[1:4]
-(_A51, _A52, _A53, _A54), (_A61, _A62, _A63, _A64, _A65) = _A[4:]
-_B1, _B2, _B3, _B4, _B5, _B6 = RK45.B.tolist()
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = RK45.E.tolist()
-_P_COLUMNS = [list(col) for col in zip(*RK45.P.tolist())]
+# RK45's Dormand-Prince 5(4) tableau, written as scipy's source writes it
+# (scipy/integrate/_ivp/rk.py, class RK45).  A quotient of two ints is
+# correctly rounded, so each entry is the float that scipy's array holds.
+_C = [0.0, 1/5, 3/10, 4/5, 8/9, 1.0]
+_A = [
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1/5, 0.0, 0.0, 0.0, 0.0],
+    [3/40, 9/40, 0.0, 0.0, 0.0],
+    [44/45, -56/15, 32/9, 0.0, 0.0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0.0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+]
+_B = [35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84]
+_E = [-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]
+_P = [
+    [1.0, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0.0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0.0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0.0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+]
+
+# unpacked for the written-out step: stage j's weights are row j of A
+_, _C2, _C3, _C4, _C5, _C6 = _C
+(
+    _,
+    (_A21, *_),
+    (_A31, _A32, *_),
+    (_A41, _A42, _A43, *_),
+    (_A51, _A52, _A53, _A54, _),
+    (_A61, _A62, _A63, _A64, _A65),
+) = _A
+_B1, _B2, _B3, _B4, _B5, _B6 = _B
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
+_P_COLUMNS = [list(col) for col in zip(*_P)]
 
 
 @dataclass
@@ -140,6 +175,66 @@ def _dense_output(t_old, h, y_old, K):
         return [h * _dot(q, p) + y for q, y in zip(Q, y_old)]
 
     return sol
+
+
+def _brentq(f, a, b, xtol, rtol, maxiter=100) -> float:
+    """A root of f in [a, b] by Brent's method, as ``scipy.optimize.brentq``
+    finds it: a line-by-line port of scipy's ``brentq.c`` (Brent 1973, ch. 4),
+    behind scipy's wrapper that raises ValueError on a NaN value of f.  It
+    raises ValueError if f(a) and f(b) have the same sign and RuntimeError
+    after maxiter iterations, with scipy's messages.  The tolerances are the
+    caller's to choose: scipy's checks on them are not repeated."""
+
+    def f_raise(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre = f_raise(xpre)
+    fcur = f_raise(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f_raise(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _step_source(n: int) -> str:
@@ -265,8 +360,8 @@ def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6, first_step=None)
             if active:
                 sol = _dense_output(t_old, h, y_old, K)
                 roots = [
-                    (brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old, t,
-                            xtol=4 * _EPS, rtol=4 * _EPS), i)
+                    (_brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old, t,
+                             xtol=4 * _EPS, rtol=4 * _EPS), i)
                     for i in active
                 ]
                 roots.sort(key=lambda r: direction * r[0])

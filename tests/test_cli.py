@@ -149,24 +149,49 @@ def test_golden_loud_reports(tmp_path, capsys, name):
         assert (tmp_path / report).read_bytes() == (GOLDEN / f"{name}.{report}").read_bytes()
 
 
-def test_check_and_expand_without_scipy(tmp_path):
-    """check and expand solve nothing, so a process that runs them never
-    imports scipy, and they still write the recorded reports."""
-    spec = str(GOLDEN / "orbit.spec.json")
+def scipy_modules_after(script_lines) -> str:
+    """Run the script in a fresh process and return the sorted list of the
+    scipy modules loaded when it ends, as printed."""
     script = "\n".join([
         "import sys",
-        "from dulackit.cli import main",
-        f"assert main(['check', {spec!r}, '--out', {str(tmp_path)!r}]) == 0",
-        f"assert main(['expand', {spec!r}, '--out', {str(tmp_path)!r}]) == 0",
+        *script_lines,
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     src = str(Path(dulackit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_check_and_expand_without_scipy(tmp_path):
+    """check and expand solve nothing, so a process that runs them never
+    imports scipy, and they still write the recorded reports."""
+    spec = str(GOLDEN / "orbit.spec.json")
+    assert scipy_modules_after([
+        "from dulackit.cli import main",
+        f"assert main(['check', {spec!r}, '--out', {str(tmp_path)!r}]) == 0",
+        f"assert main(['expand', {spec!r}, '--out', {str(tmp_path)!r}]) == 0",
+    ]) == "[]"
     for report in ("check.json", "expansion.json"):
         assert (tmp_path / report).read_bytes() == (GOLDEN / f"orbit.{report}").read_bytes()
+
+
+def test_loud_without_scipy(tmp_path):
+    """The Loud coefficients of Theorem B and the period sweep of Theorem C
+    run in Python floats (rk45 is scipy-free), so a process that computes
+    them and runs loud never imports scipy, and loud still writes the
+    recorded reports."""
+    spec = str(GOLDEN / "loud_f1.spec.json")
+    assert scipy_modules_after([
+        "from dulackit.cli import main",
+        "from dulackit.expansion import dulac_time_coefficients",
+        "from dulackit.loud import LoudParams, node_time_spec",
+        "dulac_time_coefficients(node_time_spec(LoudParams(-0.75, 1)), 3)",
+        f"assert main(['loud', {spec!r}, '--out', {str(tmp_path)!r}]) == 0",
+    ]) == "[]"
+    for report in ("loud.json", "period_samples.csv"):
+        assert (tmp_path / report).read_bytes() == (GOLDEN / f"loud_f1.{report}").read_bytes()
 
 
 def test_help_text():
@@ -364,7 +389,7 @@ class TestLoud:
         assert (tmp_path / "o" / "period_samples.csv").exists()
 
     @pytest.mark.parametrize("D_grid", [[-0.75, -0.25], [-0.75]], ids=["two-sided", "one-value"])
-    def test_global_sign_error_fails(self, tmp_path, monkeypatch, D_grid):
+    def test_global_sign_error_fails(self, tmp_path, capsys, monkeypatch, D_grid):
         """The paper's rule fixes the sign of dP/ds, so negating every period
         is an error on any grid, one D value included."""
         from dulackit import loud
@@ -376,10 +401,27 @@ class TestLoud:
         data = json.loads((tmp_path / "o" / "loud.json").read_text())
         assert data["regularity"]["orientation"] == 1
         assert [row["coherent"] for row in data["regularity"]["rows"]] == [False] * len(D_grid)
+        err = capsys.readouterr().err
+        assert err.startswith("regularity check failed: D = -0.75 (sign 1, coherent false, ")
+        assert err.count("\n") == 1 and err.count("D = ") == len(D_grid)
 
     def test_one_value_grid_passes(self, tmp_path):
         spec = write_spec(tmp_path, "s.json", {"loud": {"D_grid": [-0.75]}})
         assert main(["loud", spec, "--out", str(tmp_path / "o")]) == 0
+
+    def test_failed_row_is_named(self, tmp_path, capsys):
+        """Alone on its grid, the D = -1/2 row has no sign from the paper's
+        rule (2D + 1 = 0) and is not near zero against itself, so the check
+        fails: exit 1 with one stderr line naming the row, and the reports
+        written as on a pass."""
+        spec = write_spec(tmp_path, "s.json", {"loud": {"D_grid": [-0.5]}})
+        assert main(["loud", spec, "--out", str(tmp_path / "o")]) == 1
+        out, err = capsys.readouterr()
+        assert err == "regularity check failed: D = -0.5 (sign 1, coherent null, near_zero false)\n"
+        data = json.loads((tmp_path / "o" / "loud.json").read_text())
+        assert json.loads(out) == data["regularity"]
+        (row,) = data["regularity"]["rows"]
+        assert (row["D"], row["sign"], row["coherent"], row["near_zero"]) == (-0.5, 1, None, False)
 
     def test_step_size_collapse_exits_1(self, tmp_path, capsys):
         """Near D = -1 at F = 3/2 the node entry at s = 0.99 lies past the
@@ -551,6 +593,12 @@ class TestBadSpecs:
             ("check", {"family": {"mu": 1, "terms": [{"x": 2, "eps": 0, "c": "1"},
                                                      {"x": 1, "eps": -1, "c": "-1"}]}},
              "family.terms[1].eps"),
+            ("expand", {"V": ["1", "x"]}, "V[1]: could not convert string to float: 'x'"),
+            ("expand", {"U": ["nan"]}, "U[0]: coefficient 'nan' is not a finite number"),
+            ("verify", {"V": []}, "V: a truncated series needs at least the constant term"),
+            ("verify", {"kind": "dulac_time", "modes": [["1"], ["0"], ["0", "y"]]}, "modes[2][1]: "),
+            ("check", {"family": {"mu": 1, "terms": LINEAR_FAMILY["terms"][1:]}},
+             "family: degree in x is 1, expected mu+1=2"),
         ],
         ids=[
             "family-number", "terms-number", "term-number", "V-number", "U-number",
@@ -561,7 +609,7 @@ class TestBadSpecs:
             "term-x-string", "term-eps-array", "term-c-string",
             "ell-fraction", "ell-boolean", "ell-past-index", "ell-1e308", "sign-boolean",
             "term-eps-fraction", "expand-term-eps-fraction", "term-x-negative",
-            "term-eps-negative",
+            "term-eps-negative", "V-entry", "U-entry", "V-empty", "mode-entry", "term-deleted",
         ],
     )
     def test_field_named(self, tmp_path, capsys, command, changes, field):

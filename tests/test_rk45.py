@@ -1,15 +1,17 @@
 """The scalar RK45 port against scipy's solve_ivp(method="RK45")."""
 
 import math
+import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 
-from dulackit import loud
+from dulackit import loud, rk45
 from dulackit.errors import EventMissed
-from dulackit.rk45 import solve_ivp
+from dulackit.rk45 import _brentq, solve_ivp
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
@@ -115,6 +117,57 @@ def test_default_grid_periods_match_scipy(monkeypatch):
     ref = [loud.period_numeric(p, s) for p, s in points]
     for a, b in zip(port, ref):
         assert abs(a - b) <= 1e-13 * abs(b)
+
+
+def test_tableau_is_scipys():
+    """The written-out Dormand-Prince fractions are the floats of scipy's
+    RK45 arrays."""
+    RK45 = scipy.integrate.RK45
+    assert RK45.error_estimator_order == 4 and rk45._ERROR_EXPONENT == -1 / 5
+    for name in "CABEP":
+        assert getattr(rk45, f"_{name}") == getattr(RK45, name).tolist(), name
+
+
+def _polynomial_brackets(seed, count):
+    """Seeded random polynomials of degree 1-5 with a sign change over a
+    random interval: (f, a, b)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        c = [rng.uniform(-1.0, 1.0) for _ in range(rng.randint(2, 6))]
+        f = lambda x, c=c: sum(ci * x**i for i, ci in enumerate(c))
+        a, b = sorted(rng.uniform(-3.0, 3.0) for _ in range(2))
+        if (f(a) < 0) != (f(b) < 0):
+            out.append((f, a, b))
+    return out
+
+
+@pytest.mark.parametrize("xtol, rtol", [(4 * rk45._EPS, 4 * rk45._EPS), (1e-12, 4 * rk45._EPS)])
+def test_brentq_is_scipys(xtol, rtol):
+    """The port finds scipy's root, by ==, after the same evaluations."""
+    for f, a, b in _polynomial_brackets(seed=15, count=400):
+        port, ref = [], []
+        root = _brentq(lambda x: (port.append(x), f(x))[1], a, b, xtol, rtol)
+        want = scipy.optimize.brentq(lambda x: (ref.append(x), f(x))[1], a, b, xtol=xtol, rtol=rtol)
+        assert root == want and port == ref
+
+
+@pytest.mark.parametrize(
+    "f, a, b, maxiter, error",
+    [
+        (lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, 100, ValueError),
+        (lambda x: x * x + 1.0, 0.0, 1.0, 100, ValueError),
+        (lambda x: math.exp(x) - 2.0, -5.0, 30.0, 3, RuntimeError),
+    ],
+    ids=["nan", "same-signs", "maxiter"],
+)
+def test_brentq_fails_as_scipy_does(f, a, b, maxiter, error):
+    tol = 4 * rk45._EPS
+    with pytest.raises(error) as ref:
+        scipy.optimize.brentq(f, a, b, xtol=tol, rtol=tol, maxiter=maxiter)
+    with pytest.raises(error) as port:
+        _brentq(f, a, b, tol, tol, maxiter)
+    assert str(port.value) == str(ref.value)
 
 
 def _oscillator(t, y):
