@@ -23,7 +23,7 @@ import numpy as np
 
 from . import expansion, family
 from .errors import DegenerateQ, DulacKitError
-from .series import TruncatedSeries, _json_int, _scalar_from_str
+from .series import TruncatedSeries, _json_int, _json_key, _scalar_from_str
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -124,8 +124,8 @@ def _write_csv(rows, out_dir: Path, name: str):
 
 
 def _analyze(spec: dict):
-    data = _object(spec["family"], "family")
-    for i, term in enumerate(_array(data.get("terms"), "family.terms")):
+    data = _object(_json_key(spec, "family", "family"), "family")
+    for i, term in enumerate(_array(_json_key(data, "terms", "family.terms"), "family.terms")):
         _object(term, f"family.terms[{i}]")
     fam = family.PolynomialFamily.from_json(data)
     branch, nd = family.analyze_family(fam, _json_int(spec.get("sign", +1), "sign"))
@@ -222,7 +222,7 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
         eps, lam = uspec.eps, float(uspec.lam)
         evaluate = lambda grid: [oracle.dulac_map(uspec, s) for s in grid]
     elif kind == "dulac_time":
-        modes = _array(spec["modes"], "modes")
+        modes = _array(_json_key(spec, "modes", "modes"), "modes")
         ts = expansion.DulacTimeSpec(
             family=fam,
             branch=branch,
@@ -238,6 +238,16 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
     else:
         raise ValueError(f"unknown verify kind {kind!r}")
 
+    # the oracle integrates from s + theta out to the section at x0 (at 1
+    # for the Dulac map), with the oracle's own 1e-15 slack
+    outer, section = (1.0, "1") if kind == "dulac_map" else (x0, f"x0 = {x0!r}")
+    s_max = float(s_grid[-1])
+    reach = s_max + float(branch.theta(eps))
+    if reach > outer + 1e-15:
+        raise ValueError(
+            f"eps = {eps!r} and s_grid.max = {s_max!r} put s + theta at {reach!r}, "
+            f"past the outer section at {section}"
+        )
     tol = _number(spec, "flatness_tol", 1e-2)
     # a float overflow inside numpy, in the solvers, raises at once (exit 1)
     # instead of warning on stderr and failing later as a bad-spec ValueError

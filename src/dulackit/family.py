@@ -6,7 +6,9 @@ support of P viewed as a polynomial in (x, e), e >= 0.  For each
 admissible edge the characteristic polynomial is solved over the reals;
 simple roots are lifted by undetermined coefficients (one coefficient of
 P1(v(z), z) per step, from the coefficients of the powers of v kept
-incrementally), multiple roots recurse on the substituted polynomial.
+incrementally), multiple roots recurse on the substituted polynomial
+once its Taylor terms below the root's multiplicity, rounding noise for a
+float root, are set to zero; one loop assembles the sub-branches of both.
 Rational characteristic roots are kept exact, so the common families
 produce branches with exact rational coefficients.  An iteration that
 stalls, yields no real branch or overflows floats raises BranchNotFound.
@@ -54,6 +56,7 @@ from .series import (
     BivariatePoly,
     TruncatedSeries,
     _json_int,
+    _json_key,
     _scalar_from_str,
     _scalar_to_str,
     horner,
@@ -138,25 +141,27 @@ class PolynomialFamily:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "PolynomialFamily":
-        """The family of a spec's "family" object; a value that is not a
-        number, or an exponent that is not a nonnegative integer, raises
-        ValueError naming its key, and a family of the wrong shape (degree
-        in x other than mu + 1, say) one naming `family`."""
+        """The family of a spec's "family" object; a missing key, a value
+        that is not a number, or an exponent that is not a nonnegative
+        integer raises ValueError naming its key, and a family of the wrong
+        shape (degree in x other than mu + 1, say) one naming `family`."""
         terms = {}
-        for i, t in enumerate(data["terms"]):
+        for i, t in enumerate(_json_key(data, "terms", "family.terms")):
             field = f"family.terms[{i}]"
+            c = _json_key(t, "c", f"{field}.c")
             try:
-                c = _scalar_from_str(str(t["c"]))
+                c = _scalar_from_str(str(c))
             except ValueError as exc:
                 raise ValueError(f"{field}.c: {exc}") from None
             exponents = []
             for key in ("x", "eps"):
-                n = _json_int(t[key], f"{field}.{key}")
+                name = f"{field}.{key}"
+                n = _json_int(_json_key(t, key, name), name)
                 if n < 0:
-                    raise ValueError(f"{field}.{key} = {n} is negative")
+                    raise ValueError(f"{name} = {n} is negative")
                 exponents.append(n)
             terms[tuple(exponents)] = c
-        mu = _json_int(data["mu"], "family.mu")
+        mu = _json_int(_json_key(data, "mu", "family.mu"), "family.mu")
         try:
             return cls(mu=mu, coeffs=terms)
         except ValueError as exc:
@@ -527,34 +532,28 @@ def _hensel_lift(P1: dict, order: int):
 
 def _exact_substitution_vanishes(P1: dict, v: Sequence) -> bool:
     """Whether P1(v(z), z) is exactly zero, v taken as a polynomial; the
-    powers v^i are built once each, v^i = v^(i-1) * v."""
-    vp = [Fraction(x) for x in v]
-    powers = [[Fraction(1)]]
-    for _ in range(max(i for i, _ in P1)):
-        powers.append(_poly_mul(powers[-1], vp))
+    powers v^i are built once each, v^i = v^(i-1) * v, untruncated."""
+    max_v = max(i for i, _ in P1)
+    order = max_v * len(v)
+    v_terms = _live_terms(enumerate(v))
+    powers = [[(0, 1)]]
+    for _ in range(max_v):
+        powers.append(_times_truncated(powers[-1], v_terms, order))
     full = {}
     for (i, jz), c in P1.items():
-        for d, pc in enumerate(powers[i]):
-            if pc != 0:
-                full[d + jz] = full.get(d + jz, Fraction(0)) + c * pc
+        for d, pc in powers[i]:
+            full[d + jz] = full.get(d + jz, 0) + c * pc
     return all(val == 0 for val in full.values())
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def _branches_of(P: dict, order: int, depth: int):
     """All real fractional-power branches x(e) -> 0 of P(x, e) = 0, e >= 0.
 
     Returns a list of (rho, coeffs, exact) where x = sum coeffs[i] t^i with
-    e = t^rho and coeffs[0] = 0."""
+    e = t^rho and coeffs[0] = 0.  A root c of an edge's characteristic
+    polynomial gives x = z^p (c + v), e = z^q, for each sub-branch v of
+    P1 = _substitute_edge(P, c, p, q): its one lifted series if c is simple,
+    every branch of P1 if c is multiple."""
     if depth <= 0:
         raise BranchNotFound(
             f"the Newton-polygon iteration stalled after {_MAX_POLYGON_DEPTH} levels"
@@ -579,30 +578,27 @@ def _branches_of(P: dict, order: int, depth: int):
             P1 = _substitute_edge(P, c, p, q)
             if mult == 1:
                 # analytic continuation in z; covers the exact v = 0 case too
-                v_coeffs, exact = _hensel_lift(P1, max(order - p, 0))
+                v, exact = _hensel_lift(P1, max(order - p, 0))
+                subs = [(1, (0, *v) + (0,) * p, exact)]
+            else:
+                # [v^j z^0] P1 for j < mult are the Taylor coefficients of
+                # c^k1 phi at its root c: zero, though rounding noise for a
+                # float c, and noise there would reshape the next polygon
+                P1 = {(j, jz): a for (j, jz), a in P1.items() if jz > 0 or j >= mult}
+                subs = _branches_of(P1, order, depth - 1)
+            for rho_sub, vco, exact in subs:
+                lead = p * rho_sub
                 coeffs = [0] * (order + 1)
-                if p <= order:
-                    coeffs[p] = c
+                if lead <= order:
+                    coeffs[lead] = c
                 else:
                     exact = False  # leading term dropped by the truncation
-                for i, vc in enumerate(v_coeffs, start=1):  # p + i <= order
-                    coeffs[p + i] = vc
-                out.append((q, tuple(coeffs), exact and isinstance(c, (int, Fraction))))
-            else:
-                for rho_sub, vco, exact in _branches_of(P1, order, depth - 1):
-                    coeffs = [0] * (order + 1)
-                    if p * rho_sub <= order:
-                        coeffs[p * rho_sub] = c
-                    else:
+                for i in range(1, order + 1):
+                    if lead + i <= order:
+                        coeffs[lead + i] = vco[i]
+                    elif vco[i] != 0:
                         exact = False
-                    for i in range(1, order + 1):
-                        if p * rho_sub + i <= order:
-                            coeffs[p * rho_sub + i] = coeffs[p * rho_sub + i] + vco[i]
-                        elif vco[i] != 0:
-                            exact = False
-                    out.append(
-                        (q * rho_sub, tuple(coeffs), exact and isinstance(c, (int, Fraction)))
-                    )
+                out.append((q * rho_sub, tuple(coeffs), exact and isinstance(c, (int, Fraction))))
     return out
 
 
@@ -743,46 +739,44 @@ def biggest_real_root_branch(P: PolynomialFamily, sign: int) -> PuiseuxBranch:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     try:
-        return _biggest_real_root_branch(P, sign)
+        order = DEFAULT_BRANCH_ORDER
+        tracked = dict(
+            zip(_VALIDATION_GRID, track_biggest_real_root(P, [sign * e for e in _VALIDATION_GRID]))
+        )
+        raw = _branches_of(_signed_support(P, sign), order, _MAX_POLYGON_DEPTH)
+        branches = []
+        seen = {}
+        for rho, coeffs, exact in raw:
+            rho, coeffs = _canonical_ramification(rho, coeffs, order)
+            key = (rho, tuple(str(c) for c in coeffs))
+            if key in seen:
+                # only two certified-exact copies are truly the same function
+                if not (seen[key] and exact):
+                    raise BranchAmbiguous(
+                        "two real branches coincide to the computed truncation order"
+                    )
+            else:
+                seen[key] = exact
+                branches.append((rho, coeffs, exact))
+        if all(r is None for r in tracked.values()):
+            raise NoRealRoot(f"no real root of P on the sampled eps grid, sign {sign:+d}")
+        if not branches:
+            raise BranchNotFound(
+                f"the Newton-polygon iteration gives no real branch, sign {sign:+d}"
+            )
+        best = branches[0]
+        for b in branches[1:]:
+            cmp = _compare_branches(b, best, order)
+            if cmp > 0:
+                best = b
+            elif cmp == 0 and (b[0] != best[0] or b[1] != best[1]):
+                raise BranchAmbiguous("two distinct real branches coincide to the computed order")
+        rho, coeffs, exact = best
+        branch = PuiseuxBranch(rho, TruncatedSeries(tuple(coeffs)), sign, exact)
+        _validate_branch(P, branch, tracked)
+        return branch
     except OverflowError:
         raise BranchNotFound(f"float overflow in branch extraction, sign {sign:+d}") from None
-
-
-def _biggest_real_root_branch(P: PolynomialFamily, sign: int) -> PuiseuxBranch:
-    order = DEFAULT_BRANCH_ORDER
-    tracked = dict(
-        zip(_VALIDATION_GRID, track_biggest_real_root(P, [sign * e for e in _VALIDATION_GRID]))
-    )
-    raw = _branches_of(_signed_support(P, sign), order, _MAX_POLYGON_DEPTH)
-    branches = []
-    seen = {}
-    for rho, coeffs, exact in raw:
-        rho, coeffs = _canonical_ramification(rho, coeffs, order)
-        key = (rho, tuple(str(c) for c in coeffs))
-        if key in seen:
-            # only two certified-exact copies are truly the same function
-            if not (seen[key] and exact):
-                raise BranchAmbiguous(
-                    "two real branches coincide to the computed truncation order"
-                )
-        else:
-            seen[key] = exact
-            branches.append((rho, coeffs, exact))
-    if all(r is None for r in tracked.values()):
-        raise NoRealRoot(f"no real root of P on the sampled eps grid, sign {sign:+d}")
-    if not branches:
-        raise BranchNotFound(f"the Newton-polygon iteration gives no real branch, sign {sign:+d}")
-    best = branches[0]
-    for b in branches[1:]:
-        cmp = _compare_branches(b, best, order)
-        if cmp > 0:
-            best = b
-        elif cmp == 0 and (b[0] != best[0] or b[1] != best[1]):
-            raise BranchAmbiguous("two distinct real branches coincide to the computed order")
-    rho, coeffs, exact = best
-    branch = PuiseuxBranch(rho=rho, sigma=TruncatedSeries(tuple(coeffs)), sign=sign, exact=exact)
-    _validate_branch(P, branch, tracked)
-    return branch
 
 
 def _canonical_ramification(rho: int, coeffs, order: int):

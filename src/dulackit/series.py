@@ -282,6 +282,14 @@ def _scalar_from_str(tok: str) -> Scalar:
     return val
 
 
+def _json_key(data, key: str, field: str):
+    """data[key] of a JSON object; ValueError naming field if it is missing."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{field} is missing") from None
+
+
 def _json_int(value, field: str) -> int:
     """A JSON integer as an int: an integral number or an integer string,
     not a boolean; ValueError naming field if it is not one."""

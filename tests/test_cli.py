@@ -255,6 +255,19 @@ class TestCheck:
         spec = write_spec(tmp_path, "s.json", {"family": fam, "sign": 1})
         assert main(["check", spec, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("tail, code", [([{"x": 0, "eps": 5, "c": "-1"}], 0), ([], 2)])
+    def test_double_irrational_root(self, tmp_path, tail, code):
+        # (x^2 - 2 eps^2)^2 - eps^5: a rho = 2 branch from the double root
+        # sqrt(2) of the first edge; without the eps^5 term the biggest root
+        # stays double (DegenerateQ)
+        terms = [{"x": 4, "eps": 0, "c": "1"}, {"x": 2, "eps": 2, "c": "-4"},
+                 {"x": 0, "eps": 4, "c": "4"}, *tail]
+        spec = write_spec(tmp_path, "s.json", {"family": {"mu": 3, "terms": terms}})
+        assert main(["check", spec, "--out", str(tmp_path / "o")]) == code
+        if code == 0:
+            branch = json.loads((tmp_path / "o" / "check.json").read_text())["branch"]
+            assert branch["rho"] == 2 and not branch["exact"]
+
     def test_float_overflow_exits_1(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "s.json", {"family": OVERFLOW_FAMILY})
         assert main(["check", spec, "--out", str(tmp_path / "o")]) == 1
@@ -623,6 +636,51 @@ class TestBadSpecs:
         obj = TestVerify().base()
         obj.update(kind="dulac_time", modes=[])
         self.run(tmp_path, capsys, "verify", obj)
+
+    @pytest.mark.parametrize(
+        "command, path, field",
+        [
+            ("check", ("family",), "family"),
+            ("check", ("family", "mu"), "family.mu"),
+            ("check", ("family", "terms"), "family.terms"),
+            ("check", ("family", "terms", 1, "c"), "family.terms[1].c"),
+            ("check", ("family", "terms", 0, "x"), "family.terms[0].x"),
+            ("expand", ("family", "terms", 1, "eps"), "family.terms[1].eps"),
+            ("verify", ("modes",), "modes"),
+        ],
+        ids=["family", "mu", "terms", "term-c", "term-x", "term-eps", "modes"],
+    )
+    def test_missing_key_named(self, tmp_path, capsys, command, path, field):
+        obj = json.loads(json.dumps(TestVerify().dulac_time()))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        err = self.run(tmp_path, capsys, command, obj)
+        assert err == f"bad spec: {field} is missing\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kind, eps, x0, section",
+        [
+            ("orbit", 0.95, 1.0, "x0 = 1.0"),
+            ("dulac_map", 0.95, 1.0, "1"),
+            ("dulac_time", 0.95, 1.0, "x0 = 1.0"),
+            ("orbit", 0.45, 0.5, "x0 = 0.5"),
+            ("dulac_time", 0.45, 0.5, "x0 = 0.5"),
+        ],
+    )
+    def test_eps_past_the_outer_section(self, tmp_path, capsys, kind, eps, x0, section):
+        # theta = eps on the linear family, so s + theta reaches eps + 0.1
+        obj = {"orbit": TestVerify().base, "dulac_map": TestVerify().dulac_map,
+               "dulac_time": TestVerify().dulac_time}[kind]()
+        obj.update(eps=eps, x0=x0)
+        err = self.run(tmp_path, capsys, "verify", obj)
+        assert err == (
+            f"bad spec: eps = {eps!r} and s_grid.max = 0.1 put s + theta at "
+            f"{eps + 0.1!r}, past the outer section at {section}\n"
+        )
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

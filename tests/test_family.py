@@ -20,10 +20,12 @@ from dulackit.family import (
     _H2_GRID_POINTS,
     _Q_CHOP,
     _VALIDATION_GRID,
+    _canonical_ramification,
     _h2_power_table,
     NewtonData,
     _hensel_lift,
     _rational_roots,
+    _real_roots_with_multiplicity,
     PolynomialFamily,
     PuiseuxBranch,
     analyze_family,
@@ -206,6 +208,50 @@ class TestBranch:
         b = biggest_real_root_branch(fam, +1)
         assert float(b.sigma.coeffs[lead_index]) == pytest.approx(lead, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "coeffs, c",
+        [
+            # (x^2 - 2 eps^2)^2 - eps^5 with exact data: c = sqrt(2) is a float
+            ({(4, 0): 1, (2, 2): Fr(-4), (0, 4): Fr(4), (0, 5): Fr(-1)}, math.sqrt(2)),
+            ({(4, 0): 1, (2, 2): -4.0, (0, 4): 4.0, (0, 5): -1.0}, math.sqrt(2)),
+            # (x^2 - eps^2)^2 - eps^5 with float data: c = 1.0 carries rounding
+            ({(4, 0): 1, (2, 2): -2.0, (0, 4): 1.0, (0, 5): -1.0}, 1.0),
+        ],
+        ids=["sqrt2-exact-data", "sqrt2-float-data", "one-float-data"],
+    )
+    def test_multiple_float_characteristic_root(self, coeffs, c):
+        # x^2 = c^2 eps^2 + eps^(5/2): the edge's characteristic root c is
+        # double and the next polygon gives rho = 2, once the Taylor terms of
+        # P1 below the multiplicity, rounding noise at a float c, are dropped
+        f = PolynomialFamily(mu=3, coeffs=coeffs)
+        b = biggest_real_root_branch(f, +1)
+        assert b.rho == 2 and not b.exact
+        assert b.sigma.coeffs[1] == 0 and b.sigma.coeffs[2] == pytest.approx(c, rel=1e-15)
+        grid = [1e-8, 1e-6, 1e-4, 1e-2]
+        for eps, root in zip(grid, track_biggest_real_root(f, grid)):
+            assert b.theta(eps) == pytest.approx(root, rel=1e-12)
+        if c != 1.0:
+            assert b.theta(1e-4) == pytest.approx(1.41774e-4, rel=1e-5)
+
+    def test_multiple_exact_characteristic_root(self):
+        # (x^2 - eps^2)^2 - eps^5 with exact data: the double root c = 1 is
+        # exact, its Taylor terms are exact zeros, and the branch keeps
+        # rational coefficients: x = eps (1 + eps^(1/2))^(1/2)
+        f = PolynomialFamily(
+            mu=3, coeffs={(4, 0): 1, (2, 2): Fr(-2), (0, 4): Fr(1), (0, 5): Fr(-1)}
+        )
+        b = biggest_real_root_branch(f, +1)
+        assert b.rho == 2 and not b.exact  # an infinite series
+        assert b.sigma.coeffs[:6] == (0, 0, 1, Fr(1, 2), Fr(-1, 8), Fr(1, 16))
+
+    def test_pure_double_root_is_degenerate(self):
+        # (x^2 - 2 eps^2)^2: the biggest root sqrt(2) eps is double
+        f = PolynomialFamily(mu=3, coeffs={(4, 0): 1, (2, 2): Fr(-4), (0, 4): Fr(4)})
+        b = biggest_real_root_branch(f, +1)
+        assert b.rho == 1 and b.sigma.coeffs[1] == pytest.approx(math.sqrt(2), rel=1e-15)
+        with pytest.raises(DegenerateQ):
+            analyze_family(f, +1)
+
 
 class TestQ:
     def test_linear_family(self):
@@ -340,6 +386,26 @@ class TestRationalRoots:
     def test_large_constant_without_rational_root(self):
         # x^2 - (10^20 + 39): the divisor enumeration would run to 10^10
         assert _rational_roots([Fr(-(10**20 + 39)), Fr(0), Fr(1)]) == []
+
+
+class TestRootsWithMultiplicity:
+    def test_squarefree_split(self):
+        # (c^2 - 2)^2 (c - 1)^3 (c^2 + 1): the rational root is split off
+        # exactly, the rest goes through Yun's loop
+        p = [Fr(x) for x in (-4, 12, -12, 4, 3, -9, 8, 0, -3, 1)]
+        roots = _real_roots_with_multiplicity(p)
+        assert roots[0] == (Fr(1), 3)
+        assert sorted(roots[1:]) == [
+            (pytest.approx(-math.sqrt(2), rel=1e-15), 2),
+            (pytest.approx(math.sqrt(2), rel=1e-15), 2),
+        ]
+
+    def test_canonical_ramification(self):
+        # x = a t^2 + b t^4 + c t^6 with eps = t^2 is x = a e + b e^2 + c e^3
+        a, b, c = Fr(3), Fr(-5, 2), 0.25
+        assert _canonical_ramification(2, (0, 0, a, 0, b, 0, c), 6) == (
+            1, (0, a, b, c, 0, 0, 0)
+        )
 
 
 class TestDiagram:
