@@ -3,15 +3,21 @@ biggest real root, the shifted quotient Q, and the hypothesis verdicts.
 
 Branch extraction runs the classical Newton-polygon iteration on the
 support of P viewed as a polynomial in (x, e), e >= 0.  For each
-admissible edge the characteristic polynomial is solved over the reals;
-simple roots are lifted by undetermined coefficients (one coefficient of
-P1(v(z), z) per step, from the coefficients of the powers of v kept
-incrementally), multiple roots recurse on the substituted polynomial
-once its Taylor terms below the root's multiplicity, rounding noise for a
-float root, are set to zero; one loop assembles the sub-branches of both.
+admissible edge the characteristic polynomial is solved over the reals in
+one pass: exact data are factored once (Yun's squarefree algorithm) and
+each factor gives its rational roots exactly and the rest in floats;
+float data cluster their companion roots before the realness test, so a
+multiple root stays real unless rounding splits it wider than the 1e-6
+cluster radius.  Simple roots are lifted by undetermined coefficients
+(one coefficient of P1(v(z), z) per step, from the coefficients of the
+powers of v kept incrementally), multiple roots recurse on the substituted
+polynomial once its Taylor terms below the root's multiplicity, rounding
+noise for a float root, are set to zero; one loop assembles the
+sub-branches of both.
 Rational characteristic roots are kept exact, so the common families
 produce branches with exact rational coefficients.  An iteration that
-stalls, yields no real branch or overflows floats raises BranchNotFound.
+stalls, yields no real branch or leaves the float range raises
+BranchNotFound.
 
 A numeric tracker (companion-matrix roots on a log grid) validates every
 accepted branch.  It takes the whole grid at once: P's coefficients are
@@ -307,39 +313,6 @@ def _pad_pair(a, b):
     return list(zip(list(a) + [za] * (n - len(a)), list(b) + [zb] * (n - len(b))))
 
 
-def _rational_roots(p):
-    """All rational roots of an exact-coefficient polynomial, with
-    multiplicity, in increasing order; roots at 0 are left out.
-
-    The candidates come from the real float roots of the squarefree part
-    (:func:`_nearest_fraction_root`); a candidate is kept only if it is an
-    exact root."""
-    ip = _primitive(_poly_trim([Fraction(c) for c in p]))
-    while ip and ip[0] == 0:
-        ip = ip[1:]  # roots at 0 are not wanted here (c != 0 in the polygon)
-    if len(ip) <= 1:
-        return []
-    poly = [Fraction(c) for c in ip]
-    sq = _primitive(_poly_divmod(poly, _poly_gcd(poly, _poly_deriv(poly)))[0])
-    if len(sq) == 2:
-        cands = {Fraction(-sq[0], sq[1])}
-    else:
-        cands = {
-            _nearest_fraction_root(sq, z.real)
-            for z in np.roots([float(c) for c in reversed(sq)])
-            if math.isfinite(z.real) and abs(z.imag) <= 1e-4 * max(1.0, abs(z))
-        }
-    roots = []
-    for c in sorted(cands):
-        mult = 0
-        while len(poly) > 1 and horner(poly, c) == 0:
-            poly, _ = _poly_divmod(poly, [-c, Fraction(1)])
-            mult += 1
-        if mult:
-            roots.append((c, mult))
-    return roots
-
-
 def _primitive(p):
     """The integer polynomial with coprime coefficients that is a positive
     rational multiple of p."""
@@ -373,42 +346,56 @@ def _nearest_fraction_root(g, z):
 
 
 def _real_roots_with_multiplicity(phi):
-    """Real roots of a univariate polynomial (low-first coefficients).
+    """Real nonzero roots of a univariate polynomial (low-first
+    coefficients), with multiplicity.
 
-    Exact rational roots are split off exactly; what remains is handled per
-    squarefree factor with companion-matrix roots (those are simple inside
-    their factor, so float clustering is safe)."""
-    exact = all(isinstance(c, (int, Fraction)) for c in phi)
-    roots = []
-    if exact:
-        phi_f = [Fraction(c) for c in phi]
-        for c, mult in _rational_roots(phi_f):
-            roots.append((c, mult))
-            for _ in range(mult):
-                phi_f, _ = _poly_divmod(phi_f, [-c, Fraction(1)])
-        if len(phi_f) > 1:
-            for mult, factor in _yun_squarefree(phi_f):
-                fl = [float(c) for c in factor]
-                for r in np.roots(list(reversed(fl))):
-                    if abs(r.imag) <= 1e-10 * max(1.0, abs(r)):
-                        roots.append((float(r.real), mult))
+    Exact data are factored once, phi = x^k prod b_i^i (Yun).  Each
+    near-real float root of b_i that snaps to an exact root
+    (:func:`_nearest_fraction_root`) is kept with multiplicity i and
+    divided out of b_i once; the real float roots of what is left follow.
+    Rational roots come first, increasing, then the float roots, factor by
+    factor.  Float data: the companion roots are clustered (1e-6 relative)
+    and a cluster whose mean is real (1e-8) is one root of multiplicity its
+    size; a wider split is not rejoined."""
+    p = _poly_trim(list(phi))
+    while len(p) > 1 and p[0] == 0:
+        p = p[1:]  # roots at 0 are not wanted here (c != 0 in the polygon)
+    if len(p) <= 1:
+        return []
+    if all(isinstance(c, (int, Fraction)) for c in p):
+        rational, floats = [], []
+        for mult, b in _yun_squarefree([Fraction(c) for c in p]):
+            g = _primitive(b)
+            cands = {
+                _nearest_fraction_root(g, z.real)
+                for z in np.roots([float(c) for c in reversed(g)])
+                if math.isfinite(z.real) and abs(z.imag) <= 1e-4 * max(1.0, abs(z))
+            }
+            for c in sorted(cands):
+                if horner(b, c) == 0:
+                    rational.append((c, mult))
+                    b, _ = _poly_divmod(b, [-c, Fraction(1)])
+            if len(b) > 1:
+                floats += [
+                    (float(r.real), mult)
+                    for r in np.roots([float(c) for c in reversed(b)])
+                    if abs(r.imag) <= 1e-10 * max(1.0, abs(r))
+                ]
+        roots = sorted(rational) + floats
     else:
-        fl = [float(c) for c in _poly_trim(list(phi))]
-        if len(fl) <= 1:
-            return []
-        rs = np.roots(list(reversed(fl)))
+        rs = np.roots([float(c) for c in reversed(p)])
         used = [False] * len(rs)
+        roots = []
         for i, r in enumerate(rs):
-            if used[i] or abs(r.imag) > 1e-8 * max(1.0, abs(r)):
+            if used[i]:
                 continue
-            cluster = [r]
-            used[i] = True
-            for k in range(i + 1, len(rs)):
-                if not used[k] and abs(rs[k] - r) <= 1e-6 * max(1.0, abs(r)):
-                    cluster.append(rs[k])
-                    used[k] = True
-            val = float(np.mean([c.real for c in cluster]))
-            roots.append((val, len(cluster)))
+            radius = 1e-6 * max(1.0, abs(r))
+            cluster = [k for k in range(i, len(rs)) if not used[k] and abs(rs[k] - r) <= radius]
+            for k in cluster:
+                used[k] = True
+            z = rs[cluster].mean()
+            if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
+                roots.append((float(z.real), len(cluster)))
     return [(c, m) for c, m in roots if c != 0]
 
 
@@ -797,7 +784,9 @@ def _canonical_ramification(rho: int, coeffs, order: int):
 def _validate_branch(P: PolynomialFamily, branch: PuiseuxBranch, tracked: dict):
     """Numeric guard for the selected branch.
 
-    The residual must vanish to tolerance at every grid point.  A confirmed
+    A value or residual that is not finite at a grid point raises
+    BranchNotFound (NaN passes every comparison below).  The residual must
+    vanish to tolerance at every grid point.  A confirmed
     (sign-change) real root above the prediction means the selection is
     wrong.  A prediction above every confirmed root is allowed only if it is
     itself root-consistent, since even-multiplicity real roots produce no
@@ -810,6 +799,11 @@ def _validate_branch(P: PolynomialFamily, branch: PuiseuxBranch, tracked: dict):
     for root, eps, pred, row in zip(tracked.values(), epses, preds, rows):
         scale = max(1.0, sum(abs(c) for c in row))
         resid = abs(P.eval(pred, eps))
+        if not (math.isfinite(pred) and math.isfinite(resid)):
+            raise BranchNotFound(
+                f"branch value {pred:g} with residual {resid:g} left the float range "
+                f"at eps={eps:g}"
+            )
         if resid > _RESIDUAL_RTOL * scale:
             raise BranchAmbiguous(
                 f"branch residual {resid:g} exceeds tolerance at eps={eps:g}"

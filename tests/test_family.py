@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dulackit.errors import (
     BranchAmbiguous,
+    BranchNotFound,
     DegenerateQ,
     DulacKitError,
     Inconclusive,
@@ -24,8 +25,8 @@ from dulackit.family import (
     _h2_power_table,
     NewtonData,
     _hensel_lift,
-    _rational_roots,
     _real_roots_with_multiplicity,
+    _validate_branch,
     PolynomialFamily,
     PuiseuxBranch,
     analyze_family,
@@ -209,29 +210,42 @@ class TestBranch:
         assert float(b.sigma.coeffs[lead_index]) == pytest.approx(lead, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "coeffs, c",
+        "coeffs, sign, c, theta",
         [
             # (x^2 - 2 eps^2)^2 - eps^5 with exact data: c = sqrt(2) is a float
-            ({(4, 0): 1, (2, 2): Fr(-4), (0, 4): Fr(4), (0, 5): Fr(-1)}, math.sqrt(2)),
-            ({(4, 0): 1, (2, 2): -4.0, (0, 4): 4.0, (0, 5): -1.0}, math.sqrt(2)),
+            ({(4, 0): 1, (2, 2): Fr(-4), (0, 4): Fr(4), (0, 5): Fr(-1)}, 1, math.sqrt(2),
+             1.41774e-4),
+            ({(4, 0): 1, (2, 2): -4.0, (0, 4): 4.0, (0, 5): -1.0}, 1, math.sqrt(2), 1.41774e-4),
             # (x^2 - eps^2)^2 - eps^5 with float data: c = 1.0 carries rounding
-            ({(4, 0): 1, (2, 2): -2.0, (0, 4): 1.0, (0, 5): -1.0}, 1.0),
+            ({(4, 0): 1, (2, 2): -2.0, (0, 4): 1.0, (0, 5): -1.0}, 1, 1.0, None),
+            # (x^2 - 2.5 eps^2)^2 + 2 eps^5 with float data on eps < 0: np.roots
+            # splits the double root +sqrt(2.5) of phi into a complex pair
+            ({(4, 0): 1, (2, 2): -5.0, (0, 4): 6.25, (0, 5): 2.0}, -1, math.sqrt(2.5), 1.58560e-4),
         ],
-        ids=["sqrt2-exact-data", "sqrt2-float-data", "one-float-data"],
+        ids=["sqrt2-exact-data", "sqrt2-float-data", "one-float-data", "split-pair-float-data"],
     )
-    def test_multiple_float_characteristic_root(self, coeffs, c):
-        # x^2 = c^2 eps^2 + eps^(5/2): the edge's characteristic root c is
-        # double and the next polygon gives rho = 2, once the Taylor terms of
-        # P1 below the multiplicity, rounding noise at a float c, are dropped
+    def test_multiple_float_characteristic_root(self, coeffs, sign, c, theta):
+        # x^2 = c^2 e^2 + e^(5/2), e = |eps|: the edge's characteristic root c
+        # is double and the next polygon gives rho = 2, once the Taylor terms
+        # of P1 below the multiplicity, rounding noise at a float c, are dropped
         f = PolynomialFamily(mu=3, coeffs=coeffs)
-        b = biggest_real_root_branch(f, +1)
+        b = biggest_real_root_branch(f, sign)
         assert b.rho == 2 and not b.exact
         assert b.sigma.coeffs[1] == 0 and b.sigma.coeffs[2] == pytest.approx(c, rel=1e-15)
-        grid = [1e-8, 1e-6, 1e-4, 1e-2]
+        grid = [sign * e for e in (1e-8, 1e-6, 1e-4, 1e-2)]
         for eps, root in zip(grid, track_biggest_real_root(f, grid)):
             assert b.theta(eps) == pytest.approx(root, rel=1e-12)
-        if c != 1.0:
-            assert b.theta(1e-4) == pytest.approx(1.41774e-4, rel=1e-5)
+        if theta is not None:
+            assert b.theta(sign * 1e-4) == pytest.approx(theta, rel=1e-5)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_validation_refuses_non_finite_values(self, bad):
+        # x^2 - x eps: a sigma with an inf or NaN coefficient passes every
+        # comparison of the residual and root checks
+        f = fam_linear()
+        tracked = dict(zip(_VALIDATION_GRID, track_biggest_real_root(f, _VALIDATION_GRID)))
+        with pytest.raises(BranchNotFound, match="left the float range"):
+            _validate_branch(f, PuiseuxBranch(1, TS((0.0, 1.0, bad)), +1), tracked)
 
     def test_multiple_exact_characteristic_root(self):
         # (x^2 - eps^2)^2 - eps^5 with exact data: the double root c = 1 is
@@ -362,17 +376,22 @@ def rational_root_poly(draw):
     return out
 
 
+def rational_roots(p):
+    """The exact roots among those _real_roots_with_multiplicity gives."""
+    return [(c, m) for c, m in _real_roots_with_multiplicity(p) if isinstance(c, Fr)]
+
+
 class TestRationalRoots:
     @given(p=rational_root_poly())
     @settings(max_examples=200, deadline=None)
     def test_matches_divisor_enumeration(self, p):
-        assert _rational_roots(p) == rational_roots_reference(p)
+        assert rational_roots(p) == rational_roots_reference(p)
 
     def test_large_root_stays_exact(self):
         # (7x - (10^12 + 1)) (x - 2)^2 (x^2 + 1)
         p = times_linear([Fr(1), Fr(0), Fr(1)], Fr(10**12 + 1), Fr(7))
         p = times_linear(times_linear(p, Fr(2), Fr(1)), Fr(2), Fr(1))
-        assert _rational_roots(p) == [(Fr(2), 2), (Fr(10**12 + 1, 7), 1)]
+        assert rational_roots(p) == [(Fr(2), 2), (Fr(10**12 + 1, 7), 1)]
 
     def test_close_roots_with_large_denominators(self):
         # the leading coefficient is 8.9e11, so telling these roots from
@@ -381,11 +400,11 @@ class TestRationalRoots:
         p = [Fr(1)]
         for r in roots:
             p = times_linear(p, Fr(r.numerator), Fr(r.denominator))
-        assert _rational_roots(p) == [(r, 1) for r in sorted(roots)]
+        assert rational_roots(p) == [(r, 1) for r in sorted(roots)]
 
     def test_large_constant_without_rational_root(self):
         # x^2 - (10^20 + 39): the divisor enumeration would run to 10^10
-        assert _rational_roots([Fr(-(10**20 + 39)), Fr(0), Fr(1)]) == []
+        assert rational_roots([Fr(-(10**20 + 39)), Fr(0), Fr(1)]) == []
 
 
 class TestRootsWithMultiplicity:
@@ -398,6 +417,27 @@ class TestRootsWithMultiplicity:
         assert sorted(roots[1:]) == [
             (pytest.approx(-math.sqrt(2), rel=1e-15), 2),
             (pytest.approx(math.sqrt(2), rel=1e-15), 2),
+        ]
+
+    def test_rational_and_irrational_roots_in_one_factor(self):
+        # ((x - 1/2)(x^2 - 2))^2 (7x - (10^12 + 1)): the squarefree factor of
+        # multiplicity 2 holds 1/2 and +-sqrt(2)
+        p = times_linear([Fr(4), Fr(0), Fr(-4), Fr(0), Fr(1)], Fr(1), Fr(2))
+        p = times_linear(times_linear(p, Fr(1), Fr(2)), Fr(10**12 + 1), Fr(7))
+        roots = _real_roots_with_multiplicity(p)
+        assert roots[:2] == [(Fr(1, 2), 2), (Fr(10**12 + 1, 7), 1)]
+        assert sorted(roots[2:]) == [
+            (pytest.approx(-math.sqrt(2), rel=1e-15), 2),
+            (pytest.approx(math.sqrt(2), rel=1e-15), 2),
+        ]
+
+    def test_float_double_roots_split_by_rounding(self):
+        # (c^2 - 2.5)^2 in floats: np.roots splits each double root into a
+        # pair, complex for +sqrt(2.5); the clusters are real
+        roots = _real_roots_with_multiplicity([6.25, 0.0, -5.0, 0.0, 1.0])
+        assert sorted(roots) == [
+            (pytest.approx(-math.sqrt(2.5), rel=1e-15), 2),
+            (pytest.approx(math.sqrt(2.5), rel=1e-15), 2),
         ]
 
     def test_canonical_ramification(self):
