@@ -364,12 +364,15 @@ def cmd_loud(spec: dict, out_dir: Path) -> int:
     return EXIT_PASS
 
 
+# built once: parse_args leaves the parser as it was, so every call shares it
+_PARSER = argparse.ArgumentParser(prog="dulackit", description=__doc__)
+_PARSER.add_argument("command", choices=["check", "expand", "verify", "loud"])
+_PARSER.add_argument("spec", help="path to the problem spec JSON")
+_PARSER.add_argument("--out", default="out", help="output directory")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="dulackit", description=__doc__)
-    parser.add_argument("command", choices=["check", "expand", "verify", "loud"])
-    parser.add_argument("spec", help="path to the problem spec JSON")
-    parser.add_argument("--out", default="out", help="output directory")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         spec = _load_spec(args.spec)

@@ -4,35 +4,45 @@ biggest real root, the shifted quotient Q, and the hypothesis verdicts.
 Branch extraction runs the classical Newton-polygon iteration on the
 support of P viewed as a polynomial in (x, e), e >= 0.  For each
 admissible edge the characteristic polynomial is solved over the reals in
-one pass: exact data are factored once (Yun's squarefree algorithm) and
-each factor gives its rational roots exactly and the rest in floats;
-float data cluster their companion roots before the realness test, so a
-multiple root stays real unless rounding splits it wider than the 1e-6
-cluster radius.  Simple roots are lifted by undetermined coefficients
-(one coefficient of P1(v(z), z) per step, from the coefficients of the
-powers of v kept incrementally), multiple roots recurse on the substituted
-polynomial once its Taylor terms below the root's multiplicity, rounding
-noise for a float root, are set to zero; one loop assembles the
-sub-branches of both.
+one pass.  Exact data become a primitive integer polynomial, factored once
+(Yun's squarefree algorithm, in integers); each factor gives its rational
+roots exactly and the rest in floats.  A root is tested by evaluating p/q
+as an integer sum and divided out by synthetic division, and what is left
+is snapped again until nothing snaps, so two rational roots closer than
+the float spacing are both kept; a linear rest gives its root, a quadratic
+its roots from an exact square discriminant.  Float data cluster their
+companion roots before the realness test, so a multiple root stays real
+unless rounding splits it wider than the 1e-6 cluster radius.  Simple
+roots are lifted by undetermined coefficients (one coefficient of
+P1(v(z), z) per step, from the coefficients of the powers of v kept
+incrementally; a P1 without v^0 terms has the exact solution v = 0),
+multiple roots recurse on the substituted polynomial once its Taylor terms
+below the root's multiplicity, rounding noise for a float root, are set to
+zero; one loop assembles the sub-branches of both.  Exact data are
+substituted in integers over a common denominator.
 Rational characteristic roots are kept exact, so the common families
-produce branches with exact rational coefficients.  An iteration that
+produce branches with exact rational coefficients, and branches are
+compared exactly (a Fraction against a float too).  An iteration that
 stalls, yields no real branch or leaves the float range raises
 BranchNotFound.
 
 A numeric tracker (companion-matrix roots on a log grid) validates every
 accepted branch.  It takes the whole grid at once: P's coefficients are
-converted to float once, the companion matrices of one degree share one
-eigvals call, and the candidates are polished and sign-tested as numpy
-arrays (:func:`track_biggest_real_root`), bit-identical to point-by-point
-evaluation, since numpy's float64 products and sums round as Python's
-floats do.
+converted to float once, the companion matrices of the rows with the same
+nonzero span share one eigvals call, and the candidates are polished and
+sign-tested as numpy arrays (:func:`track_biggest_real_root`),
+bit-identical to point-by-point evaluation, since numpy's float64 products
+and sums round as Python's floats do.  The validation evaluates P at the
+branch values on the whole grid the same way, with Python's float powers.
 
 The quotient Q(s, e) := P(s + sigma(e); +-e^rho) / s is the object the
 later hypothesis checks and the coefficient recursion consume.  It is
 built from the powers of sigma kept as sparse (t, coefficient) lists,
-which skip the products that are exact zeros (:func:`compute_Q`).
+which skip the products that are exact zeros; exact data are summed in
+integers over a common denominator (:func:`compute_Q`).
 
 * h0: Q(0, e) > 0 near e = 0 (the tracked root stays a simple node),
+  checked on the grid with Q's coefficients converted to float once,
 * h1: the Newton diagram of Q has a single compact side,
 * h2: the principal quasi-homogeneous part is positive on the closed
   first quadrant, decided on the quarter circle by a grid minimum against
@@ -132,7 +142,7 @@ class PolynomialFamily:
         with np.errstate(all="ignore"):  # Python floats overflow silently too
             for (k, m), c in self.float_coeffs.items():
                 if m not in powers:
-                    powers[m] = np.array([e**m for e in eps])
+                    powers[m] = _float_powers(eps, m)
                 rows[:, k] += c * powers[m]
         return rows
 
@@ -172,6 +182,17 @@ class PolynomialFamily:
             return cls(mu=mu, coeffs=terms)
         except ValueError as exc:
             raise ValueError(f"family: {exc}") from None
+
+
+def _float_powers(values: list, n) -> np.ndarray:
+    """[v ** n for v in values] with Python's float power, as an array.  A
+    power 0 is 1.0 and a power 1 is v itself, exactly, so those are not
+    taken; another power raises OverflowError as ** does."""
+    if n == 0:
+        return np.ones(len(values))
+    if n == 1:
+        return np.array(values, dtype=float)
+    return np.array([v**n for v in values])
 
 
 @dataclass(frozen=True)
@@ -247,7 +268,7 @@ class NewtonData:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers (univariate, coefficients low-first)
+# exact polynomial helpers (univariate integer coefficients, low first)
 # ---------------------------------------------------------------------------
 
 
@@ -258,129 +279,163 @@ def _poly_trim(p):
 
 
 def _poly_deriv(p):
-    return [p[k] * k for k in range(1, len(p))] or [0 * p[0]]
+    return [p[k] * k for k in range(1, len(p))] or [0]
 
 
-def _poly_divmod(a, b):
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    return _poly_trim([x - y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))])
+
+
+def _primitive(p):
+    """The integer polynomial with coprime coefficients that is a positive
+    rational multiple of p (int or Fraction coefficients)."""
+    den = math.lcm(*(c.denominator for c in p))
+    ip = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*ip) or 1
+    return [c // g for c in ip]
+
+
+def _exact_quotient(a, b):
+    """a / b for integer polynomials, b primitive and dividing a over the
+    rationals: by Gauss's lemma the quotient has integer coefficients."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return [0]  # a = 0
     a = list(a)
-    b = _poly_trim(list(b))
-    q = [0 * b[0]] * max(1, len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] / lead
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] = a[k + i] - c * bc
-    return _poly_trim(q), _poly_trim(a)
+    q = [0] * (len(a) - n)
+    for k in range(len(a) - 1 - n, -1, -1):
+        c = q[k] = a[k + n] // b[-1]
+        if c:
+            for i in range(n):
+                a[k + i] -= c * b[i]
+    return q
 
 
 def _poly_gcd(a, b):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while not (len(b) == 1 and b[0] == 0):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a[-1] != 0:
-        a = [c / a[-1] for c in a]  # monic
+    """The gcd of two integer polynomials, primitive: Euclid on
+    pseudo-remainders, each made primitive."""
+    a, b = _primitive(a), _primitive(b)
+    while b != [0]:
+        r, n = list(a), len(b)
+        while len(r) >= n and r != [0]:
+            c, off = r[-1], len(r) - n
+            r = [b[-1] * x for x in r]
+            for i in range(n):
+                r[off + i] -= c * b[i]
+            r = _poly_trim(r[:-1] or [0])
+        a, b = b, _primitive(r)
     return a
 
 
 def _yun_squarefree(p):
-    """Yun's algorithm: p = prod b_i^i with b_i squarefree (exact field)."""
-    p = _poly_trim(list(p))
+    """Yun's algorithm on a primitive integer polynomial p of degree >= 1:
+    p = const * prod b_i^i as [(i, b_i)], each b_i squarefree and
+    primitive, or [(1, p)] if p is squarefree."""
     dp = _poly_deriv(p)
     g = _poly_gcd(p, dp)
     if len(g) == 1:
         return [(1, p)]
     out = []
-    c, _ = _poly_divmod(p, g)
-    d = [x - y for x, y in _pad_pair(_poly_divmod(dp, g)[0], _poly_deriv(c))]
-    d = _poly_trim(d)
+    c = _exact_quotient(p, g)
+    d = _poly_sub(_exact_quotient(dp, g), _poly_deriv(c))
     i = 1
     while len(c) > 1:
         b = _poly_gcd(c, d)
         if len(b) > 1:
             out.append((i, b))
-        c, _ = _poly_divmod(c, b)
-        db, _ = _poly_divmod(d, b)
-        d = _poly_trim([x - y for x, y in _pad_pair(db, _poly_deriv(c))])
+        c = _exact_quotient(c, b)
+        d = _poly_sub(_exact_quotient(d, b), _poly_deriv(c))
         i += 1
     return out
 
 
-def _pad_pair(a, b):
-    n = max(len(a), len(b))
-    za, zb = 0 * a[0], 0 * b[0]
-    return list(zip(list(a) + [za] * (n - len(a)), list(b) + [zb] * (n - len(b))))
+def _round_div(n: int, d: int) -> int:
+    """n / d rounded to the nearest integer, halves to even, as round() of
+    a Fraction."""
+    if d < 0:
+        n, d = -n, -d
+    q, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and q % 2):
+        q += 1
+    return q
 
 
-def _primitive(p):
-    """The integer polynomial with coprime coefficients that is a positive
-    rational multiple of p."""
-    den = math.lcm(*(Fraction(c).denominator for c in p))
-    ip = [int(Fraction(c) * den) for c in p]
-    g = math.gcd(*ip) or 1
-    return [c // g for c in ip]
+def _scaled_value(g, num: int, den: int) -> int:
+    """den^n g(num/den) for an integer polynomial g of degree n: an integer,
+    zero exactly when num/den is a root."""
+    acc, scale = g[-1], 1
+    for c in reversed(g[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return acc
 
 
-def _nearest_fraction_root(g, z):
-    """The fraction nearest to the root of g near the float z among those
-    whose denominator is at most L = |lead(g)|, for a squarefree primitive
-    integer polynomial g: a rational root's denominator divides L.
-
-    Newton's method in rationals, rounded to multiples of 2^-b with
-    b = 2 bitlen(L) + 4, takes z to within 1/(16 L^2) of a root p/q, and
-    any other fraction with denominator <= L is at least 1/L^2 from p/q."""
+def _snapped_root(g, z):
+    """A rational root of the squarefree primitive integer polynomial g
+    near the float z, or None.  A root p/q has q | L = |lead(g)|, so
+    round(z L) / L is tried first (L < 2^52).  Otherwise the fraction
+    nearest to the root near z among those whose denominator is at most L
+    is tried: Newton's method on the grid of multiples of 2^-b,
+    b = 2 bitlen(L) + 4, in integers (x = X 2^-b, and the step in grid
+    units is the ratio of the scaled values of g and g'), takes z to within
+    1/(16 L^2) of a root p/q, and any other fraction with denominator <= L
+    is at least 1/L^2 from p/q.  Near two roots closer than the float
+    spacing, where z is only good to about the square root of it, Newton
+    halves its distance per step until it is below their separation, which
+    is at least 1/L^2; so it gets b + 64 steps."""
     L = abs(g[-1])
-    ulp = Fraction(1, 2 ** (2 * L.bit_length() + 4))
+    if L.bit_length() <= 52 and math.isfinite(z * L):
+        n = round(z * L)
+        if _scaled_value(g, n, L) == 0:
+            return Fraction(n, L)
+    b = 2 * L.bit_length() + 4
     dg = _poly_deriv(g)
-    x = Fraction(z)
-    for _ in range(12):
-        d = horner(dg, x)
-        if d == 0:
+    n, d = float(z).as_integer_ratio()
+    X = _round_div(n << b, d)
+    for _ in range(b + 64):
+        D = _scaled_value(dg, X, 1 << b)
+        if D == 0:
             break
-        step = horner(g, x) / d
-        x = round((x - step) / ulp) * ulp
-        if abs(step) < ulp:
+        G = _scaled_value(g, X, 1 << b)
+        X = _round_div(X * D - G, D)
+        if abs(G) < abs(D):  # the step was below one grid unit
             break
-    return x.limit_denominator(L)
+    r = Fraction(X, 1 << b).limit_denominator(L)
+    return r if _scaled_value(g, r.numerator, r.denominator) == 0 else None
 
 
 def _real_roots_with_multiplicity(phi):
     """Real nonzero roots of a univariate polynomial (low-first
     coefficients), with multiplicity.
 
-    Exact data are factored once, phi = x^k prod b_i^i (Yun).  Each
-    near-real float root of b_i that snaps to an exact root
-    (:func:`_nearest_fraction_root`) is kept with multiplicity i and
-    divided out of b_i once; the real float roots of what is left follow.
-    Rational roots come first, increasing, then the float roots, factor by
-    factor.  Float data: the companion roots are clustered (1e-6 relative)
-    and a cluster whose mean is real (1e-8) is one root of multiplicity its
-    size; a wider split is not rejoined."""
+    Exact data are made a primitive integer polynomial and factored once,
+    phi = const * x^k prod b_i^i (Yun's algorithm, in integers).  The
+    rational roots of each b_i (:func:`_rational_roots`) are kept with
+    multiplicity i, and the real float roots of what is left of b_i follow:
+    those np.roots gives for its float copy, scaled as phi itself if phi is
+    squarefree and monic if not.  Rational roots come first, increasing,
+    then the float roots, factor by factor.  Float data: the companion
+    roots are clustered (1e-6 relative) and a cluster whose mean is real
+    (1e-8) is one root of multiplicity its size; a wider split is not
+    rejoined."""
     p = _poly_trim(list(phi))
     while len(p) > 1 and p[0] == 0:
         p = p[1:]  # roots at 0 are not wanted here (c != 0 in the polygon)
     if len(p) <= 1:
         return []
     if all(isinstance(c, (int, Fraction)) for c in p):
+        g = _primitive(p)
+        factors = _yun_squarefree(g)
+        if len(factors) == 1 and factors[0][0] == 1:
+            units = [Fraction(p[-1]) / g[-1]]  # b_1 * units[0] = phi
+        else:
+            units = [Fraction(1, b[-1]) for _, b in factors]  # monic
         rational, floats = [], []
-        for mult, b in _yun_squarefree([Fraction(c) for c in p]):
-            g = _primitive(b)
-            cands = {
-                _nearest_fraction_root(g, z.real)
-                for z in np.roots([float(c) for c in reversed(g)])
-                if math.isfinite(z.real) and abs(z.imag) <= 1e-4 * max(1.0, abs(z))
-            }
-            for c in sorted(cands):
-                if horner(b, c) == 0:
-                    rational.append((c, mult))
-                    b, _ = _poly_divmod(b, [-c, Fraction(1)])
-            if len(b) > 1:
-                floats += [
-                    (float(r.real), mult)
-                    for r in np.roots([float(c) for c in reversed(b)])
-                    if abs(r.imag) <= 1e-10 * max(1.0, abs(r))
-                ]
+        for (mult, b), unit in zip(factors, units):
+            found, zs = _rational_roots(b, unit)
+            rational += [(c, mult) for c in found]
+            floats += [(float(r.real), mult) for r in zs if abs(r.imag) <= 1e-10 * max(1.0, abs(r))]
         roots = sorted(rational) + floats
     else:
         rs = np.roots([float(c) for c in reversed(p)])
@@ -397,6 +452,53 @@ def _real_roots_with_multiplicity(phi):
             if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
                 roots.append((float(z.real), len(cluster)))
     return [(c, m) for c, m in roots if c != 0]
+
+
+def _rational_roots(b, unit):
+    """The rational roots of a squarefree primitive integer polynomial b,
+    increasing within each pass, and np.roots of the float copy of
+    unit * (what is left of b), or [] if a constant is left.
+
+    Each root found is divided out of b by synthetic division.  A linear b
+    gives its root, and a quadratic its roots if its discriminant is a
+    square, both exactly.  Of a higher degree, the near-real roots of b's
+    float copy are snapped (:func:`_snapped_root`), and after a pass that
+    keeps a root the rest is snapped again, from np.roots of its float
+    copy, which gives the float roots once nothing more snaps.  So two
+    rational roots closer than the float spacing, which snap to the same
+    fraction in one pass, are both kept."""
+    found, dens = [], 1  # unit * dens * b is the rest in its float scale
+    # b's float copy, taken for every degree: coefficients past the float
+    # range raise OverflowError here, before any exact work on them
+    src, zs = [float(c) for c in reversed(b)], None
+    while len(b) > 1:
+        if len(b) == 2:
+            cands = [Fraction(-b[0], b[1])]
+        elif len(b) == 3:
+            disc = b[1] * b[1] - 4 * b[0] * b[2]
+            s = math.isqrt(disc) if disc >= 0 else -1
+            roots = {Fraction(-b[1] - s, 2 * b[2]), Fraction(-b[1] + s, 2 * b[2])}
+            cands = sorted(roots) if s * s == disc else []
+        else:
+            if found:
+                src = [float(c * dens * unit) for c in reversed(b)]
+            zs = np.roots(src)
+            near = {
+                _snapped_root(b, z.real)
+                for z in zs
+                if math.isfinite(z.real) and abs(z.imag) <= 1e-4 * max(1.0, abs(z))
+            }
+            cands = sorted(near - {None})
+        if not cands:
+            break
+        for c in cands:
+            b = _exact_quotient(b, [-c.numerator, c.denominator])
+            dens *= c.denominator
+        found += cands
+    if len(b) == 1:
+        return found, []
+    rest = [float(c * dens * unit) for c in reversed(b)]
+    return found, zs if zs is not None and rest == src else np.roots(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -448,18 +550,35 @@ def _lower_hull_edges(P: dict):
 
 
 def _substitute_edge(P: dict, c, p: int, q: int):
-    """P1(v, z) = P((c + v) z^p, z^q) / z^w, w the minimal weight."""
-    out = {}
+    """P1(v, z) = P((c + v) z^p, z^q) / z^w, w the minimal weight.
+
+    Exact data (a Fraction c = r/s, rational coefficients a/d) are summed
+    in integers over the common denominator lcm(d) s^K, K the degree in x,
+    and each nonzero sum becomes one Fraction, the value the Fraction
+    arithmetic gives; otherwise the powers c^n are taken once each, with
+    the ** of c's type, and the terms are summed as they come."""
     w = min(p * k + q * m for k, m in _support(P))
-    for (k, m), coeff in P.items():
+    K = max(k for k, _ in P)
+    den = None
+    if isinstance(c, Fraction) and all(isinstance(a, (int, Fraction)) for a in P.values()):
+        D = math.lcm(*(a.denominator for a in P.values()))
+        den = D * c.denominator**K
+        coeffs = {km: a.numerator * (D // a.denominator) for km, a in P.items()}
+        cpow = [c.numerator**n * c.denominator ** (K - n) for n in range(K + 1)]
+    else:
+        coeffs, cpow = P, [c**n for n in range(K + 1)]
+    out = {}
+    for (k, m), coeff in coeffs.items():
         zdeg = p * k + q * m - w
         bc = 1
         for j in range(k + 1):  # (c+v)^k = sum C(k,j) c^(k-j) v^j
             if j > 0:
                 bc = bc * (k - j + 1) // j
             key = (j, zdeg)
-            out[key] = out.get(key, 0) + coeff * bc * c ** (k - j)
-    return {key: v for key, v in out.items() if v != 0}
+            out[key] = out.get(key, 0) + coeff * bc * cpow[k - j]
+    if den is None:
+        return {key: v for key, v in out.items() if v != 0}
+    return {key: Fraction(v, den) for key, v in out.items() if v}
 
 
 def _hensel_lift(P1: dict, order: int):
@@ -476,16 +595,29 @@ def _hensel_lift(P1: dict, order: int):
     a10 = P1.get((1, 0), 0)
     if a10 == 0:
         raise ArithmeticError("lift needs a simple characteristic root")
-    max_v = max(i for i, _ in P1)
     zero = 0 * a10
-    const = {jz: c for (i, jz), c in P1.items() if i == 0}
-    terms = [(i, jz, c) for (i, jz), c in P1.items() if i > 0 and (i, jz) != (1, 0)]
     # mixed exact/float data: from the first step a float coefficient enters,
     # the coefficients are floats, as in a product of truncated series
     float_from = min(
         (max(jz, 1) for (i, jz), c in P1.items() if isinstance(c, float) and (i, jz) != (0, 0)),
         default=order + 1,
     )
+    if not any(i == 0 and jz > 0 for i, jz in P1):
+        # v = 0 solves P1(v, z) = 0: every step below sums no term, so v_n is
+        # -acc / a10 for the starting acc, typed as there (the first and the
+        # last are the only values), and P1(0, z) is the z^0 term alone
+        acc = abs(zero)
+        k = min(order, float_from - 1)
+        v = [-acc / a10] * k
+        if k < order:
+            v += [-float(acc) / a10] * (order - k)
+        exact = (0, 0) not in P1 and all(
+            isinstance(c, (int, Fraction)) for c in (*v[:1], *v[-1:], *P1.values())
+        )
+        return v, exact
+    max_v = max(i for i, _ in P1)
+    const = {jz: c for (i, jz), c in P1.items() if i == 0}
+    terms = [(i, jz, c) for (i, jz), c in P1.items() if i > 0 and (i, jz) != (1, 0)]
     # pw[i][m] = [z^m] v^i; v^i has valuation >= i
     pw = [None] + [[zero] * (order + 1) for _ in range(max_v)]
     v = pw[1]  # v_0 = 0
@@ -525,7 +657,7 @@ def _exact_substitution_vanishes(P1: dict, v: Sequence) -> bool:
     v_terms = _live_terms(enumerate(v))
     powers = [[(0, 1)]]
     for _ in range(max_v):
-        powers.append(_times_truncated(powers[-1], v_terms, order))
+        powers.append(_times_truncated(powers[-1], v_terms, order, True))
     full = {}
     for (i, jz), c in P1.items():
         for d, pc in powers[i]:
@@ -600,57 +732,63 @@ def _signed_support(P: PolynomialFamily, sign: int) -> dict:
 
 
 def _compare_branches(a, b, order):
-    """-1, 0, +1 comparing branch values for small e > 0."""
+    """-1, 0, +1 comparing branch values for small e > 0: the coefficients
+    at the smallest exponent where they differ decide, compared exactly
+    (Python compares a Fraction with a float exactly, so two rational
+    coefficients that round to the same float are still told apart).  The
+    exponent i / rho of a branch is kept as the integer i * (rho_a rho_b) / rho."""
     rho_a, ca, _ = a
     rho_b, cb, _ = b
-    bound = min(Fraction(order, rho_a), Fraction(order, rho_b))
+    bound = order * min(rho_a, rho_b)  # min(order / rho_a, order / rho_b)
     exps = sorted(
-        {Fraction(i, rho_a) for i in range(1, order + 1) if ca[i] != 0}
-        | {Fraction(i, rho_b) for i in range(1, order + 1) if cb[i] != 0}
+        {i * rho_b for i in range(1, order + 1) if ca[i]}
+        | {i * rho_a for i in range(1, order + 1) if cb[i]}
     )
     for ex in exps:
         if ex > bound:
             break
-        va = ca[int(ex * rho_a)] if (ex * rho_a).denominator == 1 and ex * rho_a <= order else 0
-        vb = cb[int(ex * rho_b)] if (ex * rho_b).denominator == 1 and ex * rho_b <= order else 0
+        va = ca[ex // rho_b] if ex % rho_b == 0 else 0
+        vb = cb[ex // rho_a] if ex % rho_a == 0 else 0
         if va != vb:
-            diff = float(va) - float(vb)
-            return 1 if diff > 0 else -1
+            return 1 if va > vb else -1
     return 0
 
 
-def _companion_roots(rows: np.ndarray) -> list:
-    """The values np.roots gives for every row (coefficients low first).
+def _companion_roots(rows: np.ndarray):
+    """The values np.roots gives for every row (coefficients low first), as
+    (re, im, count): the roots of row r are re[r, j] + i im[r, j] for
+    j < count[r], the others zero.
 
-    Each row is trimmed as np.roots trims it, the companion matrices of the
-    rows of one trimmed degree are stacked into one eigvals call, and the
-    roots at the origin are appended as zeros, as np.roots does.  A row of
-    a group with complex roots comes back complex even when its own roots
-    are real (their imaginary parts are then zero)."""
-    out = [np.array([])] * len(rows)
-    groups: dict = {}
-    for r, row in enumerate(rows):
-        nz = np.flatnonzero(row)
-        if len(nz):
-            lo, hi = int(nz[0]), int(nz[-1])
-            groups.setdefault(hi - lo + 1, []).append((r, lo, hi))
-    for n, members in groups.items():
-        if n == 1:
-            w = np.empty((len(members), 0))
-        else:
-            p = np.array([rows[r, lo : hi + 1][::-1] for r, lo, hi in members])
-            A = np.zeros((len(members), n - 1, n - 1))
-            A[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
-            A[:, 0, :] = -p[:, 1:] / p[:, :1]
-            w = np.linalg.eigvals(A)
-        for (r, lo, _), wr in zip(members, w):
-            out[r] = np.hstack((wr, np.zeros(lo, wr.dtype)))
-    return out
+    Each row is trimmed as np.roots trims it, to its nonzero coefficients
+    lo..hi; the companion matrices of the rows of one (lo, hi) are stacked
+    into one eigvals call, and the lo roots at the origin follow as zeros,
+    as np.roots appends them.  LAPACK solves each matrix of a stack alone,
+    so every row's roots are those np.roots gives it."""
+    nz = rows != 0
+    width = rows.shape[1]
+    lo = nz.argmax(axis=1)
+    hi = width - 1 - nz[:, ::-1].argmax(axis=1)
+    live = nz.any(axis=1)
+    count = np.where(live, hi, 0)  # hi - lo eigenvalues, then lo zeros
+    re, im = np.zeros((len(rows), width)), np.zeros((len(rows), width))
+    for l, h in set(zip(lo[live].tolist(), hi[live].tolist())):
+        if h == l:
+            continue  # one nonzero coefficient: only the roots at the origin
+        members = (live & (lo == l) & (hi == h)).nonzero()[0]
+        A = np.zeros((len(members), h - l, h - l))
+        if len(members) == len(rows):
+            members = slice(None)  # one group: plain slices, no gathers
+        p = rows[members, l : h + 1][:, ::-1]
+        A[:, np.arange(1, h - l), np.arange(h - l - 1)] = 1.0
+        A[:, 0, :] = -p[:, 1:] / p[:, :1]
+        w = np.linalg.eigvals(A)
+        re[members, : h - l], im[members, : h - l] = w.real, w.imag
+    return re, im, count
 
 
 def _max1(a: np.ndarray) -> np.ndarray:
-    """Python's max(1.0, a) elementwise: a NaN gives 1.0."""
-    return np.where(a > 1.0, a, 1.0)
+    """Python's max(1.0, a) elementwise for a >= 0: a NaN gives 1.0."""
+    return np.fmax(a, 1.0)
 
 
 def track_biggest_real_root(P: PolynomialFamily, eps_grid) -> list:
@@ -673,19 +811,14 @@ def track_biggest_real_root(P: PolynomialFamily, eps_grid) -> list:
     rows = P.x_coeff_rows(eps_grid)
     if not len(rows):
         return []
-    roots = _companion_roots(rows)
     # the roots of row r are R_re + i R_im at columns 0 .. n_roots[r] - 1
-    n_roots = np.array([len(rr) for rr in roots])
-    width = int(n_roots.max())
-    R_re, R_im = np.zeros((len(rows), width)), np.zeros((len(rows), width))
-    for r, rr in enumerate(roots):
-        R_re[r, : len(rr)], R_im[r, : len(rr)] = rr.real, rr.imag
-    j = np.arange(width)
-    cand_row, cand_idx = np.nonzero(j < n_roots[:, None])
-    re, im = R_re[cand_row, cand_idx], R_im[cand_row, cand_idx]
+    R_re, R_im, n_roots = _companion_roots(rows)
+    j = np.arange(R_re.shape[1])
     with np.errstate(all="ignore"):
-        keep = ~(np.abs(im) > 1e-6 * _max1(np.hypot(re, im)))
-        cand_row, cand_idx, x = cand_row[keep], cand_idx[keep], re[keep]
+        # candidates: the roots whose imaginary part is small, row by row
+        near_real = ~(np.abs(R_im) > 1e-6 * _max1(np.hypot(R_re, R_im)))
+        cand_row, cand_idx = ((j < n_roots[:, None]) & near_real).nonzero()
+        x = R_re[cand_row, cand_idx]
         C = rows[cand_row]
         D = C[:, 1:] * np.arange(1, C.shape[1])
         live = np.ones(len(x), dtype=bool)
@@ -694,19 +827,19 @@ def track_biggest_real_root(P: PolynomialFamily, eps_grid) -> list:
             live &= d != 0
             step = horner(C.T, x) / d
             live &= ~(np.abs(step) > 0.5 * _max1(np.abs(x)))
-            x = np.where(live, x - step, x)
+            np.subtract(x, step, out=x, where=live)
         # gap: distance to the nearest other root of the same row, 1.0 if
         # none; roots are finite (eigvals refuses other matrices), so only a
         # NaN candidate, which the sign test rejects, gives a NaN distance
         others = (j != cand_idx[:, None]) & (j < n_roots[cand_row][:, None])
-        dist = np.hypot(x[:, None] - R_re[cand_row], 0.0 - R_im[cand_row])
-        nearest = np.min(np.where(others, dist, np.inf), axis=1, initial=np.inf)
+        dist = np.hypot(x[:, None] - R_re[cand_row], R_im[cand_row])  # |0.0 - im|
+        nearest = np.where(others, dist, np.inf).min(axis=1, initial=np.inf)
         gap = np.where(others.any(axis=1), nearest, 1.0)
         a, b = 1e-3 * gap, 1e-15 * _max1(np.abs(x))
         delta = np.where(b > a, b, a)
         accept = horner(C.T, x - delta) * horner(C.T, x + delta) < 0
     # a zero constant term is an exact root at the origin, of any multiplicity
-    best = [0.0 if c0 == 0.0 else None for c0 in rows[:, 0]]
+    best = [0.0 if c0 == 0.0 else None for c0 in rows[:, 0].tolist()]
     for r, xr in zip(cand_row[accept].tolist(), x[accept].tolist()):
         if best[r] is None or xr > best[r]:
             best[r] = xr
@@ -735,7 +868,7 @@ def biggest_real_root_branch(P: PolynomialFamily, sign: int) -> PuiseuxBranch:
         seen = {}
         for rho, coeffs, exact in raw:
             rho, coeffs = _canonical_ramification(rho, coeffs, order)
-            key = (rho, tuple(str(c) for c in coeffs))
+            key = (rho, tuple(map(str, coeffs)))
             if key in seen:
                 # only two certified-exact copies are truly the same function
                 if not (seen[key] and exact):
@@ -768,7 +901,7 @@ def biggest_real_root_branch(P: PolynomialFamily, sign: int) -> PuiseuxBranch:
 
 def _canonical_ramification(rho: int, coeffs, order: int):
     """Reduce rho by the gcd of the nonzero coefficient indices."""
-    idxs = [i for i, c in enumerate(coeffs) if c != 0]
+    idxs = [i for i, c in enumerate(coeffs) if c]
     if not idxs:
         return 1, tuple([0] * (order + 1))
     g = math.gcd(rho, *idxs)
@@ -781,6 +914,22 @@ def _canonical_ramification(rho: int, coeffs, order: int):
     return rho // g, tuple(reduced)
 
 
+def _residuals(P: PolynomialFamily, xs: list, epses: list) -> np.ndarray:
+    """abs(P.eval(x, eps)) at each pair as one array: the terms of
+    float_coeffs in their order, from Python's float powers of the points
+    (which raise OverflowError where P.eval raises it) and numpy's products
+    and sums, which round as Python's floats do."""
+    xpow, epow = {}, {}
+    acc = 0.0 * np.array(xs)
+    for (k, m), c in P.float_coeffs.items():
+        if k not in xpow:
+            xpow[k] = _float_powers(xs, k)
+        if m not in epow:
+            epow[m] = _float_powers(epses, m)
+        acc = acc + c * xpow[k] * epow[m]
+    return np.abs(acc)
+
+
 def _validate_branch(P: PolynomialFamily, branch: PuiseuxBranch, tracked: dict):
     """Numeric guard for the selected branch.
 
@@ -791,14 +940,37 @@ def _validate_branch(P: PolynomialFamily, branch: PuiseuxBranch, tracked: dict):
     wrong.  A prediction above every confirmed root is allowed only if it is
     itself root-consistent, since even-multiplicity real roots produce no
     sign change and cannot be confirmed numerically."""
-    t = np.array([e ** (1.0 / branch.rho) for e in tracked])
-    with np.errstate(all="ignore"):  # Python floats overflow silently too
-        preds = branch.sigma(t).tolist()
+    t = _float_powers(list(tracked), 1.0 / branch.rho)
+    # sigma(t) summed as TruncatedSeries.__call__ sums it; above the highest
+    # nonzero coefficient of index >= 1, Horner's rule carries a zero, and at
+    # finite t zero * t + c = c, so those coefficients are left out
+    coeffs = branch.sigma.float_coeffs
+    top = max((i for i, c in enumerate(coeffs) if i and c != 0), default=len(coeffs) - 1)
     epses = [branch.sign * e for e in tracked]
-    rows = P.x_coeff_rows(epses).tolist()
-    for root, eps, pred, row in zip(tracked.values(), epses, preds, rows):
-        scale = max(1.0, sum(abs(c) for c in row))
-        resid = abs(P.eval(pred, eps))
+    roots = list(tracked.values())
+    rows = np.abs(P.x_coeff_rows(epses))
+    scales = rows[:, 0]
+    for k in range(1, rows.shape[1]):  # sum(abs(c) for c in row), in its order
+        scales = scales + rows[:, k]
+    scales = _max1(scales)
+    start = 0
+    with np.errstate(all="ignore"):  # Python floats overflow silently too
+        preds = np.full(t.shape, horner(coeffs[: top + 1], t))
+        try:
+            resids = _residuals(P, preds.tolist(), epses)
+        except OverflowError:  # a float power: P.eval raises it at its point
+            resids = None
+        else:  # the checks below on the whole grid, to start at the first failure
+            root = np.array([math.nan if r is None else r for r in roots])
+            bad = ~(np.isfinite(preds) & np.isfinite(resids))
+            bad |= resids > _RESIDUAL_RTOL * scales
+            bad |= root > preds + _RESIDUAL_RTOL * _max1(np.abs(root))
+            start = int(bad.argmax()) if bad.any() else len(roots)
+            resids = resids.tolist()
+    preds, scales = preds.tolist(), scales.tolist()
+    for n in range(start, len(roots)):
+        root, eps, pred, scale = roots[n], epses[n], preds[n], scales[n]
+        resid = abs(P.eval(pred, eps)) if resids is None else resids[n]
         if not (math.isfinite(pred) and math.isfinite(resid)):
             raise BranchNotFound(
                 f"branch value {pred:g} with residual {resid:g} left the float range "
@@ -829,18 +1001,28 @@ def _live_terms(items) -> list:
     return [(t, c) for t, c in items if isinstance(c, float) or c != 0]
 
 
-def _times_truncated(a: list, b: list, order: int) -> list:
-    """The product of two (t, c) lists of _live_terms, truncated at order.
+def _times_truncated(a: list, b: list, order: int, exact: bool) -> list:
+    """The product of two (t, c) lists of _live_terms, sorted by t,
+    truncated at order.
 
     Coefficient n sums a_i * b_(n-i) over increasing i, as the dense product
     of truncated series does, but skips a product when it is an exact zero
     (neither factor a float, one of them 0).  A product with a float factor
     is kept even when the other factor is an exact zero: it makes the sum a
     float from that point on.  So the kept terms, their order and their
-    types are those of the dense product."""
+    types are those of the dense product.  With exact (neither list holds a
+    float) only the pairs of listed terms are visited."""
+    out: dict = {}
+    if exact:
+        for i, x in a:
+            for j, y in b:
+                n = i + j
+                if n > order:
+                    break
+                out[n] = out[n] + x * y if n in out else x * y
+        return [(n, c) for n, c in sorted(out.items()) if c != 0]
     da, db = dict(a), dict(b)
     b_floats = [j for j, c in b if isinstance(c, float)]
-    out: dict = {}
     for i in range(order + 1):
         x = da.get(i, 0)
         if isinstance(x, float):
@@ -866,64 +1048,89 @@ def compute_Q(P: PolynomialFamily, branch: PuiseuxBranch) -> BivariatePoly:
     has few nonzero coefficients, so the powers cost a few products each.
     The terms kept, their order and their types are those of the dense
     product of truncated series, so Q is the same, term for term and in
-    the same term order, for exact, float and mixed data.  The constant
-    term in s must vanish (the branch is a root), which is checked before
-    dividing.  For exact branches the result is exact; float terms below
-    _Q_CHOP times the largest one are dropped as noise."""
-    max_m = max((m for _, m in P.coeffs), default=0)
+    the same term order, for exact, float and mixed data.  Exact data whose
+    sigma has live coefficients of one type (all Fraction or all int) are
+    summed in integers over the common denominator lcm(P's denominators)
+    S^(mu+1), S = lcm(sigma's), and a sum is a Fraction exactly when one of
+    its terms is.  The constant term in s must vanish (the branch is a
+    root), which is checked before dividing.  For exact branches the result
+    is exact; float terms below _Q_CHOP times the largest one are dropped
+    as noise."""
+    coeffs = branch.sigma.coeffs
+    exact_field = all(issubclass(kind, (int, Fraction)) for kind in set(map(type, coeffs)))
+    if exact_field:  # the live terms are the nonzero ones, so padding adds none
+        sigma_terms = [(t, c) for t, c in enumerate(coeffs) if c]
     if branch.exact:
-        order_e = max(
-            branch.sigma.degree() * (P.mu + 1) + branch.rho * max_m,
-            branch.sigma.order,
-        )
+        degree = sigma_terms[-1][0] if exact_field and sigma_terms else branch.sigma.degree()
+        max_m = max((m for _, m in P.coeffs), default=0)
+        order_e = max(degree * (P.mu + 1) + branch.rho * max_m, branch.sigma.order)
     else:
         order_e = branch.sigma.order
-    sigma = branch.sigma.padded(order_e)
-    exact_field = all(isinstance(c, (int, Fraction)) for c in sigma.coeffs)
-    one = 1 if exact_field else 1.0
+    if not exact_field:
+        sigma_terms = _live_terms(enumerate(branch.sigma.padded(order_e).coeffs))
+    floats = not exact_field or any(isinstance(c, float) for c in P.coeffs.values())
+    kinds = {isinstance(c, Fraction) for _, c in sigma_terms}
+    terms, one, den = P.coeffs, (1 if exact_field else 1.0), None
+    if not floats and len(kinds) <= 1:
+        S = math.lcm(*(c.denominator for _, c in sigma_terms))
+        D = math.lcm(*(c.denominator for c in P.coeffs.values()))
+        sigma_terms = [(t, c.numerator * (S // c.denominator)) for t, c in sigma_terms]
+        terms = {km: c.numerator * (D // c.denominator) for km, c in P.coeffs.items()}
+        den = D * S ** (P.mu + 1)
     # powers of sigma, exact polynomials when branch.exact
-    sigma_terms = _live_terms(enumerate(sigma.coeffs))
     pow_cache = [[(0, one)], sigma_terms]
     for _ in range(P.mu):
-        pow_cache.append(_times_truncated(pow_cache[-1], sigma_terms, order_e))
+        pow_cache.append(_times_truncated(pow_cache[-1], sigma_terms, order_e, exact_field))
+    if floats:  # a float 0.0 is kept in the powers, but adds no term
+        pow_cache = [[(t, sc) for t, sc in pw if sc != 0] for pw in pow_cache]
+    elif den is not None and S != 1:  # sigma^i = (N / S)^i, over S^(mu+1)
+        pow_cache = [[(t, sc * S ** (P.mu + 1 - i)) for t, sc in pw] for i, pw in enumerate(pow_cache)]
 
     acc: dict = {}
     mag: dict = {}  # t -> sum of |float terms| summed into the s^0 e^t coefficient
-    for (k, m), c in P.coeffs.items():
+    fractions = set()  # keys with a Fraction term, when summed in integers
+    sigma_frac = den is not None and True in kinds
+    for (k, m), c in terms.items():
         c_signed = c * (branch.sign**m)
+        shift = branch.rho * m
+        c_frac = den is not None and isinstance(P.coeffs[(k, m)], Fraction)
         bc = 1
         for j in range(k + 1):  # (s + sigma)^k
             if j > 0:
                 bc = bc * (k - j + 1) // j
+            cb = c_signed * bc
+            frac = c_frac or (j < k and sigma_frac)
             for t, sc in pow_cache[k - j]:
-                if sc == 0:
-                    continue
-                key = (j, t + branch.rho * m)
-                term = c_signed * bc * sc
-                acc[key] = acc.get(key, 0) + term
-                if j == 0 and isinstance(term, float):
+                key = (j, t + shift)
+                term = cb * sc
+                acc[key] = acc[key] + term if key in acc else term
+                if frac:
+                    fractions.add(key)
+                if j == 0 and floats and isinstance(term, float):
                     mag[key[1]] = mag.get(key[1], 0.0) + abs(term)
+    if den is not None:
+        acc = {
+            key: (Fraction(v) if den == 1 else Fraction(v, den)) if key in fractions else v // den
+            for key, v in acc.items()
+            if v
+        }
     if not branch.exact:
         # e-coefficients beyond the branch truncation are incomplete
         acc = {(j, t): v for (j, t), v in acc.items() if t <= order_e}
-    # drop float noise
     scale = max((abs(float(v)) for v in acc.values()), default=1.0)
-    cleaned = {}
-    for key, v in acc.items():
-        if isinstance(v, float):
-            if abs(v) > _Q_CHOP * scale:
-                cleaned[key] = v
-        elif v != 0:
-            cleaned[key] = v
-    # the s^0 column must vanish: sigma is a root branch.  An exact
-    # coefficient must be 0; a float one is a sum of terms that cancel, so
-    # its rounding is measured against their size
-    for (j, t), v in cleaned.items():
+    # drop float noise and divide by s.  The s^0 column must vanish: sigma
+    # is a root branch.  An exact coefficient must be 0; a float one is a sum
+    # of terms that cancel, so its rounding is measured against their size
+    shifted = {}
+    for (j, t), v in acc.items():
+        if isinstance(v, float) and not abs(v) > _Q_CHOP * scale or not v:
+            continue
         if j == 0 and (not isinstance(v, float) or abs(v) > 1e-9 * max(scale, mag.get(t, 0.0))):
             raise NotDivisible(
                 f"constant term in s does not vanish (coefficient of e^{t} is {v!r})"
             )
-    shifted = {(j - 1, t): v for (j, t), v in cleaned.items() if j >= 1}
+        if j >= 1:
+            shifted[(j - 1, t)] = v
     Q = BivariatePoly(shifted)
     # sanity: the e = 0 slice must be exactly s^mu
     slice0 = {i: c for (i, j), c in Q.terms.items() if j == 0}
@@ -1021,12 +1228,17 @@ def check_h2(nd: NewtonData) -> Verdict:
 
 def check_h0(nd: NewtonData) -> Verdict:
     """Positivity of Q(0, e) near e = 0: chi > 0 plus a check on
-    _VALIDATION_GRID."""
+    _VALIDATION_GRID.  Q(0, e) is summed as Q.eval sums it, c * s^i * e^j
+    term by term; c * 0.0^i is float(c) * 0.0^i, taken once per term."""
     if not float(nd.chi) > 0:
         nd.h0 = Verdict(holds=False, witness=0.0, detail=f"chi = {nd.chi!r} <= 0")
         return nd.h0
+    terms = [(float(c) * 0.0**i, j) for (i, j), c in nd.Q.terms.items()]
     for e in _VALIDATION_GRID:
-        val = float(nd.Q.eval(0.0, float(e)))
+        val = 0.0 if not terms else None
+        for a, j in terms:
+            term = a * e**j
+            val = term if val is None else val + term
         if val <= 0:
             nd.h0 = Verdict(
                 holds=False, witness=float(e), detail=f"Q(0, {e:g}) = {val:.3g} <= 0"

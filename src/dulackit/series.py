@@ -341,7 +341,7 @@ class BivariatePoly:
         for (i, j), c in terms.items():
             if i < 0 or j < 0:
                 raise ValueError("exponents must be non-negative")
-            if c != 0:
+            if c:
                 clean[(int(i), int(j))] = c
         self.terms = clean
 

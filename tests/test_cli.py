@@ -75,6 +75,23 @@ def test_golden_reports(tmp_path, capsys, name, command, report):
     assert (tmp_path / report).read_bytes() == (GOLDEN / f"{name}.{report}").read_bytes()
 
 
+CHECK_CORPUS = json.loads((GOLDEN / "check_corpus.json").read_text())
+
+
+@pytest.mark.parametrize("entry", CHECK_CORPUS, ids=[e["name"] for e in CHECK_CORPUS])
+def test_check_corpus(tmp_path, capsys, entry):
+    """`check` on the seeded corpus of tests/golden/make_check_corpus.py:
+    the exit code as recorded, and check.json byte for byte, or the stderr
+    of a failing run."""
+    spec = write_spec(tmp_path, "spec.json", entry["spec"])
+    code = main(["check", spec, "--out", str(tmp_path)])
+    assert code == entry["exit"]
+    if code == 0:
+        assert (tmp_path / "check.json").read_text() == entry["check_json"]
+    else:
+        assert capsys.readouterr().err == entry["stderr"]
+
+
 # verify's floats against the recorded ones.  Oracle values move by rounding
 # across BLAS builds (numpy's dot products inside scipy's Radau and DOP853),
 # and the remainders h = (value - S_ell) / s^ell and theta^r h divide that

@@ -18,13 +18,16 @@ from dulackit.errors import (
     NotDivisible,
 )
 from dulackit.family import (
+    DEFAULT_BRANCH_ORDER,
     _H2_GRID_POINTS,
     _Q_CHOP,
     _VALIDATION_GRID,
     _canonical_ramification,
     _h2_power_table,
     NewtonData,
+    _compare_branches,
     _hensel_lift,
+    _substitute_edge,
     _real_roots_with_multiplicity,
     _validate_branch,
     PolynomialFamily,
@@ -67,6 +70,8 @@ def fam_inconclusive():
         coeffs={(3, 0): Fr(1), (2, 1): Fr(-2), (1, 2): Fr(1) + Fr(1, 10**6)},
     )
 
+
+CLOSE_ROOT = 1 + Fr(1, 10**20)  # float(CLOSE_ROOT) == 1.0
 
 ZOO = [
     (fam_linear(), +1),
@@ -247,6 +252,33 @@ class TestBranch:
         with pytest.raises(BranchNotFound, match="left the float range"):
             _validate_branch(f, PuiseuxBranch(1, TS((0.0, 1.0, bad)), +1), tracked)
 
+    @pytest.mark.parametrize("sign, sigma1, chi", [
+        (1, CLOSE_ROOT, CLOSE_ROOT * (CLOSE_ROOT - 1)),
+        (-1, 0, CLOSE_ROOT),
+    ])
+    def test_close_rational_roots(self, sign, sigma1, chi):
+        # x (x - eps)(x - r eps), r = 1 + 10^-20: the characteristic roots 1
+        # and r are the same float; both stay exact, and the branches are
+        # told apart exactly
+        r = CLOSE_ROOT
+        f = PolynomialFamily(mu=2, coeffs={(3, 0): Fr(1), (2, 1): -1 - r, (1, 2): r})
+        branch, nd = analyze_family(f, sign)
+        assert branch.exact and branch.rho == 1
+        assert branch.sigma.coeffs[1] == sigma1 and not any(branch.sigma.coeffs[2:])
+        assert nd.h0.holds and nd.chi == chi
+
+    @pytest.mark.parametrize("a, b, want", [
+        (CLOSE_ROOT, Fr(1), 1),
+        (Fr(1), CLOSE_ROOT, -1),
+        (CLOSE_ROOT, 1.0, 1),  # a Fraction against a float, exactly
+        (1.0, CLOSE_ROOT, -1),
+        (Fr(1), 1.0, 0),
+    ])
+    def test_compare_branches_exactly(self, a, b, want):
+        order = DEFAULT_BRANCH_ORDER
+        pad = (0,) * (order - 1)
+        assert _compare_branches((1, (0, a, *pad), True), (1, (0, b, *pad), True), order) == want
+
     def test_multiple_exact_characteristic_root(self):
         # (x^2 - eps^2)^2 - eps^5 with exact data: the double root c = 1 is
         # exact, its Taylor terms are exact zeros, and the branch keeps
@@ -359,21 +391,35 @@ def times_linear(poly, a, b):
 
 
 @st.composite
-def rational_root_poly(draw):
-    """An integer multiple of prod (b x - a)^m over small-height roots a/b,
-    times a factor without rational roots, or 1."""
+def rational_root_poly(draw, close=False):
+    """(p, roots): p an integer multiple of prod (b x - a)^m over small-height
+    roots a/b, times a factor without rational roots, squared or not, or 1;
+    roots its nonzero rational roots with their multiplicities, increasing.
+    With close, p also has a pair of simple roots r and r + 1/(b 10^k),
+    k = 18..22, closer than 1e-18."""
     poly = [Fr(draw(st.integers(1, 12)) * draw(st.sampled_from([1, -1])))]
+    planted = {}
     for _ in range(draw(st.integers(0, 3))):
         a = draw(st.integers(-6, 6))
         b = draw(st.integers(1, 6))
-        for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 3))
+        for _ in range(m):
             poly = times_linear(poly, Fr(a), Fr(b))
+        planted[Fr(a, b)] = planted.get(Fr(a, b), 0) + m
+    if close:
+        r = Fr(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 6)))
+        s = r + Fr(1, r.denominator * 10 ** draw(st.integers(18, 22)))
+        for c in (r, s):
+            poly = times_linear(poly, Fr(c.numerator), Fr(c.denominator))
+            planted[c] = planted.get(c, 0) + 1
     extra = draw(st.sampled_from([[1], [1, 0, 1], [-2, 0, 1], [3, 0, 0, 1], [1, 1, 1]]))
-    out = [Fr(0)] * (len(poly) + len(extra) - 1)
-    for i, x in enumerate(poly):
-        for j, y in enumerate(extra):
-            out[i + j] += x * y
-    return out
+    for _ in range(draw(st.integers(1, 2))):
+        out = [Fr(0)] * (len(poly) + len(extra) - 1)
+        for i, x in enumerate(poly):
+            for j, y in enumerate(extra):
+                out[i + j] += x * y
+        poly = out
+    return poly, sorted((c, m) for c, m in planted.items() if c != 0)
 
 
 def rational_roots(p):
@@ -382,10 +428,24 @@ def rational_roots(p):
 
 
 class TestRationalRoots:
-    @given(p=rational_root_poly())
+    @given(problem=rational_root_poly())
     @settings(max_examples=200, deadline=None)
-    def test_matches_divisor_enumeration(self, p):
-        assert rational_roots(p) == rational_roots_reference(p)
+    def test_matches_divisor_enumeration(self, problem):
+        p, planted = problem
+        assert rational_roots(p) == rational_roots_reference(p) == planted
+
+    @given(problem=rational_root_poly(close=True))
+    @settings(max_examples=100, deadline=None)
+    def test_close_planted_pairs(self, problem):
+        # the pair's float roots snap to the same fraction, or to none, in
+        # one pass; the rest is snapped again until nothing snaps
+        p, planted = problem
+        assert rational_roots(p) == planted
+
+    def test_close_pair_in_one_quadratic(self):
+        # (c - 1)(c - r), r = 1 + 10^-20: both float roots are 1.0
+        r = CLOSE_ROOT
+        assert _real_roots_with_multiplicity([r, -1 - r, Fr(1)]) == [(Fr(1), 1), (r, 1)]
 
     def test_large_root_stays_exact(self):
         # (7x - (10^12 + 1)) (x - 2)^2 (x^2 + 1)
@@ -917,3 +977,175 @@ class TestHenselLift:
             assert abs(float(a) - float(b)) <= LIFT_RTOL * scale
             if a == 0 and b == 0:
                 assert math.copysign(1, a) == math.copysign(1, b)  # reports print -0.0
+
+
+def _ref_trim(p):
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _ref_deriv(p):
+    return [p[k] * k for k in range(1, len(p))] or [0 * p[0]]
+
+
+def _ref_divmod(a, b):
+    a, b = list(a), _ref_trim(list(b))
+    q = [0 * b[0]] * max(1, len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        c = q[k] = a[k + len(b) - 1] / b[-1]
+        for i, bc in enumerate(b):
+            a[k + i] = a[k + i] - c * bc
+    return _ref_trim(q), _ref_trim(a)
+
+
+def _ref_gcd(a, b):
+    a, b = _ref_trim(list(a)), _ref_trim(list(b))
+    while not (len(b) == 1 and b[0] == 0):
+        a, b = b, _ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a[-1] != 0 else a
+
+
+def _ref_sub(a, b):
+    n = max(len(a), len(b))
+    return _ref_trim([x - y for x, y in zip(a + [0 * a[0]] * (n - len(a)), b + [0 * b[0]] * (n - len(b)))])
+
+
+def yun_reference(p):
+    """Yun's algorithm over the rationals: [(i, b_i)] with b_i monic, or
+    [(1, p)] if p is squarefree."""
+    p = _ref_trim(list(p))
+    dp = _ref_deriv(p)
+    g = _ref_gcd(p, dp)
+    if len(g) == 1:
+        return [(1, p)]
+    out, i = [], 1
+    c = _ref_divmod(p, g)[0]
+    d = _ref_sub(_ref_divmod(dp, g)[0], _ref_deriv(c))
+    while len(c) > 1:
+        b = _ref_gcd(c, d)
+        if len(b) > 1:
+            out.append((i, b))
+        c = _ref_divmod(c, b)[0]
+        d = _ref_sub(_ref_divmod(d, b)[0], _ref_deriv(c))
+        i += 1
+    return out
+
+
+def nearest_fraction_root_reference(g, z):
+    """Newton's method in fractions from z, rounded to the grid 2^-b,
+    b = 2 bitlen(L) + 4, then the nearest fraction with denominator <= L."""
+    L = abs(g[-1])
+    ulp = Fr(1, 2 ** (2 * L.bit_length() + 4))
+    dg, x = _ref_deriv(g), Fr(z)
+    for _ in range(12):
+        d = horner(dg, x)
+        if d == 0:
+            break
+        step = horner(g, x) / d
+        x = round((x - step) / ulp) * ulp
+        if abs(step) < ulp:
+            break
+    return x.limit_denominator(L)
+
+
+def roots_reference(phi):
+    """_real_roots_with_multiplicity on exact data, in rational arithmetic:
+    Yun's algorithm over the rationals, one pass per factor that snaps the
+    near-real roots of its primitive integer multiple by Newton's method in
+    fractions and divides each rational root out, then the float roots of
+    what is left, from np.roots."""
+    p = _ref_trim([Fr(c) for c in phi])
+    while len(p) > 1 and p[0] == 0:
+        p = p[1:]
+    if len(p) <= 1:
+        return []
+    rational, floats = [], []
+    for mult, b in yun_reference(p):
+        den = math.lcm(*(c.denominator for c in b))
+        g = [int(c * den) for c in b]
+        g = [c // (math.gcd(*g) or 1) for c in g]
+        cands = {
+            nearest_fraction_root_reference(g, z.real)
+            for z in np.roots([float(c) for c in reversed(g)])
+            if math.isfinite(z.real) and abs(z.imag) <= 1e-4 * max(1.0, abs(z))
+        }
+        for c in sorted(cands):
+            if horner(b, c) == 0:
+                rational.append((c, mult))
+                b = _ref_divmod(b, [-c, Fr(1)])[0]
+        if len(b) > 1:
+            floats += [
+                (float(r.real), mult)
+                for r in np.roots([float(c) for c in reversed(b)])
+                if abs(r.imag) <= 1e-10 * max(1.0, abs(r))
+            ]
+    return [(c, m) for c, m in sorted(rational) + floats if c != 0]
+
+
+def typed(items):
+    """A list of pairs with each value's type and repr, so floats compare
+    bit for bit (the sign of a zero included) and 1 differs from Fraction(1)."""
+    return [(k, type(v), repr(v)) for k, v in items]
+
+
+@st.composite
+def squarefree_split_poly(draw):
+    """A polynomial of rational_root_poly, or one with a repeated quadratic
+    factor and rational roots of several multiplicities (Yun's loop)."""
+    p, _ = draw(rational_root_poly())
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([[-2, 0, 1], [-5, 0, 2], [1, -1, -1], [-3, 1, 1]]))
+        for _ in range(draw(st.integers(1, 3))):
+            p = [sum((p[i] * q[k - i] for i in range(len(p)) if 0 <= k - i < len(q)), Fr(0))
+                 for k in range(len(p) + len(q) - 1)]
+    return p
+
+
+class TestRootsReference:
+    @given(p=squarefree_split_poly())
+    @example(p=[Fr(x) for x in (-4, 12, -12, 4, 3, -9, 8, 0, -3, 1)])
+    @settings(max_examples=200, deadline=None)
+    def test_exact_path_equals_reference(self, p):
+        # the same roots, multiplicities, order and types; float roots bit
+        # for bit, as np.roots gives them from the same polynomial
+        assert typed(_real_roots_with_multiplicity(p)) == typed(roots_reference(p))
+
+
+def substitute_reference(P, c, p, q):
+    """P((c + v) z^p, z^q) / z^w term by term: coeff * C(k, j) * c^(k - j)
+    added into the key (j, p k + q m - w) in P's order."""
+    out = {}
+    w = min(p * k + q * m for (k, m), a in P.items() if a != 0)
+    for (k, m), coeff in P.items():
+        for j in range(k + 1):
+            key = (j, p * k + q * m - w)
+            out[key] = out.get(key, 0) + coeff * math.comb(k, j) * c ** (k - j)
+    return {key: v for key, v in out.items() if v != 0}
+
+
+@st.composite
+def edge_problem(draw):
+    """(P, c, p, q): a sparse P(x, e) with rational, float or mixed
+    coefficients, a rational or float root c and an edge slope p/q."""
+    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    rational |= st.integers(-4, 4).filter(bool)
+    real = st.floats(min_value=-3, max_value=3).filter(bool)
+    coeff = {"exact": rational, "float": real, "mixed": rational | real}[kind]
+    keys = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), min_size=1, max_size=6, unique=True))
+    P = {key: draw(coeff) for key in keys}
+    c = draw(rational | real)
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    g = math.gcd(p, q)
+    return P, c, p // g, q // g
+
+
+class TestSubstituteEdge:
+    @given(problem=edge_problem())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference(self, problem):
+        # the same terms in the same order, of the same types and values
+        P, c, p, q = problem
+        got, want = _substitute_edge(P, c, p, q), substitute_reference(P, c, p, q)
+        assert typed(got.items()) == typed(want.items())
