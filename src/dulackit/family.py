@@ -756,8 +756,9 @@ def _compare_branches(a, b, order):
 
 def _companion_roots(rows: np.ndarray):
     """The values np.roots gives for every row (coefficients low first), as
-    (re, im, count): the roots of row r are re[r, j] + i im[r, j] for
-    j < count[r], the others zero.
+    (re, im, count, eig): the roots of row r are re[r, j] + i im[r, j] for
+    j < count[r], the others zero; the first eig[r] of them are eigenvalues
+    and the rest the roots at the origin.
 
     Each row is trimmed as np.roots trims it, to its nonzero coefficients
     lo..hi; the companion matrices of the rows of one (lo, hi) are stacked
@@ -770,6 +771,7 @@ def _companion_roots(rows: np.ndarray):
     hi = width - 1 - nz[:, ::-1].argmax(axis=1)
     live = nz.any(axis=1)
     count = np.where(live, hi, 0)  # hi - lo eigenvalues, then lo zeros
+    eig = np.where(live, hi - lo, 0)
     re, im = np.zeros((len(rows), width)), np.zeros((len(rows), width))
     for l, h in set(zip(lo[live].tolist(), hi[live].tolist())):
         if h == l:
@@ -783,7 +785,7 @@ def _companion_roots(rows: np.ndarray):
         A[:, 0, :] = -p[:, 1:] / p[:, :1]
         w = np.linalg.eigvals(A)
         re[members, : h - l], im[members, : h - l] = w.real, w.imag
-    return re, im, count
+    return re, im, count, eig
 
 
 def _max1(a: np.ndarray) -> np.ndarray:
@@ -811,13 +813,16 @@ def track_biggest_real_root(P: PolynomialFamily, eps_grid) -> list:
     rows = P.x_coeff_rows(eps_grid)
     if not len(rows):
         return []
-    # the roots of row r are R_re + i R_im at columns 0 .. n_roots[r] - 1
-    R_re, R_im, n_roots = _companion_roots(rows)
+    # the roots of row r are R_re + i R_im at columns 0 .. n_roots[r] - 1,
+    # those from n_eig[r] on at the origin
+    R_re, R_im, n_roots, n_eig = _companion_roots(rows)
     j = np.arange(R_re.shape[1])
     with np.errstate(all="ignore"):
-        # candidates: the roots whose imaginary part is small, row by row
+        # candidates: the eigenvalues whose imaginary part is small, row by
+        # row; a root at the origin polishes to +0.0, which never beats the
+        # 0.0 its row starts from below, so it is only another root for gap
         near_real = ~(np.abs(R_im) > 1e-6 * _max1(np.hypot(R_re, R_im)))
-        cand_row, cand_idx = ((j < n_roots[:, None]) & near_real).nonzero()
+        cand_row, cand_idx = ((j < n_eig[:, None]) & near_real).nonzero()
         x = R_re[cand_row, cand_idx]
         C = rows[cand_row]
         D = C[:, 1:] * np.arange(1, C.shape[1])

@@ -25,12 +25,17 @@ event fires.  Where both are feasible this agrees with single-chart
 integration to ~1e-11.
 
 Every chart is integrated by `rk45.solve_ivp`, scipy's RK45 stepped in
-Python floats with each step written out per component (its tableau written
-out as fractions, its event roots found by a port of scipy's brentq, so
-neither this module nor rk45 imports scipy): on these 2- and
-3-component systems it takes about an eighth of the time of scipy's
-solve_ivp (the 35 default-grid periods: 0.06-0.08 s against 0.50-0.69 s on
-a 2-core x86-64 host).  A solve that would need more than its budget of
+Python floats (its tableau written out as fractions, its event roots found
+by a port of scipy's brentq, so neither this module nor rk45 imports
+scipy).  Each chart's field is an `rk45.System` and each event an
+`rk45.Event`: source that rk45 writes into one generated solve loop per
+chart, compiled on first use, with D and F as the loop's arguments.  The
+sources keep the operations of the chart fields in their order and
+grouping, so a period has the bits it has when they are called.  On these
+2- and 3-component systems a solve takes about a sixteenth of the time of
+scipy's solve_ivp (the 35 default-grid periods: 0.03-0.07 s against
+0.45-0.91 s, in rounds interleaved in one process on a 2-core x86-64 host
+whose speed drifts).  A solve that would need more than its budget of
 10^6 right-hand side evaluations raises EventMissed; no solve of a sweep
 over 0.51 <= F <= 100 took more than 4,808.  It keeps RK45's Dormand-Prince
 tableau, step control and event location, so it takes scipy's steps and
@@ -66,7 +71,7 @@ from .errors import (
 )
 from .expansion import DulacTimeSpec, UnfoldingSpec
 from .family import PolynomialFamily, PuiseuxBranch, biggest_real_root_branch
-from .rk45 import solve_ivp
+from .rk45 import Event, System, solve_ivp
 from .series import TruncatedSeries
 
 _LOG_W_FLOOR = -650.0
@@ -99,14 +104,13 @@ class LoudParams:
         return y_section_height(self)
 
 
-def loud_rhs(p: LoudParams):
-    D, F = p.D, p.F
+# the plane field, as source for rk45's generated solve loop
+_PLANE = ("u", "v")
+_PLANE_RHS = ("-v + u * v", "u + D * u * u + F * v * v")
 
-    def rhs(t, y):
-        u, v = y
-        return [-v + u * v, u + D * u * u + F * v * v]
 
-    return rhs
+def loud_rhs(p: LoudParams) -> System:
+    return System(_PLANE, _PLANE_RHS, params={"D": p.D, "F": p.F})
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +391,31 @@ def c1_hat_limit(D: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# The other charts and the events, as source.  The log-w and horizontal
+# charts carry the true time as a third component.  Each expression keeps
+# the operations, their order and grouping of the lambdas it replaced, so
+# every period has the same bits.
+_BACK_RHS = tuple(f"-({d})" for d in _PLANE_RHS)  # loud_rhs, negated
+_LOG_W = ("z", "lw", "time")
+_LOG_W_LINES = (
+    "w = math.exp(lw) if lw > -745.0 else 0.0",
+    "common = -F - D * z * z + (2 * D + 1) * z * w - (D + 1) * w * w",
+)
+_LOG_W_RHS = ("z * (common + 1.0)", "common", "w")
+_HORIZONTAL = ("pp", "q", "time")
+_HORIZONTAL_RHS = (
+    "q * (1.0 - pp) * pp",
+    "-(pp + D + (F - 1.0) * q * q + pp * q * q)",
+    "-pp",
+)
+_ON_SECTION = Event("v", _PLANE, terminal=True)
+_U_GUARD = Event("1.0 + 1e-9 - u", _PLANE, terminal=True)
+_FAR_SECTION = Event("v", _PLANE, terminal=True, direction=-1.0)
+_Z_HIT = Event(f"z - {_Z_SWITCH!r}", _LOG_W, terminal=True, direction=1.0)
+_W_FLOOR = Event(f"lw - ({_LOG_W_FLOOR!r})", _LOG_W, terminal=True, direction=-1.0)
+_Q_SECTION = Event("q", _HORIZONTAL, terminal=True, direction=1.0)
+
+
 def _solve(rhs, span, y0, events, atol, **kw):
     sol = solve_ivp(rhs, span, y0, events=events, rtol=_RTOL, atol=atol, **kw)
     if sol.status == -1:
@@ -400,17 +429,8 @@ def time_to_entry(p: LoudParams, s: float) -> float:
     (a short regular arc)."""
     th = _theta_normal(p)
     u0, v0 = normal_to_plane(s + th, p.section_height, p)
-    D, F = p.D, p.F
-
-    def back(t, y):  # loud_rhs, negated, written out: the same bits
-        u, v = y
-        return [-(-v + u * v), -(u + D * u * u + F * v * v)]
-
-    ev = lambda t, y: y[1]
-    ev.terminal = True
-    guard = lambda t, y: 1.0 + 1e-9 - y[0]
-    guard.terminal = True
-    sol = _solve(back, (0.0, _TIME_BUDGET), [u0, v0], [ev, guard], 1e-14)
+    back = System(_PLANE, _BACK_RHS, params={"D": p.D, "F": p.F})
+    sol = _solve(back, (0.0, _TIME_BUDGET), [u0, v0], [_ON_SECTION, _U_GUARD], 1e-14)
     if len(sol.t_events[1]):
         raise EscapedAnnulus(f"orbit through s={s:g} crossed the invariant line u=1")
     if not len(sol.t_events[0]):
@@ -437,15 +457,8 @@ def period_numeric(p: LoudParams, s: float) -> float:
         )
     t_back = time_to_entry(p, s)
 
-    rhs_zw = _log_w_rhs(p)
-    ev_z = lambda tau, y: y[0] - _Z_SWITCH
-    ev_z.terminal = True
-    ev_z.direction = 1.0
-    ev_w = lambda tau, y: y[1] - _LOG_W_FLOOR
-    ev_w.terminal = True
-    ev_w.direction = -1.0
     sol = _solve(
-        rhs_zw, (0.0, 1e12), [z0, math.log(w0), 0.0], [ev_z, ev_w],
+        _log_w_rhs(p), (0.0, 1e12), [z0, math.log(w0), 0.0], [_Z_HIT, _W_FLOOR],
         [1e-13, 1e-9, 1e-15],
     )
     if sol.status != 1:
@@ -458,22 +471,14 @@ def period_numeric(p: LoudParams, s: float) -> float:
         u1 = 1.0 - z1 / w1
         if abs(u1) < 50.0:
             # moderate coordinates: finish in the plane
-            rhs = loud_rhs(p)
-            ev = lambda t, y: y[1]
-            ev.terminal = True
-            ev.direction = -1.0
-            sol3 = _solve(rhs, (0.0, _TIME_BUDGET), [u1, 1.0 / w1], [ev], 1e-14)
+            sol3 = _solve(loud_rhs(p), (0.0, _TIME_BUDGET), [u1, 1.0 / w1], [_FAR_SECTION], 1e-14)
             if not len(sol3.t_events[0]):
                 raise EventMissed("far v=0 crossing not reached in the plane chart")
             t_rest = float(sol3.t_events[0][0])
         else:
             p0, q0 = 1.0 / u1, (1.0 / w1) / u1
-            rhs_pq = _horizontal_rhs(p)
-            evq = lambda sig, y: y[1]
-            evq.terminal = True
-            evq.direction = 1.0
             sol3 = _solve(
-                rhs_pq, (0.0, 1e6), [p0, q0, 0.0], [evq],
+                _horizontal_rhs(p), (0.0, 1e6), [p0, q0, 0.0], [_Q_SECTION],
                 [1e-30, 1e-13, 1e-30], first_step=1e-6,
             )
             if not len(sol3.t_events[0]):
@@ -483,31 +488,14 @@ def period_numeric(p: LoudParams, s: float) -> float:
     return 2.0 * (t_back + t_zw + t_rest)
 
 
-def _log_w_rhs(p: LoudParams):
-    D, F = p.D, p.F
-
-    def rhs(tau, y):
-        z, lw, _ = y
-        w = math.exp(lw) if lw > -745.0 else 0.0
-        common = -F - D * z * z + (2 * D + 1) * z * w - (D + 1) * w * w
-        return [z * (common + 1.0), common, w]
-
-    return rhs
+def _log_w_rhs(p: LoudParams) -> System:
+    """Chart (z, log w) with dt = w dtau; w below exp(-745) is 0."""
+    return System(_LOG_W, _LOG_W_RHS, _LOG_W_LINES, {"D": p.D, "F": p.F})
 
 
-def _horizontal_rhs(p: LoudParams):
+def _horizontal_rhs(p: LoudParams) -> System:
     """Chart (p, q) = (1/u, v/u) with dt = -p dsigma (p < 0 on the far side)."""
-    D, F = p.D, p.F
-
-    def rhs(sig, y):
-        pp, q, _ = y
-        return [
-            q * (1.0 - pp) * pp,
-            -(pp + D + (F - 1.0) * q * q + pp * q * q),
-            -pp,
-        ]
-
-    return rhs
+    return System(_HORIZONTAL, _HORIZONTAL_RHS, params={"D": p.D, "F": p.F})
 
 
 def period_via_decomposition(p: LoudParams, s: float) -> float:

@@ -25,24 +25,39 @@ root bit for bit.
 
 Each sum is formed in numpy's order (the stages times their weights, then
 times h), so solutions agree with scipy's to rounding in the last bits:
-numpy may fuse a multiply and an add where Python rounds twice.  Only
-``terminal`` values that are booleans are supported (a count above one is
-not).  A right-hand side that keeps returning NaN fails the solve with
-scipy's step-size message; scipy itself loops forever on a NaN step size.
+numpy may fuse a multiply and an add where Python rounds twice.  An
+event's ``terminal`` must be a bool: a count of occurrences, which scipy
+honours, raises ValueError, as does a ``first_step`` that is not positive
+or exceeds the span, with scipy's messages.  A right-hand side that keeps
+returning NaN fails the solve with scipy's step-size message; scipy itself
+loops forever on a NaN step size.
 
-The step is written out component by component: `_step` builds one step
-function per state dimension from a template, once per dimension, as
-``collections.namedtuple`` builds its class.  Each stage state, each
-component of the new state and each error-norm term is one expression in
-local floats, so a step builds no zip and runs no comprehension.  The
-expressions are the sums over the components' lists, in the same order and
-grouping (``y + (k1*a1 + ... + kj*aj)*h``, ``y + h*(k1*b1 + ... + k6*b6)``,
-the squared error terms added to 0.0 in component order), and Python floats
-are IEEE doubles that never fuse a multiply and an add, so writing them out
-changes no bit.  On the default-grid Loud periods a step costs 8-10 µs on
-a 2-core x86-64 host, 3-4 µs of it in the right-hand side; summed by list
-comprehensions, the same step took 15-21 µs there, and scipy's solve_ivp
-takes about eight times as long as this port.
+Each solve runs a loop generated for its right-hand side and events:
+`_loop` fills the one template `_LOOP` and compiles it once per form, as
+``collections.namedtuple`` builds its class.  The loop holds the state,
+the stages and the event values in local floats, and writes out the
+stage states, the new state, the error norm, the step control and the
+events' sign tests per component, each tableau entry as the literal of
+its float.  A right-hand side given as a `System` (its components' names,
+statements and derivatives as source, and named parameters) and events
+given as `Event`s (an expression, ``terminal`` and ``direction``) are
+written straight into the loop; the parameters are the loop's arguments,
+so one compile serves every parameter value.  A plain callable is called
+from the same template.  A System and an Event stay callable, compiled
+from the same source, for the first evaluations, the initial step, the
+event roots and scipy.  The written-out expressions are the sums over the
+components' lists, in the same order and grouping
+(``y + (k1*a1 + ... + kj*aj)*h``, ``y + h*(k1*b1 + ... + k6*b6)``, the
+squared error terms added to 0.0 in component order), min and max are
+written as the comparisons they make, and Python floats are IEEE doubles
+that never fuse a multiply and an add, so no bit changes: a System's solve
+is the solve of the callable compiled from its source.  Event roots, which
+are rare, go through `_dense_output` and `_brentq`.  On the 35
+default-grid Loud periods (70 solves, 7,637 steps) a step costs 4.1-6.3 µs
+on a 2-core x86-64 host whose speed drifts, everything included (the
+set-up of each solve and the event roots), and scipy's solve_ivp takes
+about 16 times as long as this port (the median ratio of 6 rounds
+interleaved in one process).
 
 A solve that would take more than `_NFEV_BUDGET` = 10^6 right-hand side
 evaluations stops with status -1 and a message that names the budget;
@@ -53,9 +68,11 @@ No Loud period solve of a sweep over 0.51 <= F <= 100 took more than 4,808.
 
 from __future__ import annotations
 
+import ast
+import builtins
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 _EPS = 2.0**-52
 _SAFETY = 0.9
@@ -96,18 +113,6 @@ _P = [
     [0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ]
 
-# unpacked for the written-out step: stage j's weights are row j of A
-_, _C2, _C3, _C4, _C5, _C6 = _C
-(
-    _,
-    (_A21, *_),
-    (_A31, _A32, *_),
-    (_A41, _A42, _A43, *_),
-    (_A51, _A52, _A53, _A54, _),
-    (_A61, _A62, _A63, _A64, _A65),
-) = _A
-_B1, _B2, _B3, _B4, _B5, _B6 = _B
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 _P_COLUMNS = [list(col) for col in zip(*_P)]
 
 
@@ -164,8 +169,8 @@ def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol) -> float:
 
 def _dense_output(t_old, h, y_old, K):
     """The quartic interpolant of the last step: scipy's RkDenseOutput with
-    Q = K^T P."""
-    Q = [[_dot(k, p) for p in _P_COLUMNS] for k in zip(*K)]
+    Q = K^T P, K[i] being the seven stage derivatives of component i."""
+    Q = [[_dot(k, p) for p in _P_COLUMNS] for k in K]
 
     def sol(t):
         x = (t - t_old) / h
@@ -237,9 +242,199 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100) -> float:
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _step_source(n: int) -> str:
-    """Source of one RK45 step for an n-component state, with the stage
-    states, y_new and the error-norm terms written out per component."""
+def _locate(events, hits, terminal, t_old, t, h, y_old, K, direction, t_events):
+    """The events of ``hits`` changed sign over the step from t_old to t:
+    each root is found by `_brentq` on the step's dense output and recorded
+    in t_events, in the order of time, up to the first terminal one, whose
+    (root, state) is returned; None if no terminal event fired."""
+    sol = _dense_output(t_old, h, y_old, K)
+    roots = [
+        (_brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old, t, xtol=4 * _EPS, rtol=4 * _EPS), i)
+        for i, hit in enumerate(hits)
+        if hit
+    ]
+    roots.sort(key=lambda r: direction * r[0])
+    for root, i in roots:
+        t_events[i].append(root)
+        if terminal[i]:
+            return root, sol(root)
+    return None
+
+
+_nextafter, _sqrt = math.nextafter, math.sqrt
+
+# The solve loop, scipy's RungeKutta._step_impl and the event sign test in
+# local floats.  Its own names start with "_"; a system's and an event's
+# names do not.  The blocks in braces are written per component and per
+# event by `_loop`.
+_LOOP = """\
+def _solve(_fun, _events, _t, _t_bound, _y, _f, _g, _h_abs, _atol, _rtol, _direction, _nfev{params}):
+    {y}, = _y
+    {k1}, = _f
+    {atol}, = _atol
+    {ay} = {abs_y}
+    {start}
+    _toward = _direction * math.inf
+    _t_events = [[] for _ in _events]
+    while True:
+        _min_step = 10 * abs(_nextafter(_t, _toward) - _t)
+        if _h_abs < _min_step:
+            _h_abs = _min_step
+        _rejected = False
+        while True:
+            if not _h_abs >= _min_step:  # NaN fails here too
+                return Solution(-1, _TOO_SMALL_STEP, _t, [{y}], _t_events, _nfev)
+            _t_new = _t + _h_abs * _direction
+            if _direction * (_t_new - _t_bound) > 0:
+                _t_new = _t_bound
+            _h = _t_new - _t
+            _h_abs = abs(_h)
+            if _nfev + 6 > _NFEV_BUDGET:
+                return Solution(-1, _BUDGET_SPENT, _t, [{y}], _t_events, _nfev)
+            {step}
+            _nfev += 6
+            if _error_norm < 1:
+                if _error_norm == 0:
+                    _factor = _MAX_FACTOR
+                else:
+                    _factor = _SAFETY * _error_norm ** _ERROR_EXPONENT
+                    if not _factor < _MAX_FACTOR:
+                        _factor = _MAX_FACTOR
+                if _rejected and not _factor < 1.0:
+                    _factor = 1.0
+                _h_abs *= _factor
+                break
+            _factor = _SAFETY * _error_norm ** _ERROR_EXPONENT
+            _h_abs *= _factor if _factor > _MIN_FACTOR else _MIN_FACTOR
+            _rejected = True
+        {events}
+        _t = _t_new
+        {y} = {yn}
+        {ay} = {ayn}
+        {k1} = {k7}
+        if _direction * (_t - _t_bound) >= 0:
+            return Solution(0, _MESSAGES[0], _t, [{y}], _t_events, _nfev)
+"""
+
+
+def _free(names, statements=(), expressions=(), params=()) -> frozenset:
+    """The names that one-line source for the state ``names`` reads.  It
+    may read the state, the parameters, the names its statements assign,
+    ``math`` and the builtins; ValueError if it reads another name, binds
+    one twice, or binds one that is not an identifier, starts with "_" or
+    is a name of this module or the builtins, which the solve loop reads."""
+    assigned, read = set(), set()
+    trees = [ast.parse(s, mode="exec") for s in statements]
+    trees += [ast.parse(e, mode="eval") for e in expressions]
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            (assigned if isinstance(node.ctx, ast.Store) else read).add(node.id)
+    own = [*names, *params, *assigned]
+    taken = set(globals()) | set(vars(builtins))
+    if len(set(own)) < len(own) or any(not b.isidentifier() or b[0] == "_" or b in taken for b in own):
+        raise ValueError(f"names not identifiers, bound twice or taken by the solve loop: {own}")
+    unbound = sorted(read - set(own) - taken)
+    if unbound or any("\n" in s for s in [*statements, *expressions]):
+        raise ValueError(f"source that spans lines or reads unbound names {unbound}")
+    return frozenset(read)
+
+
+def _compile(source: str, name: str):
+    namespace = {}
+    exec(compile(source, f"<rk45 {name}>", "exec"), globals(), namespace)
+    return namespace[name]
+
+
+@functools.cache
+def _function(names, statements, result, params):
+    """The source as a callable, compiled once per source:
+    ``_function(...)(*param values)`` is fun(t, y), returning ``result``."""
+    _free(names, statements, [result], params)
+    body = [f"{', '.join(names)}, = _y", *statements]
+    return _compile(
+        f"def _make({', '.join(params)}):\n"
+        "    def _fun(_t, _y):\n"
+        + "".join(f"        {line}\n" for line in body)
+        + f"        return {result}\n"
+        "    return _fun\n",
+        "_make",
+    )
+
+
+@dataclass(frozen=True)
+class System:
+    """An autonomous right-hand side y' = f(y) as source: the derivative of
+    the component ``names[i]`` is the expression ``derivatives[i]``,
+    evaluated after the one-line statements ``lines``.  The source reads
+    the state by its names, the names the lines assign, the ``params`` by
+    name, ``math`` and the builtins.  A System is called as fun(t, y),
+    compiled from the same source; `solve_ivp` writes it into its loop."""
+
+    names: tuple
+    derivatives: tuple
+    lines: tuple = ()
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if len(self.derivatives) != len(self.names):
+            raise ValueError("a System needs one derivative per component")
+
+    @functools.cached_property
+    def form(self) -> tuple:
+        """What fixes the source: names, lines, derivatives and the
+        parameters' names."""
+        return tuple(self.names), tuple(self.lines), tuple(self.derivatives), tuple(self.params)
+
+    @functools.cached_property
+    def _fun(self):
+        names, lines, derivatives, params = self.form
+        return _function(names, lines, f"[{', '.join(derivatives)}]", params)(*self.params.values())
+
+    def __call__(self, t, y):
+        return self._fun(t, y)
+
+
+@dataclass(frozen=True)
+class Event:
+    """An event function g(y) as source: ``expression`` reads the state by
+    its ``names``, ``math`` and the builtins.  A solve records each root of
+    g crossed in ``direction`` (either way if 0) and, if ``terminal``,
+    stops at the first.  Called as event(t, y), it is compiled from the
+    same source; `solve_ivp` writes it into its loop."""
+
+    expression: str
+    names: tuple
+    terminal: bool = False
+    direction: float = 0.0
+
+    @functools.cached_property
+    def _fun(self):
+        return _function(tuple(self.names), (), self.expression, ())()
+
+    def __call__(self, t, y):
+        return self._fun(t, y)
+
+
+def _stage(system, j: int, time: str, state: list) -> list:
+    """Source that sets _k<j>_0, _k<j>_1, ... to the right-hand side at the
+    time and state expressions: a call of ``_fun``, or, for a
+    `System.form`, its source written in."""
+    if system is None:
+        return [f"{', '.join(f'_k{j}_{i}' for i in range(len(state)))}, = _fun({time}, [{', '.join(state)}])"]
+    names, lines, derivatives, params = system
+    read = _free(names, lines, derivatives, params)
+    bound = (f"{name} = {x}" for name, x in zip(names, state) if name in read)
+    derivative = (f"_k{j}_{i} = {d}" for i, d in enumerate(derivatives))
+    return [*bound, *lines, *derivative]
+
+
+@functools.cache
+def _loop(n: int, system, events):
+    """The solve loop for n components, compiled once per form.  system is
+    a `System.form` to write in, or None for a callable ``_fun(t, y)``;
+    each event is (expression, names) of an `Event` to write in, or None
+    for a callable ``_events[i](t, y)``, then its terminal flag and
+    whether the sign test takes rises and falls."""
 
     def each(pattern: str) -> list:
         """pattern once per component, "#" standing for its index."""
@@ -248,45 +443,72 @@ def _step_source(n: int) -> str:
     def row(pattern: str) -> str:
         return ", ".join(each(pattern))
 
-    def weighted(weights: str, count: int) -> str:
-        """k1_# * <weights>1 + ... + k<count>_# * <weights><count>."""
-        return " + ".join(f"k{m}_# * {weights}{m}" for m in range(1, count + 1))
+    def weighted(weights: list, count: int) -> str:
+        """_k1_# * w1 + ... + _k<count>_# * w<count>, each weight written
+        as the literal of its float."""
+        return " + ".join(f"_k{m}_# * {w!r}" for m, w in enumerate(weights[:count], 1))
 
-    body = [f"{row('y_#')}, = y", f"{row('k1_#')}, = k1"]
+    step = []
     for j in range(2, 7):
-        state = row(f"y_# + ({weighted('_A' + str(j), j - 1)}) * h")
-        body += [f"k{j} = fun(t + _C{j} * h, [{state}])", f"{row(f'k{j}_#')}, = k{j}"]
-    body += each(f"yn_# = y_# + h * ({weighted('_B', 6)})")
-    body += [
-        f"y_new = [{row('yn_#')}]",
-        "k7 = fun(t + h, y_new)",
-        f"{row('k7_#')}, = k7",
-        f"{row('atol_#')}, = atol",
-    ]
-    body += each(f"e_# = ({weighted('_E', 7)}) * h / (atol_# + max(abs(y_#), abs(yn_#)) * rtol)")
-    squares = "".join(each(" + e_# * e_#"))
-    body += [
-        f"error_norm = math.sqrt(0.0{squares}) / {n} ** 0.5",
-        "return y_new, error_norm, (k1, k2, k3, k4, k5, k6, k7)",
-    ]
-    return "def step(fun, t, h, y, k1, atol, rtol):\n" + "".join(f"    {line}\n" for line in body)
+        state = each(f"_y# + ({weighted(_A[j - 1], j - 1)}) * _h")
+        step += _stage(system, j, f"_t + {_C[j - 1]!r} * _h", state)
+    step += each(f"_yn# = _y# + _h * ({weighted(_B, 6)})")
+    step += _stage(system, 7, "_t + _h", each("_yn#"))
+    # the scale atol + max(|y|, |y_new|) rtol, with |y| kept from the step before
+    step += each("_ayn# = abs(_yn#)")
+    step += each(f"_e# = ({weighted(_E, 7)}) * _h / (_atol# + (_ayn# if _ayn# > _ay# else _ay#) * _rtol)")
+    step.append(f"_error_norm = _sqrt(0.0{''.join(each(' + _e# * _e#'))}) / {n} ** 0.5")
 
+    g, b, hit = ([f"{v}{i}" for i in range(len(events))] for v in ("_g", "_b", "_hit"))
+    start = [f"{', '.join(g)}, = _g"] if events else []
+    tests = [f"_y_new = [{row('_yn#')}]"] if any(source is None for source, *_ in events) else []
+    for i, (source, _, up, down) in enumerate(events):
+        if source is None:
+            start.append(f"_ev{i} = _events[{i}]")
+            tests.append(f"_b{i} = _ev{i}(_t_new, _y_new)")
+        else:
+            expression, names = source
+            read = _free(names, (), [expression])
+            tests += [f"{name} = _yn{k}" for k, name in enumerate(names) if name in read]
+            tests.append(f"_b{i} = {expression}")
+        sign = [f"_g{i} <= 0 <= _b{i}"] * up + [f"_g{i} >= 0 >= _b{i}"] * down
+        tests.append(f"_hit{i} = {' or '.join(sign) or 'False'}")
+    if events:
+        K = ", ".join(f"({', '.join(f'_k{j}_{i}' for j in range(1, 8))})" for i in range(n))
+        tests += [
+            f"if {' or '.join(hit)}:",
+            f"    _end = _locate(_events, ({', '.join(hit)},), {tuple(t for _, t, *_ in events)!r}, "
+            f"_t, _t_new, _h, ({row('_y#')},), ({K},), _direction, _t_events)",
+            "    if _end is not None:",
+            "        return Solution(1, _MESSAGES[1], *_end, _t_events, _nfev)",
+            f"{', '.join(g)} = {', '.join(b)}",
+        ]
 
-@functools.cache
-def _step(n: int):
-    """The step for n components, compiled once per n."""
-    namespace = {}
-    exec(compile(_step_source(n), f"<rk45 step, n = {n}>", "exec"), globals(), namespace)
-    return namespace["step"]
+    source = _LOOP.format(
+        params="".join(f", {p}" for p in (system[3] if system else ())),
+        y=row("_y#"),
+        yn=row("_yn#"),
+        k1=row("_k1_#"),
+        k7=row("_k7_#"),
+        atol=row("_atol#"),
+        ay=row("_ay#"),
+        ayn=row("_ayn#"),
+        abs_y=row("abs(_y#)"),
+        start="\n    ".join(start),
+        step="\n            ".join(step),
+        events="\n        ".join(tests),
+    )
+    return _compile(source, "_solve")
 
 
 def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6, first_step=None) -> Solution:
     """Integrate y' = fun(t, y) over t_span as scipy's RK45 does.
 
-    ``fun`` receives the state as a list of floats and returns a sequence;
-    ``atol`` is a positive number or one per component; ``events`` are
-    callables ``event(t, y)`` with optional ``terminal`` (bool) and
-    ``direction`` attributes, as for scipy."""
+    ``fun`` is a `System`, or a callable that receives the state as a list
+    of floats and returns a sequence; ``atol`` is a positive number or one
+    per component; ``events`` are `Event`s, or callables ``event(t, y)``
+    with optional ``terminal`` (a bool) and ``direction`` attributes, as
+    for scipy.  ``first_step``, if given, is positive and within t_span."""
     t, t_bound = (float(v) for v in t_span)
     y = [float(v) for v in y0]
     if not all(math.isfinite(v) for v in y):
@@ -295,82 +517,37 @@ def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6, first_step=None)
     atol = [float(a) for a in atol] if isinstance(atol, (list, tuple)) else [float(atol)] * n
     if len(atol) != n or not all(a > 0 for a in atol):
         raise ValueError("atol must be positive, one value or one per component")
-    step = _step(n)
+    if first_step is not None:
+        if first_step <= 0:
+            raise ValueError("`first_step` must be positive.")
+        if first_step > abs(t_bound - t):
+            raise ValueError("`first_step` exceeds bounds.")
+    forms = []
+    for ev in events:
+        terminal = getattr(ev, "terminal", False)
+        if not isinstance(terminal, bool):
+            raise ValueError("The `terminal` attribute of each event must be a bool.")
+        d = getattr(ev, "direction", 0)
+        source = (ev.expression, tuple(ev.names)) if isinstance(ev, Event) else None
+        forms.append((source, terminal, bool(d >= 0), bool(d <= 0)))
+    if isinstance(fun, System):
+        if len(fun.names) != n:
+            raise ValueError("the System's names and y0 differ in length")
+        loop = _loop(n, fun.form, tuple(forms))
+        params = fun.params.values()
+    else:
+        loop = _loop(n, None, tuple(forms))
+        params = ()
     direction = -1.0 if t_bound < t else 1.0
-    terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
-    ev_dir = [getattr(ev, "direction", 0) for ev in events]
-    t_events = [[] for _ in events]
     g = [ev(t, y) for ev in events]
 
     f = fun(t, y)
     nfev = 1
     if t == t_bound:
-        return Solution(0, _MESSAGES[0], t, y, t_events, nfev)
+        return Solution(0, _MESSAGES[0], t, y, [[] for _ in events], nfev)
     if first_step is None:
         h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
         nfev += 1
     else:
         h_abs = first_step
-
-    status = None
-    while status is None:
-        # one accepted step: scipy's RungeKutta._step_impl
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if not h_abs >= min_step:  # NaN fails here too
-                return Solution(-1, _TOO_SMALL_STEP, t, y, t_events, nfev)
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-
-            if nfev + 6 > _NFEV_BUDGET:
-                return Solution(-1, _BUDGET_SPENT, t, y, t_events, nfev)
-            y_new, error_norm, K = step(fun, t, h, y, f, atol, rtol)
-            nfev += 6
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-            rejected = True
-
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, K[6]
-        if direction * (t - t_bound) >= 0:
-            status = 0
-
-        if events:
-            g_new = []
-            active = []
-            for i, ev in enumerate(events):
-                a, b, d = g[i], ev(t, y), ev_dir[i]
-                g_new.append(b)
-                if (a <= 0 <= b and d >= 0) or (a >= 0 >= b and d <= 0):
-                    active.append(i)
-            if active:
-                sol = _dense_output(t_old, h, y_old, K)
-                roots = [
-                    (_brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old, t,
-                             xtol=4 * _EPS, rtol=4 * _EPS), i)
-                    for i in active
-                ]
-                roots.sort(key=lambda r: direction * r[0])
-                for root, i in roots:
-                    t_events[i].append(root)
-                    if terminal[i]:
-                        status = 1
-                        t, y = root, sol(root)
-                        break
-            g = g_new
-
-    return Solution(status, _MESSAGES[status], t, y, t_events, nfev)
+    return loop(fun, events, t, t_bound, y, f, g, h_abs, atol, rtol, direction, nfev, *params)

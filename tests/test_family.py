@@ -900,6 +900,12 @@ class TestBatchedTracker:
     @given(problem=tracker_problem())
     @example(problem=(fam_linear(), [1e-4, 0.0, 1.0]))
     @example(problem=(PolynomialFamily(mu=1, coeffs={(2, 0): 1, (2, 1): -1, (1, 1): 0.5}), [1.0, 0.5]))
+    # x(x + eps)(x - eps/3): a root at the origin beside two real ones, on
+    # both sides and at eps = 0, where all three are at the origin
+    @example(problem=(
+        PolynomialFamily(mu=2, coeffs={(3, 0): Fr(1), (2, 1): Fr(2, 3), (1, 2): Fr(-1, 3)}),
+        [1e-4, 1e-2, 0.5, -1e-3, -0.5, 0.0],
+    ))
     @settings(max_examples=300, deadline=None)
     def test_matches_per_point_roots(self, problem):
         fam, grid = problem

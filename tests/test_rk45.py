@@ -1,7 +1,11 @@
 """The scalar RK45 port against scipy's solve_ivp(method="RK45")."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -280,3 +284,179 @@ class TestFailures:
     def test_non_finite_start(self):
         with pytest.raises(ValueError, match="finite"):
             solve_ivp(_oscillator, (0.0, 1.0), [math.inf, 0.0])
+
+    @pytest.mark.parametrize(
+        "first_step, message",
+        [
+            (-1e-3, "`first_step` must be positive."),
+            (0.0, "`first_step` must be positive."),
+            (5.0, "`first_step` exceeds bounds."),  # past the span (0, 1)
+        ],
+        ids=["negative", "zero", "past-span"],
+    )
+    def test_bad_first_step_fails_as_scipy_does(self, first_step, message):
+        decay = lambda t, y: [-y[0]]
+        with pytest.raises(ValueError) as ref:
+            scipy.integrate.solve_ivp(decay, (0.0, 1.0), [1.0], first_step=first_step)
+        with pytest.raises(ValueError) as port:
+            solve_ivp(decay, (0.0, 1.0), [1.0], first_step=first_step)
+        assert str(port.value) == str(ref.value) == message
+
+    @pytest.mark.parametrize("terminal", [2, 1], ids=["count", "int"])
+    def test_terminal_other_than_a_bool_is_refused(self, terminal):
+        """scipy stops at the terminal-th occurrence; the port does not
+        count occurrences, so it refuses what is not True or False."""
+        cross = lambda t, y: y[0]
+        cross.terminal = terminal
+        with pytest.raises(ValueError, match="`terminal` attribute of each event must be a bool"):
+            solve_ivp(_oscillator, (0.0, 20.0), [1.0, 0.0], events=[cross])
+        with pytest.raises(ValueError, match="must be a bool"):
+            solve_ivp(_oscillator, (0.0, 20.0), [1.0, 0.0], events=[rk45.Event("x", ("x", "p"), terminal)])
+
+
+# ---------------------------------------------------------------------------
+# systems and events given as source, written into the solve loop
+# ---------------------------------------------------------------------------
+
+
+def plain(fun):
+    """fun as a plain callable, with its terminal and direction: the solve
+    loop calls it instead of writing its source in."""
+    call = lambda t, y: fun(t, y)
+    call.terminal = getattr(fun, "terminal", False)
+    call.direction = getattr(fun, "direction", 0.0)
+    return call
+
+
+def outcome(sol) -> str:
+    """Every field of a Solution, as its exact repr."""
+    return repr((sol.status, sol.message, sol.t, sol.y, sol.t_events, sol.nfev))
+
+
+def test_written_in_loop_is_the_callable_loop():
+    """Each Loud chart's System and Events, written into the loop and
+    called as plain callables by the same template, give the same status,
+    t, y, event times and evaluation count, bit for bit."""
+    endings = set()
+
+    def both(fun, t_span, y0, events=(), **kw):
+        assert isinstance(fun, rk45.System) and all(isinstance(ev, rk45.Event) for ev in events)
+        written = solve_ivp(fun, t_span, y0, events=events, **kw)
+        called = solve_ivp(plain(fun), t_span, y0, events=[plain(ev) for ev in events], **kw)
+        assert outcome(written) == outcome(called)
+        endings.add((fun.form, tuple(i for i, te in enumerate(written.t_events) if te)))
+        return written
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(loud, "solve_ivp", both)
+        for F in (0.9, 1.0, 1.1, 1.5):
+            for D, s in COMPARED:
+                loud.period_numeric(loud.LoudParams(D=D, F=F), s)
+    # the backward arc, the log-w chart at both events, the plane and the
+    # horizontal chart
+    assert len({form for form, _ in endings}) == 4 and len(endings) == 5
+
+
+def written_in(system):
+    """The System's right-hand side as the solve loop writes it in, as a
+    function of (t, y)."""
+    n = len(system.names)
+    body = rk45._stage(system.form, 1, "_t", [f"_y[{i}]" for i in range(n)])
+    source = (
+        f"def _probe(_t, _y, {', '.join(system.params)}):\n"
+        + "".join(f"    {line}\n" for line in body)
+        + f"    return [{', '.join(f'_k1_{i}' for i in range(n))}]\n"
+    )
+    namespace = {}
+    exec(source, vars(rk45), namespace)
+    return lambda t, y: namespace["_probe"](t, y, *system.params.values())
+
+
+def test_system_callable_is_its_written_in_form():
+    """Equal floats, by repr, at random states of every Loud chart, with
+    log w on both sides of the guard at -745 (where w is set to 0)."""
+    rng = random.Random(19)
+    for F in (0.6, 0.9, 1.0, 1.1, 1.5, 3.0):
+        p = loud.LoudParams(D=rng.uniform(-0.99, -0.01), F=F)
+        systems = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loud, "solve_ivp", lambda fun, *a, **kw: (systems.append(fun), solve_ivp(fun, *a, **kw))[1])
+            loud.time_to_entry(p, 0.01)
+        systems += [loud.loud_rhs(p), loud._log_w_rhs(p), loud._horizontal_rhs(p)]
+        for system in systems:
+            probe = written_in(system)
+            for _ in range(100):
+                y = [rng.uniform(-3.0, 3.0) for _ in system.names]
+                if "lw" in system.names:
+                    y[1] = rng.choice([rng.uniform(-800.0, 3.0), -745.0, math.nextafter(-745.0, 0.0)])
+                t = rng.uniform(0.0, 10.0)
+                assert repr(system(t, y)) == repr(probe(t, y)), (system.form, y)
+
+
+def test_one_compile_per_chart():
+    """Parameters enter the loop as arguments: other (D, F) on the same
+    charts compile nothing new."""
+    forms = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(loud, "solve_ivp", lambda fun, *a, **kw: (forms.append(fun.form), solve_ivp(fun, *a, **kw))[1])
+        loud.period_numeric(loud.LoudParams(D=-0.9, F=1.1), 0.05)
+        compiled = rk45._loop.cache_info().misses, rk45._function.cache_info().misses
+        loud.period_numeric(loud.LoudParams(D=-0.25, F=1.5), 0.02)
+    assert forms[3:] == forms[:3]
+    assert (rk45._loop.cache_info().misses, rk45._function.cache_info().misses) == compiled
+
+
+def test_import_compiles_nothing():
+    """The loops compile on first use: importing loud compiles no source."""
+    script = (
+        "import dulackit.loud, dulackit.rk45 as r; "
+        "print(r._loop.cache_info().currsize, r._function.cache_info().currsize)"
+    )
+    src = str(Path(rk45.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+@pytest.mark.parametrize(
+    "names, derivatives, lines, match",
+    [
+        (("_u", "v"), ("v", "-_u"), (), "taken"),
+        (("u v", "w"), ("w", "-w"), (), "not identifiers"),
+        (("abs", "v"), ("v", "-abs"), (), "taken"),
+        (("u", "v"), ("v", "-u"), ("u = 2.0 * v",), "bound twice"),
+        (("u", "v"), ("v", "-w"), (), "unbound names \\['w'\\]"),
+        (("u", "v"), ("v", "-G * u"), (), "unbound names \\['G'\\]"),
+    ],
+    ids=["underscore", "not-identifier", "builtin", "state-assigned", "unbound", "parameter"],
+)
+def test_system_source_is_checked(names, derivatives, lines, match):
+    system = rk45.System(names, derivatives, lines, {"D": -0.5})
+    with pytest.raises(ValueError, match=match):
+        system(0.0, [1.0, 0.0])
+    with pytest.raises(ValueError, match=match):
+        solve_ivp(system, (0.0, 1.0), [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "t_span, radius", [((0.0, 20.0), 0.8), ((0.0, -20.0), 1.25)], ids=["forward", "backward"]
+)
+def test_system_and_events_as_source_match_scipy(t_span, radius):
+    """A System with a statement and a parameter, and Events that read the
+    state through math and the builtins, handed to scipy as callables and
+    to the port as source: every rise of x, every crossing of |p| = 1/2,
+    and a terminal event where the damped oscillator's amplitude, shrinking
+    forward in t and growing backward, reaches the radius."""
+    damped = rk45.System(("x", "p"), ("p", "force"), ("force = -x - c * p",), {"c": 0.05})
+    up = rk45.Event("x", damped.names, direction=1.0)
+    either = rk45.Event("abs(p) - 0.5", damped.names)
+    stop = rk45.Event(f"math.hypot(x, p) - {radius}", damped.names, terminal=True)
+    kw = dict(events=[up, either, stop], rtol=1e-10, atol=1e-12)
+    port = solve_ivp(damped, t_span, [1.0, 0.0], **kw)
+    ref = scipy_rk45(damped, t_span, [1.0, 0.0], **kw)
+    assert port.status == 1 and all(port.t_events)
+    assert_same_solve(port, ref, damped)
+    assert port.nfev == ref.nfev
+    called = solve_ivp(plain(damped), t_span, [1.0, 0.0], **{**kw, "events": [plain(e) for e in kw["events"]]})
+    assert outcome(port) == outcome(called)
