@@ -220,7 +220,7 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
         uspec = _unfolding_spec(spec, fam, branch, nd)
         res = expansion.ExpansionResult(c=(0.0,) * (ell + 1), ell=ell)
         eps, lam = uspec.eps, float(uspec.lam)
-        evaluate = lambda grid: [oracle.dulac_map(uspec, s) for s in grid]
+        evaluate = lambda grid: oracle.dulac_map(uspec, grid)
     elif kind == "dulac_time":
         modes = _array(_json_key(spec, "modes", "modes"), "modes")
         ts = expansion.DulacTimeSpec(
@@ -234,7 +234,7 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
         )
         res = _apply_overrides(expansion.dulac_time_coefficients(ts, ell), spec)
         eps, lam = ts.eps, 1.0
-        evaluate = lambda grid: [oracle.dulac_time(ts, s) for s in grid]
+        evaluate = lambda grid: oracle.dulac_time(ts, grid)
     else:
         raise ValueError(f"unknown verify kind {kind!r}")
 

@@ -16,8 +16,23 @@ the particular solution:
 Their agreement to ~1e-9 on smooth problems is asserted by the tests.
 
 The transition (Dulac) map itself is exp(-lam * I) with I a direct
-adaptive quadrature; underflow to exact 0.0 for large exponents is the
-expected flat regime and is returned, not raised.
+adaptive quadrature, one per s; underflow to exact 0.0 for large exponents
+is the expected flat regime and is returned, not raised.
+
+Each quadrature entry point (`dulac_map`, `log_dulac_map`, `dulac_time`
+and the quadrature route of `particular_solution`) takes one s or a grid
+and sets up once per call: theta, lam, the float coefficients, the
+restricted Q and the integrand.  Each integrand is straight-line float
+code, one form each: the Dulac map's V/Q in u or in x (`_v_over_q`), the
+particular solution's tau-route weight (`_kernel_weight`) and the
+`dulac_time` weight over a finite mode list (`_time_weight`, the sum of
+`DulacTimeSpec.ua` written out; a spec with ua_fn calls it instead).  A
+form compiles once per coefficient counts (functools.cache), taking the
+coefficients as arguments, so one compile serves every spec of the same
+degrees; nothing compiles at import.  The Horner sums are written by
+`series.horner_source`, one statement per step of `series.horner` in its
+order, so every value is the one the loops over `horner` give, bit for
+bit; the tests compare both by ==.
 
 On a grid of s the ODE route runs one backward Radau sweep to the smallest
 s.  Before each step whose first trial step could reach the next grid
@@ -28,7 +43,7 @@ only shrink after the first, so up to that step a solve ending at the point
 takes exactly the sweep's steps: every value is the one a solve of its own
 gives, bit for bit.  A point within 1e-4 of the start in u, where the first
 step could differ, gets its own solve.  The quadrature route stays one
-point at a time and shares nothing with the ODE route.
+solve per point and shares nothing with the ODE route.
 
 The quadrature route solves x(tau) with scipy's DOP853 and reads it at
 each quadrature node from the dense output in Python floats (`_dop853_x`):
@@ -41,17 +56,22 @@ quadrature's cut (`_StoppingDOP853`); tau_cap only caps scipy's first
 step, and the values are those of a solve run on to tau_cap, bit for bit.
 A solve that would fail only past cut does not raise.
 
-Still repeated on purpose, since perfbench's `test_sizing_in_kind` pins
-the per-layer shares they set: `dulac_time` solves x(tau) once per s
-(`_tau_quadrature`; the pin asks the ODE solves for more than half of a
-traced verify round, about 0.55 at seed 3, which one trajectory per grid
-would not keep), `cli.cmd_loud` computes each Loud period twice, and
-`expansion.dulac_time_coefficients` calls `compute_Q` once per mode.
+Still repeated on purpose: `dulac_time` solves x(tau) once per s
+(`_tau_quadrature`), since perfbench's `test_sizing_in_kind` asks the ODE
+solves for more than half of a traced verify round (about 0.7 at seed 3),
+which one trajectory per grid would not keep; each Dulac map point
+integrates from s + theta out to 1 on its own, since chaining a grid's
+intervals moves values by rounding, past the benchmark's reference
+tolerance; `cli.cmd_loud` computes each Loud period twice, and
+`expansion.dulac_time_coefficients` calls `compute_Q` once per mode, both
+pinned by the same test.  The ODE right-hand sides stay calls of
+`series.horner`: they run inside the solves that share measures.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -62,7 +82,7 @@ from scipy.integrate import DOP853, Radau, quad, solve_ivp
 
 from .errors import QuadratureFailure, StepSizeUnderflow, ToleranceNotMet
 from .expansion import DulacTimeSpec, ExpansionResult, UnfoldingSpec, check_grid_length
-from .series import horner
+from .series import horner, horner_source
 
 _EXP_UNDERFLOW = -745.0
 _NOISE_FLOOR_REL = 1e-13
@@ -85,27 +105,56 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _v_over_p_integral(spec: UnfoldingSpec, a: float, b: float, cfg: QuadratureConfig) -> float:
-    """A(b) - A(a) with A' = V/P, for theta < a <= b, via u = log(x - theta)."""
+def _coefficients(name: str, n: int) -> list:
+    return [f"{name}{j}" for j in range(n)]
+
+
+def _compile(params: list, args: str, lines: list, result: str):
+    """``make(*param values)``, the function of ``args`` that runs the
+    one-line ``lines`` and returns ``result``, all in Python floats; the
+    source reads ``exp`` (math.exp), the parameters and its own names."""
+    source = (
+        f"def make({', '.join(params)}):\n"
+        f"    def f({args}):\n"
+        + "".join(f"        {line}\n" for line in lines)
+        + f"        return {result}\n"
+        "    return f\n"
+    )
+    namespace = {}
+    exec(compile(source, "<oracle integrand>", "exec"), {"exp": math.exp}, namespace)
+    return namespace["make"]
+
+
+@functools.cache
+def _v_over_q(nv: int, nq: int, substitution: bool):
+    """V/P near theta, with P(x) = (x - theta) Q(x - theta): in u =
+    log(x - theta) the integrand V(x)/Q(x - theta), else V(x)/P(x); its
+    parameters are theta and the float coefficients of V and of Q."""
+    V, Q = _coefficients("v", nv), _coefficients("q", nq)
+    sums = horner_source(V, "x", "pv") + horner_source(Q, "t", "pq")
+    if substitution:
+        return _compile(["th", *V, *Q], "u", ["x = th + exp(u)", "t = x - th", *sums], "pv / pq")
+    return _compile(["th", *V, *Q], "x", ["t = x - th", *sums], "pv / ((x - th) * pq)")
+
+
+def _v_over_p_integral(spec: UnfoldingSpec, cfg: QuadratureConfig):
+    """integral(a, b) = A(b) - A(a) with A' = V/P, for theta < a <= b, via
+    u = log(x - theta) (cfg.substitution) or in x; theta, the coefficients
+    and the integrand are set up once, here."""
     th = float(spec.theta_eps)
     Vc = spec.V.float_coeffs
     Qc = spec.Q.restrict(float(spec.e_hat)).float_coeffs
-    if not b > th or not a > th:
-        raise ValueError("integration endpoints must lie right of the root")
-    if cfg.substitution:
-        ua, ub = math.log(a - th), math.log(b - th)
+    integrand = _v_over_q(len(Vc), len(Qc), cfg.substitution)(th, *Vc, *Qc)
 
-        def integrand(u):
-            x = th + math.exp(u)
-            return horner(Vc, x) / horner(Qc, x - th)
-
-        val, _ = _quad(integrand, ua, ub, cfg)
-    else:
-        def integrand(x):
-            return horner(Vc, x) / ((x - th) * horner(Qc, x - th))
-
+    def integral(a: float, b: float) -> float:
+        if not b > th or not a > th:
+            raise ValueError("integration endpoints must lie right of the root")
+        if cfg.substitution:
+            a, b = math.log(a - th), math.log(b - th)
         val, _ = _quad(integrand, a, b, cfg)
-    return val
+        return val
+
+    return integral
 
 
 def _quad(f, a, b, cfg: QuadratureConfig):
@@ -122,24 +171,44 @@ def _quad(f, a, b, cfg: QuadratureConfig):
     return val, err
 
 
-def log_dulac_map(spec: UnfoldingSpec, s: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """log D(s) = -lam * integral_{s+theta}^{1} V/P; always <= 0 for s+theta <= 1."""
+def _log_dulac_maps(spec: UnfoldingSpec, points, cfg: QuadratureConfig):
+    """log D at each point in turn, each checked as it comes."""
     th = float(spec.theta_eps)
-    if not s > 0:
-        raise ValueError("s must be positive")
-    if s + th > 1.0 + 1e-15:
-        raise ValueError("s + theta must not exceed the outer section at 1")
     lam = float(spec.lam)
-    integral = _v_over_p_integral(spec, s + th, 1.0, cfg)
-    return -lam * integral
+    integral = _v_over_p_integral(spec, cfg)
+    for s in points:
+        if not s > 0:
+            raise ValueError("s must be positive")
+        if s + th > 1.0 + 1e-15:
+            raise ValueError("s + theta must not exceed the outer section at 1")
+        yield -lam * integral(s + th, 1.0)
 
 
-def dulac_map(spec: UnfoldingSpec, s: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Transition map D(s); underflows gracefully to 0.0 deep in the flat regime."""
-    ld = log_dulac_map(spec, s, cfg)
-    if ld < _EXP_UNDERFLOW:
-        return 0.0
-    return math.exp(ld)
+def log_dulac_map(
+    spec: UnfoldingSpec, s: float | Sequence[float], cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> float | list:
+    """log D(s) = -lam * integral_{s+theta}^{1} V/P; always <= 0 for
+    s+theta <= 1.  One s gives a float, a grid of s a list in the grid's
+    order; the first point that fails raises what a call on it alone
+    raises."""
+    grid = np.ndim(s) > 0
+    out = list(_log_dulac_maps(spec, s if grid else [s], cfg))
+    return out if grid else out[0]
+
+
+def dulac_map(
+    spec: UnfoldingSpec, s: float | Sequence[float], cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> float | list:
+    """Transition map D(s), for one s (a float back) or a grid of s (a list
+    back, in the grid's order); underflows gracefully to 0.0 deep in the
+    flat regime.  The first point that fails raises what a call on it
+    alone raises."""
+    grid = np.ndim(s) > 0
+    out = [
+        0.0 if ld < _EXP_UNDERFLOW else math.exp(ld)
+        for ld in _log_dulac_maps(spec, s if grid else [s], cfg)
+    ]
+    return out if grid else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +233,8 @@ def particular_solution(
     one forked sweep (_ode_values), whose value at each point is the one a
     solve ending there gives, bit for bit.
     method "quadrature": independent cross-check via the exponential-kernel
-    integral in tau = A(x) - A(s + theta), one point at a time.
+    integral in tau = A(x) - A(s + theta), one solve per point after one
+    set-up for the grid.
 
     Each point is checked in the grid's order, and the first that fails
     raises what a solve of that point alone raises."""
@@ -172,13 +242,15 @@ def particular_solution(
     points = list(s) if grid else [s]
     th = float(spec.theta_eps)
     valid = lambda p: 0 < p and p + th <= x0 <= 1.0 + 1e-15
-    ode = None
+    ode = quadrature = None
     out = []
     for p in points:
         if not valid(p):
             raise ValueError("need theta < s + theta <= x0 <= 1")
         if method == "quadrature":
-            out.append(_y_l_quadrature(spec, x0, p, cfg))
+            if quadrature is None:
+                quadrature = _y_l_quadrature(spec, x0, cfg)
+            out.append(quadrature(p))
             continue
         if method != "ode":
             raise ValueError(f"unknown method {method!r}")
@@ -380,36 +452,76 @@ def _dop853_x(dense):
     return x_of
 
 
-def _y_l_quadrature(spec: UnfoldingSpec, x0: float, s: float, cfg: QuadratureConfig) -> float:
+@functools.cache
+def _kernel_weight(nu: int, nv: int):
+    """The particular solution's weight U(x)/V(x) exp(-lam tau) at (x,
+    tau); its parameters are lam and the float coefficients of U and V."""
+    U, V = _coefficients("u", nu), _coefficients("v", nv)
+    sums = horner_source(U, "x", "pu") + horner_source(V, "x", "pv")
+    return _compile(["lam", *U, *V], "x, tau", sums, "pu / pv * exp(-lam * tau)")
+
+
+def _y_l_quadrature(spec: UnfoldingSpec, x0: float, cfg: QuadratureConfig):
+    """quadrature(s), the particular solution at s + theta by the tau
+    route; theta, lam, the coefficients and the weight are set up once."""
     th = float(spec.theta_eps)
     lam = float(spec.lam)
     Vc = spec.V.float_coeffs
     Uc = spec.U.float_coeffs
-    weight = lambda x, tau: horner(Uc, x) / horner(Vc, x) * math.exp(-lam * tau)
+    Pc = spec.family.x_coeffs(float(spec.eps))
+    weight = _kernel_weight(len(Uc), len(Vc))(lam, *Uc, *Vc)
     # kernel decays like exp(-lam tau); cut where it is far below tolerance
-    return _tau_quadrature(spec.family.x_coeffs(float(spec.eps)), Vc, s + th, x0,
-                           (-_EXP_UNDERFLOW + 60.0) / lam, 50.0 / lam, weight, cfg)
+    return lambda s: _tau_quadrature(Pc, Vc, s + th, x0, (-_EXP_UNDERFLOW + 60.0) / lam,
+                                     50.0 / lam, weight, cfg)
 
 
-def dulac_time(ts: DulacTimeSpec, s: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+@functools.cache
+def _time_weight(nv: int, mode_lengths: tuple):
+    """dulac_time's weight U(x, y) y / V(x) with y = y0 exp(-tau), U summed
+    over a finite mode list as DulacTimeSpec.ua sums it; its parameters
+    are y0 and the float coefficients of V and of each mode in turn."""
+    V = _coefficients("v", nv)
+    modes = [_coefficients(f"u{n}_", length) for n, length in enumerate(mode_lengths)]
+    lines = ["y = y0 * exp(-tau)", "acc = 0.0", "yp = 1.0"]
+    for U in modes:
+        lines += [*horner_source(U, "x", "pu"), "acc += pu * yp", "yp *= y"]
+    lines += horner_source(V, "x", "pv")
+    params = ["y0", *V, *(name for U in modes for name in U)]
+    return _compile(params, "x, tau", lines, "acc * y / pv")
+
+
+def dulac_time(
+    ts: DulacTimeSpec, s: float | Sequence[float], cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> float | list:
     """Passage time from (s + theta, y0) to the section x = x0 for the
     polar-factor field: integral of U(x, y(x)) y(x) / P(x) dx with
-    y(x) = y0 exp(-(A(x) - A(s+theta))).
+    y(x) = y0 exp(-(A(x) - A(s+theta))).  One s gives a float, a grid of s
+    a list in the grid's order; the first point that fails raises what a
+    call on it alone raises.
 
     In the variable tau = A(x) - A(s+theta) the integrand is
     U(x(tau), y0 e^-tau) y0 e^-tau / V(x(tau)): smooth, exponentially
-    decaying, no pole."""
+    decaying, no pole.  A finite mode list (without ua_fn) gets the weight
+    written out (_time_weight); otherwise it calls ts.ua."""
+    grid = np.ndim(s) > 0
     th = float(ts.branch.theta(ts.eps))
-    if not s > 0 or s + th > ts.x0 + 1e-15:
-        raise ValueError("need 0 < s and s + theta <= x0")
     Vc = ts.V.float_coeffs
+    Pc = ts.family.x_coeffs(float(ts.eps))
+    if ts.ua_fn is None and ts.modes is not None:
+        modes = [m.float_coeffs for m in ts.modes]
+        make = _time_weight(len(Vc), tuple(map(len, modes)))
+        weight = make(ts.y0, *Vc, *(c for m in modes for c in m))
+    else:
+        def weight(x, tau):
+            y = ts.y0 * math.exp(-tau)
+            return ts.ua(x, y) * y / horner(Vc, x)
 
-    def weight(x, tau):
-        y = ts.y0 * math.exp(-tau)
-        return ts.ua(x, y) * y / horner(Vc, x)
-
-    return _tau_quadrature(ts.family.x_coeffs(float(ts.eps)), Vc, s + th, ts.x0,
-                           -_EXP_UNDERFLOW + 60.0, 55.0, weight, cfg)
+    out = []
+    for p in s if grid else [s]:
+        if not p > 0 or p + th > ts.x0 + 1e-15:
+            raise ValueError("need 0 < s and s + theta <= x0")
+        out.append(_tau_quadrature(Pc, Vc, p + th, ts.x0, -_EXP_UNDERFLOW + 60.0, 55.0, weight, cfg))
+    return out if grid else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -508,7 +508,8 @@ def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6, first_step=None)
     of floats and returns a sequence; ``atol`` is a positive number or one
     per component; ``events`` are `Event`s, or callables ``event(t, y)``
     with optional ``terminal`` (a bool) and ``direction`` attributes, as
-    for scipy.  ``first_step``, if given, is positive and within t_span."""
+    for scipy; a lone event is taken as a list of one, as scipy takes it.
+    ``first_step``, if given, is positive and within t_span."""
     t, t_bound = (float(v) for v in t_span)
     y = [float(v) for v in y0]
     if not all(math.isfinite(v) for v in y):
@@ -522,6 +523,8 @@ def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6, first_step=None)
             raise ValueError("`first_step` must be positive.")
         if first_step > abs(t_bound - t):
             raise ValueError("`first_step` exceeds bounds.")
+    if callable(events):
+        events = [events]
     forms = []
     for ev in events:
         terminal = getattr(ev, "terminal", False)

@@ -316,6 +316,16 @@ def horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     return acc
 
 
+def horner_source(names: Sequence[str], x: str, target: str) -> list:
+    """One-line statements that set ``target`` to the sum `horner`
+    evaluates, as Python source over the coefficients' names (low first,
+    at least one) and the point's name: ``p = c2``, ``p = p * x + c1``,
+    ``p = p * x + c0`` for three.  They perform horner's operations in its
+    order, so at the same floats they give the same float; one statement
+    per step keeps long sums inside the parser's nesting limit."""
+    return [f"{target} = {names[-1]}"] + [f"{target} = {target} * {x} + {a}" for a in reversed(names[:-1])]
+
+
 def divide(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Long division; needs g(0) != 0.  Order is the operand minimum."""
     if g.coeffs[0] == 0:

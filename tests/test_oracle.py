@@ -1,9 +1,14 @@
 """Numeric kernels against closed forms and against each other."""
 
+import contextlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_left
+from dataclasses import replace
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -218,6 +223,15 @@ def hard_grid(spec, x0):
     return grid
 
 
+def first_failure(call):
+    """(type, message) of what call() raises, None if it returns."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestOdeGrid:
     """One call on a grid gives every point the value of its own solve."""
 
@@ -257,14 +271,6 @@ class TestOdeGrid:
         with pytest.raises(ValueError, match="unknown method"):
             particular_solution(euler_spec, 1.0, [0.1], method="euler")
 
-    @staticmethod
-    def first_failure(call):
-        try:
-            call()
-        except Exception as exc:
-            return type(exc), str(exc)
-        return None
-
     @pytest.mark.parametrize("where", ["sweep", "copies", "raises"])
     def test_failure_as_the_per_point_loop(self, monkeypatch, fam_linear, where):
         # force failures into Radau: past u = log 0.02 ("sweep" and "raises"),
@@ -285,9 +291,9 @@ class TestOdeGrid:
 
         monkeypatch.setattr(Radau, "_step_impl", failing)
         for order in (grid, grid[::-1], grid[5:] + grid[:5]):
-            want = self.first_failure(lambda: [solve_alone(spec, 1.0, s) for s in order])
+            want = first_failure(lambda: [solve_alone(spec, 1.0, s) for s in order])
             assert want is not None
-            assert self.first_failure(lambda: particular_solution(spec, 1.0, order)) == want
+            assert first_failure(lambda: particular_solution(spec, 1.0, order)) == want
 
 
 class TestDulacTime:
@@ -316,6 +322,156 @@ class TestDulacTime:
         )
         ts_vals = [dulac_time(ts, s) for s in (0.01, 0.05, 0.2)]
         assert ts_vals[0] > ts_vals[1] > ts_vals[2]
+
+
+@contextlib.contextmanager
+def horner_integrands():
+    """The generated V/Q integrands and particular-solution weights
+    replaced by the loops over series.horner they are written from."""
+    def v_over_q(nv, nq, substitution):
+        def make(th, *c):
+            Vc, Qc = c[:nv], c[nv:]
+
+            def integrand(u):
+                x = th + math.exp(u)
+                return horner(Vc, x) / horner(Qc, x - th)
+
+            if substitution:
+                return integrand
+            return lambda x: horner(Vc, x) / ((x - th) * horner(Qc, x - th))
+        return make
+
+    def kernel_weight(nu, nv):
+        def make(lam, *c):
+            Uc, Vc = c[:nu], c[nu:]
+            return lambda x, tau: horner(Uc, x) / horner(Vc, x) * math.exp(-lam * tau)
+        return make
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_v_over_q", v_over_q)
+        m.setattr(oracle, "_kernel_weight", kernel_weight)
+        yield
+
+
+FORMS = (oracle._v_over_q, oracle._kernel_weight, oracle._time_weight)
+
+
+class TestQuadratureGrids:
+    """A grid takes one set-up and one generated integrand; every value is
+    the one a call on its point alone gives, and the one the integrand
+    summed by series.horner gives, by ==."""
+
+    @pytest.fixture()
+    def map_specs(self, fam_linear, fam_quadratic, branch_linear_plus):
+        return [
+            UnfoldingSpec(family=fam_linear, branch=branch_linear_plus, V=TS.constant(Fr(1), 2),
+                          U=TS.zero(2), lam=50.0, eps=0.0),  # D underflows to 0.0 at small s
+            UnfoldingSpec(family=fam_linear, branch=branch_linear_plus,
+                          V=TS.from_coeffs([Fr(1), Fr(1, 2)], order=3), U=TS.zero(2), lam=5.0, eps=1e-2),
+            UnfoldingSpec(family=fam_quadratic, branch=biggest_real_root_branch(fam_quadratic, +1),
+                          V=TS.from_coeffs([Fr(1), Fr(0), Fr(1, 3)], order=3), U=TS.zero(2),
+                          lam=Fr(3, 2), eps=1e-3),
+        ]
+
+    @pytest.mark.parametrize("substitution", [True, False], ids=["log", "x"])
+    def test_dulac_map(self, map_specs, substitution):
+        cfg = QuadratureConfig(substitution=substitution)
+        grid = np.geomspace(1e-3, 0.5, 9).tolist() + [0.02]
+        for spec in map_specs:
+            got, logs = dulac_map(spec, grid, cfg), log_dulac_map(spec, grid, cfg)
+            assert got == [dulac_map(spec, s, cfg) for s in grid]
+            assert logs == [log_dulac_map(spec, s, cfg) for s in grid]
+            assert dulac_map(spec, np.array(grid), cfg) == got
+            assert all(type(v) is float for v in got + logs)
+            with horner_integrands():
+                assert dulac_map(spec, grid, cfg) == got and log_dulac_map(spec, grid, cfg) == logs
+        assert 0.0 in dulac_map(map_specs[0], grid, cfg)
+        assert dulac_map(map_specs[0], [], cfg) == []
+
+    def test_dulac_map_fails_in_grid_order(self, monkeypatch, map_specs):
+        spec = map_specs[1]
+        with pytest.raises(ValueError, match="positive"):
+            dulac_map(spec, [0.1, -0.2, 2.0])
+        with pytest.raises(ValueError, match="outer section"):
+            dulac_map(spec, [0.1, 2.0, -0.2])
+        # a quadrature that fails at one point raises before a bad point after it
+        quad, th = oracle.quad, float(spec.theta_eps)
+
+        def failing(f, a, b, **kw):
+            if a == math.log(0.1 + th - th):
+                raise RuntimeError(f"forced at {a}")
+            return quad(f, a, b, **kw)
+
+        monkeypatch.setattr(oracle, "quad", failing)
+        grid = [0.05, 0.1, 2.0, 0.2]
+        for order in (grid, grid[::-1]):
+            want = first_failure(lambda: [dulac_map(spec, s) for s in order])
+            assert want is not None
+            assert first_failure(lambda: dulac_map(spec, order)) == want
+
+    @staticmethod
+    def time_specs(fam_linear, branch_linear_plus):
+        return [
+            golden_time_spec("dulac_time"),
+            golden_time_spec("dulac_time_rho2"),
+            DulacTimeSpec(family=fam_linear, branch=branch_linear_plus,
+                          V=TS.from_coeffs([Fr(2), Fr(1), Fr(1, 5)], order=3), eps=0.005, y0=0.7, x0=0.9,
+                          modes=(TS.from_coeffs([Fr(1, 3)], order=0), TS.from_coeffs([Fr(-1), Fr(1, 7)], order=1),
+                                 TS.zero(3), TS.from_coeffs([Fr(1, 2), Fr(0), Fr(0), Fr(1, 9)], order=4))),
+        ]
+
+    def test_dulac_time(self, fam_linear, branch_linear_plus):
+        """The written-out finite-mode weight against DulacTimeSpec.ua,
+        called as ua_fn."""
+        grid = [1e-3, 0.0153, 0.02, 0.3, 0.02]
+        for ts in self.time_specs(fam_linear, branch_linear_plus):
+            got = dulac_time(ts, grid)
+            assert got == [dulac_time(ts, s) for s in grid]
+            assert got == dulac_time(replace(ts, ua_fn=ts.ua), grid)
+            assert all(type(v) is float for v in got)
+        with pytest.raises(ValueError, match="need 0 < s"):
+            dulac_time(ts, [0.1, 0.95, -1.0])
+
+    def test_quadrature_route(self, euler_spec, map_specs):
+        specs = [
+            euler_spec,
+            replace(map_specs[1], U=TS.from_coeffs([Fr(1), Fr(0), Fr(1)], order=3)),
+            replace(map_specs[1], V=TS.from_coeffs([Fr(1), Fr(1, 3), Fr(1, 7)], order=3),
+                    U=TS.from_coeffs([Fr(1, 3), Fr(2, 7), Fr(1)], order=3), lam=Fr(7, 3), eps=1e-3),
+        ]
+        grid = [1e-3, 0.005, 0.02, 0.1, 0.5]
+        for s in specs:
+            got = particular_solution(s, 1.0, grid, method="quadrature")
+            with horner_integrands():
+                assert particular_solution(s, 1.0, grid, method="quadrature") == got
+
+    def test_one_compile_per_form(self, map_specs, euler_spec, fam_linear, branch_linear_plus):
+        """Other values of the same degrees compile nothing new."""
+        for form in FORMS:
+            form.cache_clear()
+        grid = [0.01, 0.1]
+        raw = QuadratureConfig(substitution=False)
+        ts = self.time_specs(fam_linear, branch_linear_plus)[2]
+        dulac_map(map_specs[1], grid), dulac_map(map_specs[1], grid, raw)
+        dulac_time(ts, grid), particular_solution(euler_spec, 1.0, grid, method="quadrature")
+        assert [form.cache_info().misses for form in FORMS] == [2, 1, 1]
+        other = replace(map_specs[1], V=TS.from_coeffs([Fr(1), Fr(-1, 3)], order=3), lam=2.0, eps=3e-3)
+        dulac_map(other, grid), dulac_map(other, grid, raw), dulac_map(other, 0.2)
+        dulac_time(replace(ts, eps=0.0, y0=1.3), grid)
+        euler = replace(euler_spec, U=TS.from_coeffs([Fr(2), Fr(1)]), lam=Fr(3))
+        particular_solution(euler, 1.0, grid, method="quadrature")
+        assert [form.cache_info().misses for form in FORMS] == [2, 1, 1]
+
+    def test_import_compiles_nothing(self):
+        script = (
+            "import dulackit.cli, dulackit.oracle as o; "
+            "print(*(f.cache_info().currsize for f in (o._v_over_q, o._kernel_weight, o._time_weight)))"
+        )
+        src = str(Path(oracle.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0", "0"]
 
 
 def dop853_solve(fam, V, s_abs, x0, tau_cap):

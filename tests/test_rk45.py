@@ -231,6 +231,21 @@ def test_empty_interval_matches_scipy():
     assert (port.status, port.t, port.y, port.nfev) == (ref.status, ref.t, ref.y, ref.nfev)
 
 
+@pytest.mark.parametrize(
+    "event", [lambda t, y: y[0] - 0.5, rk45.Event("y - 0.5", ("y",))], ids=["callable", "Event"]
+)
+def test_lone_event_is_a_list_of_one(event):
+    """scipy takes one event without a list, and so does the port: y' = -y
+    crosses y = 0.5 once, at scipy's 0.6927682 over [0, 1] under the default
+    tolerances."""
+    fun = lambda t, y: [-y[0]]
+    port = solve_ivp(fun, (0.0, 1.0), [1.0], events=event)
+    ref = scipy_rk45(fun, (0.0, 1.0), [1.0], events=event)
+    assert len(port.t_events) == 1 and port.t_events[0] == pytest.approx([0.6927682], abs=1e-7)
+    assert_same_solve(port, ref, fun)
+    assert port.nfev == ref.nfev
+
+
 class TestFailures:
     @pytest.mark.parametrize(
         "rhs, y0",

@@ -1,6 +1,7 @@
 """Truncated series arithmetic and the two structural operators."""
 
 import json
+import random
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -13,7 +14,7 @@ from dulackit.errors import (
     NonpositiveLambda,
     OrderExhausted,
 )
-from dulackit.series import BivariatePoly, TruncatedSeries as TS, horner
+from dulackit.series import BivariatePoly, TruncatedSeries as TS, horner, horner_source
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=12
@@ -102,6 +103,42 @@ class TestFloatPoints:
         values = f(np.array(xs))
         assert values.dtype == np.float64 and values.shape == (len(xs),)
         assert values.tolist() == [float(f(x)) for x in xs]
+
+
+class TestHornerSource:
+    """The generated Horner expression is horner's sum, bit for bit."""
+
+    # signed zeros, subnormals and entries whose products overflow
+    SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -3.7e300, 1.0, -1.0]
+
+    def test_shape(self):
+        assert horner_source(["c0"], "x", "p") == ["p = c0"]
+        assert horner_source(["c0", "c1", "c2"], "x", "p") == ["p = c2", "p = p * x + c1", "p = p * x + c0"]
+
+    @staticmethod
+    def compiled(n):
+        names = [f"c{j}" for j in range(n)]
+        body = "".join(f"    {line}\n" for line in horner_source(names, "x", "p"))
+        namespace = {}
+        exec(f"def f(x, {', '.join(names)}):\n{body}    return p\n", namespace)
+        return namespace["f"]
+
+    def test_equals_horner(self):
+        rng = random.Random(20)
+        for _ in range(2000):
+            n = rng.randint(1, 8)
+            coeffs = [rng.choice(self.SPECIAL) if rng.random() < 0.3 else rng.uniform(-4.0, 4.0)
+                      for _ in range(n)]
+            f = self.compiled(n)
+            points = [rng.uniform(-1.0, 1.0), rng.uniform(-1e3, 1e3), rng.choice([-0.0, 5e-324, -1e10, 1e300])]
+            for x in points:
+                # repr: equal floats, the sign of a zero included, and NaN for NaN
+                assert repr(f(x, *coeffs)) == repr(horner(coeffs, x)), (coeffs, x)
+
+    def test_long_sum_compiles(self):
+        """Past the parser's 200 nested parentheses."""
+        coeffs = [1.0 / (j + 1) for j in range(500)]
+        assert self.compiled(500)(0.99, *coeffs) == horner(coeffs, 0.99)
 
 
 class TestOperators:
