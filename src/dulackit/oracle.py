@@ -19,20 +19,18 @@ The transition (Dulac) map itself is exp(-lam * I) with I a direct
 adaptive quadrature, one per s; underflow to exact 0.0 for large exponents
 is the expected flat regime and is returned, not raised.
 
-Each quadrature entry point (`dulac_map`, `log_dulac_map`, `dulac_time`
-and the quadrature route of `particular_solution`) takes one s or a grid
-and sets up once per call: theta, lam, the float coefficients, the
-restricted Q and the integrand.  Each integrand is straight-line float
-code, one form each: the Dulac map's V/Q in u or in x (`_v_over_q`), the
-particular solution's tau-route weight (`_kernel_weight`) and the
-`dulac_time` weight over a finite mode list (`_time_weight`, the sum of
-`DulacTimeSpec.ua` written out; a spec with ua_fn calls it instead).  A
-form compiles once per coefficient counts (functools.cache), taking the
-coefficients as arguments, so one compile serves every spec of the same
-degrees; nothing compiles at import.  The Horner sums are written by
-`series.horner_source`, one statement per step of `series.horner` in its
-order, so every value is the one the loops over `horner` give, bit for
-bit; the tests compare both by ==.
+`dulac_map`, `log_dulac_map` and `dulac_time` take one s or a grid and
+set up once per call: theta, lam, the float coefficients, the restricted
+Q and the integrand.  Each point still gets its own quadrature of the
+same integrand, so every value is the one a call on that point alone
+gives, bit for bit.  The Dulac map's integrand V/Q, in u or in x, is
+straight-line float code (`_v_over_q`), compiled once per coefficient
+counts with the coefficients as arguments, so one compile serves every
+spec of the same degrees, and nothing compiles at import.  Its Horner
+sums come from `series.horner_source`, one statement per step of
+`series.horner` in its order, so every value is the one the `horner`
+loops give, bit for bit; the tests compare both by ==.  The other
+integrands stay closures over `horner`.
 
 On a grid of s the ODE route runs one backward Radau sweep to the smallest
 s.  Before each step whose first trial step could reach the next grid
@@ -43,7 +41,7 @@ only shrink after the first, so up to that step a solve ending at the point
 takes exactly the sweep's steps: every value is the one a solve of its own
 gives, bit for bit.  A point within 1e-4 of the start in u, where the first
 step could differ, gets its own solve.  The quadrature route stays one
-solve per point and shares nothing with the ODE route.
+point at a time and shares nothing with the ODE route.
 
 The quadrature route solves x(tau) with scipy's DOP853 and reads it at
 each quadrature node from the dense output in Python floats (`_dop853_x`):
@@ -58,14 +56,13 @@ A solve that would fail only past cut does not raise.
 
 Still repeated on purpose: `dulac_time` solves x(tau) once per s
 (`_tau_quadrature`), since perfbench's `test_sizing_in_kind` asks the ODE
-solves for more than half of a traced verify round (about 0.7 at seed 3),
+solves for more than half of a traced verify round (0.65 at seed 3),
 which one trajectory per grid would not keep; each Dulac map point
 integrates from s + theta out to 1 on its own, since chaining a grid's
 intervals moves values by rounding, past the benchmark's reference
 tolerance; `cli.cmd_loud` computes each Loud period twice, and
 `expansion.dulac_time_coefficients` calls `compute_Q` once per mode, both
-pinned by the same test.  The ODE right-hand sides stay calls of
-`series.horner`: they run inside the solves that share measures.
+pinned by the same test.
 """
 
 from __future__ import annotations
@@ -105,17 +102,19 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _coefficients(name: str, n: int) -> list:
-    return [f"{name}{j}" for j in range(n)]
-
-
-def _compile(params: list, args: str, lines: list, result: str):
-    """``make(*param values)``, the function of ``args`` that runs the
-    one-line ``lines`` and returns ``result``, all in Python floats; the
-    source reads ``exp`` (math.exp), the parameters and its own names."""
+@functools.cache
+def _v_over_q(nv: int, nq: int, substitution: bool):
+    """``make(theta, *V coefficients, *Q coefficients)``, the Dulac map's
+    integrand V/P near theta as straight-line float code, with P(x) =
+    (x - theta) Q(x - theta): in u = log(x - theta) it is V(x)/Q(x - theta),
+    else V(x)/P(x).  Compiled once per coefficient counts."""
+    V, Q = [f"v{j}" for j in range(nv)], [f"q{j}" for j in range(nq)]
+    arg, result = ("u", "pv / pq") if substitution else ("x", "pv / ((x - th) * pq)")
+    lines = ["x = th + exp(u)"] if substitution else []
+    lines += ["t = x - th", *horner_source(V, "x", "pv"), *horner_source(Q, "t", "pq")]
     source = (
-        f"def make({', '.join(params)}):\n"
-        f"    def f({args}):\n"
+        f"def make(th, {', '.join(V + Q)}):\n"
+        f"    def f({arg}):\n"
         + "".join(f"        {line}\n" for line in lines)
         + f"        return {result}\n"
         "    return f\n"
@@ -123,18 +122,6 @@ def _compile(params: list, args: str, lines: list, result: str):
     namespace = {}
     exec(compile(source, "<oracle integrand>", "exec"), {"exp": math.exp}, namespace)
     return namespace["make"]
-
-
-@functools.cache
-def _v_over_q(nv: int, nq: int, substitution: bool):
-    """V/P near theta, with P(x) = (x - theta) Q(x - theta): in u =
-    log(x - theta) the integrand V(x)/Q(x - theta), else V(x)/P(x); its
-    parameters are theta and the float coefficients of V and of Q."""
-    V, Q = _coefficients("v", nv), _coefficients("q", nq)
-    sums = horner_source(V, "x", "pv") + horner_source(Q, "t", "pq")
-    if substitution:
-        return _compile(["th", *V, *Q], "u", ["x = th + exp(u)", "t = x - th", *sums], "pv / pq")
-    return _compile(["th", *V, *Q], "x", ["t = x - th", *sums], "pv / ((x - th) * pq)")
 
 
 def _v_over_p_integral(spec: UnfoldingSpec, cfg: QuadratureConfig):
@@ -233,8 +220,7 @@ def particular_solution(
     one forked sweep (_ode_values), whose value at each point is the one a
     solve ending there gives, bit for bit.
     method "quadrature": independent cross-check via the exponential-kernel
-    integral in tau = A(x) - A(s + theta), one solve per point after one
-    set-up for the grid.
+    integral in tau = A(x) - A(s + theta), one point at a time.
 
     Each point is checked in the grid's order, and the first that fails
     raises what a solve of that point alone raises."""
@@ -242,15 +228,13 @@ def particular_solution(
     points = list(s) if grid else [s]
     th = float(spec.theta_eps)
     valid = lambda p: 0 < p and p + th <= x0 <= 1.0 + 1e-15
-    ode = quadrature = None
+    ode = None
     out = []
     for p in points:
         if not valid(p):
             raise ValueError("need theta < s + theta <= x0 <= 1")
         if method == "quadrature":
-            if quadrature is None:
-                quadrature = _y_l_quadrature(spec, x0, cfg)
-            out.append(quadrature(p))
+            out.append(_y_l_quadrature(spec, x0, p, cfg))
             continue
         if method != "ode":
             raise ValueError(f"unknown method {method!r}")
@@ -452,42 +436,15 @@ def _dop853_x(dense):
     return x_of
 
 
-@functools.cache
-def _kernel_weight(nu: int, nv: int):
-    """The particular solution's weight U(x)/V(x) exp(-lam tau) at (x,
-    tau); its parameters are lam and the float coefficients of U and V."""
-    U, V = _coefficients("u", nu), _coefficients("v", nv)
-    sums = horner_source(U, "x", "pu") + horner_source(V, "x", "pv")
-    return _compile(["lam", *U, *V], "x, tau", sums, "pu / pv * exp(-lam * tau)")
-
-
-def _y_l_quadrature(spec: UnfoldingSpec, x0: float, cfg: QuadratureConfig):
-    """quadrature(s), the particular solution at s + theta by the tau
-    route; theta, lam, the coefficients and the weight are set up once."""
+def _y_l_quadrature(spec: UnfoldingSpec, x0: float, s: float, cfg: QuadratureConfig) -> float:
     th = float(spec.theta_eps)
     lam = float(spec.lam)
     Vc = spec.V.float_coeffs
     Uc = spec.U.float_coeffs
-    Pc = spec.family.x_coeffs(float(spec.eps))
-    weight = _kernel_weight(len(Uc), len(Vc))(lam, *Uc, *Vc)
+    weight = lambda x, tau: horner(Uc, x) / horner(Vc, x) * math.exp(-lam * tau)
     # kernel decays like exp(-lam tau); cut where it is far below tolerance
-    return lambda s: _tau_quadrature(Pc, Vc, s + th, x0, (-_EXP_UNDERFLOW + 60.0) / lam,
-                                     50.0 / lam, weight, cfg)
-
-
-@functools.cache
-def _time_weight(nv: int, mode_lengths: tuple):
-    """dulac_time's weight U(x, y) y / V(x) with y = y0 exp(-tau), U summed
-    over a finite mode list as DulacTimeSpec.ua sums it; its parameters
-    are y0 and the float coefficients of V and of each mode in turn."""
-    V = _coefficients("v", nv)
-    modes = [_coefficients(f"u{n}_", length) for n, length in enumerate(mode_lengths)]
-    lines = ["y = y0 * exp(-tau)", "acc = 0.0", "yp = 1.0"]
-    for U in modes:
-        lines += [*horner_source(U, "x", "pu"), "acc += pu * yp", "yp *= y"]
-    lines += horner_source(V, "x", "pv")
-    params = ["y0", *V, *(name for U in modes for name in U)]
-    return _compile(params, "x, tau", lines, "acc * y / pv")
+    return _tau_quadrature(spec.family.x_coeffs(float(spec.eps)), Vc, s + th, x0,
+                           (-_EXP_UNDERFLOW + 60.0) / lam, 50.0 / lam, weight, cfg)
 
 
 def dulac_time(
@@ -501,20 +458,16 @@ def dulac_time(
 
     In the variable tau = A(x) - A(s+theta) the integrand is
     U(x(tau), y0 e^-tau) y0 e^-tau / V(x(tau)): smooth, exponentially
-    decaying, no pole.  A finite mode list (without ua_fn) gets the weight
-    written out (_time_weight); otherwise it calls ts.ua."""
+    decaying, no pole.  theta, the coefficients and the weight are set up
+    once per call."""
     grid = np.ndim(s) > 0
     th = float(ts.branch.theta(ts.eps))
     Vc = ts.V.float_coeffs
     Pc = ts.family.x_coeffs(float(ts.eps))
-    if ts.ua_fn is None and ts.modes is not None:
-        modes = [m.float_coeffs for m in ts.modes]
-        make = _time_weight(len(Vc), tuple(map(len, modes)))
-        weight = make(ts.y0, *Vc, *(c for m in modes for c in m))
-    else:
-        def weight(x, tau):
-            y = ts.y0 * math.exp(-tau)
-            return ts.ua(x, y) * y / horner(Vc, x)
+
+    def weight(x, tau):
+        y = ts.y0 * math.exp(-tau)
+        return ts.ua(x, y) * y / horner(Vc, x)
 
     out = []
     for p in s if grid else [s]:

@@ -1,6 +1,5 @@
 """Numeric kernels against closed forms and against each other."""
 
-import contextlib
 import json
 import math
 import os
@@ -324,42 +323,25 @@ class TestDulacTime:
         assert ts_vals[0] > ts_vals[1] > ts_vals[2]
 
 
-@contextlib.contextmanager
-def horner_integrands():
-    """The generated V/Q integrands and particular-solution weights
-    replaced by the loops over series.horner they are written from."""
-    def v_over_q(nv, nq, substitution):
-        def make(th, *c):
-            Vc, Qc = c[:nv], c[nv:]
+def horner_v_over_q(nv, nq, substitution):
+    """oracle._v_over_q's integrands as the loops over series.horner they
+    are written from."""
+    def make(th, *c):
+        Vc, Qc = c[:nv], c[nv:]
 
-            def integrand(u):
-                x = th + math.exp(u)
-                return horner(Vc, x) / horner(Qc, x - th)
+        def in_u(u):
+            x = th + math.exp(u)
+            return horner(Vc, x) / horner(Qc, x - th)
 
-            if substitution:
-                return integrand
-            return lambda x: horner(Vc, x) / ((x - th) * horner(Qc, x - th))
-        return make
+        return in_u if substitution else lambda x: horner(Vc, x) / ((x - th) * horner(Qc, x - th))
 
-    def kernel_weight(nu, nv):
-        def make(lam, *c):
-            Uc, Vc = c[:nu], c[nu:]
-            return lambda x, tau: horner(Uc, x) / horner(Vc, x) * math.exp(-lam * tau)
-        return make
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(oracle, "_v_over_q", v_over_q)
-        m.setattr(oracle, "_kernel_weight", kernel_weight)
-        yield
-
-
-FORMS = (oracle._v_over_q, oracle._kernel_weight, oracle._time_weight)
+    return make
 
 
 class TestQuadratureGrids:
-    """A grid takes one set-up and one generated integrand; every value is
-    the one a call on its point alone gives, and the one the integrand
-    summed by series.horner gives, by ==."""
+    """A grid takes one set-up; every value is the one a call on its point
+    alone gives, and the Dulac map's the one its integrand summed by
+    series.horner gives, by ==."""
 
     @pytest.fixture()
     def map_specs(self, fam_linear, fam_quadratic, branch_linear_plus):
@@ -374,7 +356,7 @@ class TestQuadratureGrids:
         ]
 
     @pytest.mark.parametrize("substitution", [True, False], ids=["log", "x"])
-    def test_dulac_map(self, map_specs, substitution):
+    def test_dulac_map(self, monkeypatch, map_specs, substitution):
         cfg = QuadratureConfig(substitution=substitution)
         grid = np.geomspace(1e-3, 0.5, 9).tolist() + [0.02]
         for spec in map_specs:
@@ -383,7 +365,8 @@ class TestQuadratureGrids:
             assert logs == [log_dulac_map(spec, s, cfg) for s in grid]
             assert dulac_map(spec, np.array(grid), cfg) == got
             assert all(type(v) is float for v in got + logs)
-            with horner_integrands():
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_v_over_q", horner_v_over_q)
                 assert dulac_map(spec, grid, cfg) == got and log_dulac_map(spec, grid, cfg) == logs
         assert 0.0 in dulac_map(map_specs[0], grid, cfg)
         assert dulac_map(map_specs[0], [], cfg) == []
@@ -421,57 +404,31 @@ class TestQuadratureGrids:
         ]
 
     def test_dulac_time(self, fam_linear, branch_linear_plus):
-        """The written-out finite-mode weight against DulacTimeSpec.ua,
-        called as ua_fn."""
         grid = [1e-3, 0.0153, 0.02, 0.3, 0.02]
         for ts in self.time_specs(fam_linear, branch_linear_plus):
             got = dulac_time(ts, grid)
             assert got == [dulac_time(ts, s) for s in grid]
-            assert got == dulac_time(replace(ts, ua_fn=ts.ua), grid)
             assert all(type(v) is float for v in got)
         with pytest.raises(ValueError, match="need 0 < s"):
             dulac_time(ts, [0.1, 0.95, -1.0])
 
-    def test_quadrature_route(self, euler_spec, map_specs):
-        specs = [
-            euler_spec,
-            replace(map_specs[1], U=TS.from_coeffs([Fr(1), Fr(0), Fr(1)], order=3)),
-            replace(map_specs[1], V=TS.from_coeffs([Fr(1), Fr(1, 3), Fr(1, 7)], order=3),
-                    U=TS.from_coeffs([Fr(1, 3), Fr(2, 7), Fr(1)], order=3), lam=Fr(7, 3), eps=1e-3),
-        ]
-        grid = [1e-3, 0.005, 0.02, 0.1, 0.5]
-        for s in specs:
-            got = particular_solution(s, 1.0, grid, method="quadrature")
-            with horner_integrands():
-                assert particular_solution(s, 1.0, grid, method="quadrature") == got
-
-    def test_one_compile_per_form(self, map_specs, euler_spec, fam_linear, branch_linear_plus):
+    def test_one_compile_per_form(self, map_specs):
         """Other values of the same degrees compile nothing new."""
-        for form in FORMS:
-            form.cache_clear()
-        grid = [0.01, 0.1]
-        raw = QuadratureConfig(substitution=False)
-        ts = self.time_specs(fam_linear, branch_linear_plus)[2]
+        oracle._v_over_q.cache_clear()
+        grid, raw = [0.01, 0.1], QuadratureConfig(substitution=False)
         dulac_map(map_specs[1], grid), dulac_map(map_specs[1], grid, raw)
-        dulac_time(ts, grid), particular_solution(euler_spec, 1.0, grid, method="quadrature")
-        assert [form.cache_info().misses for form in FORMS] == [2, 1, 1]
+        assert oracle._v_over_q.cache_info().misses == 2
         other = replace(map_specs[1], V=TS.from_coeffs([Fr(1), Fr(-1, 3)], order=3), lam=2.0, eps=3e-3)
-        dulac_map(other, grid), dulac_map(other, grid, raw), dulac_map(other, 0.2)
-        dulac_time(replace(ts, eps=0.0, y0=1.3), grid)
-        euler = replace(euler_spec, U=TS.from_coeffs([Fr(2), Fr(1)]), lam=Fr(3))
-        particular_solution(euler, 1.0, grid, method="quadrature")
-        assert [form.cache_info().misses for form in FORMS] == [2, 1, 1]
+        dulac_map(other, grid), dulac_map(other, grid, raw), log_dulac_map(other, 0.2)
+        assert oracle._v_over_q.cache_info().misses == 2
 
     def test_import_compiles_nothing(self):
-        script = (
-            "import dulackit.cli, dulackit.oracle as o; "
-            "print(*(f.cache_info().currsize for f in (o._v_over_q, o._kernel_weight, o._time_weight)))"
-        )
+        script = "import dulackit.cli, dulackit.oracle as o; print(o._v_over_q.cache_info().currsize)"
         src = str(Path(oracle.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0", "0"]
+        assert proc.stdout.split() == ["0"]
 
 
 def dop853_solve(fam, V, s_abs, x0, tau_cap):
