@@ -29,12 +29,13 @@ Python floats (its tableau written out as fractions, its event roots found
 by a port of scipy's brentq, so neither this module nor rk45 imports
 scipy).  Each chart's field is an `rk45.System` and each event an
 `rk45.Event`: source that rk45 writes into one generated solve loop per
-chart, compiled on first use, with D and F as the loop's arguments.  The
-sources keep the operations of the chart fields in their order and
-grouping, so a period has the bits it has when they are called.  On these
-2- and 3-component systems a solve takes about a sixteenth of the time of
-scipy's solve_ivp (the 35 default-grid periods: 0.03-0.07 s against
-0.45-0.91 s, in rounds interleaved in one process on a 2-core x86-64 host
+chart, compiled on first use, with D and F as the loop's arguments and the
+charts' parameter-only terms computed once per solve.  The sources keep
+the operations of the chart fields in their order and grouping, so a
+period has the bits it has when they are called.  On these 2- and
+3-component systems a solve takes about an eighteenth of the time of
+scipy's solve_ivp (the 35 default-grid periods: 0.023-0.044 s against
+0.42-0.77 s, in rounds interleaved in one process on a 2-core x86-64 host
 whose speed drifts).  A solve that would need more than its budget of
 10^6 right-hand side evaluations raises EventMissed; no solve of a sweep
 over 0.51 <= F <= 100 took more than 4,808.  It keeps RK45's Dormand-Prince
@@ -396,16 +397,19 @@ def c1_hat_limit(D: float) -> float:
 # the operations, their order and grouping of the lambdas it replaced, so
 # every period has the same bits.
 _BACK_RHS = tuple(f"-({d})" for d in _PLANE_RHS)  # loud_rhs, negated
+# The parameter-only terms (-F, 2D + 1, D + 1, F - 1) and math.exp are
+# bound once per solve, as the charts' invariants.
 _LOG_W = ("z", "lw", "time")
+_LOG_W_INVARIANTS = ("exp = math.exp", "minus_f = -F", "two_d_plus_1 = 2 * D + 1", "d_plus_1 = D + 1")
 _LOG_W_LINES = (
-    "w = math.exp(lw) if lw > -745.0 else 0.0",
-    "common = -F - D * z * z + (2 * D + 1) * z * w - (D + 1) * w * w",
+    "w = exp(lw) if lw > -745.0 else 0.0",
+    "common = minus_f - D * z * z + two_d_plus_1 * z * w - d_plus_1 * w * w",
 )
 _LOG_W_RHS = ("z * (common + 1.0)", "common", "w")
 _HORIZONTAL = ("pp", "q", "time")
 _HORIZONTAL_RHS = (
     "q * (1.0 - pp) * pp",
-    "-(pp + D + (F - 1.0) * q * q + pp * q * q)",
+    "-(pp + D + f_minus_1 * q * q + pp * q * q)",
     "-pp",
 )
 _ON_SECTION = Event("v", _PLANE, terminal=True)
@@ -490,12 +494,12 @@ def period_numeric(p: LoudParams, s: float) -> float:
 
 def _log_w_rhs(p: LoudParams) -> System:
     """Chart (z, log w) with dt = w dtau; w below exp(-745) is 0."""
-    return System(_LOG_W, _LOG_W_RHS, _LOG_W_LINES, {"D": p.D, "F": p.F})
+    return System(_LOG_W, _LOG_W_RHS, _LOG_W_LINES, {"D": p.D, "F": p.F}, _LOG_W_INVARIANTS)
 
 
 def _horizontal_rhs(p: LoudParams) -> System:
     """Chart (p, q) = (1/u, v/u) with dt = -p dsigma (p < 0 on the far side)."""
-    return System(_HORIZONTAL, _HORIZONTAL_RHS, params={"D": p.D, "F": p.F})
+    return System(_HORIZONTAL, _HORIZONTAL_RHS, params={"D": p.D, "F": p.F}, invariants=("f_minus_1 = F - 1.0",))
 
 
 def period_via_decomposition(p: LoudParams, s: float) -> float:

@@ -35,29 +35,34 @@ loops forever on a NaN step size.
 Each solve runs a loop generated for its right-hand side and events:
 `_loop` fills the one template `_LOOP` and compiles it once per form, as
 ``collections.namedtuple`` builds its class.  The loop holds the state,
-the stages and the event values in local floats, and writes out the
-stage states, the new state, the error norm, the step control and the
-events' sign tests per component, each tableau entry as the literal of
-its float.  A right-hand side given as a `System` (its components' names,
-statements and derivatives as source, and named parameters) and events
-given as `Event`s (an expression, ``terminal`` and ``direction``) are
-written straight into the loop; the parameters are the loop's arguments,
-so one compile serves every parameter value.  A plain callable is called
-from the same template.  A System and an Event stay callable, compiled
-from the same source, for the first evaluations, the initial step, the
-event roots and scipy.  The written-out expressions are the sums over the
+the stages and the event values in local floats.  It writes out, per
+component and per event, the first evaluations and the initial step, the
+stage states, the new state, the error norm, the step control, the events'
+sign tests and their roots, each tableau entry as the literal of its
+float and each step-control constant as a literal.  A right-hand side
+given as a `System` (its components' names, statements and derivatives as
+source, named parameters, and invariants: statements on the parameters
+alone, run once per solve) and events given as `Event`s (an expression,
+``terminal`` and ``direction``) are written straight into the loop; the
+parameters are the loop's arguments, so one compile serves every
+parameter value.  A plain callable is called from the same template.  A
+System and an Event stay callable, compiled from the same source, for
+scipy and the tests.  The written-out expressions are the sums over the
 components' lists, in the same order and grouping
-(``y + (k1*a1 + ... + kj*aj)*h``, ``y + h*(k1*b1 + ... + k6*b6)``, the
-squared error terms added to 0.0 in component order), min and max are
+(``y + (k1*a1 + ... + kj*aj)*h``, ``y + h*(k1*b1 + ... + k6*b6)``, each
+norm's squared terms added to 0.0 in component order), min and max are
 written as the comparisons they make, and Python floats are IEEE doubles
 that never fuse a multiply and an add, so no bit changes: a System's solve
-is the solve of the callable compiled from its source.  Event roots, which
-are rare, go through `_dense_output` and `_brentq`.  On the 35
-default-grid Loud periods (70 solves, 7,637 steps) a step costs 4.1-6.3 µs
-on a 2-core x86-64 host whose speed drifts, everything included (the
-set-up of each solve and the event roots), and scipy's solve_ivp takes
-about 16 times as long as this port (the median ratio of 6 rounds
-interleaved in one process).
+is the solve of the callable compiled from its source.  An event that
+changes sign over a step is located in the loop too: `_BRENT`, `_brentq`
+line by line, runs on the step's quartic dense output, written out with
+the operations of scipy's ``RkDenseOutput``, and a terminal event ends the
+solve at the dense output of its root.  On the 35 default-grid Loud
+periods (70 solves, 7,637 steps) a step costs 3.0-5.8 µs on a 2-core
+x86-64 host whose speed drifts, everything included (the set-up of each
+solve and the event roots), and scipy's solve_ivp takes about 18 times as
+long as this port (the median ratio of 24 rounds interleaved in one
+process).
 
 A solve that would take more than `_NFEV_BUDGET` = 10^6 right-hand side
 evaluations stops with status -1 and a message that names the budget;
@@ -113,9 +118,6 @@ _P = [
     [0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ]
 
-_P_COLUMNS = [list(col) for col in zip(*_P)]
-
-
 @dataclass
 class Solution:
     """Outcome of one solve: ``t`` and ``y`` are the final time and state
@@ -130,70 +132,26 @@ class Solution:
     nfev: int
 
 
-def _dot(a, b) -> float:
-    acc = 0.0
-    for u, v in zip(a, b):
-        acc += u * v
-    return acc
+_NAN_VALUE = "The function value at x={} is NaN; solver cannot continue."
+_SAME_SIGNS = "f(a) and f(b) must have different signs"
+_NO_CONVERGENCE = "Failed to converge after {} iterations."
+_MAXITER = 100  # of an event's root search
 
 
-def _rms(x: list) -> float:
-    """scipy's norm: sqrt(x . x) / sqrt(n)."""
-    return math.sqrt(_dot(x, x)) / len(x) ** 0.5
-
-
-def _quotient(a: float, b: float) -> float:
-    """a / b for a, b >= 0 (or NaN) as numpy divides: inf or NaN at b = 0."""
-    if b:
-        return a / b
-    return math.inf if a > 0 else math.nan
-
-
-def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol) -> float:
-    """scipy's select_initial_step (Hairer, Norsett and Wanner, II.4)."""
-    interval_length = abs(t_bound - t0)
-    scale = [a + abs(y) * rtol for y, a in zip(y0, atol)]
-    d0 = _rms([y / s for y, s in zip(y0, scale)])
-    d1 = _rms([f / s for f, s in zip(f0, scale)])
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    y1 = [y + h0 * direction * f for y, f in zip(y0, f0)]
-    f1 = fun(t0 + h0 * direction, y1)
-    d2 = _quotient(_rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]), h0)
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = _quotient(0.01, max(d1, d2)) ** -_ERROR_EXPONENT
-    return min(100 * h0, h1, interval_length)
-
-
-def _dense_output(t_old, h, y_old, K):
-    """The quartic interpolant of the last step: scipy's RkDenseOutput with
-    Q = K^T P, K[i] being the seven stage derivatives of component i."""
-    Q = [[_dot(k, p) for p in _P_COLUMNS] for k in K]
-
-    def sol(t):
-        x = (t - t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        p = (x, x2, x3, x3 * x)
-        return [h * _dot(q, p) + y for q, y in zip(Q, y_old)]
-
-    return sol
-
-
-def _brentq(f, a, b, xtol, rtol, maxiter=100) -> float:
+def _brentq(f, a, b, xtol, rtol, maxiter=_MAXITER) -> float:
     """A root of f in [a, b] by Brent's method, as ``scipy.optimize.brentq``
     finds it: a line-by-line port of scipy's ``brentq.c`` (Brent 1973, ch. 4),
     behind scipy's wrapper that raises ValueError on a NaN value of f.  It
     raises ValueError if f(a) and f(b) have the same sign and RuntimeError
     after maxiter iterations, with scipy's messages.  The tolerances are the
-    caller's to choose: scipy's checks on them are not repeated."""
+    caller's to choose: scipy's checks on them are not repeated.  The solve
+    loop writes the same search in (`_BRENT`); the tests hold it to this
+    function."""
 
     def f_raise(x):
         fx = f(x)
         if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+            raise ValueError(_NAN_VALUE.format(x))
         return fx
 
     xpre, xcur = a, b
@@ -205,7 +163,7 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100) -> float:
     if fcur == 0:
         return xcur
     if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
+        raise ValueError(_SAME_SIGNS)
     for _ in range(maxiter):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
@@ -239,45 +197,32 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100) -> float:
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = f_raise(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(_NO_CONVERGENCE.format(maxiter))
 
 
-def _locate(events, hits, terminal, t_old, t, h, y_old, K, direction, t_events):
-    """The events of ``hits`` changed sign over the step from t_old to t:
-    each root is found by `_brentq` on the step's dense output and recorded
-    in t_events, in the order of time, up to the first terminal one, whose
-    (root, state) is returned; None if no terminal event fired."""
-    sol = _dense_output(t_old, h, y_old, K)
-    roots = [
-        (_brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old, t, xtol=4 * _EPS, rtol=4 * _EPS), i)
-        for i, hit in enumerate(hits)
-        if hit
-    ]
-    roots.sort(key=lambda r: direction * r[0])
-    for root, i in roots:
-        t_events[i].append(root)
-        if terminal[i]:
-            return root, sol(root)
-    return None
-
-
-_nextafter, _sqrt = math.nextafter, math.sqrt
-
-# The solve loop, scipy's RungeKutta._step_impl and the event sign test in
-# local floats.  Its own names start with "_"; a system's and an event's
-# names do not.  The blocks in braces are written per component and per
-# event by `_loop`.
+# The solve loop: scipy's RK45.__init__ (the first evaluations and
+# select_initial_step), RungeKutta._step_impl, the event sign test and the
+# event roots, in local floats.  Its own names start with "_"; a system's
+# and an event's names do not.  The blocks in braces are written per
+# component and per event by `_loop`.
 _LOOP = """\
-def _solve(_fun, _events, _t, _t_bound, _y, _f, _g, _h_abs, _atol, _rtol, _direction, _nfev{params}):
+def _solve(_fun, _events, _t, _t_bound, _y, _h_abs, _atol, _rtol, _direction{params}):
+    _abs, _nextafter, _sqrt = abs, math.nextafter, math.sqrt
+    {invariants}
     {y}, = _y
-    {k1}, = _f
     {atol}, = _atol
-    {ay} = {abs_y}
     {start}
-    _toward = _direction * math.inf
+    _nfev = 1
     _t_events = [[] for _ in _events]
+    if _t == _t_bound:
+        return Solution(0, _MESSAGES[0], _t, _y, _t_events, _nfev)
+    {ay} = {abs_y}
+    if _h_abs is None:
+        {initial_step}
+        _nfev = 2
+    _toward = _direction * math.inf
     while True:
-        _min_step = 10 * abs(_nextafter(_t, _toward) - _t)
+        _min_step = 10.0 * _abs(_nextafter(_t, _toward) - _t)
         if _h_abs < _min_step:
             _h_abs = _min_step
         _rejected = False
@@ -285,56 +230,121 @@ def _solve(_fun, _events, _t, _t_bound, _y, _f, _g, _h_abs, _atol, _rtol, _direc
             if not _h_abs >= _min_step:  # NaN fails here too
                 return Solution(-1, _TOO_SMALL_STEP, _t, [{y}], _t_events, _nfev)
             _t_new = _t + _h_abs * _direction
-            if _direction * (_t_new - _t_bound) > 0:
+            if _direction * (_t_new - _t_bound) > 0.0:
                 _t_new = _t_bound
             _h = _t_new - _t
-            _h_abs = abs(_h)
-            if _nfev + 6 > _NFEV_BUDGET:
+            _h_abs = _abs(_h)
+            if _nfev + 6 > {budget!r}:
                 return Solution(-1, _BUDGET_SPENT, _t, [{y}], _t_events, _nfev)
             {step}
             _nfev += 6
-            if _error_norm < 1:
-                if _error_norm == 0:
-                    _factor = _MAX_FACTOR
+            if _error_norm < 1.0:
+                if _error_norm == 0.0:
+                    _factor = {max_factor!r}
                 else:
-                    _factor = _SAFETY * _error_norm ** _ERROR_EXPONENT
-                    if not _factor < _MAX_FACTOR:
-                        _factor = _MAX_FACTOR
+                    _factor = {safety!r} * _error_norm ** {exponent!r}
+                    if not _factor < {max_factor!r}:
+                        _factor = {max_factor!r}
                 if _rejected and not _factor < 1.0:
                     _factor = 1.0
                 _h_abs *= _factor
                 break
-            _factor = _SAFETY * _error_norm ** _ERROR_EXPONENT
-            _h_abs *= _factor if _factor > _MIN_FACTOR else _MIN_FACTOR
+            _factor = {safety!r} * _error_norm ** {exponent!r}
+            _h_abs *= _factor if _factor > {min_factor!r} else {min_factor!r}
             _rejected = True
         {events}
         _t = _t_new
         {y} = {yn}
         {ay} = {ayn}
         {k1} = {k7}
-        if _direction * (_t - _t_bound) >= 0:
+        if _direction * (_t - _t_bound) >= 0.0:
             return Solution(0, _MESSAGES[0], _t, [{y}], _t_events, _nfev)
 """
 
+# An event's root over the step from _t to _t_new: `_brentq` at
+# xtol = rtol = 4 EPS, line by line, setting _root.  Each "@value" line
+# stands for the source that sets _fx to the event's value at time _x on
+# the step's dense output, and raises on a NaN.
+_BRENT = f"""\
+_xpre, _xcur = _t, _t_new
+_xblk = _fblk = _spre = _scur = 0.0
+_x = _xpre
+@value
+_fpre = _fx
+_x = _xcur
+@value
+_fcur = _fx
+if _fpre == 0:
+    _root = _xpre
+elif _fcur == 0:
+    _root = _xcur
+elif (_fpre < 0) == (_fcur < 0):
+    raise ValueError(_SAME_SIGNS)
+else:
+    for _ in range({_MAXITER}):
+        if _fpre != 0 and _fcur != 0 and (_fpre < 0) != (_fcur < 0):
+            _xblk, _fblk = _xpre, _fpre
+            _spre = _scur = _xcur - _xpre
+        if abs(_fblk) < abs(_fcur):
+            _xpre, _xcur, _xblk = _xcur, _xblk, _xcur
+            _fpre, _fcur, _fblk = _fcur, _fblk, _fcur
+        _delta = ({4 * _EPS!r} + {4 * _EPS!r} * abs(_xcur)) / 2
+        _sbis = (_xblk - _xcur) / 2
+        if _fcur == 0 or abs(_sbis) < _delta:
+            _root = _xcur
+            break
+        if abs(_spre) > _delta and abs(_fcur) < abs(_fpre):
+            if _xpre == _xblk:
+                _stry = -_fcur * (_xcur - _xpre) / (_fcur - _fpre)
+            else:
+                _dpre = (_fpre - _fcur) / (_xpre - _xcur)
+                _dblk = (_fblk - _fcur) / (_xblk - _xcur)
+                _stry = -_fcur * (_fblk * _dblk - _fpre * _dpre) / (_dblk * _dpre * (_fblk - _fpre))
+            if 2 * abs(_stry) < min(abs(_spre), 3 * abs(_sbis) - _delta):
+                _spre, _scur = _scur, _stry
+            else:
+                _spre = _scur = _sbis
+        else:
+            _spre = _scur = _sbis
+        _xpre, _fpre = _xcur, _fcur
+        if abs(_scur) > _delta:
+            _xcur += _scur
+        else:
+            _xcur += _delta if _sbis > 0 else -_delta
+        _x = _xcur
+        @value
+        _fcur = _fx
+    else:
+        raise RuntimeError({_NO_CONVERGENCE.format(_MAXITER)!r})
+"""
 
-def _free(names, statements=(), expressions=(), params=()) -> frozenset:
-    """The names that one-line source for the state ``names`` reads.  It
-    may read the state, the parameters, the names its statements assign,
-    ``math`` and the builtins; ValueError if it reads another name, binds
-    one twice, or binds one that is not an identifier, starts with "_" or
-    is a name of this module or the builtins, which the solve loop reads."""
+
+def _names(sources, mode: str) -> tuple:
+    """The names the one-line sources assign and the names they read."""
     assigned, read = set(), set()
-    trees = [ast.parse(s, mode="exec") for s in statements]
-    trees += [ast.parse(e, mode="eval") for e in expressions]
-    for node in (n for tree in trees for n in ast.walk(tree)):
+    for node in (n for source in sources for n in ast.walk(ast.parse(source, mode=mode))):
         if isinstance(node, ast.Name):
             (assigned if isinstance(node.ctx, ast.Store) else read).add(node.id)
-    own = [*names, *params, *assigned]
+    return assigned, read
+
+
+def _free(names, statements=(), expressions=(), params=(), invariants=()) -> frozenset:
+    """The names that one-line source for the state ``names`` reads.  It
+    may read the state, the parameters, the names its statements and its
+    invariants assign, ``math`` and the builtins, and the invariants only
+    the parameters, the names they assign, ``math`` and the builtins;
+    ValueError if it reads another name, binds one twice, or binds one that
+    is not an identifier, starts with "_" or is a name of this module or
+    the builtins, which the solve loop reads."""
+    fixed, fixed_read = _names(invariants, "exec")
+    assigned, read = _names(statements, "exec")
+    read |= _names(expressions, "eval")[1]
+    own = [*names, *params, *fixed, *assigned]
     taken = set(globals()) | set(vars(builtins))
     if len(set(own)) < len(own) or any(not b.isidentifier() or b[0] == "_" or b in taken for b in own):
         raise ValueError(f"names not identifiers, bound twice or taken by the solve loop: {own}")
-    unbound = sorted(read - set(own) - taken)
-    if unbound or any("\n" in s for s in [*statements, *expressions]):
+    unbound = sorted((read - set(own) | fixed_read - set(params) - fixed) - taken)
+    if unbound or any("\n" in s for s in [*invariants, *statements, *expressions]):
         raise ValueError(f"source that spans lines or reads unbound names {unbound}")
     return frozenset(read)
 
@@ -346,14 +356,16 @@ def _compile(source: str, name: str):
 
 
 @functools.cache
-def _function(names, statements, result, params):
+def _function(names, statements, result, params, invariants=()):
     """The source as a callable, compiled once per source:
-    ``_function(...)(*param values)`` is fun(t, y), returning ``result``."""
-    _free(names, statements, [result], params)
+    ``_function(...)(*param values)`` runs the invariants and returns
+    fun(t, y), which returns ``result``."""
+    _free(names, statements, [result], params, invariants)
     body = [f"{', '.join(names)}, = _y", *statements]
     return _compile(
         f"def _make({', '.join(params)}):\n"
-        "    def _fun(_t, _y):\n"
+        + "".join(f"    {line}\n" for line in invariants)
+        + "    def _fun(_t, _y):\n"
         + "".join(f"        {line}\n" for line in body)
         + f"        return {result}\n"
         "    return _fun\n",
@@ -367,13 +379,18 @@ class System:
     the component ``names[i]`` is the expression ``derivatives[i]``,
     evaluated after the one-line statements ``lines``.  The source reads
     the state by its names, the names the lines assign, the ``params`` by
-    name, ``math`` and the builtins.  A System is called as fun(t, y),
-    compiled from the same source; `solve_ivp` writes it into its loop."""
+    name, the names the ``invariants`` assign, ``math`` and the builtins.
+    The invariants are one-line statements that read only the parameters,
+    ``math`` and the builtins: a solve runs them once, so what depends on
+    the parameters alone is computed once per solve.  A System is called
+    as fun(t, y), compiled from the same source; `solve_ivp` writes it into
+    its loop."""
 
     names: tuple
     derivatives: tuple
     lines: tuple = ()
     params: dict = field(default_factory=dict)
+    invariants: tuple = ()
 
     def __post_init__(self):
         if len(self.derivatives) != len(self.names):
@@ -381,14 +398,18 @@ class System:
 
     @functools.cached_property
     def form(self) -> tuple:
-        """What fixes the source: names, lines, derivatives and the
-        parameters' names."""
-        return tuple(self.names), tuple(self.lines), tuple(self.derivatives), tuple(self.params)
+        """What fixes the source: names, lines, derivatives, the
+        parameters' names and the invariants."""
+        return (
+            tuple(self.names), tuple(self.lines), tuple(self.derivatives),
+            tuple(self.params), tuple(self.invariants),
+        )
 
     @functools.cached_property
     def _fun(self):
-        names, lines, derivatives, params = self.form
-        return _function(names, lines, f"[{', '.join(derivatives)}]", params)(*self.params.values())
+        names, lines, derivatives, params, invariants = self.form
+        result = f"[{', '.join(derivatives)}]"
+        return _function(names, lines, result, params, invariants)(*self.params.values())
 
     def __call__(self, t, y):
         return self._fun(t, y)
@@ -421,11 +442,26 @@ def _stage(system, j: int, time: str, state: list) -> list:
     `System.form`, its source written in."""
     if system is None:
         return [f"{', '.join(f'_k{j}_{i}' for i in range(len(state)))}, = _fun({time}, [{', '.join(state)}])"]
-    names, lines, derivatives, params = system
-    read = _free(names, lines, derivatives, params)
+    names, lines, derivatives, params, invariants = system
+    read = _free(names, lines, derivatives, params, invariants)
     bound = (f"{name} = {x}" for name, x in zip(names, state) if name in read)
     derivative = (f"_k{j}_{i} = {d}" for i, d in enumerate(derivatives))
     return [*bound, *lines, *derivative]
+
+
+def _value(i: int, event, time: str, state: list, target: str) -> list:
+    """Source that sets target to event i at the time and state
+    expressions: a call of ``_ev<i>``, or, for an Event's (expression,
+    names), its expression written in."""
+    if event is None:
+        return [f"{target} = _ev{i}({time}, [{', '.join(state)}])"]
+    expression, names = event
+    read = _free(names, (), [expression])
+    return [*(f"{name} = {x}" for name, x in zip(names, state) if name in read), f"{target} = {expression}"]
+
+
+def _indent(lines, depth: int = 1) -> list:
+    return ["    " * depth + line for line in lines]
 
 
 @functools.cache
@@ -435,6 +471,10 @@ def _loop(n: int, system, events):
     each event is (expression, names) of an `Event` to write in, or None
     for a callable ``_events[i](t, y)``, then its terminal flag and
     whether the sign test takes rises and falls."""
+    if system is not None:
+        own = {*system[3], *_names(system[4], "exec")[0]}
+        if any(own & set(event[0][1]) for event in events if event[0] is not None):
+            raise ValueError(f"an event's names rebind a parameter or an invariant of the system: {sorted(own)}")
 
     def each(pattern: str) -> list:
         """pattern once per component, "#" standing for its index."""
@@ -448,6 +488,36 @@ def _loop(n: int, system, events):
         as the literal of its float."""
         return " + ".join(f"_k{m}_# * {w!r}" for m, w in enumerate(weights[:count], 1))
 
+    def rms(target: str, term: str) -> list:
+        """Source that sets target to scipy's norm of the terms:
+        sqrt(x . x) / sqrt(n), the dot product summed from 0.0."""
+        return [*each(f"_r# = {term}"), f"{target} = _sqrt(0.0{''.join(each(' + _r# * _r#'))}) / {n} ** 0.5"]
+
+    # scipy's select_initial_step (Hairer, Norsett and Wanner, II.4), with
+    # min and max written as the comparisons they make
+    initial_step = [
+        "_interval = _abs(_t_bound - _t)",
+        *each("_sc# = _atol# + _ay# * _rtol"),
+        *rms("_d0", "_y# / _sc#"),
+        *rms("_d1", "_k1_# / _sc#"),
+        "_h0 = 1e-6 if _d0 < 1e-5 or _d1 < 1e-5 else 0.01 * _d0 / _d1",
+        "if _interval < _h0:",
+        "    _h0 = _interval",
+        *_stage(system, 2, "_t + _h0 * _direction", each("_y# + _h0 * _direction * _k1_#")),
+        *rms("_d2", "(_k2_# - _k1_#) / _sc#"),
+        "_d2 = _d2 / _h0 if _h0 else (math.inf if _d2 > 0 else math.nan)",
+        "if _d1 <= 1e-15 and _d2 <= 1e-15:",
+        "    _h1 = _h0 * 1e-3 if _h0 * 1e-3 > 1e-6 else 1e-6",
+        "else:",
+        "    _d2 = _d2 if _d2 > _d1 else _d1",
+        f"    _h1 = (0.01 / _d2 if _d2 else math.inf) ** {-_ERROR_EXPONENT!r}",
+        "_h_abs = 100 * _h0",
+        "if _h1 < _h_abs:",
+        "    _h_abs = _h1",
+        "if _interval < _h_abs:",
+        "    _h_abs = _interval",
+    ]
+
     step = []
     for j in range(2, 7):
         state = each(f"_y# + ({weighted(_A[j - 1], j - 1)}) * _h")
@@ -455,37 +525,54 @@ def _loop(n: int, system, events):
     step += each(f"_yn# = _y# + _h * ({weighted(_B, 6)})")
     step += _stage(system, 7, "_t + _h", each("_yn#"))
     # the scale atol + max(|y|, |y_new|) rtol, with |y| kept from the step before
-    step += each("_ayn# = abs(_yn#)")
-    step += each(f"_e# = ({weighted(_E, 7)}) * _h / (_atol# + (_ayn# if _ayn# > _ay# else _ay#) * _rtol)")
-    step.append(f"_error_norm = _sqrt(0.0{''.join(each(' + _e# * _e#'))}) / {n} ** 0.5")
+    step += each("_ayn# = _abs(_yn#)")
+    step += rms("_error_norm", f"({weighted(_E, 7)}) * _h / (_atol# + (_ayn# if _ayn# > _ay# else _ay#) * _rtol)")
 
-    g, b, hit = ([f"{v}{i}" for i in range(len(events))] for v in ("_g", "_b", "_hit"))
-    start = [f"{', '.join(g)}, = _g"] if events else []
-    tests = [f"_y_new = [{row('_yn#')}]"] if any(source is None for source, *_ in events) else []
+    # the quartic dense output of the step, scipy's RkDenseOutput with
+    # Q = K^T P, at the time _x
+    at_x = ["_s = (_x - _t) / _h", "_s2 = _s * _s", "_s3 = _s2 * _s", "_s4 = _s3 * _s"]
+    dense = each("_h * (0.0 + _q#_0 * _s + _q#_1 * _s2 + _q#_2 * _s3 + _q#_3 * _s4) + _y#")
+
+    start = [f"_ev{i} = _events[{i}]" for i, (source, *_) in enumerate(events) if source is None]
+    tests, roots = [], []
     for i, (source, _, up, down) in enumerate(events):
-        if source is None:
-            start.append(f"_ev{i} = _events[{i}]")
-            tests.append(f"_b{i} = _ev{i}(_t_new, _y_new)")
-        else:
-            expression, names = source
-            read = _free(names, (), [expression])
-            tests += [f"{name} = _yn{k}" for k, name in enumerate(names) if name in read]
-            tests.append(f"_b{i} = {expression}")
-        sign = [f"_g{i} <= 0 <= _b{i}"] * up + [f"_g{i} >= 0 >= _b{i}"] * down
+        start += _value(i, source, "_t", each("_y#"), f"_g{i}")
+        tests += _value(i, source, "_t_new", each("_yn#"), f"_b{i}")
+        sign = [f"_g{i} <= 0.0 <= _b{i}"] * up + [f"_g{i} >= 0.0 >= _b{i}"] * down
         tests.append(f"_hit{i} = {' or '.join(sign) or 'False'}")
+        value = [
+            *at_x,
+            *_value(i, source, "_x", dense, "_fx"),
+            "if math.isnan(_fx):",
+            "    raise ValueError(_NAN_VALUE.format(_x))",
+        ]
+        brent = []
+        for line in _BRENT.splitlines():
+            stripped = line.lstrip()
+            brent += _indent(value, (len(line) - len(stripped)) // 4) if stripped == "@value" else [line]
+        roots += [f"if _hit{i}:", *_indent(brent), f"    _roots.append((_direction * _root, {i}, _root))"]
+    start += _stage(system, 1, "_t", each("_y#"))
     if events:
-        K = ", ".join(f"({', '.join(f'_k{j}_{i}' for j in range(1, 8))})" for i in range(n))
+        # each root in the order of time, up to the first terminal one
+        terminal = tuple(i for i, (_, stops, *_) in enumerate(events) if stops)
+        roots += ["_roots.sort()", "for _, _i, _root in _roots:", "    _t_events[_i].append(_root)"]
+        if terminal:
+            roots += [
+                f"    if _i in {terminal!r}:",
+                "        _x = _root",
+                *_indent(at_x, 2),
+                f"        return Solution(1, _MESSAGES[1], _root, [{', '.join(dense)}], _t_events, _nfev)",
+            ]
+        q = [f"_q#_{c} = 0.0 + {weighted([p[c] for p in _P], 7)}" for c in range(4)]
         tests += [
-            f"if {' or '.join(hit)}:",
-            f"    _end = _locate(_events, ({', '.join(hit)},), {tuple(t for _, t, *_ in events)!r}, "
-            f"_t, _t_new, _h, ({row('_y#')},), ({K},), _direction, _t_events)",
-            "    if _end is not None:",
-            "        return Solution(1, _MESSAGES[1], *_end, _t_events, _nfev)",
-            f"{', '.join(g)} = {', '.join(b)}",
+            f"if {' or '.join(f'_hit{i}' for i in range(len(events)))}:",
+            *_indent([*(line for pattern in q for line in each(pattern)), "_roots = []", *roots]),
+            f"{', '.join(f'_g{i}' for i in range(len(events)))} = {', '.join(f'_b{i}' for i in range(len(events)))}",
         ]
 
     source = _LOOP.format(
         params="".join(f", {p}" for p in (system[3] if system else ())),
+        invariants="\n    ".join(system[4] if system else ()),
         y=row("_y#"),
         yn=row("_yn#"),
         k1=row("_k1_#"),
@@ -493,10 +580,16 @@ def _loop(n: int, system, events):
         atol=row("_atol#"),
         ay=row("_ay#"),
         ayn=row("_ayn#"),
-        abs_y=row("abs(_y#)"),
+        abs_y=row("_abs(_y#)"),
         start="\n    ".join(start),
+        initial_step="\n        ".join(initial_step),
         step="\n            ".join(step),
         events="\n        ".join(tests),
+        budget=_NFEV_BUDGET,
+        safety=_SAFETY,
+        exponent=_ERROR_EXPONENT,
+        max_factor=_MAX_FACTOR,
+        min_factor=_MIN_FACTOR,
     )
     return _compile(source, "_solve")
 
@@ -542,15 +635,4 @@ def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6, first_step=None)
         loop = _loop(n, None, tuple(forms))
         params = ()
     direction = -1.0 if t_bound < t else 1.0
-    g = [ev(t, y) for ev in events]
-
-    f = fun(t, y)
-    nfev = 1
-    if t == t_bound:
-        return Solution(0, _MESSAGES[0], t, y, [[] for _ in events], nfev)
-    if first_step is None:
-        h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
-        nfev += 1
-    else:
-        h_abs = first_step
-    return loop(fun, events, t, t_bound, y, f, g, h_abs, atol, rtol, direction, nfev, *params)
+    return loop(fun, events, t, t_bound, y, first_step, atol, rtol, direction, *params)

@@ -123,6 +123,25 @@ def test_default_grid_periods_match_scipy(monkeypatch):
         assert abs(a - b) <= 1e-13 * abs(b)
 
 
+def test_default_grid_step_count():
+    """The 35 default-grid periods take 70 solves and 45,962 right-hand
+    side evaluations: the steps are the steps these solves have always
+    taken (perfbench's seed-3 loud_sweep round reads 551,544)."""
+    solves = []
+
+    def counted(*args, **kw):
+        sol = solve_ivp(*args, **kw)
+        solves.append(sol.nfev)
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(loud, "solve_ivp", counted)
+        for D in [-0.9, -0.75, -0.5, -0.25, -0.1]:
+            for s in np.geomspace(1e-3, 1e-2, 7):
+                loud.period_numeric(loud.LoudParams(D=D, F=1.0), float(s))
+    assert (len(solves), sum(solves)) == (70, 45962)
+
+
 def test_tableau_is_scipys():
     """The written-out Dormand-Prince fractions are the floats of scipy's
     RK45 arrays."""
@@ -373,10 +392,10 @@ def test_written_in_loop_is_the_callable_loop():
 
 
 def written_in(system):
-    """The System's right-hand side as the solve loop writes it in, as a
-    function of (t, y)."""
+    """The System's right-hand side as the solve loop writes it in, after
+    its invariants, as a function of (t, y)."""
     n = len(system.names)
-    body = rk45._stage(system.form, 1, "_t", [f"_y[{i}]" for i in range(n)])
+    body = [*system.invariants, *rk45._stage(system.form, 1, "_t", [f"_y[{i}]" for i in range(n)])]
     source = (
         f"def _probe(_t, _y, {', '.join(system.params)}):\n"
         + "".join(f"    {line}\n" for line in body)
@@ -455,6 +474,29 @@ def test_system_source_is_checked(names, derivatives, lines, match):
 
 
 @pytest.mark.parametrize(
+    "invariants, match",
+    [(("k = 2.0 * u",), "unbound names \\['u'\\]"), (("c = 2.0",), "bound twice"), (("v = 2.0",), "bound twice")],
+    ids=["reads-state", "rebinds-parameter", "rebinds-state"],
+)
+def test_invariants_are_checked(invariants, match):
+    """Invariants run once per solve, so they read only the parameters."""
+    system = rk45.System(("u", "v"), ("v", "-c * u"), (), {"c": 1.0}, invariants)
+    with pytest.raises(ValueError, match=match):
+        system(0.0, [1.0, 0.0])
+    with pytest.raises(ValueError, match=match):
+        solve_ivp(system, (0.0, 1.0), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("names", [("c", "v"), ("u", "k")], ids=["parameter", "invariant"])
+def test_event_names_keep_the_systems_bindings(names):
+    """An event written into the loop binds its names there, so it may not
+    name a parameter or an invariant of the System."""
+    system = rk45.System(("u", "v"), ("v", "-c * k * u"), (), {"c": 1.0}, ("k = 1.0",))
+    with pytest.raises(ValueError, match="rebind a parameter or an invariant"):
+        solve_ivp(system, (0.0, 1.0), [1.0, 0.0], events=[rk45.Event(names[0], names)])
+
+
+@pytest.mark.parametrize(
     "t_span, radius", [((0.0, 20.0), 0.8), ((0.0, -20.0), 1.25)], ids=["forward", "backward"]
 )
 def test_system_and_events_as_source_match_scipy(t_span, radius):
@@ -475,3 +517,167 @@ def test_system_and_events_as_source_match_scipy(t_span, radius):
     assert port.nfev == ref.nfev
     called = solve_ivp(plain(damped), t_span, [1.0, 0.0], **{**kw, "events": [plain(e) for e in kw["events"]]})
     assert outcome(port) == outcome(called)
+
+
+# ---------------------------------------------------------------------------
+# the event roots written into the solve loop
+# ---------------------------------------------------------------------------
+
+
+def dense_output(t_old, h, y_old, K):
+    """The quartic interpolant of a step, scipy's RkDenseOutput with
+    Q = K^T P, K[i] being the seven stage derivatives of component i: the
+    reference for the dense output the solve loop writes in."""
+
+    def dot(a, b):
+        acc = 0.0
+        for u, v in zip(a, b):
+            acc += u * v
+        return acc
+
+    Q = [[dot(k, p) for p in zip(*rk45._P)] for k in K]
+
+    def sol(t):
+        x = (t - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        p = (x, x2, x3, x3 * x)
+        return [h * dot(q, p) + y for q, y in zip(Q, y_old)]
+
+    return sol
+
+
+def accepted_steps(log, skip):
+    """The accepted steps of a solve of a callable, from the log of its
+    evaluations (t, y, f): the first, then ``skip`` - 1 for the initial
+    step, then six per step tried.  A step tried again after a rejection
+    starts where the rejected one did: its second stage is at t + h/5,
+    y + (k1/5) h.  Each step is (t_old, t_new, y_old, y_new, K), K[i] the
+    seven stage derivatives of component i."""
+
+    def starts(t, y, k1, stages):
+        h = stages[5][0] - t
+        t2, y2, _ = stages[0]
+        return t2 == t + 0.2 * h and y2 == [a + (k * 0.2) * h for a, k in zip(y, k1)]
+
+    t, y, k1 = log[0]
+    tried = [log[i:i + 6] for i in range(skip, len(log), 6)]
+    assert len(tried[-1]) == 6
+    steps = []
+    for before, stages in zip([None, *tried], tried):
+        if not starts(t, y, k1, stages):  # the step before was accepted
+            steps.append((t, y, k1, before))
+            t, y, k1 = before[5]
+            assert starts(t, y, k1, stages)
+    steps.append((t, y, k1, tried[-1]))  # the last step ends the solve
+    return [
+        (t, stages[5][0], y, stages[5][1], [[k, *(f[i] for _, _, f in stages)] for i, k in enumerate(k1)])
+        for t, y, k1, stages in steps
+    ]
+
+
+def reference_events(system, events, t_span, y0, kw, seen):
+    """t_events and the terminal (t, y), or None, found as scipy finds
+    them: on each accepted step the sign test, then `_brentq` on the
+    step's dense output, each root equal to scipy's brentq's, recorded in
+    the order of time up to the first terminal one.  The steps come from a
+    solve of the System as a callable, which must equal its written-in
+    solve; seen collects what the hits covered."""
+    log = []
+
+    def logged(t, y):
+        f = system(t, y)
+        log.append((t, list(y), f))
+        return f
+
+    called = solve_ivp(logged, t_span, y0, events=[plain(ev) for ev in events], **kw)
+    tol = 4 * rk45._EPS
+    t_events = [[] for _ in events]
+    direction = 1.0 if t_span[1] > t_span[0] else -1.0
+    for t_old, t_new, y_old, y_new, K in accepted_steps(log, 1 if kw.get("first_step") else 2):
+        sol = dense_output(t_old, t_new - t_old, y_old, K)
+        roots = []
+        for i, ev in enumerate(events):
+            g, b = ev(t_old, y_old), ev(t_new, y_new)
+            d = getattr(ev, "direction", 0.0)
+            if (d >= 0 and g <= 0 <= b) or (d <= 0 and g >= 0 >= b):
+                value = lambda x, ev=ev: ev(x, sol(x))
+                root = rk45._brentq(value, t_old, t_new, tol, tol)
+                assert root == scipy.optimize.brentq(value, t_old, t_new, xtol=tol, rtol=tol)
+                roots.append((root, i))
+                seen.add("rise" if b > g else "fall")
+                seen.add(("direction", d))
+                seen.update(["at the step's end"] * (root == t_new))
+        roots.sort(key=lambda r: direction * r[0])
+        seen.update(["two in one step, out of index order"] * (roots != sorted(roots, key=lambda r: r[1])))
+        for root, i in roots:
+            t_events[i].append(root)
+            if getattr(events[i], "terminal", False):
+                return called, t_events, (root, sol(root))
+            seen.add("non-terminal")
+    return called, t_events, None
+
+
+def random_system(rng):
+    """A damped oscillator with a quadratic drive (a statement), an
+    invariant and a third component that drifts with x."""
+    return rk45.System(
+        ("x", "p", "u"),
+        ("w * p - c * x + drive", "-w * x - c * p - half_w * drive", "x + b"),
+        ("drive = e * x * p",),
+        {"w": rng.uniform(0.5, 2.0), "c": rng.uniform(-0.03, 0.08), "e": rng.uniform(0.0, 0.2), "b": rng.uniform(-0.2, 0.2)},
+        ("half_w = 0.5 * w",),
+    )
+
+
+def random_events(rng, names):
+    """Level crossings of a random component, one of them a close pair
+    that crosses in one step (the later level first in index order), a
+    circle and the time t_bound, each with a random direction and
+    terminal flag, terminal ones rarer."""
+    level = lambda: rng.uniform(-0.6, 0.6)
+    pair_at, name = level(), rng.choice(names[:2])
+    expressions = [
+        f"{rng.choice(names)} - {level()!r}",
+        f"{rng.choice(names)} - {level()!r}",
+        f"{name} - {pair_at + 1e-9!r}",
+        f"{name} - {pair_at!r}",
+        f"math.hypot(x, p) - {rng.uniform(0.3, 1.2)!r}",
+    ]
+    return [rk45.Event(e, names, rng.random() < 0.2, rng.choice([-1.0, 0.0, 1.0])) for e in expressions]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_written_in_roots_are_brentqs(seed):
+    """On seeded random Systems, forward and backward, the written-in event
+    roots and the terminal state equal, by ==, `_brentq` (and scipy's
+    brentq) on the reference dense output of the same step; the System as
+    a callable gives the same solve; the event counts and the final state
+    agree with scipy's solve_ivp."""
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(12):
+        system = random_system(rng)
+        t_span = (0.0, rng.choice([20.0, -20.0]))
+        events = random_events(rng, system.names)
+        at_end = lambda t, y, t_bound=t_span[1]: t - t_bound  # a root exactly at the last step's end
+        at_end.terminal, at_end.direction = rng.random() < 0.5, 0.0
+        events.append(at_end)
+        kw = dict(rtol=10 ** rng.uniform(-11, -6), atol=1e-12)
+        if rng.random() < 0.3:
+            kw["first_step"] = 1e-3
+        y0 = [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), 0.0]
+        port = solve_ivp(system, t_span, y0, events=events, **kw)
+        called, t_events, end = reference_events(system, events, t_span, y0, kw, seen)
+        assert outcome(port) == outcome(called)
+        assert port.t_events == t_events
+        if end is None:
+            assert (port.status, port.t) == (0, t_span[1])
+        else:
+            assert (port.status, port.t, port.y) == (1, *end)
+        ref = scipy_rk45(system, t_span, y0, events=events, **kw)
+        assert_same_solve(port, ref, system)
+    assert seen >= {
+        "rise", "fall", ("direction", -1.0), ("direction", 0.0), ("direction", 1.0),
+        "two in one step, out of index order", "at the step's end", "non-terminal",
+    }
