@@ -464,6 +464,16 @@ def _indent(lines, depth: int = 1) -> list:
     return ["    " * depth + line for line in lines]
 
 
+def _brent(value: list) -> list:
+    """`_BRENT` with each "@value" line replaced by the source ``value``,
+    at that line's indentation."""
+    lines = []
+    for line in _BRENT.splitlines():
+        stripped = line.lstrip()
+        lines += _indent(value, (len(line) - len(stripped)) // 4) if stripped == "@value" else [line]
+    return lines
+
+
 @functools.cache
 def _loop(n: int, system, events):
     """The solve loop for n components, compiled once per form.  system is
@@ -546,11 +556,7 @@ def _loop(n: int, system, events):
             "if math.isnan(_fx):",
             "    raise ValueError(_NAN_VALUE.format(_x))",
         ]
-        brent = []
-        for line in _BRENT.splitlines():
-            stripped = line.lstrip()
-            brent += _indent(value, (len(line) - len(stripped)) // 4) if stripped == "@value" else [line]
-        roots += [f"if _hit{i}:", *_indent(brent), f"    _roots.append((_direction * _root, {i}, _root))"]
+        roots += [f"if _hit{i}:", *_indent(_brent(value)), f"    _roots.append((_direction * _root, {i}, _root))"]
     start += _stage(system, 1, "_t", each("_y#"))
     if events:
         # each root in the order of time, up to the first terminal one
