@@ -29,8 +29,8 @@ Python floats (its tableau written out as fractions, its event roots found
 by a port of scipy's brentq, so neither this module nor rk45 imports
 scipy).  Each chart's field is an `rk45.System` and each event an
 `rk45.Event`: source that rk45 writes into one generated solve loop per
-chart, compiled on first use, with D and F as the loop's arguments and the
-charts' parameter-only terms computed once per solve.  The sources keep
+chart, compiled on first use, with D and F and the charts' parameter-only
+terms as the loop's arguments, computed once per solve.  The sources keep
 the operations of the chart fields in their order and grouping, so a
 period has the bits it has when they are called.  On these 2- and
 3-component systems a solve takes about an eighteenth of the time of
@@ -398,9 +398,8 @@ def c1_hat_limit(D: float) -> float:
 # every period has the same bits.
 _BACK_RHS = tuple(f"-({d})" for d in _PLANE_RHS)  # loud_rhs, negated
 # The parameter-only terms (-F, 2D + 1, D + 1, F - 1) and math.exp are
-# bound once per solve, as the charts' invariants.
+# parameters of the charts, computed once per solve.
 _LOG_W = ("z", "lw", "time")
-_LOG_W_INVARIANTS = ("exp = math.exp", "minus_f = -F", "two_d_plus_1 = 2 * D + 1", "d_plus_1 = D + 1")
 _LOG_W_LINES = (
     "w = exp(lw) if lw > -745.0 else 0.0",
     "common = minus_f - D * z * z + two_d_plus_1 * z * w - d_plus_1 * w * w",
@@ -494,12 +493,13 @@ def period_numeric(p: LoudParams, s: float) -> float:
 
 def _log_w_rhs(p: LoudParams) -> System:
     """Chart (z, log w) with dt = w dtau; w below exp(-745) is 0."""
-    return System(_LOG_W, _LOG_W_RHS, _LOG_W_LINES, {"D": p.D, "F": p.F}, _LOG_W_INVARIANTS)
+    params = {"D": p.D, "minus_f": -p.F, "two_d_plus_1": 2 * p.D + 1, "d_plus_1": p.D + 1, "exp": math.exp}
+    return System(_LOG_W, _LOG_W_RHS, _LOG_W_LINES, params)
 
 
 def _horizontal_rhs(p: LoudParams) -> System:
     """Chart (p, q) = (1/u, v/u) with dt = -p dsigma (p < 0 on the far side)."""
-    return System(_HORIZONTAL, _HORIZONTAL_RHS, params={"D": p.D, "F": p.F}, invariants=("f_minus_1 = F - 1.0",))
+    return System(_HORIZONTAL, _HORIZONTAL_RHS, params={"D": p.D, "f_minus_1": p.F - 1.0})
 
 
 def period_via_decomposition(p: LoudParams, s: float) -> float:

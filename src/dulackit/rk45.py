@@ -16,12 +16,14 @@ steps and the events:
   terminal event ending the solve at ``sol(t_event)``.
 
 The module imports nothing from scipy, so the Loud period sweep runs
-without loading it.  The root finder `_brentq` is a line-by-line port of
+without loading it.  The solve loop finds event roots with a root search
+written into it (`_BRENT`).  `_brentq`, which no solve calls, is kept as
+the reference the tests hold that search to: a line-by-line port of
 scipy's ``brentq`` (the C routine ``brentq.c``, Brent's method in the form
 of R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973,
-ch. 4, behind scipy's wrapper that raises on a NaN value): it evaluates the
-function at the same points as ``scipy.optimize.brentq`` and returns its
-root bit for bit.
+ch. 4, behind scipy's wrapper that raises on a NaN value), it evaluates
+the function at the same points as ``scipy.optimize.brentq`` and returns
+its root bit for bit.
 
 Each sum is formed in numpy's order (the stages times their weights, then
 times h), so solutions agree with scipy's to rounding in the last bits:
@@ -41,11 +43,11 @@ stage states, the new state, the error norm, the step control, the events'
 sign tests and their roots, each tableau entry as the literal of its
 float and each step-control constant as a literal.  A right-hand side
 given as a `System` (its components' names, statements and derivatives as
-source, named parameters, and invariants: statements on the parameters
-alone, run once per solve) and events given as `Event`s (an expression,
-``terminal`` and ``direction``) are written straight into the loop; the
-parameters are the loop's arguments, so one compile serves every
-parameter value.  A plain callable is called from the same template.  A
+source, and named parameters) and events given as `Event`s (an
+expression, ``terminal`` and ``direction``) are written straight into the
+loop; the parameters are the loop's arguments, so one compile serves
+every parameter value, and a term of the parameters alone passed as a
+parameter is computed once per solve.  A plain callable is called from the same template.  A
 System and an Event stay callable, compiled from the same source, for
 scipy and the tests.  The written-out expressions are the sums over the
 components' lists, in the same order and grouping
@@ -55,9 +57,10 @@ written as the comparisons they make, and Python floats are IEEE doubles
 that never fuse a multiply and an add, so no bit changes: a System's solve
 is the solve of the callable compiled from its source.  An event that
 changes sign over a step is located in the loop too: `_BRENT`, `_brentq`
-line by line, runs on the step's quartic dense output, written out with
-the operations of scipy's ``RkDenseOutput``, and a terminal event ends the
-solve at the dense output of its root.  On the 35 default-grid Loud
+line by line with one site that evaluates the event, runs on the step's
+quartic dense output, written out with the operations of scipy's
+``RkDenseOutput``, and a terminal event ends the solve at the dense
+output of its root.  On the 35 default-grid Loud
 periods (70 solves, 7,637 steps) a step costs 3.0-5.8 µs on a 2-core
 x86-64 host whose speed drifts, everything included (the set-up of each
 solve and the event roots), and scipy's solve_ivp takes about 18 times as
@@ -145,8 +148,8 @@ def _brentq(f, a, b, xtol, rtol, maxiter=_MAXITER) -> float:
     raises ValueError if f(a) and f(b) have the same sign and RuntimeError
     after maxiter iterations, with scipy's messages.  The tolerances are the
     caller's to choose: scipy's checks on them are not repeated.  The solve
-    loop writes the same search in (`_BRENT`); the tests hold it to this
-    function."""
+    loop writes the same search in (`_BRENT`) and calls no `_brentq`: this
+    function stays as the reference the tests hold that search to."""
 
     def f_raise(x):
         fx = f(x)
@@ -208,7 +211,6 @@ def _brentq(f, a, b, xtol, rtol, maxiter=_MAXITER) -> float:
 _LOOP = """\
 def _solve(_fun, _events, _t, _t_bound, _y, _h_abs, _atol, _rtol, _direction{params}):
     _abs, _nextafter, _sqrt = abs, math.nextafter, math.sqrt
-    {invariants}
     {y}, = _y
     {atol}, = _atol
     {start}
@@ -262,90 +264,98 @@ def _solve(_fun, _events, _t, _t_bound, _y, _h_abs, _atol, _rtol, _direction{par
 """
 
 # An event's root over the step from _t to _t_new: `_brentq` at
-# xtol = rtol = 4 EPS, line by line, setting _root.  Each "@value" line
+# xtol = rtol = 4 EPS, line by line, setting _root.  The "@value" line
 # stands for the source that sets _fx to the event's value at time _x on
-# the step's dense output, and raises on a NaN.
+# the step's dense output, and raises on a NaN; its first two passes take
+# the values at the ends of the step, and each pass after them is one of
+# `_brentq`'s iterations.
 _BRENT = f"""\
 _xpre, _xcur = _t, _t_new
 _xblk = _fblk = _spre = _scur = 0.0
 _x = _xpre
-@value
-_fpre = _fx
-_x = _xcur
-@value
-_fcur = _fx
-if _fpre == 0:
-    _root = _xpre
-elif _fcur == 0:
-    _root = _xcur
-elif (_fpre < 0) == (_fcur < 0):
-    raise ValueError(_SAME_SIGNS)
-else:
-    for _ in range({_MAXITER}):
-        if _fpre != 0 and _fcur != 0 and (_fpre < 0) != (_fcur < 0):
-            _xblk, _fblk = _xpre, _fpre
-            _spre = _scur = _xcur - _xpre
-        if abs(_fblk) < abs(_fcur):
-            _xpre, _xcur, _xblk = _xcur, _xblk, _xcur
-            _fpre, _fcur, _fblk = _fcur, _fblk, _fcur
-        _delta = ({4 * _EPS!r} + {4 * _EPS!r} * abs(_xcur)) / 2
-        _sbis = (_xblk - _xcur) / 2
-        if _fcur == 0 or abs(_sbis) < _delta:
+_n = -2
+while True:
+    @value
+    _n += 1
+    if _n < 0:
+        _fpre, _x = _fx, _xcur
+        continue
+    _fcur = _fx
+    if _n == 0:
+        if _fpre == 0:
+            _root = _xpre
+            break
+        if _fcur == 0:
             _root = _xcur
             break
-        if abs(_spre) > _delta and abs(_fcur) < abs(_fpre):
-            if _xpre == _xblk:
-                _stry = -_fcur * (_xcur - _xpre) / (_fcur - _fpre)
-            else:
-                _dpre = (_fpre - _fcur) / (_xpre - _xcur)
-                _dblk = (_fblk - _fcur) / (_xblk - _xcur)
-                _stry = -_fcur * (_fblk * _dblk - _fpre * _dpre) / (_dblk * _dpre * (_fblk - _fpre))
-            if 2 * abs(_stry) < min(abs(_spre), 3 * abs(_sbis) - _delta):
-                _spre, _scur = _scur, _stry
-            else:
-                _spre = _scur = _sbis
+        if (_fpre < 0) == (_fcur < 0):
+            raise ValueError(_SAME_SIGNS)
+    elif _n == {_MAXITER}:
+        raise RuntimeError({_NO_CONVERGENCE.format(_MAXITER)!r})
+    if _fpre != 0 and _fcur != 0 and (_fpre < 0) != (_fcur < 0):
+        _xblk, _fblk = _xpre, _fpre
+        _spre = _scur = _xcur - _xpre
+    if abs(_fblk) < abs(_fcur):
+        _xpre, _xcur, _xblk = _xcur, _xblk, _xcur
+        _fpre, _fcur, _fblk = _fcur, _fblk, _fcur
+    _delta = ({4 * _EPS!r} + {4 * _EPS!r} * abs(_xcur)) / 2
+    _sbis = (_xblk - _xcur) / 2
+    if _fcur == 0 or abs(_sbis) < _delta:
+        _root = _xcur
+        break
+    if abs(_spre) > _delta and abs(_fcur) < abs(_fpre):
+        if _xpre == _xblk:
+            _stry = -_fcur * (_xcur - _xpre) / (_fcur - _fpre)
+        else:
+            _dpre = (_fpre - _fcur) / (_xpre - _xcur)
+            _dblk = (_fblk - _fcur) / (_xblk - _xcur)
+            _stry = -_fcur * (_fblk * _dblk - _fpre * _dpre) / (_dblk * _dpre * (_fblk - _fpre))
+        if 2 * abs(_stry) < min(abs(_spre), 3 * abs(_sbis) - _delta):
+            _spre, _scur = _scur, _stry
         else:
             _spre = _scur = _sbis
-        _xpre, _fpre = _xcur, _fcur
-        if abs(_scur) > _delta:
-            _xcur += _scur
-        else:
-            _xcur += _delta if _sbis > 0 else -_delta
-        _x = _xcur
-        @value
-        _fcur = _fx
     else:
-        raise RuntimeError({_NO_CONVERGENCE.format(_MAXITER)!r})
+        _spre = _scur = _sbis
+    _xpre, _fpre = _xcur, _fcur
+    if abs(_scur) > _delta:
+        _xcur += _scur
+    else:
+        _xcur += _delta if _sbis > 0 else -_delta
+    _x = _xcur
 """
 
 
-def _names(sources, mode: str) -> tuple:
-    """The names the one-line sources assign and the names they read."""
+def _names(source: str, mode: str) -> tuple:
+    """The names one line of source assigns and the names it reads (an
+    augmented assignment's target is both)."""
     assigned, read = set(), set()
-    for node in (n for source in sources for n in ast.walk(ast.parse(source, mode=mode))):
+    for node in ast.walk(ast.parse(source, mode=mode)):
         if isinstance(node, ast.Name):
             (assigned if isinstance(node.ctx, ast.Store) else read).add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            read.add(node.target.id)
     return assigned, read
 
 
-def _free(names, statements=(), expressions=(), params=(), invariants=()) -> frozenset:
-    """The names that one-line source for the state ``names`` reads.  It
-    may read the state, the parameters, the names its statements and its
-    invariants assign, ``math`` and the builtins, and the invariants only
-    the parameters, the names they assign, ``math`` and the builtins;
-    ValueError if it reads another name, binds one twice, or binds one that
-    is not an identifier, starts with "_" or is a name of this module or
-    the builtins, which the solve loop reads."""
-    fixed, fixed_read = _names(invariants, "exec")
-    assigned, read = _names(statements, "exec")
-    read |= _names(expressions, "eval")[1]
-    own = [*names, *params, *fixed, *assigned]
+def _free(names, statements=(), expressions=(), params=()) -> frozenset:
+    """The names that one-line source for the state ``names`` reads.  Each
+    statement may read the state, the parameters, the names the statements
+    before it assign, ``math`` and the builtins, and the expressions may
+    read the names all the statements assign; ValueError if the source
+    reads another name, binds one twice, or binds one that is not an
+    identifier, starts with "_" or is a name of this module or the
+    builtins, which the solve loop reads."""
+    own, read = [*names, *params], set()
     taken = set(globals()) | set(vars(builtins))
+    for source, mode in [*((s, "exec") for s in statements), *((e, "eval") for e in expressions)]:
+        assigned, reads = _names(source, mode)
+        unbound = sorted(reads - set(own) - taken)
+        if unbound or "\n" in source:
+            raise ValueError(f"source that spans lines or reads unbound names {unbound}")
+        own += sorted(assigned)
+        read |= reads
     if len(set(own)) < len(own) or any(not b.isidentifier() or b[0] == "_" or b in taken for b in own):
         raise ValueError(f"names not identifiers, bound twice or taken by the solve loop: {own}")
-    unbound = sorted((read - set(own) | fixed_read - set(params) - fixed) - taken)
-    if unbound or any("\n" in s for s in [*invariants, *statements, *expressions]):
-        raise ValueError(f"source that spans lines or reads unbound names {unbound}")
     return frozenset(read)
 
 
@@ -356,16 +366,14 @@ def _compile(source: str, name: str):
 
 
 @functools.cache
-def _function(names, statements, result, params, invariants=()):
+def _function(names, statements, result, params):
     """The source as a callable, compiled once per source:
-    ``_function(...)(*param values)`` runs the invariants and returns
-    fun(t, y), which returns ``result``."""
-    _free(names, statements, [result], params, invariants)
+    ``_function(...)(*param values)`` is fun(t, y), returning ``result``."""
+    _free(names, statements, [result], params)
     body = [f"{', '.join(names)}, = _y", *statements]
     return _compile(
         f"def _make({', '.join(params)}):\n"
-        + "".join(f"    {line}\n" for line in invariants)
-        + "    def _fun(_t, _y):\n"
+        "    def _fun(_t, _y):\n"
         + "".join(f"        {line}\n" for line in body)
         + f"        return {result}\n"
         "    return _fun\n",
@@ -379,18 +387,13 @@ class System:
     the component ``names[i]`` is the expression ``derivatives[i]``,
     evaluated after the one-line statements ``lines``.  The source reads
     the state by its names, the names the lines assign, the ``params`` by
-    name, the names the ``invariants`` assign, ``math`` and the builtins.
-    The invariants are one-line statements that read only the parameters,
-    ``math`` and the builtins: a solve runs them once, so what depends on
-    the parameters alone is computed once per solve.  A System is called
-    as fun(t, y), compiled from the same source; `solve_ivp` writes it into
-    its loop."""
+    name, ``math`` and the builtins.  A System is called as fun(t, y),
+    compiled from the same source; `solve_ivp` writes it into its loop."""
 
     names: tuple
     derivatives: tuple
     lines: tuple = ()
     params: dict = field(default_factory=dict)
-    invariants: tuple = ()
 
     def __post_init__(self):
         if len(self.derivatives) != len(self.names):
@@ -398,18 +401,14 @@ class System:
 
     @functools.cached_property
     def form(self) -> tuple:
-        """What fixes the source: names, lines, derivatives, the
-        parameters' names and the invariants."""
-        return (
-            tuple(self.names), tuple(self.lines), tuple(self.derivatives),
-            tuple(self.params), tuple(self.invariants),
-        )
+        """What fixes the source: names, lines, derivatives and the
+        parameters' names."""
+        return tuple(self.names), tuple(self.lines), tuple(self.derivatives), tuple(self.params)
 
     @functools.cached_property
     def _fun(self):
-        names, lines, derivatives, params, invariants = self.form
-        result = f"[{', '.join(derivatives)}]"
-        return _function(names, lines, result, params, invariants)(*self.params.values())
+        names, lines, derivatives, params = self.form
+        return _function(names, lines, f"[{', '.join(derivatives)}]", params)(*self.params.values())
 
     def __call__(self, t, y):
         return self._fun(t, y)
@@ -442,8 +441,8 @@ def _stage(system, j: int, time: str, state: list) -> list:
     `System.form`, its source written in."""
     if system is None:
         return [f"{', '.join(f'_k{j}_{i}' for i in range(len(state)))}, = _fun({time}, [{', '.join(state)}])"]
-    names, lines, derivatives, params, invariants = system
-    read = _free(names, lines, derivatives, params, invariants)
+    names, lines, derivatives, params = system
+    read = _free(names, lines, derivatives, params)
     bound = (f"{name} = {x}" for name, x in zip(names, state) if name in read)
     derivative = (f"_k{j}_{i} = {d}" for i, d in enumerate(derivatives))
     return [*bound, *lines, *derivative]
@@ -465,13 +464,9 @@ def _indent(lines, depth: int = 1) -> list:
 
 
 def _brent(value: list) -> list:
-    """`_BRENT` with each "@value" line replaced by the source ``value``,
-    at that line's indentation."""
-    lines = []
-    for line in _BRENT.splitlines():
-        stripped = line.lstrip()
-        lines += _indent(value, (len(line) - len(stripped)) // 4) if stripped == "@value" else [line]
-    return lines
+    """`_BRENT` with its "@value" line replaced by the source ``value``."""
+    head, tail = _BRENT.split("    @value\n")
+    return [*head.splitlines(), *_indent(value), *tail.splitlines()]
 
 
 @functools.cache
@@ -482,9 +477,8 @@ def _loop(n: int, system, events):
     for a callable ``_events[i](t, y)``, then its terminal flag and
     whether the sign test takes rises and falls."""
     if system is not None:
-        own = {*system[3], *_names(system[4], "exec")[0]}
-        if any(own & set(event[0][1]) for event in events if event[0] is not None):
-            raise ValueError(f"an event's names rebind a parameter or an invariant of the system: {sorted(own)}")
+        if any(set(system[3]) & set(event[0][1]) for event in events if event[0] is not None):
+            raise ValueError(f"an event's names rebind a parameter of the system: {list(system[3])}")
 
     def each(pattern: str) -> list:
         """pattern once per component, "#" standing for its index."""
@@ -544,24 +538,30 @@ def _loop(n: int, system, events):
     dense = each("_h * (0.0 + _q#_0 * _s + _q#_1 * _s2 + _q#_2 * _s3 + _q#_3 * _s4) + _y#")
 
     start = [f"_ev{i} = _events[{i}]" for i, (source, *_) in enumerate(events) if source is None]
-    tests, roots = [], []
+    tests, value = [], [*at_x]
     for i, (source, _, up, down) in enumerate(events):
         start += _value(i, source, "_t", each("_y#"), f"_g{i}")
         tests += _value(i, source, "_t_new", each("_yn#"), f"_b{i}")
         sign = [f"_g{i} <= 0.0 <= _b{i}"] * up + [f"_g{i} >= 0.0 >= _b{i}"] * down
         tests.append(f"_hit{i} = {' or '.join(sign) or 'False'}")
-        value = [
-            *at_x,
-            *_value(i, source, "_x", dense, "_fx"),
-            "if math.isnan(_fx):",
-            "    raise ValueError(_NAN_VALUE.format(_x))",
-        ]
-        roots += [f"if _hit{i}:", *_indent(_brent(value)), f"    _roots.append((_direction * _root, {i}, _root))"]
+        value += [f"if _i == {i}:", *_indent(_value(i, source, "_x", dense, "_fx"))]
     start += _stage(system, 1, "_t", each("_y#"))
     if events:
-        # each root in the order of time, up to the first terminal one
+        # one root search for each event _i that changes sign over the
+        # step, then each root in the order of time, up to the first
+        # terminal one
+        value += ["if math.isnan(_fx):", "    raise ValueError(_NAN_VALUE.format(_x))"]
+        hits = [f"_hit{i}" for i in range(len(events))]
+        roots = [
+            f"for _i, _hit in enumerate(({', '.join(hits)},)):",
+            "    if _hit:",
+            *_indent(_brent(value), 2),
+            "        _roots.append((_direction * _root, _i, _root))",
+            "_roots.sort()",
+            "for _, _i, _root in _roots:",
+            "    _t_events[_i].append(_root)",
+        ]
         terminal = tuple(i for i, (_, stops, *_) in enumerate(events) if stops)
-        roots += ["_roots.sort()", "for _, _i, _root in _roots:", "    _t_events[_i].append(_root)"]
         if terminal:
             roots += [
                 f"    if _i in {terminal!r}:",
@@ -571,14 +571,13 @@ def _loop(n: int, system, events):
             ]
         q = [f"_q#_{c} = 0.0 + {weighted([p[c] for p in _P], 7)}" for c in range(4)]
         tests += [
-            f"if {' or '.join(f'_hit{i}' for i in range(len(events)))}:",
+            f"if {' or '.join(hits)}:",
             *_indent([*(line for pattern in q for line in each(pattern)), "_roots = []", *roots]),
             f"{', '.join(f'_g{i}' for i in range(len(events)))} = {', '.join(f'_b{i}' for i in range(len(events)))}",
         ]
 
     source = _LOOP.format(
         params="".join(f", {p}" for p in (system[3] if system else ())),
-        invariants="\n    ".join(system[4] if system else ()),
         y=row("_y#"),
         yn=row("_yn#"),
         k1=row("_k1_#"),

@@ -193,6 +193,33 @@ def test_brentq_fails_as_scipy_does(f, a, b, maxiter, error):
     assert str(port.value) == str(ref.value)
 
 
+def test_root_search_template_is_brentq():
+    """`_BRENT`, its value line a call of f, evaluates f where `_brentq`
+    does and returns its root or raises its error: on brackets either way
+    round, a zero at either end, a NaN value and ends of one sign."""
+    value = ["_fx = _f(_x)", "if math.isnan(_fx):", "    raise ValueError(_NAN_VALUE.format(_x))"]
+    namespace = {}
+    body = "".join(f"    {line}\n" for line in rk45._brent(value))
+    exec(f"def _search(_f, _t, _t_new):\n{body}    return _root\n", vars(rk45), namespace)
+    tol = 4 * rk45._EPS
+    cases = [case for f, a, b in _polynomial_brackets(seed=16, count=200) for case in [(f, a, b), (f, b, a)]]
+    cases += [
+        (lambda x: x - 0.5, 0.5, 1.0),
+        (lambda x: x - 1.0, 0.5, 1.0),
+        (lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0),
+        (lambda x: x * x + 1.0, 0.0, 1.0),
+    ]
+    for f, a, b in cases:
+        outcomes = []
+        for search in (namespace["_search"], lambda g, a, b: _brentq(g, a, b, tol, tol)):
+            points = []
+            try:
+                outcomes.append((search(lambda x: (points.append(x), f(x))[1], a, b), points))
+            except ValueError as error:
+                outcomes.append((str(error), points))
+        assert outcomes[0] == outcomes[1]
+
+
 def _oscillator(t, y):
     return [y[1], -y[0]]
 
@@ -392,10 +419,10 @@ def test_written_in_loop_is_the_callable_loop():
 
 
 def written_in(system):
-    """The System's right-hand side as the solve loop writes it in, after
-    its invariants, as a function of (t, y)."""
+    """The System's right-hand side as the solve loop writes it in, as a
+    function of (t, y)."""
     n = len(system.names)
-    body = [*system.invariants, *rk45._stage(system.form, 1, "_t", [f"_y[{i}]" for i in range(n)])]
+    body = rk45._stage(system.form, 1, "_t", [f"_y[{i}]" for i in range(n)])
     source = (
         f"def _probe(_t, _y, {', '.join(system.params)}):\n"
         + "".join(f"    {line}\n" for line in body)
@@ -462,8 +489,14 @@ def test_import_compiles_nothing():
         (("u", "v"), ("v", "-u"), ("u = 2.0 * v",), "bound twice"),
         (("u", "v"), ("v", "-w"), (), "unbound names \\['w'\\]"),
         (("u", "v"), ("v", "-G * u"), (), "unbound names \\['G'\\]"),
+        (("u", "v"), ("v", "-k * u"), ("k = 1.0", "k = 2.0"), "bound twice"),
+        (("u", "v"), ("v", "-k * u"), ("k = j", "j = 1.0"), "unbound names \\['j'\\]"),
+        (("u", "v"), ("v", "-k * u"), ("k += 1.0",), "unbound names \\['k'\\]"),
     ],
-    ids=["underscore", "not-identifier", "builtin", "state-assigned", "unbound", "parameter"],
+    ids=[
+        "underscore", "not-identifier", "builtin", "state-assigned", "unbound", "parameter",
+        "assigned-twice", "read-before-assigned", "augmented-unassigned",
+    ],
 )
 def test_system_source_is_checked(names, derivatives, lines, match):
     system = rk45.System(names, derivatives, lines, {"D": -0.5})
@@ -473,26 +506,12 @@ def test_system_source_is_checked(names, derivatives, lines, match):
         solve_ivp(system, (0.0, 1.0), [1.0, 0.0])
 
 
-@pytest.mark.parametrize(
-    "invariants, match",
-    [(("k = 2.0 * u",), "unbound names \\['u'\\]"), (("c = 2.0",), "bound twice"), (("v = 2.0",), "bound twice")],
-    ids=["reads-state", "rebinds-parameter", "rebinds-state"],
-)
-def test_invariants_are_checked(invariants, match):
-    """Invariants run once per solve, so they read only the parameters."""
-    system = rk45.System(("u", "v"), ("v", "-c * u"), (), {"c": 1.0}, invariants)
-    with pytest.raises(ValueError, match=match):
-        system(0.0, [1.0, 0.0])
-    with pytest.raises(ValueError, match=match):
-        solve_ivp(system, (0.0, 1.0), [1.0, 0.0])
-
-
-@pytest.mark.parametrize("names", [("c", "v"), ("u", "k")], ids=["parameter", "invariant"])
+@pytest.mark.parametrize("names", [("c", "v"), ("v", "c")], ids=["first", "second"])
 def test_event_names_keep_the_systems_bindings(names):
     """An event written into the loop binds its names there, so it may not
-    name a parameter or an invariant of the System."""
-    system = rk45.System(("u", "v"), ("v", "-c * k * u"), (), {"c": 1.0}, ("k = 1.0",))
-    with pytest.raises(ValueError, match="rebind a parameter or an invariant"):
+    name a parameter of the System."""
+    system = rk45.System(("u", "v"), ("v", "-c * u"), (), {"c": 1.0})
+    with pytest.raises(ValueError, match="rebind a parameter"):
         solve_ivp(system, (0.0, 1.0), [1.0, 0.0], events=[rk45.Event(names[0], names)])
 
 
@@ -619,14 +638,16 @@ def reference_events(system, events, t_span, y0, kw, seen):
 
 
 def random_system(rng):
-    """A damped oscillator with a quadratic drive (a statement), an
-    invariant and a third component that drifts with x."""
+    """A damped oscillator with a quadratic drive (a statement), a
+    parameter computed from another and a third component that drifts
+    with x."""
+    w = rng.uniform(0.5, 2.0)
+    params = {"w": w, "c": rng.uniform(-0.03, 0.08), "e": rng.uniform(0.0, 0.2), "b": rng.uniform(-0.2, 0.2)}
     return rk45.System(
         ("x", "p", "u"),
         ("w * p - c * x + drive", "-w * x - c * p - half_w * drive", "x + b"),
         ("drive = e * x * p",),
-        {"w": rng.uniform(0.5, 2.0), "c": rng.uniform(-0.03, 0.08), "e": rng.uniform(0.0, 0.2), "b": rng.uniform(-0.2, 0.2)},
-        ("half_w = 0.5 * w",),
+        {**params, "half_w": 0.5 * w},
     )
 
 
