@@ -47,20 +47,20 @@ source, and named parameters) and events given as `Event`s (an
 expression, ``terminal`` and ``direction``) are written straight into the
 loop; the parameters are the loop's arguments, so one compile serves
 every parameter value, and a term of the parameters alone passed as a
-parameter is computed once per solve.  A plain callable is called from the same template.  A
-System and an Event stay callable, compiled from the same source, for
-scipy and the tests.  The written-out expressions are the sums over the
-components' lists, in the same order and grouping
+parameter is computed once per solve.  A plain callable is called from
+the same template.  A System and an Event stay callable, compiled from
+the same source, for scipy and the tests.  The written-out expressions
+are the sums over the components' lists, in the same order and grouping
 (``y + (k1*a1 + ... + kj*aj)*h``, ``y + h*(k1*b1 + ... + k6*b6)``, each
 norm's squared terms added to 0.0 in component order), min and max are
 written as the comparisons they make, and Python floats are IEEE doubles
 that never fuse a multiply and an add, so no bit changes: a System's solve
 is the solve of the callable compiled from its source.  An event that
 changes sign over a step is located in the loop too: `_BRENT`, `_brentq`
-line by line with one site that evaluates the event, runs on the step's
-quartic dense output, written out with the operations of scipy's
-``RkDenseOutput``, and a terminal event ends the solve at the dense
-output of its root.  On the 35 default-grid Loud
+line by line with one site that evaluates the event, one copy for all the
+loop's events, runs on the step's quartic dense output, written out with
+the operations of scipy's ``RkDenseOutput``, and a terminal event ends
+the solve at the dense output of its root.  On the 35 default-grid Loud
 periods (70 solves, 7,637 steps) a step costs 3.0-5.8 µs on a 2-core
 x86-64 host whose speed drifts, everything included (the set-up of each
 solve and the event roots), and scipy's solve_ivp takes about 18 times as
@@ -263,10 +263,10 @@ def _solve(_fun, _events, _t, _t_bound, _y, _h_abs, _atol, _rtol, _direction{par
             return Solution(0, _MESSAGES[0], _t, [{y}], _t_events, _nfev)
 """
 
-# An event's root over the step from _t to _t_new: `_brentq` at
+# The root of event _i over the step from _t to _t_new: `_brentq` at
 # xtol = rtol = 4 EPS, line by line, setting _root.  The "@value" line
-# stands for the source that sets _fx to the event's value at time _x on
-# the step's dense output, and raises on a NaN; its first two passes take
+# stands for the source that sets _fx to the value of event _i at time _x
+# on the step's dense output, and raises on a NaN; its first two passes take
 # the values at the ends of the step, and each pass after them is one of
 # `_brentq`'s iterations.
 _BRENT = f"""\
