@@ -213,6 +213,8 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
 
     if kind == "orbit":
         uspec = _unfolding_spec(spec, fam, branch, nd)
+        if uspec.U.is_zero():
+            raise ValueError("U is zero: the orbit is 0, so verify has nothing to check")
         res = _apply_overrides(expansion.coefficients(uspec, ell), spec)
         eps, lam = uspec.eps, float(uspec.lam)
         evaluate = lambda grid: oracle.particular_solution(uspec, x0, grid)
@@ -232,6 +234,8 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
             y0=_number(spec, "y0", 1.0),
             x0=x0,
         )
+        if all(mode.is_zero() for mode in ts.modes):
+            raise ValueError("modes are all zero: the passage time is 0, so verify has nothing to check")
         res = _apply_overrides(expansion.dulac_time_coefficients(ts, ell), spec)
         eps, lam = ts.eps, 1.0
         evaluate = lambda grid: oracle.dulac_time(ts, grid)
@@ -319,9 +323,9 @@ def cmd_loud(spec: dict, out_dir: Path) -> int:
     D_grid, F, s_grid = _loud_conf(spec)
 
     gamma_self_test = {
-        "gamma(1)": loud.gamma(1.0),
-        "gamma(5)": loud.gamma(5.0),
-        "gamma(0.5)^2/pi": loud.gamma(0.5) ** 2 / np.pi,
+        "gamma(1)": math.gamma(1.0),
+        "gamma(5)": math.gamma(5.0),
+        "gamma(0.5)^2/pi": math.gamma(0.5) ** 2 / np.pi,
     }
     c1_table = []
     for D in D_grid:

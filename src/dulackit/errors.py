@@ -97,10 +97,6 @@ class NegativeG(DulacKitError):
     """Normal coordinates need g(z,w) > 0."""
 
 
-class PoleAtNonPositiveInteger(DulacKitError):
-    """Gamma function evaluated at a pole."""
-
-
 class EscapedAnnulus(DulacKitError):
     """Orbit left the period annulus; the starting point was invalid."""
 

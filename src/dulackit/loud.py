@@ -26,8 +26,8 @@ integration to ~1e-11.
 
 Every chart is integrated by `rk45.solve_ivp`, scipy's RK45 stepped in
 Python floats (its tableau written out as fractions, its event roots found
-by a port of scipy's brentq, so neither this module nor rk45 imports
-scipy).  Each chart's field is an `rk45.System` and each event an
+by scipy's brentq written into the loop, so neither this module nor rk45
+imports scipy).  Each chart's field is an `rk45.System` and each event an
 `rk45.Event`: source that rk45 writes into one generated solve loop per
 chart, compiled on first use, with D and F and the charts' parameter-only
 terms as the loop's arguments, computed once per solve.  The sources keep
@@ -68,7 +68,6 @@ from .errors import (
     NegativeG,
     OnSection,
     OutsideAtlas,
-    PoleAtNonPositiveInteger,
 )
 from .expansion import DulacTimeSpec, UnfoldingSpec
 from .family import PolynomialFamily, PuiseuxBranch, biggest_real_root_branch
@@ -80,6 +79,7 @@ _Z_SWITCH = 6.0
 _TIME_BUDGET = 200.0
 _RTOL = 1e-11  # relative tolerance of every period integration
 _NEAR_ZERO_FRACTION = 0.05  # of the largest |dP/ds| over the D grid
+_N_MODES = 24  # Taylor modes of the time-form factor in y
 
 
 @dataclass(frozen=True)
@@ -247,17 +247,18 @@ class ModeExpansion:
     r: float
 
 
-def loud_modes(p: LoudParams, order: int, n_modes: int = 24) -> ModeExpansion:
-    """Taylor modes of the time-form factor against powers of y, with a
-    geometric decay certificate (C, r) estimated from the norm ratios."""
+def loud_modes(p: LoudParams, order: int) -> ModeExpansion:
+    """The first `_N_MODES` Taylor modes of the time-form factor against
+    powers of y, with a geometric decay certificate (C, r) estimated from
+    the norm ratios."""
     D, F = p.D, p.F
     b0 = -D / 2
     b1 = (2 * D + 1) / (2 * (2 * F - 1))
     b2 = -(D + 1) / (4 * F)
-    per_y = [[0.0] * (order + 1) for _ in range(n_modes)]
+    per_y = [[0.0] * (order + 1) for _ in range(_N_MODES)]
     # (b0 + b1 x y + b2 y^2)^(-1/2) = b0^(-1/2) sum_k binom(-1/2, k) t^k
     coef = 1.0
-    for k in range(n_modes):
+    for k in range(_N_MODES):
         if k > 0:
             coef *= -(0.5 + (k - 1)) / k  # binom(-1/2, k) ratio
         bc = 1.0
@@ -267,7 +268,7 @@ def loud_modes(p: LoudParams, order: int, n_modes: int = 24) -> ModeExpansion:
                 bc = 1.0
             else:
                 bc = bc * (j + 1) / (k - j)
-            if ypow < n_modes and j <= order:
+            if ypow < _N_MODES and j <= order:
                 per_y[ypow][j] += coef * bc * (b1 / b0) ** j * (b2 / b0) ** (k - j)
     scale = b0**-0.5
     modes = tuple(
@@ -331,41 +332,8 @@ def dulac_map_node(p: LoudParams, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# gamma and the explicit first-order coefficient
+# the explicit first-order coefficient
 # ---------------------------------------------------------------------------
-
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEFFS = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
-def gamma(x: float) -> float:
-    """Lanczos approximation (g = 607/128, 15 terms), reflected for x < 1/2."""
-    if x <= 0 and x == math.floor(x):
-        raise PoleAtNonPositiveInteger(f"gamma has a pole at {x:g}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[k] / (x + k)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
 
 
 def c1_hat(p: LoudParams) -> float:
@@ -377,8 +345,8 @@ def c1_hat(p: LoudParams) -> float:
         math.sqrt(math.pi)
         * (2 * D + 1)
         / math.sqrt(F * (D + 1) ** 3)
-        * gamma((3 * F - 1) / (2 * F))
-        / gamma((4 * F - 1) / (2 * F))
+        * math.gamma((3 * F - 1) / (2 * F))
+        / math.gamma((4 * F - 1) / (2 * F))
     )
 
 

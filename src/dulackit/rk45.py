@@ -17,13 +17,12 @@ steps and the events:
 
 The module imports nothing from scipy, so the Loud period sweep runs
 without loading it.  The solve loop finds event roots with a root search
-written into it (`_BRENT`).  `_brentq`, which no solve calls, is kept as
-the reference the tests hold that search to: a line-by-line port of
-scipy's ``brentq`` (the C routine ``brentq.c``, Brent's method in the form
-of R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973,
-ch. 4, behind scipy's wrapper that raises on a NaN value), it evaluates
-the function at the same points as ``scipy.optimize.brentq`` and returns
-its root bit for bit.
+written into it (`_BRENT`): scipy's ``brentq`` line by line (the C routine
+``brentq.c``, Brent's method in the form of R. P. Brent, *Algorithms for
+Minimization without Derivatives*, 1973, ch. 4, behind scipy's wrapper
+that raises on a NaN value), so it evaluates the event at the points where
+``scipy.optimize.brentq`` does and returns its root bit for bit.  The
+tests hold it to scipy's brentq.
 
 Each sum is formed in numpy's order (the stages times their weights, then
 times h), so solutions agree with scipy's to rounding in the last bits:
@@ -56,11 +55,11 @@ norm's squared terms added to 0.0 in component order), min and max are
 written as the comparisons they make, and Python floats are IEEE doubles
 that never fuse a multiply and an add, so no bit changes: a System's solve
 is the solve of the callable compiled from its source.  An event that
-changes sign over a step is located in the loop too: `_BRENT`, `_brentq`
-line by line with one site that evaluates the event, one copy for all the
-loop's events, runs on the step's quartic dense output, written out with
-the operations of scipy's ``RkDenseOutput``, and a terminal event ends
-the solve at the dense output of its root.  On the 35 default-grid Loud
+changes sign over a step is located in the loop too: `_BRENT`, with one
+site that evaluates the event, one copy for all the loop's events, runs
+on the step's quartic dense output, written out with the operations of
+scipy's ``RkDenseOutput``, and a terminal event ends the solve at the
+dense output of its root.  On the 35 default-grid Loud
 periods (70 solves, 7,637 steps) a step costs 3.0-5.8 µs on a 2-core
 x86-64 host whose speed drifts, everything included (the set-up of each
 solve and the event roots), and scipy's solve_ivp takes about 18 times as
@@ -135,72 +134,11 @@ class Solution:
     nfev: int
 
 
+# scipy's brentq: its messages and its default iteration limit
 _NAN_VALUE = "The function value at x={} is NaN; solver cannot continue."
 _SAME_SIGNS = "f(a) and f(b) must have different signs"
 _NO_CONVERGENCE = "Failed to converge after {} iterations."
-_MAXITER = 100  # of an event's root search
-
-
-def _brentq(f, a, b, xtol, rtol, maxiter=_MAXITER) -> float:
-    """A root of f in [a, b] by Brent's method, as ``scipy.optimize.brentq``
-    finds it: a line-by-line port of scipy's ``brentq.c`` (Brent 1973, ch. 4),
-    behind scipy's wrapper that raises ValueError on a NaN value of f.  It
-    raises ValueError if f(a) and f(b) have the same sign and RuntimeError
-    after maxiter iterations, with scipy's messages.  The tolerances are the
-    caller's to choose: scipy's checks on them are not repeated.  The solve
-    loop writes the same search in (`_BRENT`) and calls no `_brentq`: this
-    function stays as the reference the tests hold that search to."""
-
-    def f_raise(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(_NAN_VALUE.format(x))
-        return fx
-
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre = f_raise(xpre)
-    fcur = f_raise(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError(_SAME_SIGNS)
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f_raise(xcur)
-    raise RuntimeError(_NO_CONVERGENCE.format(maxiter))
+_MAXITER = 100
 
 
 # The solve loop: scipy's RK45.__init__ (the first evaluations and
@@ -263,12 +201,12 @@ def _solve(_fun, _events, _t, _t_bound, _y, _h_abs, _atol, _rtol, _direction{par
             return Solution(0, _MESSAGES[0], _t, [{y}], _t_events, _nfev)
 """
 
-# The root of event _i over the step from _t to _t_new: `_brentq` at
+# The root of event _i over the step from _t to _t_new: scipy's brentq at
 # xtol = rtol = 4 EPS, line by line, setting _root.  The "@value" line
 # stands for the source that sets _fx to the value of event _i at time _x
 # on the step's dense output, and raises on a NaN; its first two passes take
 # the values at the ends of the step, and each pass after them is one of
-# `_brentq`'s iterations.
+# brentq's iterations.
 _BRENT = f"""\
 _xpre, _xcur = _t, _t_new
 _xblk = _fblk = _spre = _scur = 0.0

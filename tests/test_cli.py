@@ -425,7 +425,8 @@ class TestLoud:
         assert rows[-0.75]["coherent"] and rows[-0.25]["coherent"]
         for entry in data["c1_limit_table"]:
             assert abs(entry["c1_hat"] - entry["limit"]) <= 1e-2
-        assert data["gamma_self_test"]["gamma(5)"] == pytest.approx(24.0, rel=1e-12)
+        gamma = data["gamma_self_test"]
+        assert gamma["gamma(1)"] == 1.0 and gamma["gamma(5)"] == 24.0
         assert (tmp_path / "o" / "period_samples.csv").exists()
 
     @pytest.mark.parametrize("D_grid", [[-0.75, -0.25], [-0.75]], ids=["two-sided", "one-value"])
@@ -639,6 +640,8 @@ class TestBadSpecs:
             ("verify", {"kind": "dulac_time", "modes": [["1"], ["0"], ["0", "y"]]}, "modes[2][1]: "),
             ("check", {"family": {"mu": 1, "terms": LINEAR_FAMILY["terms"][1:]}},
              "family: degree in x is 1, expected mu+1=2"),
+            ("verify", {"U": ["0", "0.0", "0/3"]}, "U is zero"),
+            ("verify", {"kind": "dulac_time", "modes": [["0"], ["0", "0.0"]]}, "modes are all zero"),
         ],
         ids=[
             "family-number", "terms-number", "term-number", "V-number", "U-number",
@@ -650,6 +653,7 @@ class TestBadSpecs:
             "ell-fraction", "ell-boolean", "ell-past-index", "ell-1e308", "sign-boolean",
             "term-eps-fraction", "expand-term-eps-fraction", "term-x-negative",
             "term-eps-negative", "V-entry", "U-entry", "V-empty", "mode-entry", "term-deleted",
+            "U-zero", "modes-zero",
         ],
     )
     def test_field_named(self, tmp_path, capsys, command, changes, field):
@@ -657,6 +661,15 @@ class TestBadSpecs:
         obj.update(changes)
         err = self.run(tmp_path, capsys, command, obj)
         assert field in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_orbit_without_u(self, tmp_path, capsys):
+        """U defaults to zero, and an orbit with no forcing is 0, as is its
+        expansion: a verify would pass checking nothing."""
+        obj = TestVerify().base()
+        del obj["U"]
+        err = self.run(tmp_path, capsys, "verify", obj)
+        assert err == "bad spec: U is zero: the orbit is 0, so verify has nothing to check\n"
         assert not (tmp_path / "o").exists()
 
     def test_empty_modes(self, tmp_path, capsys):

@@ -10,7 +10,6 @@ from dulackit.errors import (
     BranchCut,
     NegativeG,
     OnSection,
-    PoleAtNonPositiveInteger,
 )
 from dulackit.loud import (
     LoudParams,
@@ -22,7 +21,6 @@ from dulackit.loud import (
     dulac_map_node,
     first_integral,
     g_poly,
-    gamma,
     loud_modes,
     loud_rhs,
     normal_coordinates,
@@ -149,13 +147,13 @@ class TestModes:
         assert all(abs(c) < 1e-15 for c in me.modes[1].coeffs)
 
     def test_mode_sum_matches_closed_form(self):
-        me = loud_modes(P_REF, order=10, n_modes=30)
+        me = loud_modes(P_REF, order=10)
         x, y = 0.3, 0.15
         approx = sum(float(me.modes[n](x)) * y**n for n in range(len(me.modes)))
         assert approx == pytest.approx(ua(x, y, P_REF), abs=1e-10)
 
     def test_certificate_bounds_norms(self):
-        me = loud_modes(P_REF, order=10, n_modes=30)
+        me = loud_modes(P_REF, order=10)
         for n, m in enumerate(me.modes, start=1):
             assert float(m.norm_ell1()) <= me.C * me.r**n * (1 + 1e-12)
 
@@ -165,28 +163,6 @@ class TestModes:
         assert me.r * y0 < 1.0
         tail = sum(float(m.norm_ell1()) * y0**n for n, m in enumerate(me.modes, start=1))
         assert tail < math.inf
-
-
-class TestGamma:
-    def test_exact_values(self):
-        assert gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert gamma(5.0) == pytest.approx(24.0, rel=1e-14)
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-    def test_against_stdlib(self):
-        grid = [0.5 + 0.25 * k for k in range(39)]  # 0.5 .. 10
-        for x in grid:
-            assert abs(gamma(x) / math.gamma(x) - 1) <= 1e-12
-
-    def test_reflection(self):
-        for x in (-0.5, -1.3, 0.2):
-            assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
-
-    def test_pole(self):
-        with pytest.raises(PoleAtNonPositiveInteger):
-            gamma(0.0)
-        with pytest.raises(PoleAtNonPositiveInteger):
-            gamma(-3.0)
 
 
 class TestC1Hat:

@@ -15,7 +15,7 @@ import scipy.optimize
 
 from dulackit import loud, rk45
 from dulackit.errors import EventMissed
-from dulackit.rk45 import _brentq, solve_ivp
+from dulackit.rk45 import solve_ivp
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
@@ -165,59 +165,57 @@ def _polynomial_brackets(seed, count):
     return out
 
 
-@pytest.mark.parametrize("xtol, rtol", [(4 * rk45._EPS, 4 * rk45._EPS), (1e-12, 4 * rk45._EPS)])
-def test_brentq_is_scipys(xtol, rtol):
-    """The port finds scipy's root, by ==, after the same evaluations."""
-    for f, a, b in _polynomial_brackets(seed=15, count=400):
-        port, ref = [], []
-        root = _brentq(lambda x: (port.append(x), f(x))[1], a, b, xtol, rtol)
-        want = scipy.optimize.brentq(lambda x: (ref.append(x), f(x))[1], a, b, xtol=xtol, rtol=rtol)
-        assert root == want and port == ref
+def _template_search():
+    """`_BRENT` as a function search(f, a, b), its value line a call of f
+    that raises on a NaN, as the solve loop's value lines do."""
+    value = ["_fx = _f(_x)", "if math.isnan(_fx):", "    raise ValueError(_NAN_VALUE.format(_x))"]
+    body = "".join(f"    {line}\n" for line in rk45._brent(value))
+    namespace = {}
+    exec(f"def _search(_f, _t, _t_new):\n{body}    return _root\n", vars(rk45), namespace)
+    return namespace["_search"]
 
 
-@pytest.mark.parametrize(
-    "f, a, b, maxiter, error",
-    [
-        (lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, 100, ValueError),
-        (lambda x: x * x + 1.0, 0.0, 1.0, 100, ValueError),
-        (lambda x: math.exp(x) - 2.0, -5.0, 30.0, 3, RuntimeError),
-    ],
-    ids=["nan", "same-signs", "maxiter"],
-)
-def test_brentq_fails_as_scipy_does(f, a, b, maxiter, error):
+def _searched(search, f, a, b):
+    """The root search's outcome, its root or its error, and the points
+    where it evaluated f."""
+    points = []
+    try:
+        return search(lambda x: (points.append(x), f(x))[1], a, b), points
+    except (ValueError, RuntimeError) as error:
+        return (type(error), str(error)), points
+
+
+def _scipy_brentq(f, a, b):
     tol = 4 * rk45._EPS
-    with pytest.raises(error) as ref:
-        scipy.optimize.brentq(f, a, b, xtol=tol, rtol=tol, maxiter=maxiter)
-    with pytest.raises(error) as port:
-        _brentq(f, a, b, tol, tol, maxiter)
-    assert str(port.value) == str(ref.value)
+    return scipy.optimize.brentq(f, a, b, xtol=tol, rtol=tol)
 
 
 def test_root_search_template_is_brentq():
-    """`_BRENT`, its value line a call of f, evaluates f where `_brentq`
-    does and returns its root or raises its error: on brackets either way
-    round, a zero at either end, a NaN value and ends of one sign."""
-    value = ["_fx = _f(_x)", "if math.isnan(_fx):", "    raise ValueError(_NAN_VALUE.format(_x))"]
-    namespace = {}
-    body = "".join(f"    {line}\n" for line in rk45._brent(value))
-    exec(f"def _search(_f, _t, _t_new):\n{body}    return _root\n", vars(rk45), namespace)
-    tol = 4 * rk45._EPS
-    cases = [case for f, a, b in _polynomial_brackets(seed=16, count=200) for case in [(f, a, b), (f, b, a)]]
-    cases += [
-        (lambda x: x - 0.5, 0.5, 1.0),
-        (lambda x: x - 1.0, 0.5, 1.0),
+    """`_BRENT` evaluates f where scipy's brentq at xtol = rtol = 4 EPS
+    does and returns its root, by ==: on 400 seeded brackets taken either
+    way round and on a zero at either end."""
+    search = _template_search()
+    cases = [case for f, a, b in _polynomial_brackets(seed=15, count=400) for case in [(f, a, b), (f, b, a)]]
+    cases += [(lambda x: x - 0.5, 0.5, 1.0), (lambda x: x - 1.0, 0.5, 1.0)]
+    for f, a, b in cases:
+        assert _searched(search, f, a, b) == _searched(_scipy_brentq, f, a, b)
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
         (lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0),
         (lambda x: x * x + 1.0, 0.0, 1.0),
-    ]
-    for f, a, b in cases:
-        outcomes = []
-        for search in (namespace["_search"], lambda g, a, b: _brentq(g, a, b, tol, tol)):
-            points = []
-            try:
-                outcomes.append((search(lambda x: (points.append(x), f(x))[1], a, b), points))
-            except ValueError as error:
-                outcomes.append((str(error), points))
-        assert outcomes[0] == outcomes[1]
+        # a step: each iteration halves the bracket, 100 of them are too few
+        (lambda x: 1.0 if x > 0.3 else -1.0, -1e300, 1e300),
+    ],
+    ids=["nan", "same-signs", "maxiter"],
+)
+def test_brentq_fails_as_scipy_does(f, a, b):
+    """`_BRENT` raises scipy's error with scipy's message, after the same
+    evaluations."""
+    outcome = _searched(_template_search(), f, a, b)
+    assert isinstance(outcome[0], tuple) and outcome == _searched(_scipy_brentq, f, a, b)
 
 
 def _oscillator(t, y):
@@ -596,11 +594,11 @@ def accepted_steps(log, skip):
 
 def reference_events(system, events, t_span, y0, kw, seen):
     """t_events and the terminal (t, y), or None, found as scipy finds
-    them: on each accepted step the sign test, then `_brentq` on the
-    step's dense output, each root equal to scipy's brentq's, recorded in
-    the order of time up to the first terminal one.  The steps come from a
-    solve of the System as a callable, which must equal its written-in
-    solve; seen collects what the hits covered."""
+    them: on each accepted step the sign test, then scipy's brentq on the
+    step's dense output, the roots recorded in the order of time up to the
+    first terminal one.  The steps come from a solve of the System as a
+    callable, which must equal its written-in solve; seen collects what the
+    hits covered."""
     log = []
 
     def logged(t, y):
@@ -609,7 +607,6 @@ def reference_events(system, events, t_span, y0, kw, seen):
         return f
 
     called = solve_ivp(logged, t_span, y0, events=[plain(ev) for ev in events], **kw)
-    tol = 4 * rk45._EPS
     t_events = [[] for _ in events]
     direction = 1.0 if t_span[1] > t_span[0] else -1.0
     for t_old, t_new, y_old, y_new, K in accepted_steps(log, 1 if kw.get("first_step") else 2):
@@ -619,9 +616,7 @@ def reference_events(system, events, t_span, y0, kw, seen):
             g, b = ev(t_old, y_old), ev(t_new, y_new)
             d = getattr(ev, "direction", 0.0)
             if (d >= 0 and g <= 0 <= b) or (d <= 0 and g >= 0 >= b):
-                value = lambda x, ev=ev: ev(x, sol(x))
-                root = rk45._brentq(value, t_old, t_new, tol, tol)
-                assert root == scipy.optimize.brentq(value, t_old, t_new, xtol=tol, rtol=tol)
+                root = _scipy_brentq(lambda x, ev=ev: ev(x, sol(x)), t_old, t_new)
                 roots.append((root, i))
                 seen.add("rise" if b > g else "fall")
                 seen.add(("direction", d))
@@ -670,9 +665,9 @@ def random_events(rng, names):
 @pytest.mark.parametrize("seed", range(4))
 def test_written_in_roots_are_brentqs(seed):
     """On seeded random Systems, forward and backward, the written-in event
-    roots and the terminal state equal, by ==, `_brentq` (and scipy's
-    brentq) on the reference dense output of the same step, and the System
-    as a callable gives the same solve."""
+    roots and the terminal state equal, by ==, scipy's brentq on the
+    reference dense output of the same step, and the System as a callable
+    gives the same solve."""
     rng = random.Random(seed)
     seen = set()
     for _ in range(12):
