@@ -201,8 +201,9 @@ def _solve(_fun, _events, _t, _t_bound, _y, _h_abs, _atol, _rtol, _direction{par
             return Solution(0, _MESSAGES[0], _t, [{y}], _t_events, _nfev)
 """
 
-# The root of event _i over the step from _t to _t_new: scipy's brentq at
-# xtol = rtol = 4 EPS, line by line, setting _root.  The "@value" line
+# The root of event _i over the step from _t to _t_new: scipy's brentq,
+# line by line, setting _root; "@xtol" and "@rtol" stand for its
+# tolerances (the solve loop's are xtol = rtol = 4 EPS).  The "@value" line
 # stands for the source that sets _fx to the value of event _i at time _x
 # on the step's dense output, and raises on a NaN; its first two passes take
 # the values at the ends of the step, and each pass after them is one of
@@ -236,7 +237,7 @@ while True:
     if abs(_fblk) < abs(_fcur):
         _xpre, _xcur, _xblk = _xcur, _xblk, _xcur
         _fpre, _fcur, _fblk = _fcur, _fblk, _fcur
-    _delta = ({4 * _EPS!r} + {4 * _EPS!r} * abs(_xcur)) / 2
+    _delta = (@xtol + @rtol * abs(_xcur)) / 2
     _sbis = (_xblk - _xcur) / 2
     if _fcur == 0 or abs(_sbis) < _delta:
         _root = _xcur
@@ -401,9 +402,11 @@ def _indent(lines, depth: int = 1) -> list:
     return ["    " * depth + line for line in lines]
 
 
-def _brent(value: list) -> list:
-    """`_BRENT` with its "@value" line replaced by the source ``value``."""
-    head, tail = _BRENT.split("    @value\n")
+def _brent(value: list, xtol: float = 4 * _EPS, rtol: float = 4 * _EPS) -> list:
+    """`_BRENT` with its "@value" line replaced by the source ``value`` and
+    its tolerances by ``xtol`` and ``rtol``."""
+    source = _BRENT.replace("@xtol", repr(xtol)).replace("@rtol", repr(rtol))
+    head, tail = source.split("    @value\n")
     return [*head.splitlines(), *_indent(value), *tail.splitlines()]
 
 

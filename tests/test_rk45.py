@@ -165,11 +165,11 @@ def _polynomial_brackets(seed, count):
     return out
 
 
-def _template_search():
+def _template_search(xtol=4 * rk45._EPS, rtol=4 * rk45._EPS):
     """`_BRENT` as a function search(f, a, b), its value line a call of f
     that raises on a NaN, as the solve loop's value lines do."""
     value = ["_fx = _f(_x)", "if math.isnan(_fx):", "    raise ValueError(_NAN_VALUE.format(_x))"]
-    body = "".join(f"    {line}\n" for line in rk45._brent(value))
+    body = "".join(f"    {line}\n" for line in rk45._brent(value, xtol, rtol))
     namespace = {}
     exec(f"def _search(_f, _t, _t_new):\n{body}    return _root\n", vars(rk45), namespace)
     return namespace["_search"]
@@ -185,17 +185,28 @@ def _searched(search, f, a, b):
         return (type(error), str(error)), points
 
 
-def _scipy_brentq(f, a, b):
-    tol = 4 * rk45._EPS
-    return scipy.optimize.brentq(f, a, b, xtol=tol, rtol=tol)
+def _scipy_brentq(f, a, b, xtol=4 * rk45._EPS, rtol=4 * rk45._EPS):
+    return scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+
+@pytest.mark.parametrize("xtol, rtol", [(4 * rk45._EPS, 4 * rk45._EPS), (1e-12, 4 * rk45._EPS)])
+def test_brentq_is_scipys(xtol, rtol):
+    """`_BRENT` at the given tolerances evaluates f where scipy's brentq
+    does and returns its root, by ==, on 400 seeded brackets taken either
+    way round."""
+    search = _template_search(xtol, rtol)
+    for f, a, b in _polynomial_brackets(seed=15, count=400):
+        for case in [(f, a, b), (f, b, a)]:
+            assert _searched(search, *case) == _searched(lambda *c: _scipy_brentq(*c, xtol, rtol), *case)
 
 
 def test_root_search_template_is_brentq():
-    """`_BRENT` evaluates f where scipy's brentq at xtol = rtol = 4 EPS
-    does and returns its root, by ==: on 400 seeded brackets taken either
-    way round and on a zero at either end."""
+    """`_BRENT` as the solve loop fills it, at xtol = rtol = 4 EPS,
+    evaluates f where scipy's brentq does and returns its root, by ==: on
+    200 more seeded brackets taken either way round and on a zero at
+    either end."""
     search = _template_search()
-    cases = [case for f, a, b in _polynomial_brackets(seed=15, count=400) for case in [(f, a, b), (f, b, a)]]
+    cases = [case for f, a, b in _polynomial_brackets(seed=16, count=200) for case in [(f, a, b), (f, b, a)]]
     cases += [(lambda x: x - 0.5, 0.5, 1.0), (lambda x: x - 1.0, 0.5, 1.0)]
     for f, a, b in cases:
         assert _searched(search, f, a, b) == _searched(_scipy_brentq, f, a, b)
