@@ -185,15 +185,17 @@ _S_GRID_MAX_N = 10**6
 
 def _s_grid(spec: dict, ell: int, k: int):
     """The log grid of s, long enough for k scale derivatives
-    (expansion.check_grid_length) and at most _S_GRID_MAX_N points;
+    (oracle.check_grid_length) and at most _S_GRID_MAX_N points;
     h = (value - S_ell) / s^ell needs s^ell > 0 at the smallest s."""
+    from . import oracle  # only verify reads a grid; it has loaded scipy already
+
     g = _object(spec.get("s_grid", {}), "s_grid")
     lo = _float(g.get("min", 1e-3), "s_grid.min")
     hi = _float(g.get("max", 1e-1), "s_grid.max")
     n = _json_int(g.get("n", 25), "s_grid.n")
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"s_grid needs 0 < min < max < inf, got min = {lo!r}, max = {hi!r}")
-    expansion.check_grid_length(n, k)
+    oracle.check_grid_length(n, k)
     if n > _S_GRID_MAX_N:
         raise ValueError(f"s_grid.n = {n} is above {_S_GRID_MAX_N}")
     if not min(lo, 1.0) ** ell > 0:
@@ -236,6 +238,8 @@ def cmd_verify(spec: dict, out_dir: Path) -> int:
         )
         if all(mode.is_zero() for mode in ts.modes):
             raise ValueError("modes are all zero: the passage time is 0, so verify has nothing to check")
+        if ts.y0 == 0:
+            raise ValueError("y0 is 0: it scales every mode to 0, so verify has nothing to check")
         res = _apply_overrides(expansion.dulac_time_coefficients(ts, ell), spec)
         eps, lam = ts.eps, 1.0
         evaluate = lambda grid: oracle.dulac_time(ts, grid)

@@ -66,7 +66,8 @@ class ContinuityViolation(DulacKitError):
 
 
 class TailUnbounded(DulacKitError):
-    """Mode summation has no decay certificate and the mode list is not finite."""
+    """A decay estimate (C, r) whose r*y0 is not in (0, 1): the tail of
+    the modes left out has no geometric estimate."""
 
 
 # --- oracle -----------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Series coefficients of orbits arriving at the unfolded node, the
-two-sided gluing, and the mode summation for passage times.
+two-sided gluing, and passage-time coefficients summed over the modes given.
 
 At a fixed parameter point the shifted data
 
@@ -31,7 +31,6 @@ the tests check that both constructions give equal coefficients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -49,8 +48,6 @@ VB_S0 = 0.1
 VB_EPS_MAX = 0.1
 VB_N_EPS = 16
 VB_N_S = 33
-MAX_MODES = 400
-MODE_TAIL_TOL = 1e-8  # mode summation stops once its tail estimate is below
 GLUE_TOL = 1e-8  # largest jump of a coefficient across eps = 0
 
 
@@ -133,14 +130,6 @@ class ExpansionResult:
 
 
 EMPTY_SUM = ExpansionResult(c=(), ell=-1)
-
-
-def check_grid_length(n: int, k: int) -> None:
-    """Raise ValueError unless an s grid of n points is long enough for the
-    flatness report's k scale derivatives (oracle.flatness_report): they use
-    up 4k of its points (two per side each) and need 5 more."""
-    if n < 4 * k + 5:
-        raise ValueError(f"s_grid n = {n} is below 4k + 5 = {4 * k + 5} for k = {k}")
 
 
 def shifted_data(spec: UnfoldingSpec, order: int):
@@ -374,41 +363,30 @@ class DulacTimeSpec:
     """Data of the time form: the polar-factor field with a planar function
     U(x, y) decomposed into modes U_n(x) against y^(n-1).
 
-    Either a finite tuple of modes or a generator with a geometric decay
-    certificate (C, r): ||U_n|| <= C r^n.  The trajectory enters the node
+    `modes` holds U_1..U_N, at least one.  With a decay estimate (C, r),
+    ||U_n|| <= C r^n, they are the first N modes of a longer decomposition;
+    without one they are the whole of U.  The trajectory enters the node
     section at height y0 and the time is read off up to the section x = x0."""
 
     family: PolynomialFamily
     branch: PuiseuxBranch
     V: TruncatedSeries  # unnormalized, V(0) > 0
     eps: object
-    modes: tuple | None = None
-    modes_fn: Callable[[int], TruncatedSeries] | None = None
+    modes: tuple
     ua_fn: Callable[[float, float], float] | None = None
     decay: tuple | None = None  # (C, r)
     y0: float = 1.0
     x0: float = 1.0
 
     def __post_init__(self):
-        if not self.modes and self.modes_fn is None:
-            raise ValueError("need at least one mode, or modes_fn")
+        if not self.modes:
+            raise ValueError("modes is empty: need at least one mode")
         if not self.V.coeffs[0] > 0:
             raise NonUnitV("V(0) must be positive")
-
-    def mode(self, n: int) -> TruncatedSeries:
-        """U_n (1-based), the coefficient of y^(n-1)."""
-        if self.modes is not None:
-            return self.modes[n - 1]
-        return self.modes_fn(n)
-
-    def n_modes(self) -> int | None:
-        return len(self.modes) if self.modes is not None else None
 
     def ua(self, x: float, y: float) -> float:
         if self.ua_fn is not None:
             return self.ua_fn(x, y)
-        if self.modes is None:
-            raise ValueError("evaluating U(x, y) needs ua_fn or a finite mode list")
         exact = type(x) is not float
         acc = 0.0
         yp = 1.0
@@ -419,18 +397,15 @@ class DulacTimeSpec:
 
 
 def dulac_time_coefficients(ts: DulacTimeSpec, ell: int) -> ExpansionResult:
-    """Sum per-mode expansion coefficients over the mode index.
+    """Sum per-mode expansion coefficients over the modes given.
 
     Mode n contributes the coefficients of the scalar problem with
-    U = U_n y0^n and lam = n V(0); summation stops when the tail estimate
-    C gamma (r y0)^(N+1) / (1 - r y0) drops below MODE_TAIL_TOL.  The
-    estimate is not a bound: gamma is the largest |c_j| / ||U_n y0^n|| ratio
-    observed over the modes summed so far, not a bound on the ratios of
-    later modes.  An infinite mode list that has not converged after MAX_MODES
-    modes raises TailUnbounded."""
-    finite = ts.n_modes()
-    if finite is None and ts.decay is None:
-        raise TailUnbounded("infinite mode list without a decay certificate")
+    U = U_n y0^n and lam = n V(0).  With a decay estimate (C, r), r y0 must
+    lie in (0, 1) (TailUnbounded otherwise), and meta["tail_bound"] estimates
+    what the N modes left out would add: C gamma (r y0)^(N+1) / (1 - r y0).
+    The estimate is not a bound: gamma is the largest |c_j| / ||U_n y0^n||
+    ratio observed over the modes summed, not a bound on the ratios of the
+    modes left out.  Without a decay estimate the tail is 0."""
     if ts.decay is not None:
         C, r = ts.decay
         r_eff = r * ts.y0
@@ -438,20 +413,8 @@ def dulac_time_coefficients(ts: DulacTimeSpec, ell: int) -> ExpansionResult:
             raise TailUnbounded(f"certificate radius r*y0 = {r_eff} is not in (0,1)")
     total = [0.0] * (ell + 1)
     gamma = 0.0
-    n = 0
-    tail = math.inf if finite is None else 0.0
-    while True:
-        n += 1
-        if finite is not None and n > finite:
-            if ts.decay is not None:
-                # finite table of a longer decomposition: estimated tail
-                tail = C * max(gamma, 1e-300) * r_eff ** (n) / (1 - r_eff)
-            else:
-                tail = 0.0  # the table is the whole decomposition
-            break
-        if finite is None and n > MAX_MODES:
-            raise TailUnbounded(f"no convergence within {MAX_MODES} modes")
-        U_n = ts.mode(n) * (ts.y0**n)
+    for n, mode in enumerate(ts.modes, start=1):
+        U_n = mode * (ts.y0**n)
         spec = UnfoldingSpec(
             family=ts.family,
             branch=ts.branch,
@@ -466,16 +429,14 @@ def dulac_time_coefficients(ts: DulacTimeSpec, ell: int) -> ExpansionResult:
         norm = float(U_n.norm_ell1())
         if norm > 0:
             gamma = max(gamma, max(abs(float(cj)) for cj in res.c) / norm)
-        if finite is None:
-            tail = C * max(gamma, 1e-300) * r_eff ** (n + 1) / (1 - r_eff)
-            if tail < MODE_TAIL_TOL and n >= 3:
-                break
+    N = len(ts.modes)
+    tail = 0.0 if ts.decay is None else C * max(gamma, 1e-300) * r_eff ** (N + 1) / (1 - r_eff)
     return ExpansionResult(
         c=tuple(total),
         ell=ell,
         meta={
             "eps": float(ts.eps),
-            "modes_used": n if finite is None else finite,
+            "modes_used": N,
             "tail_bound": float(tail),
             "gamma": gamma,
             "y0": ts.y0,

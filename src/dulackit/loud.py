@@ -80,6 +80,7 @@ _TIME_BUDGET = 200.0
 _RTOL = 1e-11  # relative tolerance of every period integration
 _NEAR_ZERO_FRACTION = 0.05  # of the largest |dP/ds| over the D grid
 _N_MODES = 24  # Taylor modes of the time-form factor in y
+_MODE_ORDER = 12  # their degree in x
 
 
 @dataclass(frozen=True)
@@ -247,15 +248,15 @@ class ModeExpansion:
     r: float
 
 
-def loud_modes(p: LoudParams, order: int) -> ModeExpansion:
+def loud_modes(p: LoudParams) -> ModeExpansion:
     """The first `_N_MODES` Taylor modes of the time-form factor against
-    powers of y, with a geometric decay certificate (C, r) estimated from
-    the norm ratios."""
+    powers of y, each to degree `_MODE_ORDER` in x, with a geometric decay
+    certificate (C, r) estimated from the norm ratios."""
     D, F = p.D, p.F
     b0 = -D / 2
     b1 = (2 * D + 1) / (2 * (2 * F - 1))
     b2 = -(D + 1) / (4 * F)
-    per_y = [[0.0] * (order + 1) for _ in range(_N_MODES)]
+    per_y = [[0.0] * (_MODE_ORDER + 1) for _ in range(_N_MODES)]
     # (b0 + b1 x y + b2 y^2)^(-1/2) = b0^(-1/2) sum_k binom(-1/2, k) t^k
     coef = 1.0
     for k in range(_N_MODES):
@@ -268,7 +269,7 @@ def loud_modes(p: LoudParams, order: int) -> ModeExpansion:
                 bc = 1.0
             else:
                 bc = bc * (j + 1) / (k - j)
-            if ypow < _N_MODES and j <= order:
+            if ypow < _N_MODES and j <= _MODE_ORDER:
                 per_y[ypow][j] += coef * bc * (b1 / b0) ** j * (b2 / b0) ** (k - j)
     scale = b0**-0.5
     modes = tuple(
@@ -307,7 +308,7 @@ def node_time_spec(p: LoudParams) -> DulacTimeSpec:
     """Time-form data of the node passage with the closed-form factor,
     entering at the section height and leaving at the section x = 1."""
     fam, V, branch = normal_family(p)
-    me = loud_modes(p, order=12)
+    me = loud_modes(p)
     return DulacTimeSpec(
         family=fam,
         branch=branch,

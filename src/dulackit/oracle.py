@@ -78,7 +78,7 @@ import numpy as np
 from scipy.integrate import DOP853, Radau, quad, solve_ivp
 
 from .errors import QuadratureFailure, StepSizeUnderflow, ToleranceNotMet
-from .expansion import DulacTimeSpec, ExpansionResult, UnfoldingSpec, check_grid_length
+from .expansion import DulacTimeSpec, ExpansionResult, UnfoldingSpec
 from .series import horner, horner_source
 
 _EXP_UNDERFLOW = -745.0
@@ -535,6 +535,14 @@ def log_derivative(values: np.ndarray, dlog: float) -> np.ndarray:
     d1 = (values[..., 3:-1] - values[..., 1:-3]) / (2 * dlog)
     d2 = (values[..., 4:] - values[..., :-4]) / (4 * dlog)
     return (4 * d1 - d2) / 3
+
+
+def check_grid_length(n: int, k: int) -> None:
+    """Raise ValueError unless an s grid of n points is long enough for the
+    flatness report's k scale derivatives: each log_derivative uses up two
+    points per side, 4k in all, and 5 more are needed."""
+    if n < 4 * k + 5:
+        raise ValueError(f"s_grid n = {n} is below 4k + 5 = {4 * k + 5} for k = {k}")
 
 
 def flatness_report(

@@ -262,7 +262,7 @@ def test_criterion_7_mode_summation():
     for eps in (0.0, 5e-3):
         ts = DulacTimeSpec(
             family=fam, branch=branch, V=TS.constant(Fr(1), 4), eps=eps,
-            modes_fn=mode, decay=(2.0, 0.5),
+            modes=tuple(mode(n) for n in range(1, 29)), decay=(2.0, 0.5),
             ua_fn=lambda x, y: 1.0 / (1.0 - x * y / 2.0),
         )
         summed = dulac_time_coefficients(ts, 1)

@@ -642,6 +642,7 @@ class TestBadSpecs:
              "family: degree in x is 1, expected mu+1=2"),
             ("verify", {"U": ["0", "0.0", "0/3"]}, "U is zero"),
             ("verify", {"kind": "dulac_time", "modes": [["0"], ["0", "0.0"]]}, "modes are all zero"),
+            ("verify", {"kind": "dulac_time", "modes": [["1"], ["0", "1/2"]], "y0": 0}, "y0 is 0"),
         ],
         ids=[
             "family-number", "terms-number", "term-number", "V-number", "U-number",
@@ -653,7 +654,7 @@ class TestBadSpecs:
             "ell-fraction", "ell-boolean", "ell-past-index", "ell-1e308", "sign-boolean",
             "term-eps-fraction", "expand-term-eps-fraction", "term-x-negative",
             "term-eps-negative", "V-entry", "U-entry", "V-empty", "mode-entry", "term-deleted",
-            "U-zero", "modes-zero",
+            "U-zero", "modes-zero", "y0-zero",
         ],
     )
     def test_field_named(self, tmp_path, capsys, command, changes, field):
@@ -675,7 +676,9 @@ class TestBadSpecs:
     def test_empty_modes(self, tmp_path, capsys):
         obj = TestVerify().base()
         obj.update(kind="dulac_time", modes=[])
-        self.run(tmp_path, capsys, "verify", obj)
+        err = self.run(tmp_path, capsys, "verify", obj)
+        assert err == "bad spec: modes is empty: need at least one mode\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "command, path, field",

@@ -558,13 +558,15 @@ class TestModeSummation:
         def mode(n):
             return TS.monomial(n - 1, max(n, 4), Fr(1, 2 ** (n - 1)))
 
+        # the first 28 modes of U = 1 / (1 - x y / 2), with their decay
         ts = DulacTimeSpec(
             family=fam_linear, branch=branch_linear_plus, V=TS.constant(Fr(1), 3),
-            eps=0.0, modes_fn=mode, decay=(2.0, 0.5),
+            eps=0.0, modes=tuple(mode(n) for n in range(1, 29)), decay=(2.0, 0.5),
         )
         res = dulac_time_coefficients(ts, 1)
         assert res.c[0] == pytest.approx(1.0, abs=1e-12)
         assert res.c[1] == pytest.approx(0.25, abs=1e-12)
+        assert res.meta["modes_used"] == 28
         assert res.meta["tail_bound"] < 1e-8
 
     @pytest.mark.parametrize("x", [0.37, 1e-3, np.float64(0.2), Fr(3, 7), 2])
@@ -587,10 +589,12 @@ class TestModeSummation:
             got = ts.ua(x, y)
             assert got == want and type(got) is float
 
-    def test_tail_unbounded(self, fam_linear, branch_linear_plus):
+    @pytest.mark.parametrize("y0, decay", [(1.0, (1.0, 1.0)), (0.0, (1.0, 0.5))], ids=["ry0-1", "y0-0"])
+    def test_tail_unbounded(self, fam_linear, branch_linear_plus, y0, decay):
+        # a tail estimate needs r y0 in (0, 1)
         ts = DulacTimeSpec(
             family=fam_linear, branch=branch_linear_plus, V=TS.constant(Fr(1), 3),
-            eps=0.0, modes_fn=lambda n: TS.constant(Fr(1), 2), decay=None,
+            eps=0.0, modes=(TS.constant(Fr(1), 2),) * 3, decay=decay, y0=y0,
         )
-        with pytest.raises(TailUnbounded):
+        with pytest.raises(TailUnbounded, match=r"r\*y0 = .* is not in \(0,1\)"):
             dulac_time_coefficients(ts, 1)

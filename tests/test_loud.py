@@ -139,26 +139,26 @@ class TestFirstIntegral:
 
 class TestModes:
     def test_leading_mode_constant_term(self):
-        me = loud_modes(P_REF, order=8)
+        me = loud_modes(P_REF)
         assert float(me.modes[0].coeffs[0]) == pytest.approx((-P_REF.D / 2) ** -0.5)
 
     def test_half_d_kills_even_modes(self):
-        me = loud_modes(LoudParams(D=-0.5, F=1.0), order=6)
+        me = loud_modes(LoudParams(D=-0.5, F=1.0))
         assert all(abs(c) < 1e-15 for c in me.modes[1].coeffs)
 
     def test_mode_sum_matches_closed_form(self):
-        me = loud_modes(P_REF, order=10)
+        me = loud_modes(P_REF)
         x, y = 0.3, 0.15
         approx = sum(float(me.modes[n](x)) * y**n for n in range(len(me.modes)))
         assert approx == pytest.approx(ua(x, y, P_REF), abs=1e-10)
 
     def test_certificate_bounds_norms(self):
-        me = loud_modes(P_REF, order=10)
+        me = loud_modes(P_REF)
         for n, m in enumerate(me.modes, start=1):
             assert float(m.norm_ell1()) <= me.C * me.r**n * (1 + 1e-12)
 
     def test_scaled_tail_is_finite(self):
-        me = loud_modes(P_REF, order=10)
+        me = loud_modes(P_REF)
         y0 = y_section_height(P_REF)
         assert me.r * y0 < 1.0
         tail = sum(float(m.norm_ell1()) * y0**n for n, m in enumerate(me.modes, start=1))
