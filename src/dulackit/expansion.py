@@ -31,6 +31,7 @@ the tests check that both constructions give equal coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -49,6 +50,8 @@ VB_EPS_MAX = 0.1
 VB_N_EPS = 16
 VB_N_S = 33
 GLUE_TOL = 1e-8  # largest jump of a coefficient across eps = 0
+# a float diagonal V_n(0) nearer 0 than this many ulps of its larger term is 0
+_DIAG_NOISE_ULPS = 8
 
 
 def working_order(ell: int) -> int:
@@ -158,7 +161,10 @@ def _scaled(Q: TruncatedSeries, j, lam):
 def triangular_coefficients(U, V, Qs, lam, ell):
     """c_0..c_ell by forward substitution in the defining identity; the
     series need order >= ell.  Raises NonUnitV at the first n with
-    V_n(0) = V_0 - (n/lam) Q_0 = 0, the index the recursion stops at."""
+    V_n(0) = V_0 - (n/lam) Q_0 = 0, the index the recursion stops at.  A
+    float V_n(0) counts as 0 when it lies within _DIAG_NOISE_ULPS units in
+    the last place of the larger of V_0 and (n/lam) Q_0: that is the
+    rounding left of a difference that vanishes exactly."""
     # terms with n - k above both degrees vanish, so the cost is
     # O(ell * degree) rather than O(ell^2)
     width = max(V.degree(), Qs.degree())
@@ -166,9 +172,12 @@ def triangular_coefficients(U, V, Qs, lam, ell):
     r = [_ratio(k, lam) for k in range(ell + 1)]
     c = []
     for n in range(ell + 1):
-        diag = V[0] - Qs[0] * r[n]
+        shift = Qs[0] * r[n]
+        diag = V[0] - shift
         if diag == 0:
             raise NonUnitV(f"V_{n}(0) = 0 at this parameter point")
+        if isinstance(diag, float) and abs(diag) < _DIAG_NOISE_ULPS * math.ulp(max(abs(V[0]), abs(shift))):
+            raise NonUnitV(f"V_{n}(0) = {diag!r} is 0 up to rounding at this parameter point")
         acc = U[n]
         for k in range(max(0, n - width), n):
             acc = acc + (r[k] * Qs[n - k] - V[n - k]) * c[k]

@@ -40,10 +40,19 @@ first step and to clip a trial step that would pass it, and trial steps
 only shrink after the first, so up to that step a solve ending at the point
 takes exactly the sweep's steps: every value is the one a solve of its own
 gives, bit for bit.  A point within 1e-4 of the start in u, where the first
-step could differ, gets its own solve.  The quadrature route stays one
-point at a time and shares nothing with the ODE route.
+step could differ, gets its own solve.  The sweep factors and solves its
+Newton matrices with LAPACK's getrf/getrs called directly, the routines
+scipy's lu_factor/lu_solve call, with their finiteness check, their
+singular-pivot warning and the nlu count, so the values are those of
+scipy's Radau.  The quadrature route stays one point at a time and shares
+nothing with the ODE route.
 
-The quadrature route solves x(tau) with scipy's DOP853 and reads it at
+The quadrature route solves x(tau) with scipy's DOP853 method, stepped in
+Python floats around scipy's own BLAS sums (`_StoppingDOP853`): each
+weighted sum of the stages is the np.dot scipy makes, and the elementwise
+work on the one component is the same IEEE operations in scipy's order, so
+every step and interpolant is scipy's bit for bit; the tests step both
+side by side and compare them by ==.  It reads x(tau) at
 each quadrature node from the dense output in Python floats (`_dop853_x`):
 each step's interpolant is copied once (`OdeSolution.ts`/`interpolants`,
 `Dop853DenseOutput.F`/`h`/`y_old`) and evaluated with the same operations
@@ -56,7 +65,7 @@ A solve that would fail only past cut does not raise.
 
 Still repeated on purpose: `dulac_time` solves x(tau) once per s
 (`_tau_quadrature`), since perfbench's `test_sizing_in_kind` asks the ODE
-solves for more than half of a traced verify round (0.65 at seed 3),
+solves for more than half of a traced verify round (0.56 at seed 3),
 which one trajectory per grid would not keep; each Dulac map point
 integrates from s + theta out to 1 on its own, since chaining a grid's
 intervals moves values by rounding, past the benchmark's reference
@@ -70,12 +79,15 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import DOP853, Radau, quad, solve_ivp
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
+from scipy.linalg import LinAlgWarning, lapack
 
 from .errors import QuadratureFailure, StepSizeUnderflow, ToleranceNotMet
 from .expansion import DulacTimeSpec, ExpansionResult, UnfoldingSpec
@@ -84,6 +96,9 @@ from .series import horner, horner_source
 _EXP_UNDERFLOW = -745.0
 _NOISE_FLOOR_REL = 1e-13
 _QUAD_LIMIT = 200  # subintervals quad may bisect into
+# the LAPACK routines scipy's lu_factor and lu_solve pick for each dtype
+_GETRF = {np.dtype(float): lapack.dgetrf, np.dtype(complex): lapack.zgetrf}
+_GETRS = {np.dtype(float): lapack.dgetrs, np.dtype(complex): lapack.zgetrs}
 
 
 @dataclass(frozen=True)
@@ -328,6 +343,22 @@ class _ForkingRadau(Radau):
         self.stops = sorted(stops, key=lambda t: -self.direction * t)  # next stop last
         self.values = values
 
+        # scipy's lu_factor/lu_solve route without the wrappers: the same
+        # LAPACK routine for the dtype, the same finiteness check and warning
+        def lu(A):
+            self.nlu += 1
+            factor, piv, info = _GETRF[A.dtype](np.asarray_chkfinite(A), overwrite_a=True)
+            if info > 0:
+                warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
+                              LinAlgWarning, stacklevel=2)
+            return factor, piv
+
+        def solve_lu(LU, b):
+            factor, piv = LU
+            return _GETRS[factor.dtype](factor, piv, np.asarray_chkfinite(b), overwrite_b=True)[0]
+
+        self.lu, self.solve_lu = lu, solve_lu
+
     def _step_impl(self):
         while self.stops and self._may_reach(self.stops[-1]):
             stop = self.stops.pop()
@@ -369,15 +400,17 @@ def _tau_quadrature(Pc, Vc, s_abs: float, x0: float, tau_cap: float, cut: float,
     solve run on to tau_cap gives.  A solve that would fail only past cut
     does not raise."""
 
-    def rhs(tau, x):
-        return [horner(Pc, x[0]) / horner(Vc, x[0])]
+    def rate(x):
+        p, v = horner(Pc, x), horner(Vc, x)
+        return p / v if v else float(np.float64(p) / v)  # numpy's inf or nan
 
     hit = lambda tau, x: x[0] - x0
     hit.terminal = True
     hit.direction = 1.0
     sol = solve_ivp(
-        rhs, (0.0, tau_cap), [s_abs], method=_StoppingDOP853, events=hit,
-        rtol=min(cfg.ode_rel_tol, 1e-11), atol=1e-14, dense_output=True, stop=cut,
+        lambda tau, x: [rate(x[0])], (0.0, tau_cap), [s_abs], method=_StoppingDOP853,
+        events=hit, rtol=min(cfg.ode_rel_tol, 1e-11), atol=1e-14, dense_output=True,
+        stop=cut, rate=rate,
     )
     if not sol.success and sol.status != 1:
         raise ToleranceNotMet(sol.message or "reparametrization ODE failed")
@@ -389,24 +422,110 @@ def _tau_quadrature(Pc, Vc, s_abs: float, x0: float, tau_cap: float, cut: float,
 
 
 class _StoppingDOP853(DOP853):
-    """DOP853 that finishes after the first accepted step whose end reaches
+    """DOP853 for one autonomous equation x' = rate(x), stepped in Python
+    floats, that finishes after the first accepted step whose end reaches
     `stop`, without clipping that step.
 
-    solve_ivp handles events on that step before it leaves its loop, so an
-    event inside it is still found, and every interpolant over [0, stop]
-    (or up to an earlier terminal event) is the one a solve run on to
-    t_bound builds.  t_bound still caps the first step and clips a step
-    that would pass it.  A forward solve only."""
+    Each step and each interpolant is scipy's DOP853._step_impl and
+    _dense_output_impl: every weighted sum of the stages is the np.dot
+    scipy makes, on the same rows of K and of the tableau, and the rest
+    (the stage states, the new state, the scale, the error norm, the step
+    control, the rows of F) is the same IEEE operations in the same order
+    on floats, so every step and every interpolant is scipy's bit for bit;
+    the tests compare them by ==.  `rate` is called where scipy calls
+    `fun` and counted in nfev; the equation is autonomous, so the stages'
+    times are not formed.
 
-    def __init__(self, fun, t0, y0, t_bound, *, stop, **options):
+    solve_ivp handles events on the last step before it leaves its loop,
+    so an event inside it is still found, and every interpolant over
+    [0, stop] (or up to an earlier terminal event) is the one a solve run
+    on to t_bound builds.  t_bound still caps the first step and clips a
+    step that would pass it.  A forward solve only."""
+
+    def __init__(self, fun, t0, y0, t_bound, *, stop, rate, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self.stop = stop
+        self.rate = rate
+        K = self.K_extended
+        # (K[:s].T, A[s, :s]) of stages 1-11, then of the dense output's 13-15
+        self.sums = [(K[:s].T, a[:s]) for s, a in enumerate(self.A[1:], 1)]
+        self.extra_sums = [(K[:s].T, a[:s]) for s, a in enumerate(self.A_EXTRA, self.n_stages + 1)]
 
     def step(self):
         message = super().step()
         if self.status == "running" and self.t >= self.stop:
             self.status = "finished"
         return message
+
+    def _step_impl(self):
+        t, y, f = self.t, self.y.item(), self.f.item()
+        direction, t_bound, rate, K = float(self.direction), self.t_bound, self.rate, self.K
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+
+            K[0, 0] = f
+            for s, (k, a) in enumerate(self.sums, 1):
+                K[s, 0] = rate(y + np.dot(k, a).item() * h)
+            y_new = y + h * np.dot(K[:-1].T, self.B).item()
+            f_new = K[-1, 0] = rate(y_new)
+            self.nfev += self.n_stages
+
+            old, new = abs(y), abs(y_new)
+            scale = self.atol.item() + (old if old >= new or old != old else new) * self.rtol  # np.maximum
+            err5 = np.dot(K.T, self.E5).item() / scale
+            err3 = np.dot(K.T, self.E3).item() / scale
+            err5_norm_2 = math.sqrt(err5 * err5) ** 2  # np.linalg.norm(err5) ** 2
+            err3_norm_2 = math.sqrt(err3 * err3) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = abs(h) * err5_norm_2 / math.sqrt(err5_norm_2 + 0.01 * err3_norm_2)
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
+            rejected = True
+
+        self.h_previous = h
+        self.y_old = self.y
+        self.t = t_new
+        self.y = np.array([y_new])
+        self.h_abs = h_abs
+        self.f = np.array([f_new])
+        return True, None
+
+    def _dense_output_impl(self):
+        K, h, y_old = self.K_extended, self.h_previous, self.y_old.item()
+        for s, (k, a) in enumerate(self.extra_sums, self.n_stages + 1):
+            K[s, 0] = self.rate(y_old + np.dot(k, a).item() * h)
+        self.nfev += len(self.extra_sums)
+        f_old = K[0, 0]
+        delta_y = self.y.item() - y_old
+        F = np.empty((len(self.D) + 3, 1))
+        F[:3, 0] = delta_y, h * f_old - delta_y, 2 * delta_y - h * (self.f.item() + f_old)
+        F[3:] = h * np.dot(self.D, K)
+        return Dop853DenseOutput(self.t_old, self.t, self.y_old, F)
 
 
 def _dop853_x(dense):

@@ -37,7 +37,7 @@ from dulackit.expansion import (
     working_order,
 )
 from dulackit.family import PolynomialFamily, biggest_real_root_branch
-from dulackit.loud import LoudParams, normal_family
+from dulackit.loud import LoudParams, node_time_spec, normal_family
 from dulackit.series import TruncatedSeries as TS, horner
 
 
@@ -588,6 +588,24 @@ class TestModeSummation:
         for _ in range(2):
             got = ts.ua(x, y)
             assert got == want and type(got) is float
+
+    def test_diagonal_zero_up_to_rounding(self):
+        # at F = 2 mode 2's V_1(0) = 1/2 - 1/2 vanishes exactly but reads
+        # -2.2e-16 in floats; dividing by it gave c_1 = -3.06e14
+        with pytest.raises(NonUnitV, match=r"V_1\(0\) = -2\.220446049250313e-16 is 0 up to rounding"):
+            dulac_time_coefficients(node_time_spec(LoudParams(-0.75, 2.0)), 1)
+
+    @pytest.mark.parametrize("ulps", [0, 1, 7, 8, -7, -8])
+    def test_float_diagonal_within_ulps_is_zero(self, ulps):
+        # V_1(0) = V_0 - (1/2) Q_0 = ulps units in the last place of 1/2
+        V0 = 0.5 + ulps * math.ulp(0.5)
+        U, V, Qs = (TS.from_coeffs(c, order=2) for c in ([1.0, 1.0], [V0, 0.25], [1.0, 0.5]))
+        if abs(ulps) < 8:
+            with pytest.raises(NonUnitV, match="V_1"):
+                triangular_coefficients(U, V, Qs, 2.0, 2)
+        else:
+            c = triangular_coefficients(U, V, Qs, 2.0, 2)
+            assert all(math.isfinite(x) for x in c) and abs(c[1]) > 1e14
 
     @pytest.mark.parametrize("y0, decay", [(1.0, (1.0, 1.0)), (0.0, (1.0, 0.5))], ids=["ry0-1", "y0-0"])
     def test_tail_unbounded(self, fam_linear, branch_linear_plus, y0, decay):

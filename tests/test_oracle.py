@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import Radau, solve_ivp
+from scipy.integrate import DOP853, Radau, solve_ivp
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from dulackit import oracle
 from dulackit.errors import StepSizeUnderflow, ToleranceNotMet
@@ -537,12 +538,12 @@ class TestStoppedSolve:
         def run(call, full=False):
             seen = []
 
-            def recorded(*args, method, stop, **options):
+            def recorded(*args, method, stop, rate, **options):
                 assert method is oracle._StoppingDOP853
                 if full:
                     sol = solve_ivp(*args, method="DOP853", **options)
                 else:
-                    sol = solve_ivp(*args, method=method, stop=stop, **options)
+                    sol = solve_ivp(*args, method=method, stop=stop, rate=rate, **options)
                 seen.append((stop, sol))
                 return sol
 
@@ -606,6 +607,161 @@ class TestStoppedSolve:
         _, [(cut, sol)] = solves(lambda: dulac_time(ts, 1e-3))
         knots = sol.sol.ts.tolist()
         assert sol.status == 0 and knots[-2] < cut <= knots[-1] < 2 * cut
+
+
+class TestDop853Step:
+    """_StoppingDOP853's step in floats against scipy's DOP853, step for
+    step and by ==: t, y, h_abs, nfev, status and message after every
+    step, and every interpolant's F.  Run on to tau_cap, x(tau) blows up
+    in finite tau, so those solves take rejected steps (on the rho = 2
+    problem through overflow and NaN stages) and fail on a step size below
+    the spacing of tau; a short tau_cap ends on a step clipped to it."""
+
+    @staticmethod
+    def tau_problem(name, seed):
+        """The x(tau) rate of a golden dulac_time spec and a start s + theta
+        at a seeded s in [1e-3, 1e-1]."""
+        ts = golden_time_spec(name)
+        Pc, Vc = ts.family.x_coeffs(float(ts.eps)), ts.V.float_coeffs
+        s = 10 ** random.Random(seed).uniform(-3, -1)
+        return (lambda x: horner(Pc, x) / horner(Vc, x)), s + float(ts.branch.theta(ts.eps))
+
+    @staticmethod
+    def lockstep(rate, x_start, tau_cap):
+        """Step both solvers to the end; the message and the number of
+        trials (rejected steps + 1) of each step."""
+        fun = lambda tau, x: [rate(x[0])]
+        options = dict(rtol=1e-11, atol=1e-14)
+        ours = oracle._StoppingDOP853(fun, 0.0, [x_start], tau_cap, stop=math.inf, rate=rate, **options)
+        ref = DOP853(fun, 0.0, [x_start], tau_cap, **options)
+        state = lambda solver: (solver.status, solver.t, solver.y.tolist(), solver.h_abs, solver.nfev)
+        assert state(ours) == state(ref)
+        trials = []
+        while ref.status == "running":
+            nfev = ref.nfev
+            message = ref.step()
+            assert ours.step() == message
+            assert state(ours) == state(ref)
+            trials.append((ref.nfev - nfev) // ref.n_stages)
+            if ref.status != "failed":
+                mine, scipys = ours.dense_output(), ref.dense_output()
+                assert type(mine) is type(scipys)
+                assert (mine.t_old, mine.t, mine.y_old.tolist()) == (scipys.t_old, scipys.t, scipys.y_old.tolist())
+                assert mine.F.tolist() == scipys.F.tolist()
+                assert ours.nfev == ref.nfev
+        return message, trials, ref
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["dulac_time", "dulac_time_rho2"])
+    def test_to_step_size_underflow(self, name, seed):
+        with np.errstate(all="ignore"):  # the rho = 2 blow-up overflows in both
+            message, trials, ref = self.lockstep(*self.tau_problem(name, seed), 805.0)
+        assert ref.status == "failed" and message == DOP853.TOO_SMALL_STEP
+        assert max(trials) > 1 and len(trials) > 300
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", ["dulac_time", "dulac_time_rho2"])
+    def test_to_tau_cap(self, name, seed):
+        rate, x_start = self.tau_problem(name, seed)
+        message, trials, ref = self.lockstep(rate, x_start, 1.0)
+        assert ref.status == "finished" and message is None and ref.t == 1.0
+
+
+class TestRadauLapack:
+    """_ForkingRadau's LU straight from LAPACK against scipy's lu_factor and
+    lu_solve route, by ==."""
+
+    class ScipyLU(oracle._ForkingRadau):
+        """_ForkingRadau with the closures Radau.__init__ makes for a dense
+        Jacobian put back."""
+
+        def __init__(self, *args, **options):
+            super().__init__(*args, **options)
+
+            def lu(A):
+                self.nlu += 1
+                return lu_factor(A, overwrite_a=True)
+
+            self.lu = lu
+            self.solve_lu = lambda LU, b: lu_solve(LU, b, overwrite_b=True)
+
+    @staticmethod
+    def counted(monkeypatch, call):
+        """call() and the (nfev, njev, nlu) of each of its solves."""
+        counts = []
+
+        def recorded(*args, **options):
+            sol = solve_ivp(*args, **options)
+            counts.append((sol.nfev, sol.njev, sol.nlu))
+            return sol
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "solve_ivp", recorded)
+            return call(), counts
+
+    @pytest.mark.parametrize(
+        "mu, sign, lam, eps, x0",
+        [(1, +1, 1.0, 0.0, 1.0), (1, +1, 5.0, 1e-3, 0.5), (2, +1, 25.0, 1e-3, 1.0), (2, -1, 3.0, -1e-3, 1.0)],
+    )
+    def test_sweep_equals_scipy_lu(self, monkeypatch, fam_linear, fam_quadratic, mu, sign, lam, eps, x0):
+        spec = ode_case(fam_linear if mu == 1 else fam_quadratic, sign, lam, eps)
+        grid = hard_grid(spec, x0)
+        call = lambda: particular_solution(spec, x0, grid)
+        got, counts = self.counted(monkeypatch, call)
+        monkeypatch.setattr(oracle, "_ForkingRadau", self.ScipyLU)
+        assert (got, counts) == self.counted(monkeypatch, call)
+        assert all(nlu > 0 for _, _, nlu in counts)
+
+    @pytest.mark.parametrize(
+        "nan_in, ends",
+        [
+            (None, "finished"),
+            ("jac", (ValueError, "array must not contain infs or NaNs")),
+            ("rhs", Radau.TOO_SMALL_STEP),  # Newton fails at every step size
+        ],
+    )
+    def test_steps_equal_scipy(self, nan_in, ends):
+        # solve_alone's Radau problem for the Euler equation x^2 y' = y + x,
+        # its Jacobian or right-hand side NaN past u = log 0.05
+        bad = math.log(0.05)
+        rhs = lambda u, y: [math.nan if nan_in == "rhs" and u < bad else (y[0] + math.exp(u)) / math.exp(u)]
+        jac = lambda u, y: [[math.nan if nan_in == "jac" and u < bad else 1 / math.exp(u)]]
+        options = dict(jac=jac, rtol=DEFAULT_CONFIG.ode_rel_tol, atol=DEFAULT_CONFIG.ode_abs_tol)
+        ours = oracle._ForkingRadau(rhs, 0.0, [0.0], math.log(1e-3), stops=[], values={}, **options)
+        ref = Radau(rhs, 0.0, [0.0], math.log(1e-3), **options)
+        state = lambda solver: (solver.status, solver.t, solver.y.tolist(), solver.h_abs,
+                                solver.nfev, solver.njev, solver.nlu)
+        outcome = None
+        while ref.status == "running" and outcome is None:
+            message = []
+            outcome = first_failure(lambda: message.append(ref.step()))
+            assert first_failure(ours.step) == outcome
+            assert state(ours) == state(ref)
+        if outcome is None:
+            outcome = message[0] if ref.status == "failed" else ref.status
+        assert outcome == ends
+        assert ref.nlu > 10 and (nan_in is None or ref.t < bad + 0.1)  # stopped at the turn
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_factor_and_solve(self, dtype):
+        rng = np.random.default_rng(7)
+        solver = oracle._ForkingRadau(lambda t, y: -y, 0.0, [1.0, 2.0, 3.0], 1.0, stops=[], values={})
+        for _ in range(3):
+            A = rng.standard_normal((3, 3)).astype(dtype) * (1 + 1j if dtype is complex else 1)
+            b = rng.standard_normal(3).astype(dtype)
+            nlu = solver.nlu
+            LU = solver.lu(A.copy())
+            assert solver.nlu == nlu + 1
+            want = lu_factor(A.copy())
+            assert LU[0].tolist() == want[0].tolist() and LU[1].tolist() == want[1].tolist()
+            assert solver.solve_lu(LU, b.copy()).tolist() == lu_solve(want, b.copy()).tolist()
+        with pytest.warns(LinAlgWarning, match="Diagonal number 1 is exactly zero. Singular matrix."):
+            solver.lu(np.zeros((3, 3), dtype))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+                solver.lu(np.full((3, 3), bad, dtype))
+            with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+                solver.solve_lu(LU, np.full(3, bad, dtype))
 
 
 class TestFlatness:
