@@ -66,8 +66,9 @@ class ContinuityViolation(DulacKitError):
 
 
 class TailUnbounded(DulacKitError):
-    """A decay estimate (C, r) whose r*y0 is not in (0, 1): the tail of
-    the modes left out has no geometric estimate."""
+    """A decay estimate (C, r) whose r*y0 is not in (0, 1), so the tail of
+    the modes left out has no geometric estimate, or whose tail estimate is
+    not below the largest coefficient it would be added to."""
 
 
 # --- oracle -----------------------------------------------------------------

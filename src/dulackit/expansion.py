@@ -410,11 +410,12 @@ def dulac_time_coefficients(ts: DulacTimeSpec, ell: int) -> ExpansionResult:
 
     Mode n contributes the coefficients of the scalar problem with
     U = U_n y0^n and lam = n V(0).  With a decay estimate (C, r), r y0 must
-    lie in (0, 1) (TailUnbounded otherwise), and meta["tail_bound"] estimates
-    what the N modes left out would add: C gamma (r y0)^(N+1) / (1 - r y0).
-    The estimate is not a bound: gamma is the largest |c_j| / ||U_n y0^n||
-    ratio observed over the modes summed, not a bound on the ratios of the
-    modes left out.  Without a decay estimate the tail is 0."""
+    lie in (0, 1), and meta["tail_bound"] estimates what the modes left
+    out would add: C gamma (r y0)^(N+1) / (1 - r y0), which must lie below
+    the largest |c_j| returned (TailUnbounded otherwise).  The estimate is
+    not a bound: gamma is the largest |c_j| / ||U_n y0^n|| ratio observed
+    over the modes summed, not a bound on the ratios of the modes left out.
+    Without a decay estimate the tail is 0."""
     if ts.decay is not None:
         C, r = ts.decay
         r_eff = r * ts.y0
@@ -440,6 +441,9 @@ def dulac_time_coefficients(ts: DulacTimeSpec, ell: int) -> ExpansionResult:
             gamma = max(gamma, max(abs(float(cj)) for cj in res.c) / norm)
     N = len(ts.modes)
     tail = 0.0 if ts.decay is None else C * max(gamma, 1e-300) * r_eff ** (N + 1) / (1 - r_eff)
+    largest = max(abs(cj) for cj in total)
+    if ts.decay is not None and not tail < largest:
+        raise TailUnbounded(f"tail estimate {tail:g} of the {N} modes is not below the largest |c_j| = {largest:g}")
     return ExpansionResult(
         c=tuple(total),
         ell=ell,

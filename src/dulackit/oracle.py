@@ -29,8 +29,8 @@ counts with the coefficients as arguments, so one compile serves every
 spec of the same degrees, and nothing compiles at import.  Its Horner
 sums come from `series.horner_source`, one statement per step of
 `series.horner` in its order, so every value is the one the `horner`
-loops give, bit for bit; the tests compare both by ==.  The other
-integrands stay closures over `horner`.
+loops give, bit for bit; the tests compare both by ==.  The tau route's
+two integrands (below) are generated the same way.
 
 On a grid of s the ODE route runs one backward Radau sweep to the smallest
 s.  Before each step whose first trial step could reach the next grid
@@ -47,25 +47,29 @@ singular-pivot warning and the nlu count, so the values are those of
 scipy's Radau.  The quadrature route stays one point at a time and shares
 nothing with the ODE route.
 
-The quadrature route solves x(tau) with scipy's DOP853 method, stepped in
-Python floats around scipy's own BLAS sums (`_StoppingDOP853`): each
-weighted sum of the stages is the np.dot scipy makes, and the elementwise
-work on the one component is the same IEEE operations in scipy's order, so
-every step and interpolant is scipy's bit for bit; the tests step both
-side by side and compare them by ==.  It reads x(tau) at
-each quadrature node from the dense output in Python floats (`_dop853_x`):
-each step's interpolant is copied once (`OdeSolution.ts`/`interpolants`,
-`Dop853DenseOutput.F`/`h`/`y_old`) and evaluated with the same operations
-in the same order as `OdeSolution.__call__`, so the values are scipy's bit
-for bit.  Those are scipy internals, and the tests pin them by ==.
-The solve ends after its first accepted step that reaches the
-quadrature's cut (`_StoppingDOP853`); tau_cap only caps scipy's first
-step, and the values are those of a solve run on to tau_cap, bit for bit.
-A solve that would fail only past cut does not raise.
+The quadrature route and `dulac_time` solve x(tau) with scipy's DOP853
+method, stepped in Python floats around scipy's own BLAS sums
+(`_StoppingDOP853`): each weighted sum of the stages is the np.dot scipy
+makes, and the elementwise work on the one component is the same IEEE
+operations in scipy's order, so every step and interpolant is scipy's bit
+for bit; the tests step both side by side and compare them by ==.  The
+stepper also does, after each step, what solve_ivp does with a terminal
+event at x = x0 and dense output: it keeps the step's interpolant as
+floats (`_Steps`), and on a step that crosses x0 it finds the crossing
+with brentq on that interpolant, at solve_event_equation's tolerances.
+The solve ends after that step or after its first accepted step that
+reaches the quadrature's cut; tau_cap only caps scipy's first step.  The
+integrand is one function of tau: it picks the step as OdeSolution does,
+evaluates the interpolant unrolled (`_on_steps`) and forms the weight, all
+in scipy's and the weight's order of operations.  So the crossing, every
+x(tau) and every weight are those of a solve_ivp(..., events=...,
+dense_output=True) run on to tau_cap, bit for bit; those are scipy
+internals, and the tests compare both by ==.  A solve that would fail
+only past cut does not raise.
 
 Still repeated on purpose: `dulac_time` solves x(tau) once per s
 (`_tau_quadrature`), since perfbench's `test_sizing_in_kind` asks the ODE
-solves for more than half of a traced verify round (0.56 at seed 3),
+solves for more than half of a traced verify round (0.57-0.60 at seed 3),
 which one trajectory per grid would not keep; each Dulac map point
 integrates from s + theta out to 1 on its own, since chaining a grid's
 intervals moves values by rounding, past the benchmark's reference
@@ -81,13 +85,14 @@ import functools
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import DOP853, Radau, quad, solve_ivp
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.linalg import LinAlgWarning, lapack
+from scipy.optimize import brentq
 
 from .errors import QuadratureFailure, StepSizeUnderflow, ToleranceNotMet
 from .expansion import DulacTimeSpec, ExpansionResult, UnfoldingSpec
@@ -96,6 +101,7 @@ from .series import horner, horner_source
 _EXP_UNDERFLOW = -745.0
 _NOISE_FLOOR_REL = 1e-13
 _QUAD_LIMIT = 200  # subintervals quad may bisect into
+_EPS = np.finfo(float).eps  # solve_event_equation's brentq tolerances are 4 _EPS
 # the LAPACK routines scipy's lu_factor and lu_solve pick for each dtype
 _GETRF = {np.dtype(float): lapack.dgetrf, np.dtype(complex): lapack.zgetrf}
 _GETRS = {np.dtype(float): lapack.dgetrs, np.dtype(complex): lapack.zgetrs}
@@ -117,26 +123,104 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+def _compile(params, arg: str, lines, result: str, setup=()):
+    """``make(*params)``, which runs `setup` and returns ``f(arg)``, the
+    straight-line float code `lines` ending in ``return result``."""
+    source = (
+        f"def make({', '.join(params)}):\n"
+        + "".join(f"    {line}\n" for line in setup)
+        + f"    def f({arg}):\n"
+        + "".join(f"        {line}\n" for line in lines)
+        + f"        return {result}\n"
+        "    return f\n"
+    )
+    namespace = {}
+    env = {"exp": math.exp, "bisect_left": bisect_left}
+    exec(compile(source, "<oracle integrand>", "exec"), env, namespace)
+    return namespace["make"]
+
+
+def _names(prefix: str, n: int) -> list:
+    return [f"{prefix}{j}" for j in range(n)]
+
+
 @functools.cache
 def _v_over_q(nv: int, nq: int, substitution: bool):
     """``make(theta, *V coefficients, *Q coefficients)``, the Dulac map's
     integrand V/P near theta as straight-line float code, with P(x) =
     (x - theta) Q(x - theta): in u = log(x - theta) it is V(x)/Q(x - theta),
     else V(x)/P(x).  Compiled once per coefficient counts."""
-    V, Q = [f"v{j}" for j in range(nv)], [f"q{j}" for j in range(nq)]
+    V, Q = _names("v", nv), _names("q", nq)
     arg, result = ("u", "pv / pq") if substitution else ("x", "pv / ((x - th) * pq)")
     lines = ["x = th + exp(u)"] if substitution else []
     lines += ["t = x - th", *horner_source(V, "x", "pv"), *horner_source(Q, "t", "pq")]
-    source = (
-        f"def make(th, {', '.join(V + Q)}):\n"
-        f"    def f({arg}):\n"
-        + "".join(f"        {line}\n" for line in lines)
-        + f"        return {result}\n"
-        "    return f\n"
-    )
-    namespace = {}
-    exec(compile(source, "<oracle integrand>", "exec"), {"exp": math.exp}, namespace)
-    return namespace["make"]
+    return _compile(["th", *V, *Q], arg, lines, result)
+
+
+# the rows of a DOP853 interpolant: F's first three and the D sums
+_DENSE_ROWS = len(DOP853.D) + 3
+
+
+def _on_steps(params, lines, result: str):
+    """``make(knots, segments, *params)``: a function of tau that reads
+    x(tau) off the steps a _StoppingDOP853 solve recorded (_Steps), runs
+    `lines` and returns `result`.
+
+    The segment is the one OdeSolution._call_single picks (leftmost knot
+    >= tau, clamped to the steps), and x is Dop853DenseOutput._call_impl's
+    loop on one float, unrolled: ``y += f`` then ``y *= z`` or ``y *= 1 -
+    z`` in turn over F's rows, last row first, then ``y += y_old``.  Those
+    are numpy's IEEE double operations in the same order, so x is
+    float(sol(tau)[0]) of a solve_ivp(..., dense_output=True), bit for bit,
+    for every tau up to the last knot."""
+    rows = _names("f", _DENSE_ROWS)
+    x_of_tau = [
+        f"t0, h, {', '.join(rows)}, xo = segments[min(max(bisect_left(knots, tau) - 1, 0), last)]",
+        "z = (tau - t0) / h",
+        "zc = 1 - z",
+        "x = 0.0",
+        *(f"x = (x + {f}) * {'zc' if i % 2 else 'z'}" for i, f in enumerate(rows)),
+        "x = x + xo",
+    ]
+    return _compile(["knots", "segments", *params], "tau", x_of_tau + lines, result,
+                    setup=["last = len(segments) - 1"])
+
+
+@functools.cache
+def _x_of_tau():
+    """``make(knots, segments)``: x(tau) alone, read off recorded steps."""
+    return _on_steps([], [], "x")
+
+
+@functools.cache
+def _time_weight(nv: int, modes: tuple | None):
+    """``make(knots, segments, y0, *V coefficients, *mode coefficients)``,
+    or with modes None ``make(knots, segments, y0, ua, *V coefficients)``:
+    dulac_time's integrand U(x, y) y / V(x) at y = y0 exp(-tau), with
+    DulacTimeSpec.ua's sum over the modes (whose coefficient counts `modes`
+    gives) or its ua_fn, in their order.  Compiled once per coefficient
+    counts."""
+    V = _names("v", nv)
+    lines = ["y = y0 * exp(-tau)"]
+    if modes is None:
+        params, lines = ["y0", "ua", *V], lines + ["a = ua(x, y)"]
+    else:
+        M = [_names(f"m{n}_", k) for n, k in enumerate(modes)]
+        params = ["y0", *V, *(c for m in M for c in m)]
+        lines += ["a = 0.0", "yp = 1.0"]
+        for m in M:  # acc += horner(mode, x) * yp; yp *= y
+            lines += [*horner_source(m, "x", "pm"), "a = a + pm * yp", "yp = yp * y"]
+    return _on_steps(params, lines + horner_source(V, "x", "pv"), "a * y / pv")
+
+
+@functools.cache
+def _u_over_v_weight(nu: int, nv: int):
+    """``make(knots, segments, lam, *U coefficients, *V coefficients)``:
+    the quadrature route's integrand U(x)/V(x) exp(-lam tau).  Compiled
+    once per coefficient counts."""
+    U, V = _names("u", nu), _names("v", nv)
+    lines = [*horner_source(U, "x", "pu"), *horner_source(V, "x", "pv")]
+    return _on_steps(["lam", *U, *V], lines, "pu / pv * exp(-lam * tau)")
 
 
 def _v_over_p_integral(spec: UnfoldingSpec, cfg: QuadratureConfig):
@@ -386,45 +470,60 @@ class _ForkingRadau(Radau):
         return float(fork.y[0])
 
 
+@dataclass
+class _Steps:
+    """What a _StoppingDOP853 solve records of its accepted steps: the
+    knots (the start, then each step's end, or the crossing on the step
+    that crosses x0), each step's interpolant as the floats (t_old, h, F's
+    rows last first, y_old), and the crossing time, None if x0 is not
+    reached."""
+
+    knots: list = field(default_factory=list)
+    segments: list = field(default_factory=list)
+    crossing: float | None = None
+
+
 def _tau_quadrature(Pc, Vc, s_abs: float, x0: float, tau_cap: float, cut: float,
-                    weight, cfg: QuadratureConfig) -> float:
-    """Integral of weight(x(tau), tau) over 0 <= tau <= min(tau_end, cut),
-    where x(tau) solves dx/dtau = P(x)/V(x) (float coefficients Pc, Vc) from
-    x(0) = s_abs, so that tau = A(x) - A(s_abs) with A' = V/P, and tau_end
-    is the tau at which x reaches x0, or tau_cap if it does not.
+                    integrand, cfg: QuadratureConfig) -> float:
+    """Integral over 0 <= tau <= min(tau_end, cut) of the function of tau
+    that integrand(knots, segments) returns (a _time_weight or
+    _u_over_v_weight `make` with its coefficients), where x(tau) solves
+    dx/dtau = P(x)/V(x) (float coefficients Pc, Vc) from x(0) = s_abs, so
+    that tau = A(x) - A(s_abs) with A' = V/P, and tau_end is the tau at
+    which x reaches x0, or tau_cap if it does not.
 
     One DOP853 solve per call, through the module's solve_ivp binding, that
-    ends after its first step reaching cut (_StoppingDOP853); tau_cap only
-    sets scipy's first-step cap.  The integrand reads x(tau) from its dense
-    output in Python floats (_dop853_x), bit for bit what sol.sol(tau) of a
-    solve run on to tau_cap gives.  A solve that would fail only past cut
-    does not raise."""
+    ends after its first step reaching cut or crossing x0 and records its
+    steps (_StoppingDOP853); tau_cap only sets scipy's first-step cap.  The
+    crossing and every x(tau) the integrand reads are bit for bit those of
+    solve_ivp(..., events=<x - x0, terminal, rising>, dense_output=True)
+    run on to tau_cap.  A solve that would fail only past cut does not
+    raise.
+
+    The rate stays a closure over `horner`: generated, it took the traced
+    solver share that perfbench's test_sizing_in_kind bounds below 0.5."""
 
     def rate(x):
         p, v = horner(Pc, x), horner(Vc, x)
         return p / v if v else float(np.float64(p) / v)  # numpy's inf or nan
 
-    hit = lambda tau, x: x[0] - x0
-    hit.terminal = True
-    hit.direction = 1.0
+    steps = _Steps()
     sol = solve_ivp(
         lambda tau, x: [rate(x[0])], (0.0, tau_cap), [s_abs], method=_StoppingDOP853,
-        events=hit, rtol=min(cfg.ode_rel_tol, 1e-11), atol=1e-14, dense_output=True,
-        stop=cut, rate=rate,
+        rtol=min(cfg.ode_rel_tol, 1e-11), atol=1e-14, stop=cut, rate=rate, x0=x0, steps=steps,
     )
-    if not sol.success and sol.status != 1:
+    if not sol.success:
         raise ToleranceNotMet(sol.message or "reparametrization ODE failed")
-    tau_end = sol.t_events[0][0] if sol.status == 1 and len(sol.t_events[0]) else tau_cap
-
-    x_of = _dop853_x(sol.sol)
-    val, _ = _quad(lambda tau: weight(x_of(tau), tau), 0.0, min(float(tau_end), cut), cfg)
+    tau_end = tau_cap if steps.crossing is None else steps.crossing
+    val, _ = _quad(integrand(steps.knots, steps.segments), 0.0, min(tau_end, cut), cfg)
     return val
 
 
 class _StoppingDOP853(DOP853):
     """DOP853 for one autonomous equation x' = rate(x), stepped in Python
-    floats, that finishes after the first accepted step whose end reaches
-    `stop`, without clipping that step.
+    floats, that records its steps in `steps` (_Steps) and finishes after
+    the first accepted step whose end reaches `stop` or that crosses x = x0
+    rising, without clipping that step.
 
     Each step and each interpolant is scipy's DOP853._step_impl and
     _dense_output_impl: every weighted sum of the stages is the np.dot
@@ -436,16 +535,25 @@ class _StoppingDOP853(DOP853):
     `fun` and counted in nfev; the equation is autonomous, so the stages'
     times are not formed.
 
-    solve_ivp handles events on the last step before it leaves its loop,
-    so an event inside it is still found, and every interpolant over
-    [0, stop] (or up to an earlier terminal event) is the one a solve run
-    on to t_bound builds.  t_bound still caps the first step and clips a
-    step that would pass it.  A forward solve only."""
+    After every accepted step it does what solve_ivp does with
+    dense_output=True and a terminal rising event x - x0: it builds the
+    step's interpolant (its three extra stages counted in nfev), tests
+    g <= 0 <= g_new at the step's ends (find_active_events) and finds the
+    crossing with brentq on the interpolant, with solve_event_equation's
+    tolerances.  So a crossing inside the step that reaches stop is still
+    found, and every interpolant over [0, stop] (or up to an earlier
+    crossing) is the one a solve run on to t_bound builds.  t_bound still
+    caps the first step and clips a step that would pass it.  A forward
+    solve only."""
 
-    def __init__(self, fun, t0, y0, t_bound, *, stop, rate, **options):
+    def __init__(self, fun, t0, y0, t_bound, *, stop, rate, x0, steps, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
+        self.h_abs = float(self.h_abs)  # select_initial_step's numpy float; steps run on floats
         self.stop = stop
         self.rate = rate
+        self.x0 = x0
+        self.steps = steps
+        steps.knots.append(self.t)
         K = self.K_extended
         # (K[:s].T, A[s, :s]) of stages 1-11, then of the dense output's 13-15
         self.sums = [(K[:s].T, a[:s]) for s, a in enumerate(self.A[1:], 1)]
@@ -453,8 +561,10 @@ class _StoppingDOP853(DOP853):
 
     def step(self):
         message = super().step()
-        if self.status == "running" and self.t >= self.stop:
-            self.status = "finished"
+        if self.status != "failed":
+            crossed = self._record()
+            if self.status == "running" and (crossed or self.t >= self.stop):
+                self.status = "finished"
         return message
 
     def _step_impl(self):
@@ -515,44 +625,28 @@ class _StoppingDOP853(DOP853):
         self.f = np.array([f_new])
         return True, None
 
-    def _dense_output_impl(self):
-        K, h, y_old = self.K_extended, self.h_previous, self.y_old.item()
+    def _record(self) -> bool:
+        """Record the step just taken, its interpolant and, if it crosses
+        x0 rising, the crossing; True if it does."""
+        K, h, t_old, x_old, x = self.K_extended, self.h_previous, self.t_old, self.y_old.item(), self.y.item()
         for s, (k, a) in enumerate(self.extra_sums, self.n_stages + 1):
-            K[s, 0] = self.rate(y_old + np.dot(k, a).item() * h)
+            K[s, 0] = self.rate(x_old + np.dot(k, a).item() * h)
         self.nfev += len(self.extra_sums)
-        f_old = K[0, 0]
-        delta_y = self.y.item() - y_old
-        F = np.empty((len(self.D) + 3, 1))
-        F[:3, 0] = delta_y, h * f_old - delta_y, 2 * delta_y - h * (self.f.item() + f_old)
-        F[3:] = h * np.dot(self.D, K)
-        return Dop853DenseOutput(self.t_old, self.t, self.y_old, F)
-
-
-def _dop853_x(dense):
-    """x(tau) from solve_ivp's DOP853 dense output (an OdeSolution over an
-    increasing tau), evaluated in Python floats.
-
-    Each segment is copied once: its t_old, h, the rows of F reversed and
-    y_old[0].  A call picks the segment as OdeSolution._call_single does
-    (leftmost knot >= tau, clamped to the segments) and runs
-    Dop853DenseOutput._call_impl's loop on one float.  Those are IEEE
-    double operations in the same order, so every value equals
-    float(dense(tau)[0]) bit for bit; the tests pin that."""
-    knots = dense.ts.tolist()
-    segments = [(float(p.t_old), float(p.h), p.F[::-1, 0].tolist(), float(p.y_old[0]))
-                for p in dense.interpolants]
-    last = len(segments) - 1
-
-    def x_of(tau):
-        t_old, h, rows, x_old = segments[min(max(bisect_left(knots, tau) - 1, 0), last)]
-        z = (tau - t_old) / h
-        factors = (z, 1 - z)
-        x = 0.0
-        for i, f in enumerate(rows):  # y += f, then y *= x or y *= 1 - x in turn
-            x = (x + f) * factors[i % 2]
-        return x + x_old
-
-    return x_of
+        f_old = K[0, 0].item()
+        delta_x = x - x_old
+        # F's rows last first; h is also the interpolant's t - t_old
+        rows = (h * np.dot(self.D, K)[::-1, 0]).tolist()
+        rows += [2 * delta_x - h * (self.f.item() + f_old), h * f_old - delta_x, delta_x]
+        segment = (t_old, h, *rows, x_old)
+        self.steps.segments.append(segment)
+        if x_old - self.x0 <= 0 <= x - self.x0:
+            x_of = _x_of_tau()([t_old], [segment])
+            crossing = brentq(lambda tau: x_of(tau) - self.x0, t_old, self.t, xtol=4 * _EPS, rtol=4 * _EPS)
+            self.steps.crossing = crossing
+            self.steps.knots.append(crossing)
+            return True
+        self.steps.knots.append(self.t)
+        return False
 
 
 def _y_l_quadrature(spec: UnfoldingSpec, x0: float, s: float, cfg: QuadratureConfig) -> float:
@@ -560,10 +654,11 @@ def _y_l_quadrature(spec: UnfoldingSpec, x0: float, s: float, cfg: QuadratureCon
     lam = float(spec.lam)
     Vc = spec.V.float_coeffs
     Uc = spec.U.float_coeffs
-    weight = lambda x, tau: horner(Uc, x) / horner(Vc, x) * math.exp(-lam * tau)
+    Pc = spec.family.x_coeffs(float(spec.eps))
+    make = _u_over_v_weight(len(Uc), len(Vc))
     # kernel decays like exp(-lam tau); cut where it is far below tolerance
-    return _tau_quadrature(spec.family.x_coeffs(float(spec.eps)), Vc, s + th, x0,
-                           (-_EXP_UNDERFLOW + 60.0) / lam, 50.0 / lam, weight, cfg)
+    return _tau_quadrature(Pc, Vc, s + th, x0, (-_EXP_UNDERFLOW + 60.0) / lam, 50.0 / lam,
+                           lambda knots, segments: make(knots, segments, lam, *Uc, *Vc), cfg)
 
 
 def dulac_time(
@@ -583,16 +678,19 @@ def dulac_time(
     th = float(ts.branch.theta(ts.eps))
     Vc = ts.V.float_coeffs
     Pc = ts.family.x_coeffs(float(ts.eps))
-
-    def weight(x, tau):
-        y = ts.y0 * math.exp(-tau)
-        return ts.ua(x, y) * y / horner(Vc, x)
+    if ts.ua_fn is None:
+        modes = [m.float_coeffs for m in ts.modes]
+        make = _time_weight(len(Vc), tuple(map(len, modes)))
+        args = (ts.y0, *Vc, *(c for m in modes for c in m))
+    else:
+        make, args = _time_weight(len(Vc), None), (ts.y0, ts.ua_fn, *Vc)
 
     out = []
     for p in s if grid else [s]:
         if not p > 0 or p + th > ts.x0 + 1e-15:
             raise ValueError("need 0 < s and s + theta <= x0")
-        out.append(_tau_quadrature(Pc, Vc, p + th, ts.x0, -_EXP_UNDERFLOW + 60.0, 55.0, weight, cfg))
+        out.append(_tau_quadrature(Pc, Vc, p + th, ts.x0, -_EXP_UNDERFLOW + 60.0, 55.0,
+                                   lambda knots, segments: make(knots, segments, *args), cfg))
     return out if grid else out[0]
 
 

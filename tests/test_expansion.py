@@ -616,3 +616,18 @@ class TestModeSummation:
         )
         with pytest.raises(TailUnbounded, match=r"r\*y0 = .* is not in \(0,1\)"):
             dulac_time_coefficients(ts, 1)
+
+    def test_tail_not_below_coefficients(self, fam_linear, branch_linear_plus):
+        # three unit modes sum to c_0 = 1 + 1/2 + 1/3; at r = 0.99 the tail
+        # estimate of the modes left out, 0.99^4 / 0.01 = 96.1, swamps it
+        def spec(r):
+            return DulacTimeSpec(
+                family=fam_linear, branch=branch_linear_plus, V=TS.constant(Fr(1), 3),
+                eps=0.0, modes=(TS.constant(Fr(1), 2),) * 3, decay=(1.0, r),
+            )
+
+        with pytest.raises(TailUnbounded, match=r"tail estimate 96\.0596 of the 3 modes is not below "
+                                                r"the largest \|c_j\| = 1\.83333"):
+            dulac_time_coefficients(spec(0.99), 1)
+        res = dulac_time_coefficients(spec(0.5), 1)  # 0.5^4 / 0.5 = 0.125
+        assert res.c == (1.8333333333333333, 0.0) and res.meta["tail_bound"] == 0.125

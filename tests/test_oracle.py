@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853, Radau, solve_ivp
+from scipy.integrate import DOP853, Radau, quad, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from dulackit import oracle
@@ -25,10 +26,10 @@ from dulackit.expansion import (
     coefficients,
 )
 from dulackit.family import PolynomialFamily, biggest_real_root_branch
+from dulackit.loud import LoudParams, node_time_spec
 from dulackit.oracle import (
     DEFAULT_CONFIG,
     QuadratureConfig,
-    _dop853_x,
     dulac_map,
     dulac_time,
     flatness_report,
@@ -424,28 +425,108 @@ class TestQuadratureGrids:
         assert oracle._v_over_q.cache_info().misses == 2
 
     def test_import_compiles_nothing(self):
-        script = "import dulackit.cli, dulackit.oracle as o; print(o._v_over_q.cache_info().currsize)"
+        caches = "o._v_over_q, o._x_of_tau, o._time_weight, o._u_over_v_weight"
+        script = f"import dulackit.cli, dulackit.oracle as o; print(*(c.cache_info().currsize for c in ({caches})))"
         src = str(Path(oracle.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0"]
+        assert proc.stdout.split() == ["0"] * 4
 
 
-def dop853_solve(fam, V, s_abs, x0, tau_cap):
-    """The DOP853 x(tau) solve of oracle._tau_quadrature at eps = 0."""
-    Pc, Vc = fam.x_coeffs(0.0), V.float_coeffs
+TAU_OPTIONS = dict(rtol=1e-11, atol=1e-14)  # the tau route's at DEFAULT_CONFIG
+TAU_CAP = -oracle._EXP_UNDERFLOW + 60.0  # dulac_time's tau_cap, 805
+
+
+def hit_of(x0):
+    """The tau route's end as a scipy event: x = x0, rising, terminal."""
     hit = lambda tau, x: x[0] - x0
     hit.terminal, hit.direction = True, 1.0
-    return solve_ivp(
-        lambda tau, x: [horner(Pc, x[0]) / horner(Vc, x[0])], (0.0, tau_cap), [s_abs],
-        method="DOP853", events=hit, rtol=1e-11, atol=1e-14, dense_output=True,
-    ).sol
+    return hit
+
+
+def tau_rate(Pc, Vc):
+    """The tau route's rate P/V."""
+    return lambda x: horner(Pc, x) / horner(Vc, x)
+
+
+def scipy_solve(rate, x_start, x0, tau_cap, **options):
+    """x(tau) by scipy: DOP853 with the crossing of x0 as a terminal event
+    and dense output, run on to tau_cap."""
+    return solve_ivp(lambda tau, x: [rate(x[0])], (0.0, tau_cap), [x_start], method="DOP853",
+                     events=hit_of(x0), dense_output=True, **(options or TAU_OPTIONS))
+
+
+def stepper_solve(rate, x_start, x0, tau_cap, stop=math.inf):
+    """The same solve by oracle._StoppingDOP853, with the steps it records."""
+    steps = oracle._Steps()
+    sol = solve_ivp(lambda tau, x: [rate(x[0])], (0.0, tau_cap), [x_start], method=oracle._StoppingDOP853,
+                    stop=stop, rate=rate, x0=x0, steps=steps, **TAU_OPTIONS)
+    return sol, steps
+
+
+def scipy_steps(sol) -> oracle._Steps:
+    """A scipy_solve's knots, interpolants and crossing, as _StoppingDOP853
+    records them."""
+    return oracle._Steps(
+        knots=sol.sol.ts.tolist(),
+        segments=[(p.t_old, p.h, *p.F[::-1, 0].tolist(), p.y_old[0]) for p in sol.sol.interpolants],
+        crossing=sol.t_events[0][0] if sol.status == 1 else None,
+    )
+
+
+def reference_tau_quadrature(Pc, Vc, s_abs, x0, tau_cap, cut, weight, cfg=DEFAULT_CONFIG):
+    """The tau route as scipy runs it: scipy_solve of dx/dtau = P/V, then
+    the quadrature of weight(x(tau), tau) with x read through OdeSolution,
+    from 0 to the crossing (or tau_cap) or to cut, whichever comes first."""
+    sol = scipy_solve(tau_rate(Pc, Vc), s_abs, x0, tau_cap, rtol=min(cfg.ode_rel_tol, 1e-11), atol=1e-14)
+    assert sol.success
+    tau_end = sol.t_events[0][0] if sol.status == 1 else tau_cap
+    return oracle._quad(lambda tau: weight(float(sol.sol(tau)[0]), tau), 0.0, min(float(tau_end), cut), cfg)[0]
+
+
+def time_weight(ts):
+    """dulac_time's weight U(x, y) y / V(x) at y = y0 e^-tau, through
+    DulacTimeSpec.ua and series.horner."""
+    Vc = ts.V.float_coeffs
+
+    def weight(x, tau):
+        y = ts.y0 * math.exp(-tau)
+        return ts.ua(x, y) * y / horner(Vc, x)
+
+    return weight
+
+
+def u_over_v_weight(spec):
+    """The quadrature route's weight U(x)/V(x) exp(-lam tau)."""
+    Uc, Vc, lam = spec.U.float_coeffs, spec.V.float_coeffs, float(spec.lam)
+    return lambda x, tau: horner(Uc, x) / horner(Vc, x) * math.exp(-lam * tau)
+
+
+def reference_dulac_time(ts, s):
+    return reference_tau_quadrature(ts.family.x_coeffs(float(ts.eps)), ts.V.float_coeffs,
+                                    s + float(ts.branch.theta(ts.eps)), ts.x0, TAU_CAP, 55.0, time_weight(ts))
+
+
+def reference_y_l(spec, x0, s):
+    lam = float(spec.lam)
+    return reference_tau_quadrature(spec.family.x_coeffs(float(spec.eps)), spec.V.float_coeffs,
+                                    s + float(spec.theta_eps), x0, TAU_CAP / lam, 50.0 / lam,
+                                    u_over_v_weight(spec))
+
+
+def off_origin_spec(fam_linear, branch_linear_plus):
+    return UnfoldingSpec(
+        family=fam_linear, branch=branch_linear_plus,
+        V=TS.from_coeffs([Fr(1), Fr(1, 2)], order=3),
+        U=TS.from_coeffs([Fr(1), Fr(0), Fr(1)], order=3), lam=5.0, eps=1e-3,
+    )
 
 
 class TestDop853Evaluator:
-    """The float evaluator of the DOP853 dense output equals scipy's
-    OdeSolution by ==: if scipy changes its interpolant, these fail."""
+    """x(tau) read off the recorded steps equals scipy's OdeSolution by ==,
+    and so do the tau route's values: if scipy changes its interpolant or
+    its choice of segment, these fail."""
 
     @pytest.mark.parametrize(
         "mu, s_abs, x0, tau_cap",
@@ -453,31 +534,23 @@ class TestDop853Evaluator:
         ids=["to-x0", "short-to-x0", "to-cap", "cubic-to-cap"],
     )
     def test_equals_ode_solution(self, fam_linear, fam_quadratic, mu, s_abs, x0, tau_cap):
-        dense = dop853_solve(fam_linear if mu == 1 else fam_quadratic,
-                             TS.from_coeffs([Fr(1), Fr(1, 2)], order=3), s_abs, x0, tau_cap)
+        fam = fam_linear if mu == 1 else fam_quadratic
+        rate = tau_rate(fam.x_coeffs(0.0), TS.from_coeffs([Fr(1), Fr(1, 2)], order=3).float_coeffs)
+        dense = scipy_solve(rate, s_abs, x0, tau_cap).sol
+        _, steps = stepper_solve(rate, s_abs, x0, tau_cap)
         knots = dense.ts.tolist()
-        assert len(knots) > 10 and knots[0] == 0.0
+        assert steps.knots == knots and len(knots) > 10 and knots[0] == 0.0
         taus = list(knots)  # every knot, 0 and the last one included
         for a, b in zip(knots, knots[1:]):
             taus += [a + f * (b - a) for f in (1e-9, 0.1, 0.37, 0.5, 0.9)]
             taus += [math.nextafter(a, b), math.nextafter(b, a)]
         taus += [-1.0, -1e-300, math.nextafter(knots[-1], math.inf), knots[-1] + 1.0]  # clamped
-        x_of = _dop853_x(dense)
+        x_of = oracle._x_of_tau()(steps.knots, steps.segments)
         for tau in taus:
             got = x_of(tau)
             assert type(got) is float and got == float(dense(tau)[0]), tau
 
-    @pytest.fixture()
-    def through_ode_solution(self, monkeypatch):
-        """Run the oracle with x(tau) read through OdeSolution.__call__."""
-        def run(call):
-            with monkeypatch.context() as m:
-                m.setattr(oracle, "_dop853_x", lambda dense: lambda tau: float(dense(tau)[0]))
-                return call()
-        return run
-
-    def test_dulac_time_equals_reference(self, fam_linear, fam_quadratic, branch_linear_plus,
-                                         through_ode_solution):
+    def test_dulac_time_equals_reference(self, fam_linear, fam_quadratic, branch_linear_plus):
         specs = [
             DulacTimeSpec(family=fam_linear, branch=branch_linear_plus, V=TS.constant(Fr(1), 2),
                           eps=0.005, modes=(TS.constant(Fr(1), 2), TS.from_coeffs([Fr(0), Fr(1, 2)], 2))),
@@ -490,20 +563,13 @@ class TestDop853Evaluator:
         assert specs[1].branch.rho == 2
         for ts in specs:
             for s in (1e-3, 0.02, 0.1):
-                assert dulac_time(ts, s) == through_ode_solution(lambda: dulac_time(ts, s))
+                assert dulac_time(ts, s) == reference_dulac_time(ts, s)
 
-    def test_quadrature_route_equals_reference(self, euler_spec, fam_linear, branch_linear_plus,
-                                               through_ode_solution):
-        off_origin = UnfoldingSpec(
-            family=fam_linear, branch=branch_linear_plus,
-            V=TS.from_coeffs([Fr(1), Fr(1, 2)], order=3),
-            U=TS.from_coeffs([Fr(1), Fr(0), Fr(1)], order=3), lam=5.0, eps=1e-3,
-        )
+    def test_quadrature_route_equals_reference(self, euler_spec, fam_linear, branch_linear_plus):
         grid = [1e-3, 0.02, 0.5]
-        for spec in (euler_spec, off_origin):
+        for spec in (euler_spec, off_origin_spec(fam_linear, branch_linear_plus)):
             got = particular_solution(spec, 1.0, grid, method="quadrature")
-            assert got == through_ode_solution(
-                lambda: particular_solution(spec, 1.0, grid, method="quadrature"))
+            assert got == [reference_y_l(spec, 1.0, s) for s in grid]
 
 
 def golden_time_spec(name):
@@ -514,6 +580,11 @@ def golden_time_spec(name):
         family=fam, branch=biggest_real_root_branch(fam, spec["sign"]), V=TS.from_json(spec["V"]),
         eps=spec["eps"], modes=tuple(TS.from_json(m) for m in spec["modes"]),
     )
+
+
+def tau_problem(ts):
+    """The x(tau) rate of a DulacTimeSpec and its theta."""
+    return tau_rate(ts.family.x_coeffs(float(ts.eps)), ts.V.float_coeffs), float(ts.branch.theta(ts.eps))
 
 
 class TestStoppedSolve:
@@ -533,18 +604,21 @@ class TestStoppedSolve:
 
     @pytest.fixture()
     def solves(self, monkeypatch):
-        """call() with every x(tau) solve recorded as (stop, solution): as
-        the oracle runs it, or, with full=True, run on to tau_cap."""
+        """call() with every x(tau) solve recorded as (stop, steps,
+        solution): as the oracle runs it, or, with full=True, as scipy_solve
+        runs it on to tau_cap, its steps handed to the oracle as
+        _StoppingDOP853 records them."""
         def run(call, full=False):
             seen = []
 
-            def recorded(*args, method, stop, rate, **options):
+            def recorded(*args, method, stop, rate, x0, steps, **options):
                 assert method is oracle._StoppingDOP853
                 if full:
-                    sol = solve_ivp(*args, method="DOP853", **options)
+                    sol = solve_ivp(*args, method="DOP853", events=hit_of(x0), dense_output=True, **options)
+                    vars(steps).update(vars(scipy_steps(sol)))
                 else:
-                    sol = solve_ivp(*args, method=method, stop=stop, rate=rate, **options)
-                seen.append((stop, sol))
+                    sol = solve_ivp(*args, method=method, stop=stop, rate=rate, x0=x0, steps=steps, **options)
+                seen.append((stop, steps, sol))
                 return sol
 
             with monkeypatch.context() as m:
@@ -557,11 +631,13 @@ class TestStoppedSolve:
         want, full = solves(call, full=True)
         assert got == want
         assert len(stopped) == len(full) > 0
-        for (cut, short), (_, whole) in zip(stopped, full):
-            knots, all_knots = short.sol.ts.tolist(), whole.sol.ts.tolist()
-            assert knots == all_knots[:bisect_left(all_knots, cut) + 1]
-            assert short.t_events[0].tolist() == [t for t in whole.t_events[0] if t <= knots[-1]]
-        return full
+        listed = lambda crossing: [] if crossing is None else [crossing]
+        for (cut, short, _), (_, whole, _) in zip(stopped, full):
+            knots = short.knots
+            assert knots == whole.knots[:bisect_left(whole.knots, cut) + 1]
+            assert short.segments == whole.segments[:len(knots) - 1]
+            assert listed(short.crossing) == [t for t in listed(whole.crossing) if t <= knots[-1]]
+        return [(cut, sol) for cut, _, sol in full]
 
     @staticmethod
     def hit_at(cut, sol) -> str:
@@ -588,14 +664,9 @@ class TestStoppedSolve:
             self.check(solves, lambda: dulac_time(ts, s))
 
     def test_quadrature_route(self, solves, euler_spec, fam_linear, branch_linear_plus):
-        off_origin = UnfoldingSpec(
-            family=fam_linear, branch=branch_linear_plus,
-            V=TS.from_coeffs([Fr(1), Fr(1, 2)], order=3),
-            U=TS.from_coeffs([Fr(1), Fr(0), Fr(1)], order=3), lam=5.0, eps=1e-3,
-        )
         cases = [
             (euler_spec, ["never", "before cut", "before cut"]),
-            (off_origin, ["never", "past cut", "before cut"]),  # cut = 10 at lam = 5
+            (off_origin_spec(fam_linear, branch_linear_plus), ["never", "past cut", "before cut"]),  # cut = 10 at lam = 5
         ]
         for spec, where in cases:
             full = self.check(solves, lambda: particular_solution(
@@ -604,27 +675,134 @@ class TestStoppedSolve:
 
     def test_last_knot_is_first_past_cut(self, solves):
         ts = golden_time_spec("dulac_time")
-        _, [(cut, sol)] = solves(lambda: dulac_time(ts, 1e-3))
-        knots = sol.sol.ts.tolist()
-        assert sol.status == 0 and knots[-2] < cut <= knots[-1] < 2 * cut
+        _, [(cut, steps, sol)] = solves(lambda: dulac_time(ts, 1e-3))
+        knots = steps.knots
+        assert sol.status == 0 and steps.crossing is None
+        assert knots[-2] < cut <= knots[-1] < 2 * cut
+
+
+class TestStepperEvents:
+    """_StoppingDOP853, run on to tau_cap, records what scipy_solve gives,
+    by ==: the crossing (t_events[0][0]), every knot and every
+    interpolant's t_old, h, F and y_old; and it counts the same nfev and
+    ends in the same state."""
+
+    @staticmethod
+    def same(rate, x_start, x0):
+        with np.errstate(all="ignore"):  # the rho = 2 blow-up overflows in both
+            ours, steps = stepper_solve(rate, x_start, x0, TAU_CAP)
+            ref = scipy_solve(rate, x_start, x0, TAU_CAP)
+        want = scipy_steps(ref)
+        assert (steps.crossing, steps.knots, steps.segments) == (want.crossing, want.knots, want.segments)
+        assert ours.nfev == ref.nfev and ours.njev == ref.njev == 0
+        if ref.status == 1:
+            assert ours.status == 0 and ours.t[-1] == ref.sol.interpolants[-1].t
+        else:
+            assert (ours.status, ours.message, ours.t.tolist()) == (ref.status, ref.message, ref.t.tolist())
+        return steps
+
+    def test_rho1(self):
+        ts = golden_time_spec("dulac_time")
+        rate, th = tau_problem(ts)
+        for s in TestStoppedSolve.RHO1_POINTS:
+            steps = self.same(rate, s + th, ts.x0)
+            assert steps.crossing is not None and len(steps.segments) > 10, s
+
+    def test_rho2(self):
+        ts = golden_time_spec("dulac_time_rho2")
+        rate, th = tau_problem(ts)
+        for s in (1e-3, 0.02, 0.1):
+            assert self.same(rate, s + th, ts.x0).crossing is not None, s
+
+    @pytest.mark.parametrize("name", ["dulac_time", "dulac_time_rho2"])
+    def test_root_at_start(self, name):
+        # s + theta = x0: g = 0 at tau = 0 counts as a crossing, found at 0
+        ts = golden_time_spec(name)
+        steps = self.same(tau_problem(ts)[0], ts.x0, ts.x0)
+        assert steps.crossing == 0.0 and steps.knots == [0.0, 0.0] and len(steps.segments) == 1
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", ["dulac_time", "dulac_time_rho2"])
+    def test_step_size_failure(self, name, seed):
+        # x0 = inf is never crossed: x blows up and the step size underflows
+        steps = self.same(*TestDop853Step.tau_problem(name, seed), math.inf)
+        assert steps.crossing is None and len(steps.segments) > 300
+
+
+class TestTauIntegrands:
+    """The generated integrands equal the weights they are written from, at
+    x = float(sol.sol(tau)[0]) of scipy_solve run on to tau_cap, at every
+    node quad visits, by ==."""
+
+    @pytest.fixture()
+    def nodes(self, monkeypatch):
+        """call() with, for each tau-route quadrature, scipy_solve's
+        solution and every (tau, integrand value) quad asked for."""
+        def run(call):
+            seen = []
+
+            def recorded_solve(*args, method, stop, rate, x0, steps, **options):
+                seen.append((solve_ivp(*args, method="DOP853", events=hit_of(x0), dense_output=True, **options), []))
+                return solve_ivp(*args, method=method, stop=stop, rate=rate, x0=x0, steps=steps, **options)
+
+            def recorded_quad(f, a, b, **options):
+                def g(tau):
+                    value = f(tau)
+                    seen[-1][1].append((tau, value))
+                    return value
+                return quad(g, a, b, **options)
+
+            monkeypatch.setattr(oracle, "solve_ivp", recorded_solve)
+            monkeypatch.setattr(oracle, "quad", recorded_quad)
+            call()
+            return seen
+        return run
+
+    @staticmethod
+    def check(seen, weight, points):
+        assert len(seen) == points
+        for sol, visited in seen:
+            assert len(visited) >= 21
+            for tau, value in visited:
+                assert type(value) is float and value == weight(float(sol.sol(tau)[0]), tau), tau
+
+    @pytest.mark.parametrize("n_modes", [2, 6])
+    def test_dulac_time_modes(self, nodes, fam_linear, branch_linear_plus, n_modes):
+        modes = tuple(TS.from_coeffs([Fr((-1) ** k * (k + 1), j + 2) for k in range(j + 1)], order=j)
+                      for j in range(n_modes))
+        ts = DulacTimeSpec(family=fam_linear, branch=branch_linear_plus,
+                           V=TS.from_coeffs([Fr(1), Fr(1, 3)], order=2), eps=5e-3, y0=0.8, modes=modes)
+        grid = [1e-3, 0.02, 0.3]
+        self.check(nodes(lambda: dulac_time(ts, grid)), time_weight(ts), len(grid))
+
+    def test_dulac_time_ua_fn(self, nodes):
+        ts = node_time_spec(LoudParams(-0.75, 1.0))
+        assert ts.ua_fn is not None
+        grid = [1e-3, 1e-2]
+        self.check(nodes(lambda: dulac_time(ts, grid)), time_weight(ts), len(grid))
+
+    def test_quadrature_route(self, nodes, euler_spec, fam_linear, branch_linear_plus):
+        for spec in (euler_spec, off_origin_spec(fam_linear, branch_linear_plus)):
+            grid = [1e-3, 0.02, 0.5]
+            seen = nodes(lambda: particular_solution(spec, 1.0, grid, method="quadrature"))
+            self.check(seen, u_over_v_weight(spec), len(grid))
 
 
 class TestDop853Step:
     """_StoppingDOP853's step in floats against scipy's DOP853, step for
     step and by ==: t, y, h_abs, nfev, status and message after every
-    step, and every interpolant's F.  Run on to tau_cap, x(tau) blows up
-    in finite tau, so those solves take rejected steps (on the rho = 2
-    problem through overflow and NaN stages) and fail on a step size below
-    the spacing of tau; a short tau_cap ends on a step clipped to it."""
+    step, and every recorded interpolant against scipy's (t_old, h, F,
+    y_old).  Run on to tau_cap, x(tau) blows up in finite tau, so those
+    solves take rejected steps (on the rho = 2 problem through overflow and
+    NaN stages) and fail on a step size below the spacing of tau; a short
+    tau_cap ends on a step clipped to it."""
 
     @staticmethod
     def tau_problem(name, seed):
         """The x(tau) rate of a golden dulac_time spec and a start s + theta
         at a seeded s in [1e-3, 1e-1]."""
-        ts = golden_time_spec(name)
-        Pc, Vc = ts.family.x_coeffs(float(ts.eps)), ts.V.float_coeffs
-        s = 10 ** random.Random(seed).uniform(-3, -1)
-        return (lambda x: horner(Pc, x) / horner(Vc, x)), s + float(ts.branch.theta(ts.eps))
+        rate, th = tau_problem(golden_time_spec(name))
+        return rate, 10 ** random.Random(seed).uniform(-3, -1) + th
 
     @staticmethod
     def lockstep(rate, x_start, tau_cap):
@@ -632,10 +810,12 @@ class TestDop853Step:
         trials (rejected steps + 1) of each step."""
         fun = lambda tau, x: [rate(x[0])]
         options = dict(rtol=1e-11, atol=1e-14)
-        ours = oracle._StoppingDOP853(fun, 0.0, [x_start], tau_cap, stop=math.inf, rate=rate, **options)
+        steps = oracle._Steps()
+        ours = oracle._StoppingDOP853(fun, 0.0, [x_start], tau_cap, stop=math.inf, rate=rate,
+                                      x0=math.inf, steps=steps, **options)
         ref = DOP853(fun, 0.0, [x_start], tau_cap, **options)
-        state = lambda solver: (solver.status, solver.t, solver.y.tolist(), solver.h_abs, solver.nfev)
-        assert state(ours) == state(ref)
+        state = lambda solver: (solver.status, solver.t, solver.y.tolist(), solver.h_abs)
+        assert state(ours) == state(ref) and ours.nfev == ref.nfev and steps.knots == [0.0]
         trials = []
         while ref.status == "running":
             nfev = ref.nfev
@@ -643,12 +823,13 @@ class TestDop853Step:
             assert ours.step() == message
             assert state(ours) == state(ref)
             trials.append((ref.nfev - nfev) // ref.n_stages)
-            if ref.status != "failed":
-                mine, scipys = ours.dense_output(), ref.dense_output()
-                assert type(mine) is type(scipys)
-                assert (mine.t_old, mine.t, mine.y_old.tolist()) == (scipys.t_old, scipys.t, scipys.y_old.tolist())
-                assert mine.F.tolist() == scipys.F.tolist()
-                assert ours.nfev == ref.nfev
+            if ref.status != "failed":  # ours built the interpolant with the step
+                scipys = ref.dense_output()
+                assert type(scipys) is Dop853DenseOutput
+                assert steps.segments[-1] == (scipys.t_old, scipys.h, *scipys.F[::-1, 0].tolist(), scipys.y_old[0])
+                assert steps.knots[-1] == scipys.t
+            assert ours.nfev == ref.nfev
+        assert steps.crossing is None and len(steps.knots) == len(steps.segments) + 1 == len(trials) + (ref.status != "failed")
         return message, trials, ref
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
