@@ -11,8 +11,9 @@ as an integer sum and divided out by synthetic division, and what is left
 is snapped again until nothing snaps, so two rational roots closer than
 the float spacing are both kept; a linear rest gives its root, a quadratic
 its roots from an exact square discriminant.  Float data cluster their
-companion roots before the realness test, so a multiple root stays real
-unless rounding splits it wider than the 1e-6 cluster radius.  Simple
+companion roots before the realness test, so a multiple root that rounding
+splits stays one real root, tested by the spread of its cluster and the
+derivatives at its mean (:func:`_float_root_clusters`).  Simple
 roots are lifted by undetermined coefficients (one coefficient of
 P1(v(z), z) per step, from the coefficients of the powers of v kept
 incrementally; a P1 without v^0 terms has the exact solution v = 0),
@@ -416,9 +417,8 @@ def _real_roots_with_multiplicity(phi):
     those np.roots gives for its float copy, scaled as phi itself if phi is
     squarefree and monic if not.  Rational roots come first, increasing,
     then the float roots, factor by factor.  Float data: the companion
-    roots are clustered (1e-6 relative) and a cluster whose mean is real
-    (1e-8) is one root of multiplicity its size; a wider split is not
-    rejoined."""
+    roots are clustered (:func:`_float_root_clusters`) and a cluster whose
+    mean is real (1e-8) is one root of multiplicity its size."""
     p = _poly_trim(list(phi))
     while len(p) > 1 and p[0] == 0:
         p = p[1:]  # roots at 0 are not wanted here (c != 0 in the polygon)
@@ -438,20 +438,69 @@ def _real_roots_with_multiplicity(phi):
             floats += [(float(r.real), mult) for r in zs if abs(r.imag) <= 1e-10 * max(1.0, abs(r))]
         roots = sorted(rational) + floats
     else:
-        rs = np.roots([float(c) for c in reversed(p)])
-        used = [False] * len(rs)
-        roots = []
-        for i, r in enumerate(rs):
-            if used[i]:
-                continue
-            radius = 1e-6 * max(1.0, abs(r))
-            cluster = [k for k in range(i, len(rs)) if not used[k] and abs(rs[k] - r) <= radius]
-            for k in cluster:
-                used[k] = True
-            z = rs[cluster].mean()
-            if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
-                roots.append((float(z.real), len(cluster)))
+        roots = [
+            (float(z.real), m)
+            for z, m in _float_root_clusters([float(c) for c in p])
+            if abs(z.imag) <= 1e-8 * max(1.0, abs(z))
+        ]
     return [(c, m) for c, m in roots if c != 0]
+
+
+# A cluster of m companion roots is one m-fold root when its spread is
+# within _CLUSTER_SPREAD times the radius rounding splits an m-fold root to,
+# and the first m - 1 derivatives at its mean are within _CLUSTER_ULPS units
+# of rounding of the sums that form them.
+_CLUSTER_SPREAD = 10
+_CLUSTER_ULPS = 256
+
+
+def _float_root_clusters(a) -> list:
+    """The companion roots of sum a_k x^k (floats, low first, a_0 != 0)
+    grouped into roots with multiplicity, as (mean, m) in np.roots' order.
+
+    With u the unit roundoff and T_i = p^(i)(z)/i!, rounding the
+    coefficients by u max|a_k| moves p(z) by up to u S, S = max|a_k|
+    sum |z|^k, and splits an m-fold root at z into m roots about
+    (u S/|T_m|)^(1/m) apart.  (The scale is the largest coefficient's: a
+    coefficient formed by cancellation carries the rounding of its terms.)
+    Roots that close can also be simple, so the spread alone does not
+    decide; but at an m-fold root T_1..T_(m-1) vanish, while a cluster of
+    simple roots leaves them above the rounding of their sums, u S_i with
+    S_i the T_i of the |a_k| at |z|.  So from each root not yet taken, with
+    its nearest untaken roots after it, the largest cluster is taken whose
+    spread about its mean z is at most _CLUSTER_SPREAD (u S/|T_m|)^(1/m)
+    and whose |T_i| are at most _CLUSTER_ULPS u S_i for 0 < i < m; the mean
+    of an m-fold root's split is accurate to rounding, though each root of
+    it is not.  (c^2 - 2)^2 (c - 1)^3 (c^2 + 1) in floats splits its triple
+    root 1.2e-5 wide, and at the mean its |T_1|, |T_2| are at most 0.12 u S_i;
+    the simple roots 1, 1 +- 1e-5 leave |T_1| at 3.8e4 u S_1."""
+    u = np.finfo(float).eps
+    p = TruncatedSeries(tuple(a))
+    p_abs = TruncatedSeries(tuple(abs(c) for c in a))
+    top = max(p_abs.coeffs)
+    rs = np.roots(a[::-1])
+    used = [False] * len(rs)
+    clusters = []
+    for i, r in enumerate(rs):
+        if used[i]:
+            continue
+        near = sorted((k for k in range(i + 1, len(rs)) if not used[k]), key=lambda k: abs(rs[k] - r))
+        for m in range(len(near) + 1, 0, -1):
+            cluster = sorted([i, *near[: m - 1]])
+            z = rs[cluster].mean()
+            if m == 1:
+                break
+            t, s = p.shift(z).coeffs, p_abs.shift(abs(z)).coeffs
+            S = top * sum(abs(z) ** k for k in range(len(a)))
+            spread = max(abs(rs[cluster] - z))
+            if spread**m * abs(t[m]) <= _CLUSTER_SPREAD**m * u * S and all(
+                abs(t[j]) <= _CLUSTER_ULPS * u * s[j] for j in range(1, m)
+            ):
+                break
+        for k in cluster:
+            used[k] = True
+        clusters.append((z, m))
+    return clusters
 
 
 def _rational_roots(b, unit):

@@ -1,13 +1,16 @@
 """Coefficient kernel and the reference recursion, their defining identity,
 gluing, mode summation."""
 
+import json
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dulackit.errors import (
     ContinuityViolation,
@@ -24,6 +27,7 @@ from dulackit.expansion import (
     EMPTY_SUM,
     ExpansionResult,
     UnfoldingSpec,
+    _exact_pairs,
     _scaled,
     coefficients,
     dulac_time_coefficients,
@@ -142,6 +146,80 @@ class TestTriangularKernel:
             triangular_coefficients(U, V, Qs, spec.lam, 5)
         with pytest.raises(NonUnitV, match="V_3"):
             coefficients(spec, 5)
+
+
+def fraction_loop(U, V, Qs, lam, ell):
+    """The kernel's forward substitution in Fraction arithmetic, operation
+    for operation: the reference for the integer path on exact data."""
+    width = max(V.degree(), Qs.degree())
+    U, V, Qs = U.coeffs, V.coeffs, Qs.coeffs
+    r = [Fr(k) / Fr(lam) for k in range(ell + 1)]
+    c = []
+    for n in range(ell + 1):
+        diag = V[0] - Qs[0] * r[n]
+        if diag == 0:
+            raise NonUnitV(f"V_{n}(0) = 0 at this parameter point")
+        acc = U[n]
+        for k in range(max(0, n - width), n):
+            acc = acc + (r[k] * Qs[n - k] - V[n - k]) * c[k]
+        c.append(acc / diag)
+    return c
+
+
+@st.composite
+def exact_kernel_data(draw):
+    """(U, V, Qs, lam, ell) of int, Fraction or mixed int/Fraction data with
+    exact zeros: Q of degree mu = 1..3 with Q_0 = 0 (eps = 0) or not, ell up
+    to 60, and lam at times a resonance n0 Q_0/V_0, n0 <= ell."""
+    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    ints = st.integers(-7, 7)
+    fractions = st.builds(Fr, st.integers(-40, 40), st.integers(1, 30))
+    scalars = {"int": ints, "fraction": fractions, "mixed": st.one_of(ints, fractions)}[kind]
+    nonzero = scalars.filter(bool)
+    mu, ell, eps_zero = draw(st.integers(1, 3)), draw(st.integers(0, 60)), draw(st.booleans())
+    Q = [Fr(0) if kind == "fraction" else 0] if eps_zero else [draw(nonzero)]
+    Q += [draw(scalars) for _ in range(mu - 1)] + [draw(nonzero)]
+    V = [draw(nonzero)] + [draw(scalars) for _ in range(draw(st.integers(0, 2)))]
+    U = [draw(scalars) for _ in range(draw(st.integers(1, 3)))]
+    lam = abs(draw(nonzero))
+    if ell and Q[0] * V[0] > 0 and draw(st.booleans()):
+        lam = Fr(draw(st.integers(1, ell))) * Q[0] / V[0]
+        if kind == "int" and lam.denominator == 1:
+            lam = int(lam)
+    return *(TS.from_coeffs(x, order=ell) for x in (U, V, Q)), lam, ell
+
+
+class TestIntegerKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(exact_kernel_data())
+    def test_equals_fraction_loop(self, data):
+        # the same Fractions, numerator and denominator alike (== on two
+        # Fractions compares both, so an unreduced result fails), or
+        # NonUnitV at the same index with the same message
+        U, V, Qs, lam, ell = data
+        try:
+            want = fraction_loop(U, V, Qs, lam, ell)
+        except NonUnitV as exc:
+            with pytest.raises(NonUnitV) as got:
+                triangular_coefficients(U, V, Qs, lam, ell)
+            assert str(got.value) == str(exc)
+            return
+        got = triangular_coefficients(U, V, Qs, lam, ell)
+        assert got == want and all(type(x) is Fr for x in got)
+        width = max(V.degree(), Qs.degree())
+        pairs = _exact_pairs(U.coeffs, V.coeffs, Qs.coeffs, lam, ell, width)
+        assert pairs == [(x.numerator, x.denominator) for x in want]
+
+    def test_float_and_mixed_data_keep_the_loop(self):
+        # one float coefficient, or a float lam, sends exact data to the
+        # loop, whose arithmetic then runs in floats
+        U, V, Qs = (TS.from_coeffs(c, order=3) for c in ([Fr(1), 2], [1, Fr(1, 3)], [Fr(1, 5), 1]))
+        exact = triangular_coefficients(U, V, Qs, Fr(3, 2), 3)
+        assert exact == fraction_loop(U, V, Qs, Fr(3, 2), 3)
+        for c in (triangular_coefficients(U, V, Qs, 1.5, 3),
+                  triangular_coefficients(U, TS.from_coeffs([1, 1 / 3], order=3), Qs, Fr(3, 2), 3)):
+            assert type(c[-1]) is float
+            assert c == pytest.approx([float(x) for x in exact], rel=1e-15)
 
 
 class TestRecursion:
@@ -531,7 +609,89 @@ class TestGlue:
             glue_two_sided(sp, sm, 1)
 
 
+def per_mode_reference(ts, ell):
+    """dulac_time_coefficients with one coefficients() call, and so one
+    shift of V and one restriction of Q, per mode: the reference for the
+    sum that takes them once."""
+    if ts.decay is not None:
+        C, r = ts.decay
+        r_eff = r * ts.y0
+        if not 0 < r_eff < 1:
+            raise TailUnbounded(f"certificate radius r*y0 = {r_eff} is not in (0,1)")
+    total = [0.0] * (ell + 1)
+    gamma = 0.0
+    for n, mode in enumerate(ts.modes, start=1):
+        U_n = mode * (ts.y0**n)
+        spec = UnfoldingSpec(family=ts.family, branch=ts.branch, V=ts.V, U=U_n, lam=n, eps=ts.eps)
+        res = coefficients(spec, ell)
+        for j in range(ell + 1):
+            total[j] += float(res.c[j])
+        norm = float(U_n.norm_ell1())
+        if norm > 0:
+            gamma = max(gamma, max(abs(float(cj)) for cj in res.c) / norm)
+    N = len(ts.modes)
+    tail = 0.0 if ts.decay is None else C * max(gamma, 1e-300) * r_eff ** (N + 1) / (1 - r_eff)
+    largest = max(abs(cj) for cj in total)
+    if ts.decay is not None and not tail < largest:
+        raise TailUnbounded(f"tail estimate {tail:g} of the {N} modes is not below the largest |c_j| = {largest:g}")
+    meta = {"eps": float(ts.eps), "modes_used": N, "tail_bound": float(tail), "gamma": gamma, "y0": ts.y0}
+    return ExpansionResult(c=tuple(total), ell=ell, meta=meta)
+
+
+def golden_time_spec(name):
+    """The DulacTimeSpec that `verify` builds from a golden spec file."""
+    from dulackit.cli import _analyze, _series_from
+
+    spec = json.loads((Path(__file__).parent / "golden" / f"{name}.spec.json").read_text())
+    fam, branch, _ = _analyze(spec)
+    ts = DulacTimeSpec(
+        family=fam, branch=branch, V=_series_from(spec.get("V", ["1"]), "V"), eps=spec.get("eps", 0.0),
+        modes=tuple(_series_from(m, "mode") for m in spec["modes"]), y0=spec.get("y0", 1.0),
+    )
+    return ts, spec["ell"]
+
+
+def assert_same_sum(ts, ell):
+    """dulac_time_coefficients equals the per-mode reference by == on every
+    float, meta included, or raises what it raises with the same message."""
+    try:
+        want = per_mode_reference(ts, ell)
+    except (NonUnitV, TailUnbounded) as exc:
+        with pytest.raises(type(exc)) as got:
+            dulac_time_coefficients(ts, ell)
+        assert str(got.value) == str(exc)
+        return type(exc)
+    got = dulac_time_coefficients(ts, ell)
+    assert got.c == want.c and got.meta == want.meta
+    return None
+
+
 class TestModeSummation:
+    @pytest.mark.parametrize("F", [0.9, 1.0, 1.1])
+    def test_loud_sums_equal_per_mode_loop(self, F):
+        # the default D grid of `loud`, ell 1-6: 24 modes each
+        for D in (-0.9, -0.75, -0.5, -0.25, -0.1):
+            ts = node_time_spec(LoudParams(D, F))
+            for ell in range(1, 7):
+                assert assert_same_sum(ts, ell) is None
+
+    @pytest.mark.parametrize("name", ["dulac_time", "dulac_time_rho2"])
+    def test_golden_sums_equal_per_mode_loop(self, name):
+        ts, ell = golden_time_spec(name)
+        for k in range(ell + 3):
+            assert assert_same_sum(ts, k) is None
+
+    def test_refusals_equal_per_mode_loop(self, fam_linear, branch_linear_plus):
+        # NonUnitV at F = 2 (a float diagonal 0 up to rounding), TailUnbounded
+        # for the specs of test_tail_unbounded and test_tail_not_below_coefficients
+        assert assert_same_sum(node_time_spec(LoudParams(-0.75, 2.0)), 3) is NonUnitV
+        for y0, decay in [(1.0, (1.0, 1.0)), (0.0, (1.0, 0.5)), (1.0, (1.0, 0.99))]:
+            ts = DulacTimeSpec(
+                family=fam_linear, branch=branch_linear_plus, V=TS.constant(Fr(1), 3),
+                eps=0.0, modes=(TS.constant(Fr(1), 2),) * 3, decay=decay, y0=y0,
+            )
+            assert assert_same_sum(ts, 1) is TailUnbounded
+
     def test_single_mode_reduces(self, fam_linear, branch_linear_plus):
         V = TS.from_coeffs([Fr(2), Fr(1)], order=3)
         U = TS.from_coeffs([Fr(1), Fr(1)], order=2)

@@ -28,6 +28,7 @@ from dulackit.family import (
     _compare_branches,
     _hensel_lift,
     _substitute_edge,
+    _float_root_clusters,
     _real_roots_with_multiplicity,
     _validate_branch,
     PolynomialFamily,
@@ -498,6 +499,35 @@ class TestRootsWithMultiplicity:
         assert sorted(roots) == [
             (pytest.approx(-math.sqrt(2.5), rel=1e-15), 2),
             (pytest.approx(math.sqrt(2.5), rel=1e-15), 2),
+        ]
+
+    def test_float_triple_root_split_wide(self):
+        # (c^2 - 2)^2 (c - 1)^3 (c^2 + 1) in floats: np.roots splits the
+        # triple root 1 into three roots 1.2e-5 from it, wider than any fixed
+        # cluster radius near rounding; its derivatives at their mean vanish
+        roots = _real_roots_with_multiplicity([-4.0, 12.0, -12.0, 4.0, 3.0, -9.0, 8.0, 0.0, -3.0, 1.0])
+        assert sorted(roots) == [
+            (pytest.approx(-math.sqrt(2), rel=1e-14), 2),
+            (pytest.approx(1.0, abs=1e-9), 3),
+            (pytest.approx(math.sqrt(2), rel=1e-14), 2),
+        ]
+
+    def test_close_simple_roots_stay_apart(self):
+        # (c - 1)((c - 1)^2 - 1e-10): the simple roots 1 and 1 +- 1e-5 lie as
+        # close as a split triple root, but leave p'(1) = -1e-10, far above
+        # rounding, so np.roots' three roots stay three clusters.  (In floats
+        # np.roots cannot resolve them: it gives 1.0000116 and a complex
+        # pair, which is no real root.)
+        b = Fr(1, 10**5)
+        p = [float(x) for x in (-(1 - b * b), 3 - b * b, Fr(-3), Fr(1))]
+        assert [m for _, m in _float_root_clusters(p)] == [1, 1, 1]
+        [(root, mult)] = _real_roots_with_multiplicity(p)
+        assert mult == 1 and root == pytest.approx(1.0, abs=2e-5)
+        # 1e-3 apart they are resolved, three real simple roots
+        b = Fr(1, 10**3)
+        p = [float(x) for x in (-(1 - b * b), 3 - b * b, Fr(-3), Fr(1))]
+        assert sorted(_real_roots_with_multiplicity(p)) == [
+            (pytest.approx(r, rel=1e-9), 1) for r in (0.999, 1.0, 1.001)
         ]
 
     def test_canonical_ramification(self):
