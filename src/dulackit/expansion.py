@@ -148,14 +148,18 @@ def shifted_data(spec: UnfoldingSpec, order: int):
     store and padded afterwards, so the cost of the shift does not grow
     with the order."""
     th = spec.theta_eps
-    V = spec.V.shift(th).padded(order).truncated(order)
-    Qs = spec.Q.restrict(spec.e_hat, order)
-    return _shifted_u(spec, th, order), V, Qs
+    return (_shifted_u(spec, th, order), *_shifted_vq(spec, th, order))
 
 
 def _shifted_u(spec: UnfoldingSpec, th, order: int) -> TruncatedSeries:
     """U(s + th)/lam of :func:`shifted_data`, with th = spec.theta_eps."""
     return spec.U.shift(th).padded(order).truncated(order) / spec.lam
+
+
+def _shifted_vq(spec: UnfoldingSpec, th, order: int):
+    """V(s + th) and Q restricted to spec.e_hat, of :func:`shifted_data`,
+    with th = spec.theta_eps."""
+    return spec.V.shift(th).padded(order).truncated(order), spec.Q.restrict(spec.e_hat, order)
 
 
 def _ratio(j, lam):
@@ -169,16 +173,26 @@ def _scaled(Q: TruncatedSeries, j, lam):
     return Q * _ratio(j, lam)
 
 
-# A Fraction from a reduced pair, without Fraction(p, q)'s gcd: the
-# constructor Fraction's own arithmetic returns its results through
-try:  # Python 3.12 and later
-    _coprime_fraction = Fraction._from_coprime_ints
-except AttributeError:
+def _fraction_without_gcd():
+    """Fraction's constructor from a reduced pair (denominator positive):
+    the one its own arithmetic returns results through, which takes no gcd
+    (at ell 400 that gcd is half the time of the exact solve).  It is
+    private, so it is kept only if it gives the pair back; otherwise
+    Fraction itself, which reduces the pair again."""
+    make = getattr(Fraction, "_from_coprime_ints", None)  # Python 3.12 and later
+    if make is None:
 
-    def _coprime_fraction(p, q):
-        return Fraction(p, q, _normalize=False)
+        def make(p, q):
+            return Fraction(p, q, _normalize=False)  # Python 3.11 and earlier
+
+    try:
+        f = make(-6, 35)
+    except TypeError:
+        return Fraction
+    return make if type(f) is Fraction and (f.numerator, f.denominator) == (-6, 35) else Fraction
 
 
+_coprime_fraction = _fraction_without_gcd()
 _EXACT = {int, Fraction}
 
 
@@ -515,8 +529,7 @@ def dulac_time_coefficients(ts: DulacTimeSpec, ell: int) -> ExpansionResult:
     ]
     order = max(ell, 0)
     th = specs[0].theta_eps
-    V = specs[0].V.shift(th).padded(order).truncated(order)
-    Qs = specs[0].Q.restrict(specs[0].e_hat, order)
+    V, Qs = _shifted_vq(specs[0], th, order)
     total = [0.0] * (ell + 1)
     gamma = 0.0
     for spec in specs:

@@ -446,11 +446,11 @@ def _real_roots_with_multiplicity(phi):
     return [(c, m) for c, m in roots if c != 0]
 
 
-# A cluster of m companion roots is one m-fold root when its spread is
-# within _CLUSTER_SPREAD times the radius rounding splits an m-fold root to,
-# and the first m - 1 derivatives at its mean are within _CLUSTER_ULPS units
-# of rounding of the sums that form them.
-_CLUSTER_SPREAD = 10
+# A cluster of m companion roots is one m-fold root when p's m-th Taylor
+# term at the cluster's spread is within _SPLIT_ULPS units of the rounding
+# of p, and its first m - 1 Taylor terms at the mean are within
+# _CLUSTER_ULPS units of the rounding of the sums that form them.
+_SPLIT_ULPS = 1024
 _CLUSTER_ULPS = 256
 
 
@@ -459,25 +459,29 @@ def _float_root_clusters(a) -> list:
     grouped into roots with multiplicity, as (mean, m) in np.roots' order.
 
     With u the unit roundoff and T_i = p^(i)(z)/i!, rounding the
-    coefficients by u max|a_k| moves p(z) by up to u S, S = max|a_k|
-    sum |z|^k, and splits an m-fold root at z into m roots about
-    (u S/|T_m|)^(1/m) apart.  (The scale is the largest coefficient's: a
-    coefficient formed by cancellation carries the rounding of its terms.)
-    Roots that close can also be simple, so the spread alone does not
-    decide; but at an m-fold root T_1..T_(m-1) vanish, while a cluster of
-    simple roots leaves them above the rounding of their sums, u S_i with
-    S_i the T_i of the |a_k| at |z|.  So from each root not yet taken, with
-    its nearest untaken roots after it, the largest cluster is taken whose
-    spread about its mean z is at most _CLUSTER_SPREAD (u S/|T_m|)^(1/m)
-    and whose |T_i| are at most _CLUSTER_ULPS u S_i for 0 < i < m; the mean
-    of an m-fold root's split is accurate to rounding, though each root of
-    it is not.  (c^2 - 2)^2 (c - 1)^3 (c^2 + 1) in floats splits its triple
-    root 1.2e-5 wide, and at the mean its |T_1|, |T_2| are at most 0.12 u S_i;
-    the simple roots 1, 1 +- 1e-5 leave |T_1| at 3.8e4 u S_1."""
+    coefficients moves p(z) by up to u S_0, with S_i the T_i of the |a_k|
+    at |z| (S_0 = sum |a_k| |z|^k), and splits an m-fold root at z into m
+    roots a spread r apart with |T_m| r^m about u S_0.  Roots that close
+    can also be simple, so the spread alone does not decide; but at an
+    m-fold root T_1..T_(m-1) vanish, while a cluster of simple roots leaves
+    them above the rounding of their sums, u S_i.  So from each root not
+    yet taken, with its nearest untaken roots after it, the largest cluster
+    is taken whose spread r about its mean z has |T_m| r^m at most
+    _SPLIT_ULPS u S_0 and whose |T_i| are at most _CLUSTER_ULPS u S_i for
+    0 < i < m, all of them finite; the mean of an m-fold root's split is
+    accurate to rounding, though each root of it is not (a root close by
+    bends the split and moves the mean).  (Over 10,000
+    multiple roots of float products of rational factors, |T_m| r^m was
+    at most 148 u S_0.)  Both bounds scale as p does, not as its roots: of
+    a quadratic, whose T_1 vanishes at the mean of any pair, the simple
+    roots x and x(1 + g) are joined only for g below about
+    4 sqrt(_SPLIT_ULPS u) = 1.9e-6, whatever the size of x.
+    (c^2 - 2)^2 (c - 1)^3 (c^2 + 1) in floats splits its triple root 1.2e-5
+    wide, and at the mean its |T_1|, |T_2| are at most 0.12 u S_i; the
+    simple roots 1, 1 +- 1e-5 leave |T_1| at 3.8e4 u S_1."""
     u = np.finfo(float).eps
     p = TruncatedSeries(tuple(a))
     p_abs = TruncatedSeries(tuple(abs(c) for c in a))
-    top = max(p_abs.coeffs)
     rs = np.roots(a[::-1])
     used = [False] * len(rs)
     clusters = []
@@ -491,9 +495,10 @@ def _float_root_clusters(a) -> list:
             if m == 1:
                 break
             t, s = p.shift(z).coeffs, p_abs.shift(abs(z)).coeffs
-            S = top * sum(abs(z) ** k for k in range(len(a)))
+            if not np.isfinite([*t[: m + 1], *s[:m]]).all():
+                continue  # inf <= inf would join anything
             spread = max(abs(rs[cluster] - z))
-            if spread**m * abs(t[m]) <= _CLUSTER_SPREAD**m * u * S and all(
+            if spread**m * abs(t[m]) <= _SPLIT_ULPS * u * s[0] and all(
                 abs(t[j]) <= _CLUSTER_ULPS * u * s[j] for j in range(1, m)
             ):
                 break

@@ -530,6 +530,37 @@ class TestRootsWithMultiplicity:
             (pytest.approx(r, rel=1e-9), 1) for r in (0.999, 1.0, 1.001)
         ]
 
+    @pytest.mark.parametrize("r1, r2", [(100.0, 100.002), (1e7, 2e7), (1e154, 1.1e154)])
+    def test_large_simple_roots_stay_apart(self, r1, r2):
+        # (c - r1)(c - r2) in floats: T_1 vanishes at the mean of any pair, so
+        # only the spread tells these from a split double root, and its bound
+        # scales as p, not as the size of its roots.  Near 1e154 the shifted
+        # sums overflow, and an inf bound joins nothing
+        p = [r1 * r2, -(r1 + r2), 1.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            roots = sorted(_real_roots_with_multiplicity(p))
+        assert roots == [(pytest.approx(r1, rel=1e-10), 1), (pytest.approx(r2, rel=1e-10), 1)]
+
+    def test_overflowing_cluster_is_not_joined(self):
+        # (c - 1)(c - 1e154)(c - 1.1e154): at the three roots' mean |z|^3
+        # overflows, and the roots stay three (np.roots gives 0.0 for the
+        # root 1 beside the large ones)
+        p = list(np.poly([1.0, 1e154, 1.1e154])[::-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            clusters = _float_root_clusters(p)
+        assert [m for _, m in clusters] == [1, 1, 1]
+
+    @pytest.mark.parametrize("r1, r2", [(100.0, 100.002), (1e7, 2e7)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_float_family_with_close_simple_roots(self, r1, r2, sign):
+        # x^2 - (r1 + r2) x eps + r1 r2 eps^2: the biggest root is r2 eps for
+        # eps > 0 and r1 eps for eps < 0, each a simple root lifted exactly
+        f = PolynomialFamily(mu=1, coeffs={(2, 0): 1, (1, 1): -(r1 + r2), (0, 2): r1 * r2})
+        b = biggest_real_root_branch(f, sign)
+        assert b.rho == 1 and not b.exact
+        assert b.sigma.coeffs[1] == pytest.approx(sign * (r2 if sign > 0 else r1), rel=1e-10)
+        assert not any(b.sigma.coeffs[2:])
+
     def test_canonical_ramification(self):
         # x = a t^2 + b t^4 + c t^6 with eps = t^2 is x = a e + b e^2 + c e^3
         a, b, c = Fr(3), Fr(-5, 2), 0.25
