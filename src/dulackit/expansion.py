@@ -173,26 +173,6 @@ def _scaled(Q: TruncatedSeries, j, lam):
     return Q * _ratio(j, lam)
 
 
-def _fraction_without_gcd():
-    """Fraction's constructor from a reduced pair (denominator positive):
-    the one its own arithmetic returns results through, which takes no gcd
-    (at ell 400 that gcd is half the time of the exact solve).  It is
-    private, so it is kept only if it gives the pair back; otherwise
-    Fraction itself, which reduces the pair again."""
-    make = getattr(Fraction, "_from_coprime_ints", None)  # Python 3.12 and later
-    if make is None:
-
-        def make(p, q):
-            return Fraction(p, q, _normalize=False)  # Python 3.11 and earlier
-
-    try:
-        f = make(-6, 35)
-    except TypeError:
-        return Fraction
-    return make if type(f) is Fraction and (f.numerator, f.denominator) == (-6, 35) else Fraction
-
-
-_coprime_fraction = _fraction_without_gcd()
 _EXACT = {int, Fraction}
 
 
@@ -265,7 +245,7 @@ def triangular_coefficients(U, V, Qs, lam, ell):
     U, V, Qs = U.coeffs, V.coeffs, Qs.coeffs
     # lam = 0 stays with the loop, which raises ZeroDivisionError for it
     if lam != 0 and type(lam) in _EXACT and set(map(type, U + V + Qs)) <= _EXACT:
-        return [_coprime_fraction(p, q) for p, q in _exact_pairs(U, V, Qs, lam, ell, width)]
+        return [Fraction(p, q) for p, q in _exact_pairs(U, V, Qs, lam, ell, width)]
     r = [_ratio(k, lam) for k in range(ell + 1)]
     c = []
     for n in range(ell + 1):

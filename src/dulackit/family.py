@@ -13,7 +13,8 @@ the float spacing are both kept; a linear rest gives its root, a quadratic
 its roots from an exact square discriminant.  Float data cluster their
 companion roots before the realness test, so a multiple root that rounding
 splits stays one real root, tested by the spread of its cluster and the
-derivatives at its mean (:func:`_float_root_clusters`).  Simple
+derivatives at its mean, which Newton steps polish for a triple root or
+higher (:func:`_float_root_clusters`).  Simple
 roots are lifted by undetermined coefficients (one coefficient of
 P1(v(z), z) per step, from the coefficients of the powers of v kept
 incrementally; a P1 without v^0 terms has the exact solution v = 0),
@@ -468,9 +469,14 @@ def _float_root_clusters(a) -> list:
     yet taken, with its nearest untaken roots after it, the largest cluster
     is taken whose spread r about its mean z has |T_m| r^m at most
     _SPLIT_ULPS u S_0 and whose |T_i| are at most _CLUSTER_ULPS u S_i for
-    0 < i < m, all of them finite; the mean of an m-fold root's split is
-    accurate to rounding, though each root of it is not (a root close by
-    bends the split and moves the mean).  (Over 10,000
+    0 < i < m, all of them finite.  The mean of an m-fold root's split is
+    accurate to rounding where each root of it is not, but a root close
+    by bends the split and moves the mean: float
+    (c - 1/625)(c - 1/600)^3 moves it 2e-14, and T_2 there reads 272 u S_2.
+    So for m >= 3 the mean is polished first by up to two Newton steps on
+    p^(m-1), whose root is simple at an m-fold root, each step no longer
+    than the spread; at m = 2 that is a root of p', which any pair of
+    simple roots has between them, so the mean is kept.  (Over 10,000
     multiple roots of float products of rational factors, |T_m| r^m was
     at most 148 u S_0.)  Both bounds scale as p does, not as its roots: of
     a quadratic, whose T_1 vanishes at the mean of any pair, the simple
@@ -494,10 +500,19 @@ def _float_root_clusters(a) -> list:
             z = rs[cluster].mean()
             if m == 1:
                 break
+            spread = max(abs(rs[cluster] - z))
+            for _ in range(2 if m >= 3 else 0):
+                # Newton on p^(m-1), whose root is simple at an m-fold root
+                t = p.shift(z).coeffs
+                if t[m] == 0 or not np.isfinite(t[m]):
+                    break
+                step = -t[m - 1] / (m * t[m])
+                if not abs(step) <= spread:
+                    break
+                z += step
             t, s = p.shift(z).coeffs, p_abs.shift(abs(z)).coeffs
             if not np.isfinite([*t[: m + 1], *s[:m]]).all():
                 continue  # inf <= inf would join anything
-            spread = max(abs(rs[cluster] - z))
             if spread**m * abs(t[m]) <= _SPLIT_ULPS * u * s[0] and all(
                 abs(t[j]) <= _CLUSTER_ULPS * u * s[j] for j in range(1, m)
             ):

@@ -30,7 +30,9 @@ by scipy's brentq written into the loop, so neither this module nor rk45
 imports scipy).  Each chart's field is an `rk45.System` and each event an
 `rk45.Event`: source that rk45 writes into one generated solve loop per
 chart, compiled on first use, with D and F and the charts' parameter-only
-terms as the loop's arguments, computed once per solve.  The sources keep
+terms as the loop's arguments, computed once per solve.  Every solve runs
+forward from t = 0 (the entry arc integrates the negated plane field) and
+ends at the first event root, or at the end of its span.  The sources keep
 the operations of the chart fields in their order and grouping, so a
 period has the bits it has when they are called.  On these 2- and
 3-component systems a solve takes about an eighteenth of the time of
@@ -380,12 +382,12 @@ _HORIZONTAL_RHS = (
     "-(pp + D + f_minus_1 * q * q + pp * q * q)",
     "-pp",
 )
-_ON_SECTION = Event("v", _PLANE, terminal=True)
-_U_GUARD = Event("1.0 + 1e-9 - u", _PLANE, terminal=True)
-_FAR_SECTION = Event("v", _PLANE, terminal=True, direction=-1.0)
-_Z_HIT = Event(f"z - {_Z_SWITCH!r}", _LOG_W, terminal=True, direction=1.0)
-_W_FLOOR = Event(f"lw - ({_LOG_W_FLOOR!r})", _LOG_W, terminal=True, direction=-1.0)
-_Q_SECTION = Event("q", _HORIZONTAL, terminal=True, direction=1.0)
+_ON_SECTION = Event("v", _PLANE)
+_U_GUARD = Event("1.0 + 1e-9 - u", _PLANE)
+_FAR_SECTION = Event("v", _PLANE, direction=-1.0)
+_Z_HIT = Event(f"z - {_Z_SWITCH!r}", _LOG_W, direction=1.0)
+_W_FLOOR = Event(f"lw - ({_LOG_W_FLOOR!r})", _LOG_W, direction=-1.0)
+_Q_SECTION = Event("q", _HORIZONTAL, direction=1.0)
 
 
 def _solve(rhs, span, y0, events, atol, **kw):

@@ -1,10 +1,11 @@
-"""scipy's RK45 for small systems, stepped in Python floats.
+"""scipy's RK45 for the Loud charts, stepped in Python floats.
 
 `solve_ivp` here is a port of ``scipy.integrate.solve_ivp(method="RK45")``
-for the arguments the Loud period integration passes.  Its systems have
-two or three components, where scipy's per-step numpy overhead costs several
-times the right-hand side.  The port keeps everything that decides the
-steps and the events:
+for what the Loud period integration passes it: a right-hand side given
+as a `System`, a forward span and `Event`s, each of which ends the solve
+(scipy's ``terminal=True``).  Its systems have two or three components,
+where scipy's per-step numpy overhead costs several times the right-hand
+side.  The port keeps everything that decides the steps and the events:
 
 * the Dormand-Prince 5(4) tableau, written out as the fractions of scipy's
   source, each the float that scipy's array holds;
@@ -12,8 +13,9 @@ steps and the events:
 * the step control: safety 0.9, factors between 0.2 and 10, exponent -1/5,
   no growth right after a rejected step, failure below ten spacings of t;
 * the event location: the sign test with ``direction``, Brent's root
-  finder at ``xtol = rtol = 4 EPS`` on the same quartic dense output, and a
-  terminal event ending the solve at ``sol(t_event)``.
+  finder at ``xtol = rtol = 4 EPS`` on the same quartic dense output, and
+  the earliest root (the lower index on a tie) ending the solve at
+  ``sol(t_event)``.
 
 The module imports nothing from scipy, so the Loud period sweep runs
 without loading it.  The solve loop finds event roots with a root search
@@ -26,45 +28,39 @@ tests hold it to scipy's brentq.
 
 Each sum is formed in numpy's order (the stages times their weights, then
 times h), so solutions agree with scipy's to rounding in the last bits:
-numpy may fuse a multiply and an add where Python rounds twice.  An
-event's ``terminal`` must be a bool: a count of occurrences, which scipy
-honours, raises ValueError, as does a ``first_step`` that is not positive
-or exceeds the span, with scipy's messages.  A right-hand side that keeps
-returning NaN fails the solve with scipy's step-size message; scipy itself
-loops forever on a NaN step size.
+numpy may fuse a multiply and an add where Python rounds twice.  A
+``fun`` that is not a System raises TypeError and a span that runs
+backward ValueError; a ``first_step`` that is not positive or exceeds the
+span raises ValueError with scipy's messages.  A right-hand side that
+keeps returning NaN fails the solve with scipy's step-size message; scipy
+itself loops forever on a NaN step size.
 
-Each solve runs a loop generated for its right-hand side and events:
-`_loop` fills the one template `_LOOP` and compiles it once per form, as
+Each solve runs a loop generated for its System and Events: `_loop` fills
+the one template `_LOOP` and compiles it once per form, as
 ``collections.namedtuple`` builds its class.  The loop holds the state,
-the stages and the event values in local floats.  It writes out, per
-component and per event, the first evaluations and the initial step, the
-stage states, the new state, the error norm, the step control, the events'
-sign tests and their roots, each tableau entry as the literal of its
-float and each step-control constant as a literal.  A right-hand side
-given as a `System` (its components' names, statements and derivatives as
-source, and named parameters) and events given as `Event`s (an
-expression, ``terminal`` and ``direction``) are written straight into the
-loop; the parameters are the loop's arguments, so one compile serves
-every parameter value, and a term of the parameters alone passed as a
-parameter is computed once per solve.  A plain callable is called from
-the same template.  A System and an Event stay callable, compiled from
-the same source, for scipy and the tests.  The written-out expressions
-are the sums over the components' lists, in the same order and grouping
+the stages and the event values in local floats, and writes out per
+component and per event the first evaluations, the initial step, the
+stages, the error norm, the step control, the sign tests and the roots,
+each tableau entry and step-control constant as a literal.  The System's
+source (its components' names, statements and derivatives) and each
+Event's expression are written into the loop; the System's named
+parameters are the loop's arguments, so one compile serves every
+parameter value, and a term of the parameters alone passed as a
+parameter is computed once per solve.  Called as fun(t, y) and
+event(t, y), a System and an Event run the same source compiled on its
+own, for scipy and the tests.  The written-out expressions are the sums
+over the components' lists in the same order and grouping
 (``y + (k1*a1 + ... + kj*aj)*h``, ``y + h*(k1*b1 + ... + k6*b6)``, each
 norm's squared terms added to 0.0 in component order), min and max are
-written as the comparisons they make, and Python floats are IEEE doubles
-that never fuse a multiply and an add, so no bit changes: a System's solve
-is the solve of the callable compiled from its source.  An event that
-changes sign over a step is located in the loop too: `_BRENT`, with one
-site that evaluates the event, one copy for all the loop's events, runs
-on the step's quartic dense output, written out with the operations of
-scipy's ``RkDenseOutput``, and a terminal event ends the solve at the
-dense output of its root.  On the 35 default-grid Loud
+written as the comparisons they make, and Python floats never fuse a
+multiply and an add; the tests hold the loop, bit for bit, to those sums
+stepped in plain Python.  The root search `_BRENT`, one copy for all the
+loop's events, runs on the step's quartic dense output, written with the
+operations of scipy's ``RkDenseOutput``.  On the 35 default-grid Loud
 periods (70 solves, 7,637 steps) a step costs 3.0-5.8 µs on a 2-core
-x86-64 host whose speed drifts, everything included (the set-up of each
-solve and the event roots), and scipy's solve_ivp takes about 18 times as
-long as this port (the median ratio of 24 rounds interleaved in one
-process).
+x86-64 host whose speed drifts, set-up and event roots included, and
+scipy's solve_ivp takes about 18 times as long (the median ratio of 24
+rounds interleaved in one process).
 
 A solve that would take more than `_NFEV_BUDGET` = 10^6 right-hand side
 evaluations stops with status -1 and a message that names the budget;
@@ -99,7 +95,7 @@ _MESSAGES = {
 # RK45's Dormand-Prince 5(4) tableau, written as scipy's source writes it
 # (scipy/integrate/_ivp/rk.py, class RK45).  A quotient of two ints is
 # correctly rounded, so each entry is the float that scipy's array holds.
-_C = [0.0, 1/5, 3/10, 4/5, 8/9, 1.0]
+# Its nodes C are left out: a System is autonomous, so no stage reads its time.
 _A = [
     [0.0, 0.0, 0.0, 0.0, 0.0],
     [1/5, 0.0, 0.0, 0.0, 0.0],
@@ -123,8 +119,9 @@ _P = [
 @dataclass
 class Solution:
     """Outcome of one solve: ``t`` and ``y`` are the final time and state
-    (at the terminal event, if one fired), ``t_events`` a list of event
-    times per event, ``nfev`` the number of right-hand side evaluations."""
+    (at the event root that ended it, if one did), ``t_events`` a list per
+    event, holding that root for the event that ended the solve and empty
+    for the others, ``nfev`` the number of right-hand side evaluations."""
 
     status: int
     message: str
@@ -147,35 +144,32 @@ _MAXITER = 100
 # and an event's names do not.  The blocks in braces are written per
 # component and per event by `_loop`.
 _LOOP = """\
-def _solve(_fun, _events, _t, _t_bound, _y, _h_abs, _atol, _rtol, _direction{params}):
+def _solve(_t, _t_bound, _y, _h_abs, _atol, _rtol{params}):
     _abs, _nextafter, _sqrt = abs, math.nextafter, math.sqrt
     {y}, = _y
     {atol}, = _atol
     {start}
     _nfev = 1
-    _t_events = [[] for _ in _events]
     if _t == _t_bound:
-        return Solution(0, _MESSAGES[0], _t, _y, _t_events, _nfev)
+        return Solution(0, _MESSAGES[0], _t, _y, {no_events}, _nfev)
     {ay} = {abs_y}
     if _h_abs is None:
         {initial_step}
         _nfev = 2
-    _toward = _direction * math.inf
     while True:
-        _min_step = 10.0 * _abs(_nextafter(_t, _toward) - _t)
+        _min_step = 10.0 * (_nextafter(_t, math.inf) - _t)
         if _h_abs < _min_step:
             _h_abs = _min_step
         _rejected = False
         while True:
             if not _h_abs >= _min_step:  # NaN fails here too
-                return Solution(-1, _TOO_SMALL_STEP, _t, [{y}], _t_events, _nfev)
-            _t_new = _t + _h_abs * _direction
-            if _direction * (_t_new - _t_bound) > 0.0:
+                return Solution(-1, _TOO_SMALL_STEP, _t, [{y}], {no_events}, _nfev)
+            _t_new = _t + _h_abs
+            if _t_new > _t_bound:
                 _t_new = _t_bound
-            _h = _t_new - _t
-            _h_abs = _abs(_h)
+            _h = _h_abs = _t_new - _t
             if _nfev + 6 > {budget!r}:
-                return Solution(-1, _BUDGET_SPENT, _t, [{y}], _t_events, _nfev)
+                return Solution(-1, _BUDGET_SPENT, _t, [{y}], {no_events}, _nfev)
             {step}
             _nfev += 6
             if _error_norm < 1.0:
@@ -197,8 +191,8 @@ def _solve(_fun, _events, _t, _t_bound, _y, _h_abs, _atol, _rtol, _direction{par
         {y} = {yn}
         {ay} = {ayn}
         {k1} = {k7}
-        if _direction * (_t - _t_bound) >= 0.0:
-            return Solution(0, _MESSAGES[0], _t, [{y}], _t_events, _nfev)
+        if _t >= _t_bound:
+            return Solution(0, _MESSAGES[0], _t, [{y}], {no_events}, _nfev)
 """
 
 # The root of event _i over the step from _t to _t_new: scipy's brentq,
@@ -306,16 +300,16 @@ def _compile(source: str, name: str):
 
 @functools.cache
 def _function(names, statements, result, params):
-    """The source as a callable, compiled once per source:
-    ``_function(...)(*param values)`` is fun(t, y), returning ``result``."""
+    """The source as a function of (t, y), compiled once per source:
+    ``_function(...)(*param values)`` returns ``result``."""
     _free(names, statements, [result], params)
     body = [f"{', '.join(names)}, = _y", *statements]
     return _compile(
         f"def _make({', '.join(params)}):\n"
-        "    def _fun(_t, _y):\n"
+        "    def _call(_t, _y):\n"
         + "".join(f"        {line}\n" for line in body)
         + f"        return {result}\n"
-        "    return _fun\n",
+        "    return _call\n",
         "_make",
     )
 
@@ -345,41 +339,39 @@ class System:
         return tuple(self.names), tuple(self.lines), tuple(self.derivatives), tuple(self.params)
 
     @functools.cached_property
-    def _fun(self):
+    def _compiled(self):
         names, lines, derivatives, params = self.form
         return _function(names, lines, f"[{', '.join(derivatives)}]", params)(*self.params.values())
 
     def __call__(self, t, y):
-        return self._fun(t, y)
+        return self._compiled(t, y)
 
 
 @dataclass(frozen=True)
 class Event:
     """An event function g(y) as source: ``expression`` reads the state by
-    its ``names``, ``math`` and the builtins.  A solve records each root of
-    g crossed in ``direction`` (either way if 0) and, if ``terminal``,
-    stops at the first.  Called as event(t, y), it is compiled from the
-    same source; `solve_ivp` writes it into its loop."""
+    its ``names``, ``math`` and the builtins.  A solve stops at the first
+    root of g crossed in ``direction`` (either way if 0).  Called as
+    event(t, y), it is compiled from the same source, and its ``terminal``
+    is True, as scipy reads it; `solve_ivp` writes it into its loop."""
 
     expression: str
     names: tuple
-    terminal: bool = False
     direction: float = 0.0
+    terminal = True  # a class constant, not a field: every event ends the solve
 
     @functools.cached_property
-    def _fun(self):
+    def _compiled(self):
         return _function(tuple(self.names), (), self.expression, ())()
 
     def __call__(self, t, y):
-        return self._fun(t, y)
+        return self._compiled(t, y)
 
 
-def _stage(system, j: int, time: str, state: list) -> list:
-    """Source that sets _k<j>_0, _k<j>_1, ... to the right-hand side at the
-    time and state expressions: a call of ``_fun``, or, for a
-    `System.form`, its source written in."""
-    if system is None:
-        return [f"{', '.join(f'_k{j}_{i}' for i in range(len(state)))}, = _fun({time}, [{', '.join(state)}])"]
+def _stage(system, j: int, state: list) -> list:
+    """Source that sets _k<j>_0, _k<j>_1, ... to the right-hand side of
+    the `System.form` system at the state expressions, its source written
+    in."""
     names, lines, derivatives, params = system
     read = _free(names, lines, derivatives, params)
     bound = (f"{name} = {x}" for name, x in zip(names, state) if name in read)
@@ -387,12 +379,9 @@ def _stage(system, j: int, time: str, state: list) -> list:
     return [*bound, *lines, *derivative]
 
 
-def _value(i: int, event, time: str, state: list, target: str) -> list:
-    """Source that sets target to event i at the time and state
-    expressions: a call of ``_ev<i>``, or, for an Event's (expression,
-    names), its expression written in."""
-    if event is None:
-        return [f"{target} = _ev{i}({time}, [{', '.join(state)}])"]
+def _value(event, state: list, target: str) -> list:
+    """Source that sets target to the event (expression, names) at the
+    state expressions, its expression written in."""
     expression, names = event
     read = _free(names, (), [expression])
     return [*(f"{name} = {x}" for name, x in zip(names, state) if name in read), f"{target} = {expression}"]
@@ -412,14 +401,11 @@ def _brent(value: list, xtol: float = 4 * _EPS, rtol: float = 4 * _EPS) -> list:
 
 @functools.cache
 def _loop(n: int, system, events):
-    """The solve loop for n components, compiled once per form.  system is
-    a `System.form` to write in, or None for a callable ``_fun(t, y)``;
-    each event is (expression, names) of an `Event` to write in, or None
-    for a callable ``_events[i](t, y)``, then its terminal flag and
-    whether the sign test takes rises and falls."""
-    if system is not None:
-        if any(set(system[3]) & set(event[0][1]) for event in events if event[0] is not None):
-            raise ValueError(f"an event's names rebind a parameter of the system: {list(system[3])}")
+    """The solve loop for n components, compiled once per form: system is
+    a `System.form` and each event the (expression, names) of an `Event`,
+    then whether its sign test takes rises and whether it takes falls."""
+    if any(set(system[3]) & set(names) for (_, names), *_ in events):
+        raise ValueError(f"an event's names rebind a parameter of the system: {list(system[3])}")
 
     def each(pattern: str) -> list:
         """pattern once per component, "#" standing for its index."""
@@ -441,14 +427,14 @@ def _loop(n: int, system, events):
     # scipy's select_initial_step (Hairer, Norsett and Wanner, II.4), with
     # min and max written as the comparisons they make
     initial_step = [
-        "_interval = _abs(_t_bound - _t)",
+        "_interval = _t_bound - _t",
         *each("_sc# = _atol# + _ay# * _rtol"),
         *rms("_d0", "_y# / _sc#"),
         *rms("_d1", "_k1_# / _sc#"),
         "_h0 = 1e-6 if _d0 < 1e-5 or _d1 < 1e-5 else 0.01 * _d0 / _d1",
         "if _interval < _h0:",
         "    _h0 = _interval",
-        *_stage(system, 2, "_t + _h0 * _direction", each("_y# + _h0 * _direction * _k1_#")),
+        *_stage(system, 2, each("_y# + _h0 * _k1_#")),
         *rms("_d2", "(_k2_# - _k1_#) / _sc#"),
         "_d2 = _d2 / _h0 if _h0 else (math.inf if _d2 > 0 else math.nan)",
         "if _d1 <= 1e-15 and _d2 <= 1e-15:",
@@ -466,9 +452,9 @@ def _loop(n: int, system, events):
     step = []
     for j in range(2, 7):
         state = each(f"_y# + ({weighted(_A[j - 1], j - 1)}) * _h")
-        step += _stage(system, j, f"_t + {_C[j - 1]!r} * _h", state)
+        step += _stage(system, j, state)
     step += each(f"_yn# = _y# + _h * ({weighted(_B, 6)})")
-    step += _stage(system, 7, "_t + _h", each("_yn#"))
+    step += _stage(system, 7, each("_yn#"))
     # the scale atol + max(|y|, |y_new|) rtol, with |y| kept from the step before
     step += each("_ayn# = _abs(_yn#)")
     step += rms("_error_norm", f"({weighted(_E, 7)}) * _h / (_atol# + (_ayn# if _ayn# > _ay# else _ay#) * _rtol)")
@@ -478,38 +464,30 @@ def _loop(n: int, system, events):
     at_x = ["_s = (_x - _t) / _h", "_s2 = _s * _s", "_s3 = _s2 * _s", "_s4 = _s3 * _s"]
     dense = each("_h * (0.0 + _q#_0 * _s + _q#_1 * _s2 + _q#_2 * _s3 + _q#_3 * _s4) + _y#")
 
-    start = [f"_ev{i} = _events[{i}]" for i, (source, *_) in enumerate(events) if source is None]
-    tests, value = [], [*at_x]
-    for i, (source, _, up, down) in enumerate(events):
-        start += _value(i, source, "_t", each("_y#"), f"_g{i}")
-        tests += _value(i, source, "_t_new", each("_yn#"), f"_b{i}")
+    start, tests, value = [], [], [*at_x]
+    for i, (source, up, down) in enumerate(events):
+        start += _value(source, each("_y#"), f"_g{i}")
+        tests += _value(source, each("_yn#"), f"_b{i}")
         sign = [f"_g{i} <= 0.0 <= _b{i}"] * up + [f"_g{i} >= 0.0 >= _b{i}"] * down
         tests.append(f"_hit{i} = {' or '.join(sign) or 'False'}")
-        value += [f"if _i == {i}:", *_indent(_value(i, source, "_x", dense, "_fx"))]
-    start += _stage(system, 1, "_t", each("_y#"))
+        value += [f"if _i == {i}:", *_indent(_value(source, dense, "_fx"))]
+    start += _stage(system, 1, each("_y#"))
     if events:
         # one root search for each event _i that changes sign over the
-        # step, then each root in the order of time, up to the first
-        # terminal one
+        # step; the earliest root, the lower index on a tie, ends the solve
         value += ["if math.isnan(_fx):", "    raise ValueError(_NAN_VALUE.format(_x))"]
         hits = [f"_hit{i}" for i in range(len(events))]
         roots = [
             f"for _i, _hit in enumerate(({', '.join(hits)},)):",
             "    if _hit:",
             *_indent(_brent(value), 2),
-            "        _roots.append((_direction * _root, _i, _root))",
-            "_roots.sort()",
-            "for _, _i, _root in _roots:",
-            "    _t_events[_i].append(_root)",
+            "        _roots.append((_root, _i))",
+            "_root, _i = min(_roots)",
+            "_x = _root",
+            *at_x,
+            f"_t_events = [[_root] if _j == _i else [] for _j in range({len(events)})]",
+            f"return Solution(1, _MESSAGES[1], _root, [{', '.join(dense)}], _t_events, _nfev)",
         ]
-        terminal = tuple(i for i, (_, stops, *_) in enumerate(events) if stops)
-        if terminal:
-            roots += [
-                f"    if _i in {terminal!r}:",
-                "        _x = _root",
-                *_indent(at_x, 2),
-                f"        return Solution(1, _MESSAGES[1], _root, [{', '.join(dense)}], _t_events, _nfev)",
-            ]
         q = [f"_q#_{c} = 0.0 + {weighted([p[c] for p in _P], 7)}" for c in range(4)]
         tests += [
             f"if {' or '.join(hits)}:",
@@ -518,7 +496,7 @@ def _loop(n: int, system, events):
         ]
 
     source = _LOOP.format(
-        params="".join(f", {p}" for p in (system[3] if system else ())),
+        params="".join(f", {p}" for p in system[3]),
         y=row("_y#"),
         yn=row("_yn#"),
         k1=row("_k1_#"),
@@ -526,6 +504,7 @@ def _loop(n: int, system, events):
         atol=row("_atol#"),
         ay=row("_ay#"),
         ayn=row("_ayn#"),
+        no_events=repr([[]] * len(events)),
         abs_y=row("_abs(_y#)"),
         start="\n    ".join(start),
         initial_step="\n        ".join(initial_step),
@@ -540,45 +519,33 @@ def _loop(n: int, system, events):
     return _compile(source, "_solve")
 
 
-def solve_ivp(fun, t_span, y0, events=(), rtol=1e-3, atol=1e-6, first_step=None) -> Solution:
-    """Integrate y' = fun(t, y) over t_span as scipy's RK45 does.
+def solve_ivp(fun: System, t_span, y0, events=(), rtol=1e-3, atol=1e-6, first_step=None) -> Solution:
+    """Integrate y' = fun(y) forward over t_span as scipy's RK45 does, up
+    to the first root of the events.
 
-    ``fun`` is a `System`, or a callable that receives the state as a list
-    of floats and returns a sequence; ``atol`` is a positive number or one
-    per component; ``events`` are `Event`s, or callables ``event(t, y)``
-    with optional ``terminal`` (a bool) and ``direction`` attributes, as
-    for scipy; a lone event is taken as a list of one, as scipy takes it.
-    ``first_step``, if given, is positive and within t_span."""
+    ``fun`` is a `System` (TypeError otherwise) and ``events`` are `Event`s
+    of its state; t_span runs forward (ValueError otherwise); ``atol`` is a
+    positive number or one per component; ``first_step``, if given, is
+    positive and within t_span."""
+    if not isinstance(fun, System):
+        raise TypeError(f"fun must be an rk45.System, not {type(fun).__name__}")
     t, t_bound = (float(v) for v in t_span)
+    if t_bound < t:
+        raise ValueError(f"t_span must run forward, not from {t!r} back to {t_bound!r}")
     y = [float(v) for v in y0]
     if not all(math.isfinite(v) for v in y):
         raise ValueError("All components of the initial state `y0` must be finite.")
     n = len(y)
+    if len(fun.names) != n:
+        raise ValueError("the System's names and y0 differ in length")
     atol = [float(a) for a in atol] if isinstance(atol, (list, tuple)) else [float(atol)] * n
     if len(atol) != n or not all(a > 0 for a in atol):
         raise ValueError("atol must be positive, one value or one per component")
     if first_step is not None:
         if first_step <= 0:
             raise ValueError("`first_step` must be positive.")
-        if first_step > abs(t_bound - t):
+        if first_step > t_bound - t:
             raise ValueError("`first_step` exceeds bounds.")
-    if callable(events):
-        events = [events]
-    forms = []
-    for ev in events:
-        terminal = getattr(ev, "terminal", False)
-        if not isinstance(terminal, bool):
-            raise ValueError("The `terminal` attribute of each event must be a bool.")
-        d = getattr(ev, "direction", 0)
-        source = (ev.expression, tuple(ev.names)) if isinstance(ev, Event) else None
-        forms.append((source, terminal, bool(d >= 0), bool(d <= 0)))
-    if isinstance(fun, System):
-        if len(fun.names) != n:
-            raise ValueError("the System's names and y0 differ in length")
-        loop = _loop(n, fun.form, tuple(forms))
-        params = fun.params.values()
-    else:
-        loop = _loop(n, None, tuple(forms))
-        params = ()
-    direction = -1.0 if t_bound < t else 1.0
-    return loop(fun, events, t, t_bound, y, first_step, atol, rtol, direction, *params)
+    forms = tuple(((ev.expression, tuple(ev.names)), ev.direction >= 0, ev.direction <= 0) for ev in events)
+    loop = _loop(n, fun.form, forms)
+    return loop(t, t_bound, y, first_step, atol, rtol, *fun.params.values())

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dulackit import expansion
 from dulackit.errors import (
     ContinuityViolation,
     NonUnitV,
@@ -29,7 +28,6 @@ from dulackit.expansion import (
     ExpansionResult,
     UnfoldingSpec,
     _exact_pairs,
-    _fraction_without_gcd,
     _scaled,
     coefficients,
     dulac_time_coefficients,
@@ -211,19 +209,6 @@ class TestIntegerKernel:
         width = max(V.degree(), Qs.degree())
         pairs = _exact_pairs(U.coeffs, V.coeffs, Qs.coeffs, lam, ell, width)
         assert pairs == [(x.numerator, x.denominator) for x in want]
-
-    def test_pairs_become_fractions_without_private_names(self, monkeypatch):
-        # a Fraction with neither private constructor gives Fraction itself,
-        # which reduces the pair again, not a constructor that fails on call
-        class Bare(Fr):
-            _from_coprime_ints = None
-
-            def __new__(cls, numerator=0, denominator=None):
-                return super().__new__(cls, numerator, denominator)
-
-        assert _fraction_without_gcd()(-6, 35) == Fr(-6, 35)
-        monkeypatch.setattr(expansion, "Fraction", Bare)
-        assert _fraction_without_gcd() is Bare
 
     def test_float_and_mixed_data_keep_the_loop(self):
         # one float coefficient, or a float lam, sends exact data to the

@@ -512,6 +512,18 @@ class TestRootsWithMultiplicity:
             (pytest.approx(math.sqrt(2), rel=1e-14), 2),
         ]
 
+    def test_float_triple_root_beside_a_close_root(self):
+        # (c - 1/625)(c - 1/600)^3 in floats: the simple root 6.7e-5 away
+        # bends the triple root's split and moves its mean 2e-14, where T_2
+        # reads 272 u S_2; two Newton steps on p'' bring the mean back, and
+        # the triple root is joined (it came back as the simple roots
+        # 0.0016, 0.0016666 and a complex pair)
+        p = [Fr(1)]
+        for root in (Fr(1, 625), Fr(1, 600), Fr(1, 600), Fr(1, 600)):
+            p = times_linear(p, root, Fr(1))
+        roots = _real_roots_with_multiplicity([float(x) for x in p])
+        assert sorted(roots) == [(pytest.approx(1 / 625, rel=1e-9), 1), (pytest.approx(1 / 600, rel=1e-12), 3)]
+
     def test_close_simple_roots_stay_apart(self):
         # (c - 1)((c - 1)^2 - 1e-10): the simple roots 1 and 1 +- 1e-5 lie as
         # close as a split triple root, but leave p'(1) = -1e-10, far above

@@ -15,7 +15,7 @@ import scipy.optimize
 
 from dulackit import loud, rk45
 from dulackit.errors import EventMissed
-from dulackit.rk45 import solve_ivp
+from dulackit.rk45 import Event, System, solve_ivp
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
@@ -147,7 +147,7 @@ def test_tableau_is_scipys():
     RK45 arrays."""
     RK45 = scipy.integrate.RK45
     assert RK45.error_estimator_order == 4 and rk45._ERROR_EXPONENT == -1 / 5
-    for name in "CABEP":
+    for name in "ABEP":
         assert getattr(rk45, f"_{name}") == getattr(RK45, name).tolist(), name
 
 
@@ -229,90 +229,93 @@ def test_brentq_fails_as_scipy_does(f, a, b):
     assert isinstance(outcome[0], tuple) and outcome == _searched(_scipy_brentq, f, a, b)
 
 
-def _oscillator(t, y):
-    return [y[1], -y[0]]
+OSCILLATOR = System(("x", "p"), ("p", "-x"))
+DECAY = System(("y",), ("-y",))
+# y' = 1 until the clock c passes 1/2, then NaN
+NAN_AFTER_HALF = System(("y", "b", "c"), ("math.nan if c > 0.5 else 1.0", "1.0", "1.0"))
 
 
 def _system(n):
     """An n-component test system in which every component's stage states
     reach a derivative: for n = 1, y0' = -sin t - (y0 - cos t) / 2 (solved
-    by cos t); for n = 2, the oscillator; for n = 3 and 4, further
-    components integrate y0 and y2, and the last one feeds back into y0'.
-    Each n runs its own written-out step."""
+    by cos t), with t as the clock component c' = 1; for n = 2, the
+    oscillator; for n = 3 and 4, further components integrate y0 and y2,
+    and the last one feeds back into y0'."""
     return {
-        1: lambda t, y: [-math.sin(t) - 0.5 * (y[0] - math.cos(t))],
-        2: _oscillator,
-        3: lambda t, y: [y[1] + 0.1 * y[2], -y[0], y[0]],
-        4: lambda t, y: [y[1] + 0.1 * y[3], -y[0], y[0], y[2]],
+        1: System(("y0", "c"), ("-math.sin(c) - 0.5 * (y0 - math.cos(c))", "1.0")),
+        2: System(("y0", "y1"), ("y1", "-y0")),
+        3: System(("y0", "y1", "y2"), ("y1 + 0.1 * y2", "-y0", "y0")),
+        4: System(("y0", "y1", "y2", "y3"), ("y1 + 0.1 * y3", "-y0", "y0", "y2")),
     }[n]
 
 
+def _start(n, t0=0.0):
+    """The initial state of `_system(n)` at t0: y0 = 1, the clock at t0,
+    the other components 0."""
+    return [1.0, t0] if n == 1 else [1.0, 0.0, 0.0, 0.0][:n]
+
+
 DIMENSIONS = pytest.mark.parametrize("n", [1, 2, 3, 4], ids=lambda n: f"n{n}")
+# a span from t = 0, as every Loud solve has, and one from t = 5
+SPANS = pytest.mark.parametrize("t_span", [(0.0, 20.0), (5.0, 25.0)], ids=["forward", "from-5"])
 
 
 @DIMENSIONS
-@pytest.mark.parametrize("t_span", [(0.0, 20.0), (0.0, -20.0)], ids=["forward", "backward"])
+@SPANS
 def test_events_and_direction_match_scipy(t_span, n):
-    """Non-terminal events record every crossing in their direction; the
-    terminal one ends the solve at its root, forward and backward in t."""
-    up = lambda t, y: y[0]
-    up.direction = 1.0
-    either = lambda t, y: y[-1] - 0.5
-    stop = lambda t, y: abs(t) - 15.0
-    stop.terminal = True
-    kw = dict(events=[up, either, stop], rtol=1e-10, atol=1e-12)
-    fun, y0 = _system(n), [1.0, 0.0, 0.0, 0.0][:n]
-    port = solve_ivp(fun, t_span, y0, **kw)
-    ref = scipy_rk45(fun, t_span, y0, **kw)
-    assert port.status == 1 and all(port.t_events)
-    assert_same_solve(port, ref, fun)
-    assert port.nfev == ref.nfev
+    """Each event ends the solve at its first root in its direction, as
+    scipy's terminal events do: y0 rising through 1/2, y0 falling through
+    it, y0 crossing -1/2 either way, and two levels 1e-9 apart that y0
+    falls through in one step, where the later in index order is crossed
+    first and its root wins."""
+    system, y0 = _system(n), _start(n, t_span[0])
+    kw = dict(rtol=1e-10, atol=1e-12)
+    pair = [Event("y0 - 0.5", system.names), Event(f"y0 - {0.5 + 1e-9!r}", system.names)]
+    cases = [
+        ([Event("y0 - 0.5", system.names, 1.0)], 0),
+        ([Event("y0 - 0.5", system.names, -1.0)], 0),
+        ([Event("y0 + 0.5", system.names)], 0),
+        (pair, 1),
+    ]
+    for events, fired in cases:
+        port = solve_ivp(system, t_span, y0, events=events, **kw)
+        ref = scipy_rk45(system, t_span, y0, events=events, **kw)
+        assert port.status == 1 and [i for i, te in enumerate(port.t_events) if te] == [fired]
+        assert_same_solve(port, ref, system)
+        assert port.nfev == ref.nfev
+    seen = set()
+    assert outcome(port) == reference_outcome(system, pair, t_span, y0, kw, seen)
+    assert "two in one step, out of index order" in seen
 
 
 @DIMENSIONS
 def test_whole_interval_without_events_matches_scipy(n):
-    fun, y0 = _system(n), [1.0, 0.0, 0.0, 0.0][:n]
-    kw = dict(rtol=1e-11, atol=[1e-14, 1e-13, 1e-14, 1e-13][:n])
-    port = solve_ivp(fun, (0.0, 7.5), y0, **kw)
-    ref = scipy_rk45(fun, (0.0, 7.5), y0, **kw)
+    system, y0 = _system(n), _start(n)
+    kw = dict(rtol=1e-11, atol=[1e-14, 1e-13, 1e-14, 1e-13][: len(y0)])
+    port = solve_ivp(system, (0.0, 7.5), y0, **kw)
+    ref = scipy_rk45(system, (0.0, 7.5), y0, **kw)
     assert port.status == 0 and port.t == 7.5
-    assert_same_solve(port, ref, fun)
+    assert_same_solve(port, ref, system)
     assert port.nfev == ref.nfev
 
 
 def test_empty_interval_matches_scipy():
-    port = solve_ivp(_oscillator, (1.0, 1.0), [1.0, 0.0])
-    ref = scipy_rk45(_oscillator, (1.0, 1.0), [1.0, 0.0])
+    port = solve_ivp(OSCILLATOR, (1.0, 1.0), [1.0, 0.0])
+    ref = scipy_rk45(OSCILLATOR, (1.0, 1.0), [1.0, 0.0])
     assert (port.status, port.t, port.y, port.nfev) == (ref.status, ref.t, ref.y, ref.nfev)
-
-
-@pytest.mark.parametrize(
-    "event", [lambda t, y: y[0] - 0.5, rk45.Event("y - 0.5", ("y",))], ids=["callable", "Event"]
-)
-def test_lone_event_is_a_list_of_one(event):
-    """scipy takes one event without a list, and so does the port: y' = -y
-    crosses y = 0.5 once, at scipy's 0.6927682 over [0, 1] under the default
-    tolerances."""
-    fun = lambda t, y: [-y[0]]
-    port = solve_ivp(fun, (0.0, 1.0), [1.0], events=event)
-    ref = scipy_rk45(fun, (0.0, 1.0), [1.0], events=event)
-    assert len(port.t_events) == 1 and port.t_events[0] == pytest.approx([0.6927682], abs=1e-7)
-    assert_same_solve(port, ref, fun)
-    assert port.nfev == ref.nfev
 
 
 class TestFailures:
     @pytest.mark.parametrize(
         "rhs, y0",
         [
-            (lambda t, y: [math.nan if t > 0.5 else 1.0, 1.0], [1.0, 2.0]),
-            # zero slope at the start, NaN at the trial point of the initial
-            # step: scipy divides 0.01 by a zero norm there and gets inf
-            (lambda t, y: [0.0 if t == 0 else math.nan], [1.0]),
+            (NAN_AFTER_HALF, [1.0, 2.0, 0.0]),
+            # slope 1 at the start, NaN at the trial point of the initial
+            # step and everywhere after it
+            (System(("y",), ("1.0 if y == 0.0 else math.nan",)), [0.0]),
         ],
         ids=["nan-after-t", "nan-after-start"],
     )
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_nan_rhs_fails_as_scipy_does(self, rhs, y0):
         port = solve_ivp(rhs, (0.0, 10.0), y0, rtol=1e-11, atol=1e-14)
         ref = scipy_rk45(rhs, (0.0, 10.0), y0, rtol=1e-11, atol=1e-14)
@@ -321,19 +324,18 @@ class TestFailures:
 
     def test_nan_from_the_start_fails(self):
         # scipy never leaves its step loop here: the step size is NaN
-        sol = solve_ivp(lambda t, y: [math.nan], (0.0, 1.0), [1.0], rtol=1e-11, atol=1e-14)
+        sol = solve_ivp(System(("y",), ("math.nan",)), (0.0, 1.0), [1.0], rtol=1e-11, atol=1e-14)
         assert (sol.status, sol.message) == (-1, TOO_SMALL_STEP)
 
     def test_loud_solve_raises_event_missed(self):
-        rhs = lambda t, y: [math.nan if t > 0.5 else 1.0, 1.0]
         with pytest.raises(EventMissed, match="^Required step size"):
-            loud._solve(rhs, (0.0, 10.0), [1.0, 2.0], [], 1e-14)
+            loud._solve(NAN_AFTER_HALF, (0.0, 10.0), [1.0, 2.0, 0.0], [], 1e-14)
 
     def test_evaluation_budget(self):
         """A stiff linear equation: stability holds the explicit steps near
         3.3e-6, so the interval needs about 2e7 evaluations, and the solve
         stops at the budget with status -1 and a message that names it."""
-        sol = solve_ivp(lambda t, y: [-1e6 * y[0]], (0.0, 10.0), [1.0], rtol=1e-6, atol=1e-9)
+        sol = solve_ivp(System(("y",), ("-1e6 * y",)), (0.0, 10.0), [1.0], rtol=1e-6, atol=1e-9)
         assert sol.status == -1
         assert sol.message == (
             "The solve needs more than its budget of 1000000 right-hand side evaluations."
@@ -349,11 +351,11 @@ class TestFailures:
     @pytest.mark.parametrize("atol", [0.0, [1e-14], -1.0], ids=["zero", "wrong-length", "negative"])
     def test_bad_atol(self, atol):
         with pytest.raises(ValueError, match="atol"):
-            solve_ivp(_oscillator, (0.0, 1.0), [1.0, 0.0], atol=atol)
+            solve_ivp(OSCILLATOR, (0.0, 1.0), [1.0, 0.0], atol=atol)
 
     def test_non_finite_start(self):
         with pytest.raises(ValueError, match="finite"):
-            solve_ivp(_oscillator, (0.0, 1.0), [math.inf, 0.0])
+            solve_ivp(OSCILLATOR, (0.0, 1.0), [math.inf, 0.0])
 
     @pytest.mark.parametrize(
         "first_step, message",
@@ -365,23 +367,22 @@ class TestFailures:
         ids=["negative", "zero", "past-span"],
     )
     def test_bad_first_step_fails_as_scipy_does(self, first_step, message):
-        decay = lambda t, y: [-y[0]]
         with pytest.raises(ValueError) as ref:
-            scipy.integrate.solve_ivp(decay, (0.0, 1.0), [1.0], first_step=first_step)
+            scipy.integrate.solve_ivp(DECAY, (0.0, 1.0), [1.0], first_step=first_step)
         with pytest.raises(ValueError) as port:
-            solve_ivp(decay, (0.0, 1.0), [1.0], first_step=first_step)
+            solve_ivp(DECAY, (0.0, 1.0), [1.0], first_step=first_step)
         assert str(port.value) == str(ref.value) == message
 
-    @pytest.mark.parametrize("terminal", [2, 1], ids=["count", "int"])
-    def test_terminal_other_than_a_bool_is_refused(self, terminal):
-        """scipy stops at the terminal-th occurrence; the port does not
-        count occurrences, so it refuses what is not True or False."""
-        cross = lambda t, y: y[0]
-        cross.terminal = terminal
-        with pytest.raises(ValueError, match="`terminal` attribute of each event must be a bool"):
-            solve_ivp(_oscillator, (0.0, 20.0), [1.0, 0.0], events=[cross])
-        with pytest.raises(ValueError, match="must be a bool"):
-            solve_ivp(_oscillator, (0.0, 20.0), [1.0, 0.0], events=[rk45.Event("x", ("x", "p"), terminal)])
+    def test_callable_is_refused(self):
+        """The port writes a System's source into its loop; it does not
+        call a plain function."""
+        with pytest.raises(TypeError, match="^fun must be an rk45.System, not function$"):
+            solve_ivp(lambda t, y: [-y[0]], (0.0, 1.0), [1.0])
+
+    @pytest.mark.parametrize("t_span", [(0.0, -1.0), (1.0, math.nextafter(1.0, 0.0))], ids=["to-minus-1", "one-ulp"])
+    def test_backward_span_is_refused(self, t_span):
+        with pytest.raises(ValueError, match="^t_span must run forward, not from"):
+            solve_ivp(DECAY, t_span, [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -389,49 +390,16 @@ class TestFailures:
 # ---------------------------------------------------------------------------
 
 
-def plain(fun):
-    """fun as a plain callable, with its terminal and direction: the solve
-    loop calls it instead of writing its source in."""
-    call = lambda t, y: fun(t, y)
-    call.terminal = getattr(fun, "terminal", False)
-    call.direction = getattr(fun, "direction", 0.0)
-    return call
-
-
 def outcome(sol) -> str:
-    """Every field of a Solution, as its exact repr."""
-    return repr((sol.status, sol.message, sol.t, sol.y, sol.t_events, sol.nfev))
-
-
-def test_written_in_loop_is_the_callable_loop():
-    """Each Loud chart's System and Events, written into the loop and
-    called as plain callables by the same template, give the same status,
-    t, y, event times and evaluation count, bit for bit."""
-    endings = set()
-
-    def both(fun, t_span, y0, events=(), **kw):
-        assert isinstance(fun, rk45.System) and all(isinstance(ev, rk45.Event) for ev in events)
-        written = solve_ivp(fun, t_span, y0, events=events, **kw)
-        called = solve_ivp(plain(fun), t_span, y0, events=[plain(ev) for ev in events], **kw)
-        assert outcome(written) == outcome(called)
-        endings.add((fun.form, tuple(i for i, te in enumerate(written.t_events) if te)))
-        return written
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(loud, "solve_ivp", both)
-        for F in (0.9, 1.0, 1.1, 1.5):
-            for D, s in COMPARED:
-                loud.period_numeric(loud.LoudParams(D=D, F=F), s)
-    # the backward arc, the log-w chart at both events, the plane and the
-    # horizontal chart
-    assert len({form for form, _ in endings}) == 4 and len(endings) == 5
+    """A Solution's status, t, y, t_events and nfev, as their exact repr."""
+    return repr((sol.status, sol.t, sol.y, sol.t_events, sol.nfev))
 
 
 def written_in(system):
     """The System's right-hand side as the solve loop writes it in, as a
     function of (t, y)."""
     n = len(system.names)
-    body = rk45._stage(system.form, 1, "_t", [f"_y[{i}]" for i in range(n)])
+    body = rk45._stage(system.form, 1, [f"_y[{i}]" for i in range(n)])
     source = (
         f"def _probe(_t, _y, {', '.join(system.params)}):\n"
         + "".join(f"    {line}\n" for line in body)
@@ -508,7 +476,7 @@ def test_import_compiles_nothing():
     ],
 )
 def test_system_source_is_checked(names, derivatives, lines, match):
-    system = rk45.System(names, derivatives, lines, {"D": -0.5})
+    system = System(names, derivatives, lines, {"D": -0.5})
     with pytest.raises(ValueError, match=match):
         system(0.0, [1.0, 0.0])
     with pytest.raises(ValueError, match=match):
@@ -518,32 +486,30 @@ def test_system_source_is_checked(names, derivatives, lines, match):
 def test_event_names_keep_the_systems_bindings():
     """An event written into the loop binds its names there, so it may not
     name a parameter of the System."""
-    system = rk45.System(("u", "v"), ("v", "-c * u"), (), {"c": 1.0})
+    system = System(("u", "v"), ("v", "-c * u"), (), {"c": 1.0})
     with pytest.raises(ValueError, match="rebind a parameter"):
-        solve_ivp(system, (0.0, 1.0), [1.0, 0.0], events=[rk45.Event("c", ("c", "v"))])
+        solve_ivp(system, (0.0, 1.0), [1.0, 0.0], events=[Event("c", ("c", "v"))])
 
 
 @pytest.mark.parametrize(
-    "t_span, radius", [((0.0, 20.0), 0.8), ((0.0, -20.0), 1.25)], ids=["forward", "backward"]
+    "t_span, angle, fired", [((0.0, 20.0), 0.3, 2), ((5.0, 25.0), 1.0, 1)], ids=["forward", "from-5"]
 )
-def test_system_and_events_as_source_match_scipy(t_span, radius):
+def test_system_and_events_as_source_match_scipy(t_span, angle, fired):
     """A System with a statement and a parameter, and Events that read the
     state through math and the builtins, handed to scipy as callables and
-    to the port as source: every rise of x, every crossing of |p| = 1/2,
-    and a terminal event where the damped oscillator's amplitude, shrinking
-    forward in t and growing backward, reaches the radius."""
-    damped = rk45.System(("x", "p"), ("p", "force"), ("force = -x - c * p",), {"c": 0.05})
-    up = rk45.Event("x", damped.names, direction=1.0)
-    either = rk45.Event("abs(p) - 0.5", damped.names)
-    stop = rk45.Event(f"math.hypot(x, p) - {radius}", damped.names, terminal=True)
-    kw = dict(events=[up, either, stop], rtol=1e-10, atol=1e-12)
+    to the port as source: a rise of x, a crossing of |p| = 1/2 and the
+    damped oscillator's phase turning by the angle, the first of which ends
+    the solve (the phase at angle 0.3, |p| at 1.0)."""
+    damped = System(("x", "p"), ("p", "force"), ("force = -x - c * p",), {"c": 0.05})
+    up = Event("x", damped.names, direction=1.0)
+    either = Event("abs(p) - 0.5", damped.names)
+    turned = Event(f"math.atan2(p, x) + {angle}", damped.names)
+    kw = dict(events=[up, either, turned], rtol=1e-10, atol=1e-12)
     port = solve_ivp(damped, t_span, [1.0, 0.0], **kw)
     ref = scipy_rk45(damped, t_span, [1.0, 0.0], **kw)
-    assert port.status == 1 and all(port.t_events)
+    assert port.status == 1 and [i for i, te in enumerate(port.t_events) if te] == [fired]
     assert_same_solve(port, ref, damped)
     assert port.nfev == ref.nfev
-    called = solve_ivp(plain(damped), t_span, [1.0, 0.0], **{**kw, "events": [plain(e) for e in kw["events"]]})
-    assert outcome(port) == outcome(called)
 
 
 # ---------------------------------------------------------------------------
@@ -574,72 +540,97 @@ def dense_output(t_old, h, y_old, K):
     return sol
 
 
-def accepted_steps(log, skip):
-    """The accepted steps of a solve of a callable, from the log of its
-    evaluations (t, y, f): the first, then ``skip`` - 1 for the initial
-    step, then six per step tried.  A step tried again after a rejection
-    starts where the rejected one did: its second stage is at t + h/5,
-    y + (k1/5) h.  Each step is (t_old, t_new, y_old, y_new, K), K[i] the
-    seven stage derivatives of component i."""
-
-    def starts(t, y, k1, stages):
-        h = stages[5][0] - t
-        t2, y2, _ = stages[0]
-        return t2 == t + 0.2 * h and y2 == [a + (k * 0.2) * h for a, k in zip(y, k1)]
-
-    t, y, k1 = log[0]
-    tried = [log[i:i + 6] for i in range(skip, len(log), 6)]
-    assert len(tried[-1]) == 6
-    steps = []
-    for before, stages in zip([None, *tried], tried):
-        if not starts(t, y, k1, stages):  # the step before was accepted
-            steps.append((t, y, k1, before))
-            t, y, k1 = before[5]
-            assert starts(t, y, k1, stages)
-    steps.append((t, y, k1, tried[-1]))  # the last step ends the solve
-    return [
-        (t, stages[5][0], y, stages[5][1], [[k, *(f[i] for _, _, f in stages)] for i, k in enumerate(k1)])
-        for t, y, k1, stages in steps
-    ]
+def _weighted(K, i, weights):
+    """K[0][i] w0 + K[1][i] w1 + ..., summed from the first term, as the
+    solve loop writes its weighted sums."""
+    acc = K[0][i] * weights[0]
+    for k, w in zip(K[1:], weights[1:]):
+        acc = acc + k[i] * w
+    return acc
 
 
-def reference_events(system, events, t_span, y0, kw, seen):
-    """t_events and the terminal (t, y), or None, found as scipy finds
-    them: on each accepted step the sign test, then scipy's brentq on the
-    step's dense output, the roots recorded in the order of time up to the
-    first terminal one.  The steps come from a solve of the System as a
-    callable, which must equal its written-in solve; seen collects what the
-    hits covered."""
-    log = []
+def _rms(terms):
+    """scipy's norm as the solve loop writes it: sqrt(x . x) / sqrt(n),
+    the dot product summed from 0.0."""
+    acc = 0.0
+    for r in terms:
+        acc = acc + r * r
+    return math.sqrt(acc) / len(terms) ** 0.5
 
-    def logged(t, y):
-        f = system(t, y)
-        log.append((t, list(y), f))
-        return f
 
-    called = solve_ivp(logged, t_span, y0, events=[plain(ev) for ev in events], **kw)
+def reference_steps(system, t_span, y0, rtol, atol, first_step=None):
+    """The accepted steps of scipy's RK45 on an autonomous System over
+    t_span: its initial step, stages and step control in plain Python
+    floats, each sum formed as the solve loop writes it out.  Each step is
+    (nfev, t_old, t_new, y_old, y_new, K), K[i] the seven stage
+    derivatives of component i."""
+    f = lambda y: system(0.0, y)
+    t, t_bound = t_span
+    n, y = len(y0), list(y0)
+    atol = [atol] * n
+    k1, nfev = f(y), 1
+    ay = [abs(v) for v in y]
+    h_abs = first_step
+    if h_abs is None:  # select_initial_step
+        interval = t_bound - t
+        sc = [a + v * rtol for a, v in zip(atol, ay)]
+        d0, d1 = _rms([v / s for v, s in zip(y, sc)]), _rms([k / s for k, s in zip(k1, sc)])
+        h0 = min(interval, 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1)
+        k2, nfev = f([v + h0 * k for v, k in zip(y, k1)]), 2
+        d2 = _rms([(b - a) / s for a, b, s in zip(k1, k2, sc)]) / h0
+        h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+        h_abs = min(100 * h0, h1, interval)
+    while True:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            assert h_abs >= min_step
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            K = [k1]
+            for j in range(1, 6):
+                K.append(f([v + _weighted(K, i, rk45._A[j][:j]) * h for i, v in enumerate(y)]))
+            y_new = [v + h * _weighted(K, i, rk45._B) for i, v in enumerate(y)]
+            K.append(f(y_new))
+            nfev += 6
+            ayn = [abs(v) for v in y_new]
+            error_norm = _rms(
+                [_weighted(K, i, rk45._E) * h / (atol[i] + max(ayn[i], ay[i]) * rtol) for i in range(n)]
+            )
+            if error_norm < 1.0:
+                factor = 10.0 if error_norm == 0.0 else min(10.0, 0.9 * error_norm**-0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm**-0.2)
+            rejected = True
+        yield nfev, t, t_new, y, y_new, [list(k) for k in zip(*K)]
+        t, y, ay, k1 = t_new, y_new, ayn, K[6]
+        if t >= t_bound:
+            return
+
+
+def reference_outcome(system, events, t_span, y0, kw, seen):
+    """`outcome` of the solve as scipy solves it with terminal events: on
+    each accepted step of `reference_steps` the sign test, then scipy's
+    brentq on the step's dense output, the earliest root ending the solve
+    at the dense output there; seen collects what the hits covered."""
     t_events = [[] for _ in events]
-    direction = 1.0 if t_span[1] > t_span[0] else -1.0
-    for t_old, t_new, y_old, y_new, K in accepted_steps(log, 1 if kw.get("first_step") else 2):
+    for nfev, t_old, t_new, y_old, y_new, K in reference_steps(system, t_span, y0, **kw):
         sol = dense_output(t_old, t_new - t_old, y_old, K)
         roots = []
         for i, ev in enumerate(events):
             g, b = ev(t_old, y_old), ev(t_new, y_new)
-            d = getattr(ev, "direction", 0.0)
-            if (d >= 0 and g <= 0 <= b) or (d <= 0 and g >= 0 >= b):
+            if (ev.direction >= 0 and g <= 0 <= b) or (ev.direction <= 0 and g >= 0 >= b):
                 root = _scipy_brentq(lambda x, ev=ev: ev(x, sol(x)), t_old, t_new)
                 roots.append((root, i))
-                seen.add("rise" if b > g else "fall")
-                seen.add(("direction", d))
+                seen.update(["rise" if b > g else "fall", ("direction", ev.direction)])
                 seen.update(["at the step's end"] * (root == t_new))
-        roots.sort(key=lambda r: direction * r[0])
-        seen.update(["two in one step, out of index order"] * (roots != sorted(roots, key=lambda r: r[1])))
-        for root, i in roots:
+        if roots:
+            seen.update(["two in one step, out of index order"] * (sorted(roots) != sorted(roots, key=lambda r: r[1])))
+            root, i = min(roots)
             t_events[i].append(root)
-            if getattr(events[i], "terminal", False):
-                return called, t_events, (root, sol(root))
-            seen.add("non-terminal")
-    return called, t_events, None
+            return repr((1, root, sol(root), t_events, nfev))
+    return repr((0, t_new, y_new, t_events, nfev))
 
 
 def random_system(rng):
@@ -648,7 +639,7 @@ def random_system(rng):
     with x."""
     w = rng.uniform(0.5, 2.0)
     params = {"w": w, "c": rng.uniform(-0.03, 0.08), "e": rng.uniform(0.0, 0.2), "b": rng.uniform(-0.2, 0.2)}
-    return rk45.System(
+    return System(
         ("x", "p", "u"),
         ("w * p - c * x + drive", "-w * x - c * p - half_w * drive", "x + b"),
         ("drive = e * x * p",),
@@ -657,50 +648,44 @@ def random_system(rng):
 
 
 def random_events(rng, names):
-    """Level crossings of a random component, one of them a close pair
-    that crosses in one step (the later level first in index order), a
-    circle and the time t_bound, each with a random direction and
-    terminal flag, terminal ones rarer."""
+    """A close pair of levels of x or p, which it crosses in one step, and
+    some of: a level crossing of a random component, a circle, and |u|
+    held at a random height, which reads exactly 0 at the end of the step
+    where |u| gets there; each with a random direction, the pair's the
+    same, in a random order."""
     level = lambda: rng.uniform(-0.6, 0.6)
-    pair_at, name = level(), rng.choice(names[:2])
-    expressions = [
+    pair_at, name, height = level(), rng.choice(names[:2]), rng.uniform(0.02, 0.3)
+    pair = [f"{name} - {pair_at + 1e-9!r}", f"{name} - {pair_at!r}"]
+    others = [
         f"{rng.choice(names)} - {level()!r}",
-        f"{rng.choice(names)} - {level()!r}",
-        f"{name} - {pair_at + 1e-9!r}",
-        f"{name} - {pair_at!r}",
         f"math.hypot(x, p) - {rng.uniform(0.3, 1.2)!r}",
+        f"min(abs(u), {height!r}) - {height!r}",
     ]
-    return [rk45.Event(e, names, rng.random() < 0.2, rng.choice([-1.0, 0.0, 1.0])) for e in expressions]
+    direction = lambda: rng.choice([-1.0, 0.0, 1.0])
+    d = direction()
+    events = [Event(e, names, d) for e in pair] + [Event(e, names, direction()) for e in others if rng.random() < 0.5]
+    rng.shuffle(events)
+    return events
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_written_in_roots_are_brentqs(seed):
-    """On seeded random Systems, forward and backward, the written-in event
-    roots and the terminal state equal, by ==, scipy's brentq on the
-    reference dense output of the same step, and the System as a callable
-    gives the same solve."""
+    """On seeded random Systems, the written-in solve loop takes the steps
+    of `reference_steps`, bit for bit, and its event roots and final state
+    are, by ==, scipy's brentq on the reference dense output of the same
+    step."""
     rng = random.Random(seed)
     seen = set()
-    for _ in range(12):
+    for _ in range(16):
         system = random_system(rng)
-        t_span = (0.0, rng.choice([20.0, -20.0]))
         events = random_events(rng, system.names)
-        at_end = lambda t, y, t_bound=t_span[1]: t - t_bound  # a root exactly at the last step's end
-        at_end.terminal, at_end.direction = rng.random() < 0.5, 0.0
-        events.append(at_end)
         kw = dict(rtol=10 ** rng.uniform(-11, -6), atol=1e-12)
         if rng.random() < 0.3:
             kw["first_step"] = 1e-3
         y0 = [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), 0.0]
-        port = solve_ivp(system, t_span, y0, events=events, **kw)
-        called, t_events, end = reference_events(system, events, t_span, y0, kw, seen)
-        assert outcome(port) == outcome(called)
-        assert port.t_events == t_events
-        if end is None:
-            assert (port.status, port.t) == (0, t_span[1])
-        else:
-            assert (port.status, port.t, port.y) == (1, *end)
+        port = solve_ivp(system, (0.0, 20.0), y0, events=events, **kw)
+        assert outcome(port) == reference_outcome(system, events, (0.0, 20.0), y0, kw, seen)
     assert seen >= {
         "rise", "fall", ("direction", -1.0), ("direction", 0.0), ("direction", 1.0),
-        "two in one step, out of index order", "at the step's end", "non-terminal",
+        "two in one step, out of index order", "at the step's end",
     }
