@@ -117,13 +117,13 @@ class ExpansionResult:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.ell < 0:
+            raise ValueError(f"ell = {self.ell} is negative")
         if len(self.c) != self.ell + 1:
             raise ValueError("need exactly ell+1 coefficients")
 
     def partial_sum(self, s):
-        """Horner evaluation of sum c_j s^j; the empty result is 0."""
-        if not self.c:
-            return 0 * s
+        """Horner evaluation of sum c_j s^j."""
         return horner(self.c, s)
 
     def to_json(self) -> dict:
@@ -137,9 +137,6 @@ class ExpansionResult:
             {k: v for k, v in self.meta.items() if isinstance(v, (int, float, str, bool))}
         )
         return out
-
-
-EMPTY_SUM = ExpansionResult(c=(), ell=-1)
 
 
 def shifted_data(spec: UnfoldingSpec, order: int):

@@ -17,7 +17,7 @@ derivatives at its mean, which Newton steps polish for a triple root or
 higher (:func:`_float_root_clusters`).  Simple
 roots are lifted by undetermined coefficients (one coefficient of
 P1(v(z), z) per step, from the coefficients of the powers of v kept
-incrementally; a P1 without v^0 terms has the exact solution v = 0),
+incrementally; an exact P1 without v^0 terms has the solution v = 0),
 multiple roots recurse on the substituted polynomial once its Taylor terms
 below the root's multiplicity, rounding noise for a float root, are set to
 zero; one loop assembles the sub-branches of both.  Exact data are
@@ -38,10 +38,11 @@ and sums round as Python's floats do.  The validation evaluates P at the
 branch values on the whole grid the same way, with Python's float powers.
 
 The quotient Q(s, e) := P(s + sigma(e); +-e^rho) / s is the object the
-later hypothesis checks and the coefficient recursion consume.  It is
-built from the powers of sigma kept as sparse (t, coefficient) lists,
-which skip the products that are exact zeros; exact data are summed in
-integers over a common denominator (:func:`compute_Q`).
+later hypothesis checks and the coefficient recursion consume.  Exact data
+build it from the powers of sigma kept as sparse (t, coefficient) lists of
+their nonzero terms and sum it in integers over a common denominator;
+float and mixed data take the dense products of truncated series
+(:func:`compute_Q`).
 
 * h0: Q(0, e) > 0 near e = 0 (the tracked root stays a simple node),
   checked on the grid with Q's coefficients converted to float once,
@@ -665,25 +666,18 @@ def _hensel_lift(P1: dict, order: int):
     if a10 == 0:
         raise ArithmeticError("lift needs a simple characteristic root")
     zero = 0 * a10
+    exact_data = all(isinstance(c, (int, Fraction)) for c in P1.values())
+    if exact_data and not any(i == 0 and jz > 0 for i, jz in P1):
+        # v = 0 solves P1(v, z) = 0: every step below sums no term, so v_n is
+        # -0 / a10 (a float for an int a10); P1(0, z) is the z^0 term alone
+        v = [-zero / a10] * order
+        return v, (0, 0) not in P1 and all(isinstance(c, (int, Fraction)) for c in v)
     # mixed exact/float data: from the first step a float coefficient enters,
     # the coefficients are floats, as in a product of truncated series
     float_from = min(
         (max(jz, 1) for (i, jz), c in P1.items() if isinstance(c, float) and (i, jz) != (0, 0)),
         default=order + 1,
     )
-    if not any(i == 0 and jz > 0 for i, jz in P1):
-        # v = 0 solves P1(v, z) = 0: every step below sums no term, so v_n is
-        # -acc / a10 for the starting acc, typed as there (the first and the
-        # last are the only values), and P1(0, z) is the z^0 term alone
-        acc = abs(zero)
-        k = min(order, float_from - 1)
-        v = [-acc / a10] * k
-        if k < order:
-            v += [-float(acc) / a10] * (order - k)
-        exact = (0, 0) not in P1 and all(
-            isinstance(c, (int, Fraction)) for c in (*v[:1], *v[-1:], *P1.values())
-        )
-        return v, exact
     max_v = max(i for i, _ in P1)
     const = {jz: c for (i, jz), c in P1.items() if i == 0}
     terms = [(i, jz, c) for (i, jz), c in P1.items() if i > 0 and (i, jz) != (1, 0)]
@@ -710,12 +704,8 @@ def _hensel_lift(P1: dict, order: int):
             acc = float(acc)
         v[n] = -acc / a10
     # exactness: substitute the polynomial v into P1 without truncation
-    exact = False
-    if all(isinstance(c, (int, Fraction)) for c in v) and all(
-        isinstance(c, (int, Fraction)) for c in P1.values()
-    ):
-        exact = _exact_substitution_vanishes(P1, v)
-    return v[1:], exact
+    exact = exact_data and all(isinstance(c, (int, Fraction)) for c in v)
+    return v[1:], exact and _exact_substitution_vanishes(P1, v)
 
 
 def _exact_substitution_vanishes(P1: dict, v: Sequence) -> bool:
@@ -723,10 +713,10 @@ def _exact_substitution_vanishes(P1: dict, v: Sequence) -> bool:
     powers v^i are built once each, v^i = v^(i-1) * v, untruncated."""
     max_v = max(i for i, _ in P1)
     order = max_v * len(v)
-    v_terms = _live_terms(enumerate(v))
+    v_terms = [(t, c) for t, c in enumerate(v) if c]
     powers = [[(0, 1)]]
     for _ in range(max_v):
-        powers.append(_times_truncated(powers[-1], v_terms, order, True))
+        powers.append(_times_truncated(powers[-1], v_terms, order))
     full = {}
     for (i, jz), c in P1.items():
         for d, pc in powers[i]:
@@ -1069,105 +1059,71 @@ def _validate_branch(P: PolynomialFamily, branch: PuiseuxBranch, tracked: dict):
 # ---------------------------------------------------------------------------
 
 
-def _live_terms(items) -> list:
-    """The (t, c) pairs of a coefficient sequence that are not exact zeros.
-    A float is kept even when it is 0.0: its products are floats."""
-    return [(t, c) for t, c in items if isinstance(c, float) or c != 0]
-
-
-def _times_truncated(a: list, b: list, order: int, exact: bool) -> list:
-    """The product of two (t, c) lists of _live_terms, sorted by t,
-    truncated at order.
-
-    Coefficient n sums a_i * b_(n-i) over increasing i, as the dense product
-    of truncated series does, but skips a product when it is an exact zero
-    (neither factor a float, one of them 0).  A product with a float factor
-    is kept even when the other factor is an exact zero: it makes the sum a
-    float from that point on.  So the kept terms, their order and their
-    types are those of the dense product.  With exact (neither list holds a
-    float) only the pairs of listed terms are visited."""
+def _times_truncated(a: list, b: list, order: int) -> list:
+    """The product of two (t, c) lists of the nonzero coefficients of
+    exact polynomials, sorted by t, truncated at order: only the pairs of
+    listed terms are visited, so a sparse factor costs few products."""
     out: dict = {}
-    if exact:
-        for i, x in a:
-            for j, y in b:
-                n = i + j
-                if n > order:
-                    break
-                out[n] = out[n] + x * y if n in out else x * y
-        return [(n, c) for n, c in sorted(out.items()) if c != 0]
-    da, db = dict(a), dict(b)
-    b_floats = [j for j, c in b if isinstance(c, float)]
-    for i in range(order + 1):
-        x = da.get(i, 0)
-        if isinstance(x, float):
-            js = range(order - i + 1)
-        elif x != 0:
-            js = db
-        else:
-            js = b_floats
-        for j in js:
+    for i, x in a:
+        for j, y in b:
             n = i + j
-            if n <= order:
-                term = x * db.get(j, 0)
-                out[n] = out[n] + term if n in out else term
-    return _live_terms(sorted(out.items()))
+            if n > order:
+                break
+            out[n] = out[n] + x * y if n in out else x * y
+    return [(n, c) for n, c in sorted(out.items()) if c != 0]
 
 
 def compute_Q(P: PolynomialFamily, branch: PuiseuxBranch) -> BivariatePoly:
     """Q(s, e) = P(s + sigma(e); sign * e^rho) / s.
 
     The substitution is carried out termwise with the powers sigma^0 ..
-    sigma^(mu+1), truncated at order_e and kept as (t, coefficient) lists
-    without their exact zeros (:func:`_times_truncated`): an exact branch
-    has few nonzero coefficients, so the powers cost a few products each.
-    The terms kept, their order and their types are those of the dense
-    product of truncated series, so Q is the same, term for term and in
-    the same term order, for exact, float and mixed data.  Exact data whose
-    sigma has live coefficients of one type (all Fraction or all int) are
-    summed in integers over the common denominator lcm(P's denominators)
-    S^(mu+1), S = lcm(sigma's), and a sum is a Fraction exactly when one of
-    its terms is.  The constant term in s must vanish (the branch is a
-    root), which is checked before dividing.  For exact branches the result
-    is exact; float terms below _Q_CHOP times the largest one are dropped
-    as noise."""
-    coeffs = branch.sigma.coeffs
-    exact_field = all(issubclass(kind, (int, Fraction)) for kind in set(map(type, coeffs)))
-    if exact_field:  # the live terms are the nonzero ones, so padding adds none
-        sigma_terms = [(t, c) for t, c in enumerate(coeffs) if c]
+    sigma^(mu+1), truncated at order_e.  Exact data (P and sigma in int or
+    Fraction, sigma's nonzero terms of one type) multiply the nonzero terms
+    alone (:func:`_times_truncated`) and sum in integers over the common
+    denominator lcm(P's denominators) S^(mu+1), S = lcm(sigma's); a sum is
+    a Fraction exactly when one of its terms is.  Everything else takes the
+    dense products of truncated series.  The constant term in s must vanish
+    (the branch is a root), which is checked before dividing.  Float terms
+    below _Q_CHOP times the largest one are dropped as noise."""
+    sigma = branch.sigma
+    sigma_terms = [(t, c) for t, c in enumerate(sigma.coeffs) if c]
+    order_e = sigma.order
     if branch.exact:
-        degree = sigma_terms[-1][0] if exact_field and sigma_terms else branch.sigma.degree()
+        degree = sigma_terms[-1][0] if sigma_terms else -1
         max_m = max((m for _, m in P.coeffs), default=0)
-        order_e = max(degree * (P.mu + 1) + branch.rho * max_m, branch.sigma.order)
-    else:
-        order_e = branch.sigma.order
-    if not exact_field:
-        sigma_terms = _live_terms(enumerate(branch.sigma.padded(order_e).coeffs))
-    floats = not exact_field or any(isinstance(c, float) for c in P.coeffs.values())
+        order_e = max(degree * (P.mu + 1) + branch.rho * max_m, order_e)
     kinds = {isinstance(c, Fraction) for _, c in sigma_terms}
-    terms, one, den = P.coeffs, (1 if exact_field else 1.0), None
-    if not floats and len(kinds) <= 1:
+    types = {*map(type, sigma.coeffs), *map(type, P.coeffs.values())}
+    exact = len(kinds) <= 1 and all(issubclass(kind, (int, Fraction)) for kind in types)
+    if exact:
         S = math.lcm(*(c.denominator for _, c in sigma_terms))
         D = math.lcm(*(c.denominator for c in P.coeffs.values()))
         sigma_terms = [(t, c.numerator * (S // c.denominator)) for t, c in sigma_terms]
         terms = {km: c.numerator * (D // c.denominator) for km, c in P.coeffs.items()}
         den = D * S ** (P.mu + 1)
-    # powers of sigma, exact polynomials when branch.exact
-    pow_cache = [[(0, one)], sigma_terms]
-    for _ in range(P.mu):
-        pow_cache.append(_times_truncated(pow_cache[-1], sigma_terms, order_e, exact_field))
-    if floats:  # a float 0.0 is kept in the powers, but adds no term
-        pow_cache = [[(t, sc) for t, sc in pw if sc != 0] for pw in pow_cache]
-    elif den is not None and S != 1:  # sigma^i = (N / S)^i, over S^(mu+1)
-        pow_cache = [[(t, sc * S ** (P.mu + 1 - i)) for t, sc in pw] for i, pw in enumerate(pow_cache)]
+        pow_cache = [[(0, 1)], sigma_terms]
+        for _ in range(P.mu):
+            pow_cache.append(_times_truncated(pow_cache[-1], sigma_terms, order_e))
+        if S != 1:  # sigma^i = (N / S)^i, over S^(mu+1)
+            pow_cache = [[(t, sc * S ** (P.mu + 1 - i)) for t, sc in pw] for i, pw in enumerate(pow_cache)]
+    else:
+        terms = P.coeffs
+        dense = sigma.padded(order_e)
+        one = 1 if all(isinstance(c, (int, Fraction)) for c in dense.coeffs) else 1.0
+        powers = [TruncatedSeries.constant(one, order_e), dense]
+        for _ in range(P.mu):
+            powers.append(powers[-1] * dense)
+        # a zero coefficient, 0.0 included, adds no term
+        pow_cache = [[(t, sc) for t, sc in enumerate(pw.coeffs) if sc != 0] for pw in powers]
 
     acc: dict = {}
     mag: dict = {}  # t -> sum of |float terms| summed into the s^0 e^t coefficient
     fractions = set()  # keys with a Fraction term, when summed in integers
-    sigma_frac = den is not None and True in kinds
+    sigma_frac = exact and True in kinds
     for (k, m), c in terms.items():
         c_signed = c * (branch.sign**m)
         shift = branch.rho * m
-        c_frac = den is not None and isinstance(P.coeffs[(k, m)], Fraction)
+        c_frac = exact and isinstance(P.coeffs[(k, m)], Fraction)
         bc = 1
         for j in range(k + 1):  # (s + sigma)^k
             if j > 0:
@@ -1180,9 +1136,9 @@ def compute_Q(P: PolynomialFamily, branch: PuiseuxBranch) -> BivariatePoly:
                 acc[key] = acc[key] + term if key in acc else term
                 if frac:
                     fractions.add(key)
-                if j == 0 and floats and isinstance(term, float):
+                if j == 0 and isinstance(term, float):
                     mag[key[1]] = mag.get(key[1], 0.0) + abs(term)
-    if den is not None:
+    if exact:
         acc = {
             key: (Fraction(v) if den == 1 else Fraction(v, den)) if key in fractions else v // den
             for key, v in acc.items()

@@ -23,7 +23,7 @@ is the expected flat regime and is returned, not raised.
 set up once per call: theta, lam, the float coefficients, the restricted
 Q and the integrand.  Each point still gets its own quadrature of the
 same integrand, so every value is the one a call on that point alone
-gives, bit for bit.  The Dulac map's integrand V/Q, in u or in x, is
+gives, bit for bit.  The Dulac map's integrand V/Q in u is
 straight-line float code (`_v_over_q`), compiled once per coefficient
 counts with the coefficients as arguments, so one compile serves every
 spec of the same degrees, and nothing compiles at import.  Its Horner
@@ -111,7 +111,6 @@ _GETRS = {np.dtype(float): lapack.dgetrs, np.dtype(complex): lapack.zgetrs}
 class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
-    substitution: bool = True  # log change of variable at the singular endpoint
     ode_rel_tol: float = 1e-9
     ode_abs_tol: float = 1e-12
 
@@ -145,16 +144,15 @@ def _names(prefix: str, n: int) -> list:
 
 
 @functools.cache
-def _v_over_q(nv: int, nq: int, substitution: bool):
+def _v_over_q(nv: int, nq: int):
     """``make(theta, *V coefficients, *Q coefficients)``, the Dulac map's
     integrand V/P near theta as straight-line float code, with P(x) =
-    (x - theta) Q(x - theta): in u = log(x - theta) it is V(x)/Q(x - theta),
-    else V(x)/P(x).  Compiled once per coefficient counts."""
+    (x - theta) Q(x - theta): in u = log(x - theta) it is V(x)/Q(x - theta).
+    Compiled once per coefficient counts."""
     V, Q = _names("v", nv), _names("q", nq)
-    arg, result = ("u", "pv / pq") if substitution else ("x", "pv / ((x - th) * pq)")
-    lines = ["x = th + exp(u)"] if substitution else []
-    lines += ["t = x - th", *horner_source(V, "x", "pv"), *horner_source(Q, "t", "pq")]
-    return _compile(["th", *V, *Q], arg, lines, result)
+    lines = ["x = th + exp(u)", "t = x - th", *horner_source(V, "x", "pv"),
+             *horner_source(Q, "t", "pq")]
+    return _compile(["th", *V, *Q], "u", lines, "pv / pq")
 
 
 # the rows of a DOP853 interpolant: F's first three and the D sums
@@ -225,19 +223,17 @@ def _u_over_v_weight(nu: int, nv: int):
 
 def _v_over_p_integral(spec: UnfoldingSpec, cfg: QuadratureConfig):
     """integral(a, b) = A(b) - A(a) with A' = V/P, for theta < a <= b, via
-    u = log(x - theta) (cfg.substitution) or in x; theta, the coefficients
-    and the integrand are set up once, here."""
+    u = log(x - theta); theta, the coefficients and the integrand are set
+    up once, here."""
     th = float(spec.theta_eps)
     Vc = spec.V.float_coeffs
     Qc = spec.Q.restrict(float(spec.e_hat)).float_coeffs
-    integrand = _v_over_q(len(Vc), len(Qc), cfg.substitution)(th, *Vc, *Qc)
+    integrand = _v_over_q(len(Vc), len(Qc))(th, *Vc, *Qc)
 
     def integral(a: float, b: float) -> float:
         if not b > th or not a > th:
             raise ValueError("integration endpoints must lie right of the root")
-        if cfg.substitution:
-            a, b = math.log(a - th), math.log(b - th)
-        val, _ = _quad(integrand, a, b, cfg)
+        val, _ = _quad(integrand, math.log(a - th), math.log(b - th), cfg)
         return val
 
     return integral

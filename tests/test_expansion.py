@@ -24,7 +24,6 @@ from dulackit.expansion import (
     VB_N_S,
     VB_S0,
     DulacTimeSpec,
-    EMPTY_SUM,
     ExpansionResult,
     UnfoldingSpec,
     _exact_pairs,
@@ -370,8 +369,9 @@ class TestPartialSum:
         res = ExpansionResult(c=(1.0, 2.0), ell=1)
         assert res.partial_sum(0.5) == 2.0
 
-    def test_empty_sum_is_zero(self):
-        assert EMPTY_SUM.partial_sum(0.3) == 0
+    def test_negative_ell_is_refused(self):
+        with pytest.raises(ValueError, match="ell = -1 is negative"):
+            ExpansionResult(c=(), ell=-1)
 
     def test_euler_sigma3(self, euler_spec):
         res = coefficients(euler_spec, 3)

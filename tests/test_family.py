@@ -861,10 +861,10 @@ def Q_outcome(compute, P, branch):
 
 
 @st.composite
-def random_family(draw):
+def random_family(draw, kinds=("exact", "float", "mixed")):
     """P = x^(mu+1) + terms in eps, with rational, float, or mixed
     coefficients, and a side."""
-    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    kind = draw(st.sampled_from(kinds))
     rational = st.fractions(min_value=-4, max_value=4, max_denominator=4)
     # |c| >= 1e-6 or 0: a root of a characteristic polynomial with a tinier
     # coefficient overflows c ** k in _substitute_edge before Q is reached
@@ -884,20 +884,61 @@ MIXED_SIGMA = (
     PolynomialFamily(mu=2, coeffs={(3, 0): Fr(1), (2, 2): Fr(-1), (2, 3): -1.25}),
     1,
 )
+# x^3 - x eps with int coefficients: sigma = (0, 1, 0, ...) in Fractions, so
+# Q = s^2 + 3 s e + 2 e^2 mixes int and Fraction coefficients
+INT_FAMILY = (PolynomialFamily(mu=2, coeffs={(3, 0): 1, (1, 1): -1}), 1)
+# x (x - eps - eps^2 / 2) with the branch written by hand: sigma mixes the
+# nonzero int 1 and the Fraction 1/2, which the Newton polygon never returns
+MIXED_KINDS = (
+    PolynomialFamily(mu=1, coeffs={(2, 0): 1, (1, 1): -1, (1, 2): Fr(-1, 2)}),
+    PuiseuxBranch(rho=1, sigma=TS((0, 1, Fr(1, 2))), sign=1, exact=True),
+)
+ALL_FLOAT = (PolynomialFamily(mu=2, coeffs={(3, 0): 1.0, (2, 1): 0.25, (1, 2): -2.0, (0, 3): 0.5}), 1)
 
 
 class TestQPowers:
     @given(problem=random_family())
     @example(problem=MIXED_SIGMA)
     @example(problem=(MIXED_SIGMA[0], -1))
+    @example(problem=INT_FAMILY)
+    @example(problem=MIXED_KINDS)
+    @example(problem=ALL_FLOAT)
     @settings(max_examples=200, deadline=None)
     def test_matches_dense_powers(self, problem):
+        fam, side = problem  # the side, or a branch written by hand
+        try:
+            branch = side if isinstance(side, PuiseuxBranch) else biggest_real_root_branch(fam, side)
+        except DulacKitError:
+            return  # no branch: compute_Q is not reached
+        assert Q_outcome(compute_Q, fam, branch) == Q_outcome(Q_reference, fam, branch)
+
+    @pytest.mark.parametrize("problem", [INT_FAMILY, MIXED_KINDS, ALL_FLOAT], ids=["int", "mixed-kinds", "float"])
+    def test_examples_reach_their_shapes(self, problem):
+        fam, side = problem
+        branch = side if isinstance(side, PuiseuxBranch) else biggest_real_root_branch(fam, side)
+        kinds = {type(c) for c in compute_Q(fam, branch).terms.values()}
+        assert kinds == ({float} if problem is ALL_FLOAT else {int, Fr})
+
+    @given(problem=random_family(kinds=["exact"]))
+    @example(problem=INT_FAMILY)
+    @settings(max_examples=100, deadline=None)
+    def test_exact_data_make_no_dense_product(self, problem):
         fam, sign = problem
         try:
             branch = biggest_real_root_branch(fam, sign)
         except DulacKitError:
-            return  # no branch: compute_Q is not reached
-        assert Q_outcome(compute_Q, fam, branch) == Q_outcome(Q_reference, fam, branch)
+            return
+        if not all(isinstance(c, (int, Fr)) for c in branch.sigma.coeffs):
+            return  # an irrational root: float data
+
+        def refused(*args):
+            raise AssertionError("TruncatedSeries product on exact data")
+
+        want = Q_outcome(Q_reference, fam, branch)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(TS, "__mul__", refused)
+            m.setattr(TS, "__rmul__", refused)
+            assert Q_outcome(compute_Q, fam, branch) == want
 
     def test_mixed_sigma_example(self):
         fam, sign = MIXED_SIGMA
@@ -1020,6 +1061,25 @@ def lift_problem(draw):
 
 LIFT_RTOL = 1e-12  # float lift against the series-Horner lift, of max |v_k|
 
+# float and mixed P1 without v^0 terms, where v = 0 is the root, and the
+# lift's output by repr: v_n is a float from the first step a float
+# coefficient enters, -0 / a10 is a float for an int a10, and the sign of
+# each zero prints
+ZERO_ROOT_LIFTS = [
+    ({(1, 0): 2.0, (2, 1): 0.5, (3, 0): 1.0}, 4, "([-0.0, -0.0, -0.0, -0.0], False)"),
+    ({(1, 0): -1.5, (2, 0): 0.25}, 3, "([0.0, 0.0, 0.0], False)"),
+    ({(1, 0): 3, (2, 2): 0.5, (1, 1): Fr(1, 2)}, 5, "([0.0, -0.0, -0.0, -0.0, -0.0], False)"),
+    ({(1, 0): -2, (1, 3): 1.5}, 5, "([-0.0, -0.0, 0.0, 0.0, 0.0], False)"),
+    ({(1, 0): Fr(2, 3), (3, 1): 0.1, (2, 0): Fr(1)}, 4, "([-0.0, -0.0, -0.0, -0.0], False)"),
+    ({(1, 0): Fr(-1, 2), (0, 0): 1e-17, (2, 1): Fr(3)}, 3,
+     "([Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)], False)"),
+    ({(1, 0): 1.0, (0, 0): -2e-16}, 0, "([], False)"),
+    ({(1, 0): -0.5, (2, 1): Fr(1, 3), (3, 0): 2}, 3, "([0.0, 0.0, 0.0], False)"),
+    ({(1, 0): 1, (2, 0): 0.5}, 3, "([-0.0, -0.0, -0.0], False)"),
+    ({(1, 0): Fr(5), (0, 0): 0.5, (2, 4): -1.0}, 6,
+     "([Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), -0.0, -0.0, -0.0], False)"),
+]
+
 
 class TestHenselLift:
     @given(problem=lift_problem())
@@ -1056,6 +1116,10 @@ class TestHenselLift:
             assert abs(float(a) - float(b)) <= LIFT_RTOL * scale
             if a == 0 and b == 0:
                 assert math.copysign(1, a) == math.copysign(1, b)  # reports print -0.0
+
+    @pytest.mark.parametrize("P1, order, want", ZERO_ROOT_LIFTS)
+    def test_zero_root_with_floats(self, P1, order, want):
+        assert repr(_hensel_lift(P1, order)) == want
 
 
 def _ref_trim(p):

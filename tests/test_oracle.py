@@ -79,15 +79,6 @@ class TestDulacMap:
     def test_underflow_is_zero(self, v_one_spec):
         assert dulac_map(v_one_spec(lam=50.0), 1e-3) == 0.0
 
-    def test_without_endpoint_substitution(self, v_one_spec):
-        # away from the root the raw quadrature must agree with the
-        # log-substituted one
-        spec = v_one_spec(lam=1.5)
-        raw = QuadratureConfig(substitution=False, rel_tol=1e-10)
-        a = log_dulac_map(spec, 0.3, raw)
-        b = log_dulac_map(spec, 0.3)
-        assert a == pytest.approx(b, rel=1e-9)
-
     def test_quadratic_family_closed_form(self, fam_quadratic):
         from dulackit.family import biggest_real_root_branch
 
@@ -325,9 +316,9 @@ class TestDulacTime:
         assert ts_vals[0] > ts_vals[1] > ts_vals[2]
 
 
-def horner_v_over_q(nv, nq, substitution):
-    """oracle._v_over_q's integrands as the loops over series.horner they
-    are written from."""
+def horner_v_over_q(nv, nq):
+    """oracle._v_over_q's integrand as the loops over series.horner it is
+    written from."""
     def make(th, *c):
         Vc, Qc = c[:nv], c[nv:]
 
@@ -335,7 +326,7 @@ def horner_v_over_q(nv, nq, substitution):
             x = th + math.exp(u)
             return horner(Vc, x) / horner(Qc, x - th)
 
-        return in_u if substitution else lambda x: horner(Vc, x) / ((x - th) * horner(Qc, x - th))
+        return in_u
 
     return make
 
@@ -357,21 +348,19 @@ class TestQuadratureGrids:
                           lam=Fr(3, 2), eps=1e-3),
         ]
 
-    @pytest.mark.parametrize("substitution", [True, False], ids=["log", "x"])
-    def test_dulac_map(self, monkeypatch, map_specs, substitution):
-        cfg = QuadratureConfig(substitution=substitution)
+    def test_dulac_map(self, monkeypatch, map_specs):
         grid = np.geomspace(1e-3, 0.5, 9).tolist() + [0.02]
         for spec in map_specs:
-            got, logs = dulac_map(spec, grid, cfg), log_dulac_map(spec, grid, cfg)
-            assert got == [dulac_map(spec, s, cfg) for s in grid]
-            assert logs == [log_dulac_map(spec, s, cfg) for s in grid]
-            assert dulac_map(spec, np.array(grid), cfg) == got
+            got, logs = dulac_map(spec, grid), log_dulac_map(spec, grid)
+            assert got == [dulac_map(spec, s) for s in grid]
+            assert logs == [log_dulac_map(spec, s) for s in grid]
+            assert dulac_map(spec, np.array(grid)) == got
             assert all(type(v) is float for v in got + logs)
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_v_over_q", horner_v_over_q)
-                assert dulac_map(spec, grid, cfg) == got and log_dulac_map(spec, grid, cfg) == logs
-        assert 0.0 in dulac_map(map_specs[0], grid, cfg)
-        assert dulac_map(map_specs[0], [], cfg) == []
+                assert dulac_map(spec, grid) == got and log_dulac_map(spec, grid) == logs
+        assert 0.0 in dulac_map(map_specs[0], grid)
+        assert dulac_map(map_specs[0], []) == []
 
     def test_dulac_map_fails_in_grid_order(self, monkeypatch, map_specs):
         spec = map_specs[1]
@@ -417,12 +406,12 @@ class TestQuadratureGrids:
     def test_one_compile_per_form(self, map_specs):
         """Other values of the same degrees compile nothing new."""
         oracle._v_over_q.cache_clear()
-        grid, raw = [0.01, 0.1], QuadratureConfig(substitution=False)
-        dulac_map(map_specs[1], grid), dulac_map(map_specs[1], grid, raw)
-        assert oracle._v_over_q.cache_info().misses == 2
+        grid = [0.01, 0.1]
+        dulac_map(map_specs[1], grid)
+        assert oracle._v_over_q.cache_info().misses == 1
         other = replace(map_specs[1], V=TS.from_coeffs([Fr(1), Fr(-1, 3)], order=3), lam=2.0, eps=3e-3)
-        dulac_map(other, grid), dulac_map(other, grid, raw), log_dulac_map(other, 0.2)
-        assert oracle._v_over_q.cache_info().misses == 2
+        dulac_map(other, grid), log_dulac_map(other, 0.2)
+        assert oracle._v_over_q.cache_info().misses == 1
 
     def test_import_compiles_nothing(self):
         caches = "o._v_over_q, o._x_of_tau, o._time_weight, o._u_over_v_weight"
