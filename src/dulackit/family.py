@@ -34,8 +34,8 @@ converted to float once, the companion matrices of the rows with the same
 nonzero span share one eigvals call, and the candidates are polished and
 sign-tested as numpy arrays (:func:`track_biggest_real_root`),
 bit-identical to point-by-point evaluation, since numpy's float64 products
-and sums round as Python's floats do.  The validation evaluates P at the
-branch values on the whole grid the same way, with Python's float powers.
+and sums round as Python's floats do.  The validation then checks the
+branch in one pointwise pass over the grid (:func:`_validate_branch`).
 
 The quotient Q(s, e) := P(s + sigma(e); +-e^rho) / s is the object the
 later hypothesis checks and the coefficient recursion consume.  Exact data
@@ -978,63 +978,33 @@ def _canonical_ramification(rho: int, coeffs, order: int):
     return rho // g, tuple(reduced)
 
 
-def _residuals(P: PolynomialFamily, xs: list, epses: list) -> np.ndarray:
-    """abs(P.eval(x, eps)) at each pair as one array: the terms of
-    float_coeffs in their order, from Python's float powers of the points
-    (which raise OverflowError where P.eval raises it) and numpy's products
-    and sums, which round as Python's floats do."""
-    xpow, epow = {}, {}
-    acc = 0.0 * np.array(xs)
-    for (k, m), c in P.float_coeffs.items():
-        if k not in xpow:
-            xpow[k] = _float_powers(xs, k)
-        if m not in epow:
-            epow[m] = _float_powers(epses, m)
-        acc = acc + c * xpow[k] * epow[m]
-    return np.abs(acc)
-
-
 def _validate_branch(P: PolynomialFamily, branch: PuiseuxBranch, tracked: dict):
-    """Numeric guard for the selected branch.
+    """Numeric guard for the selected branch: one pass over the grid of
+    tracked in its order (increasing |eps|), where the first point that
+    fails raises.
 
-    A value or residual that is not finite at a grid point raises
-    BranchNotFound (NaN passes every comparison below).  The residual must
-    vanish to tolerance at every grid point.  A confirmed
-    (sign-change) real root above the prediction means the selection is
-    wrong.  A prediction above every confirmed root is allowed only if it is
-    itself root-consistent, since even-multiplicity real roots produce no
-    sign change and cannot be confirmed numerically."""
-    t = _float_powers(list(tracked), 1.0 / branch.rho)
+    Each point takes the prediction sigma(|eps|^(1/rho)) and its residual
+    abs(P.eval) (a float power that overflows raises OverflowError there),
+    then checks in order: a value or residual that is not finite raises
+    BranchNotFound (NaN passes every comparison below); a residual above
+    tolerance, or a confirmed (sign-change) real root above the prediction,
+    raises BranchAmbiguous.  A prediction above every confirmed root is
+    allowed only if it is itself root-consistent, since even-multiplicity
+    real roots produce no sign change and cannot be confirmed numerically."""
     # sigma(t) summed as TruncatedSeries.__call__ sums it; above the highest
     # nonzero coefficient of index >= 1, Horner's rule carries a zero, and at
     # finite t zero * t + c = c, so those coefficients are left out
     coeffs = branch.sigma.float_coeffs
     top = max((i for i, c in enumerate(coeffs) if i and c != 0), default=len(coeffs) - 1)
+    coeffs = coeffs[: top + 1]
     epses = [branch.sign * e for e in tracked]
-    roots = list(tracked.values())
     rows = np.abs(P.x_coeff_rows(epses))
     scales = rows[:, 0]
     for k in range(1, rows.shape[1]):  # sum(abs(c) for c in row), in its order
         scales = scales + rows[:, k]
-    scales = _max1(scales)
-    start = 0
-    with np.errstate(all="ignore"):  # Python floats overflow silently too
-        preds = np.full(t.shape, horner(coeffs[: top + 1], t))
-        try:
-            resids = _residuals(P, preds.tolist(), epses)
-        except OverflowError:  # a float power: P.eval raises it at its point
-            resids = None
-        else:  # the checks below on the whole grid, to start at the first failure
-            root = np.array([math.nan if r is None else r for r in roots])
-            bad = ~(np.isfinite(preds) & np.isfinite(resids))
-            bad |= resids > _RESIDUAL_RTOL * scales
-            bad |= root > preds + _RESIDUAL_RTOL * _max1(np.abs(root))
-            start = int(bad.argmax()) if bad.any() else len(roots)
-            resids = resids.tolist()
-    preds, scales = preds.tolist(), scales.tolist()
-    for n in range(start, len(roots)):
-        root, eps, pred, scale = roots[n], epses[n], preds[n], scales[n]
-        resid = abs(P.eval(pred, eps)) if resids is None else resids[n]
+    for (e, root), eps, scale in zip(tracked.items(), epses, _max1(scales).tolist()):
+        pred = horner(coeffs, e ** (1.0 / branch.rho))
+        resid = abs(P.eval(pred, eps))
         if not (math.isfinite(pred) and math.isfinite(resid)):
             raise BranchNotFound(
                 f"branch value {pred:g} with residual {resid:g} left the float range "

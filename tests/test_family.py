@@ -253,6 +253,61 @@ class TestBranch:
         with pytest.raises(BranchNotFound, match="left the float range"):
             _validate_branch(f, PuiseuxBranch(1, TS((0.0, 1.0, bad)), +1), tracked)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_validation_names_the_first_residual_failure(self, sign):
+        # x^2 - |eps| with sigma = t + t^2/32, t = |eps|^(1/2): the residual
+        # t^3/16 + t^4/1024 is below the tolerance 1e-9 (1 + |eps|) up to
+        # |eps| = 10^-5.25 and above it from 1e-5 on, the 13th grid point
+        f = PolynomialFamily(mu=1, coeffs={(2, 0): Fr(1), (0, 1): Fr(-sign)})
+        roots = track_biggest_real_root(f, [sign * e for e in _VALIDATION_GRID])
+        first = next(e for e in _VALIDATION_GRID if e**1.5 / 16 > 1e-9 * (1 + e))
+        assert first == _VALIDATION_GRID[12]
+        with pytest.raises(BranchAmbiguous, match=rf"residual \S+ exceeds tolerance at eps={sign * first:g}$"):
+            _validate_branch(f, PuiseuxBranch(2, TS((0.0, 1.0, 1 / 32)), sign), dict(zip(_VALIDATION_GRID, roots)))
+
+    def test_validation_names_the_first_root_above_the_branch(self):
+        # x(x - eps) with sigma = t: the residual is exactly 0 everywhere, and
+        # a confirmed root 2 eps at the 11th and the 21st grid points lies
+        # above the branch value eps; the 11th is named
+        f = fam_linear()
+        tracked = dict(zip(_VALIDATION_GRID, track_biggest_real_root(f, _VALIDATION_GRID)))
+        for n in (10, 20):
+            tracked[_VALIDATION_GRID[n]] *= 2
+        e = _VALIDATION_GRID[10]
+        with pytest.raises(BranchAmbiguous, match=rf"root {2 * e:.15g} exceeds the branch value {e:.15g} at eps={e:g}$"):
+            _validate_branch(f, PuiseuxBranch(1, TS((0.0, 1.0)), +1), tracked)
+
+    # x^200 - eps^200 with sigma = t + c t^8: |eps|^200 is 0.0 on the grid,
+    # and x^200 of the branch value passes the tolerance 1e-9 while x < 0.9,
+    # is finite up to x = 34, and raises OverflowError beyond
+    POWER_200 = PolynomialFamily(mu=199, coeffs={(200, 0): 1, (0, 200): -1})
+
+    def test_validation_overflow_at_a_later_point(self, monkeypatch):
+        # c = 5e23: x = 0.501 at eps = 1e-3 (the 21st point) and 50 at the 22nd
+        raised_at = []
+        evaluate = PolynomialFamily.eval
+
+        def recording_eval(P, x, eps):
+            try:
+                return evaluate(P, x, eps)
+            except OverflowError:
+                raised_at.append(eps)
+                raise
+
+        monkeypatch.setattr(PolynomialFamily, "eval", recording_eval)
+        sigma = TS((0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5e23))
+        with pytest.raises(OverflowError):
+            _validate_branch(self.POWER_200, PuiseuxBranch(1, sigma, +1), dict.fromkeys(_VALIDATION_GRID))
+        assert raised_at == [_VALIDATION_GRID[21]]
+
+    def test_validation_residual_failure_before_an_overflow(self):
+        # c = 5e34: x = 5 at the 16th point, whose x^200 = 6e139 fails the
+        # residual check, and x = 500 at the 17th, whose x^200 overflows
+        sigma = TS((0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5e34))
+        e = _VALIDATION_GRID[15]
+        with pytest.raises(BranchAmbiguous, match=rf"residual \S+ exceeds tolerance at eps={e:g}$"):
+            _validate_branch(self.POWER_200, PuiseuxBranch(1, sigma, +1), dict.fromkeys(_VALIDATION_GRID))
+
     @pytest.mark.parametrize("sign, sigma1, chi", [
         (1, CLOSE_ROOT, CLOSE_ROOT * (CLOSE_ROOT - 1)),
         (-1, 0, CLOSE_ROOT),
