@@ -456,6 +456,8 @@ _SPLIT_ULPS = 1024
 _CLUSTER_ULPS = 256
 
 
+# numpy scalars overflow to inf and NaN silently here, as Python floats do
+@np.errstate(over="ignore", invalid="ignore")
 def _float_root_clusters(a) -> list:
     """The companion roots of sum a_k x^k (floats, low first, a_0 != 0)
     grouped into roots with multiplicity, as (mean, m) in np.roots' order.
@@ -485,11 +487,16 @@ def _float_root_clusters(a) -> list:
     4 sqrt(_SPLIT_ULPS u) = 1.9e-6, whatever the size of x.
     (c^2 - 2)^2 (c - 1)^3 (c^2 + 1) in floats splits its triple root 1.2e-5
     wide, and at the mean its |T_1|, |T_2| are at most 0.12 u S_i; the
-    simple roots 1, 1 +- 1e-5 leave |T_1| at 3.8e4 u S_1."""
+    simple roots 1, 1 +- 1e-5 leave |T_1| at 3.8e4 u S_1.  A companion
+    matrix past the float range raises OverflowError."""
     u = np.finfo(float).eps
     p = TruncatedSeries(tuple(a))
     p_abs = TruncatedSeries(tuple(abs(c) for c in a))
-    rs = np.roots(a[::-1])
+    with np.errstate(over="raise"):
+        try:
+            rs = np.roots(a[::-1])
+        except FloatingPointError:  # a companion entry a_k / a_n past the float range
+            raise OverflowError("companion matrix beyond the float range") from None
     used = [False] * len(rs)
     clusters = []
     for i, r in enumerate(rs):

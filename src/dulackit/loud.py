@@ -103,6 +103,13 @@ class LoudParams:
         return 2.0 * (self.F - 1.0)
 
     @functools.cached_property
+    def time_form_coeffs(self) -> tuple:
+        """(b0, b1, b2) of the time-form factor's inverse square
+        b0 + b1 x y + b2 y^2, evaluated once per parameter point."""
+        D, F = self.D, self.F
+        return -D / 2, (2 * D + 1) / (2 * (2 * F - 1)), -(D + 1) / (4 * F)
+
+    @functools.cached_property
     def section_height(self) -> float:
         """y_section_height(self), evaluated once per parameter point."""
         return y_section_height(self)
@@ -157,8 +164,8 @@ def first_integral(z: float, w: float, p: LoudParams) -> float:
 
 def ua_inverse_square(x: float, y: float, p: LoudParams) -> float:
     """The positive quantity whose -1/2 power is the time-form factor."""
-    D, F = p.D, p.F
-    return (2 * D + 1) / (2 * (2 * F - 1)) * x * y - (D + 1) / (4 * F) * y * y - D / 2
+    b0, b1, b2 = p.time_form_coeffs
+    return b1 * x * y + b2 * y * y + b0
 
 
 def ua(x: float, y: float, p: LoudParams) -> float:
@@ -231,12 +238,10 @@ def chart_field_pushforward(z: float, w: float, p: LoudParams):
 def y_section_height(p: LoudParams) -> float:
     """Half the largest y for which the time-form factor stays positive on
     x in [0, 1]; the entry section y = y0 of the node region."""
-    D, F = p.D, p.F
-    b2 = -(D + 1) / (4 * F)
-    b1_mag = abs(2 * D + 1) / (2 * (2 * F - 1))
+    b0, b1, b2 = p.time_form_coeffs
     roots = []
-    for b1 in (0.0, -b1_mag):
-        rr = np.roots([b2, b1, -D / 2])
+    for lin in (0.0, -abs(b1)):
+        rr = np.roots([b2, lin, b0])
         roots += [float(r.real) for r in rr if abs(r.imag) < 1e-12 and r.real > 0]
     if not roots:
         raise NegativeG("no positive section height exists")
@@ -254,10 +259,7 @@ def loud_modes(p: LoudParams) -> ModeExpansion:
     """The first `_N_MODES` Taylor modes of the time-form factor against
     powers of y, each to degree `_MODE_ORDER` in x, with a geometric decay
     certificate (C, r) estimated from the norm ratios."""
-    D, F = p.D, p.F
-    b0 = -D / 2
-    b1 = (2 * D + 1) / (2 * (2 * F - 1))
-    b2 = -(D + 1) / (4 * F)
+    b0, b1, b2 = p.time_form_coeffs
     per_y = [[0.0] * (_MODE_ORDER + 1) for _ in range(_N_MODES)]
     # (b0 + b1 x y + b2 y^2)^(-1/2) = b0^(-1/2) sum_k binom(-1/2, k) t^k
     coef = 1.0

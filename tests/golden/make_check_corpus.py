@@ -7,8 +7,9 @@ line of a run that fails.
 The corpus holds exact, float and mixed data on both sides: random sparse
 families, products of rational factors (multiple roots among them) with and
 without a perturbing term, double irrational roots, ramified branches
-(rho = 2 and 3), two rational roots 1e-20 apart, and the families of the
-CI console-script step.  tests/test_cli.py::test_check_corpus reruns every
+(rho = 2 and 3), two rational roots 1e-20 apart, float coefficients up to
+1e300 that overflow the float root path, and the families of the CI
+console-script step.  tests/test_cli.py::test_check_corpus reruns every
 entry and compares the bytes.
 """
 
@@ -79,6 +80,15 @@ def fixed_specs():
     yield "ci-double-pure", spec_of(3, {(4, 0): one, (2, 2): -4 * one, (0, 4): 4 * one}, 1)
     yield "ci-double-float", spec_of(3, {(4, 0): 1.0, (2, 2): -5.0, (0, 4): 6.25, (0, 5): 2.0}, -1)
     yield "ci-overflow", spec_of(2, {(3, 0): one, (1, 1): 1.622687966041273e-287, (0, 2): 1.0}, 1)
+    # float coefficients up to 1e300 that overflow numpy in the float root
+    # path: the companion matrix, series.shift at a cluster mean, spread**m
+    yield "ci-overflow-companion", spec_of(
+        2, {(3, 0): one, (0, 3): 1e300, (2, 2): 0.8, (1, 1): 1.622687966041273e-287, (2, 1): -0.4}, 1
+    )
+    yield "overflow-shift", spec_of(
+        1, {(2, 0): one, (0, 4): 0.3131728546134527, (1, 2): -1e300, (1, 3): -2.073051696024929}, 1
+    )
+    yield "overflow-spread", spec_of(3, {(4, 0): one, (0, 2): one, (1, 3): -7 * one, (2, 1): 1e200}, 1)
     yield "mu3", spec_of(3, {(4, 0): one, (3, 1): -2 * one, (2, 2): -one, (1, 3): 2 * one}, 1)
     yield "mixed", spec_of(2, {(3, 0): one, (2, 1): -one, (2, 3): -1.25, (1, 3): 0.5}, 1)
     yield "counterexample", spec_of(2, {(3, 0): one, (2, 1): -2 * one, (1, 2): one, (1, 4): one}, 1)

@@ -301,6 +301,39 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err == "BranchNotFound: float overflow in branch extraction, sign +1\n"
 
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            # a characteristic polynomial whose companion matrix overflows:
+            # a LinAlgError before, reported as a bad spec (exit 3)
+            (
+                [(3, 0, "1"), (0, 3, 1e300), (2, 2, 0.8), (1, 1, 1.622687966041273e-287), (2, 1, -0.4)],
+                "BranchNotFound: float overflow in branch extraction, sign +1",
+            ),
+            # series.shift at a float root of a cluster overflows
+            (
+                [(2, 0, "1"), (0, 4, 0.3131728546134527), (1, 2, -1e300), (1, 3, -2.073051696024929)],
+                "BranchNotFound: float overflow in branch extraction, sign +1",
+            ),
+            # the spread**m of a root cluster overflows
+            (
+                [(4, 0, "1"), (0, 2, 1), (1, 3, -7), (2, 1, 1e200)],
+                "NoRealRoot: no real root of P on the sampled eps grid, sign +1",
+            ),
+        ],
+        ids=["companion", "shift", "spread"],
+    )
+    def test_huge_float_coefficients_exit_1(self, tmp_path, capsys, terms, message):
+        """Float coefficients up to 1e300 overflow numpy in the float root
+        path: exit 1, one stderr line, no warning."""
+        family = {"mu": terms[0][0] - 1, "terms": [{"x": k, "eps": m, "c": c} for k, m, c in terms]}
+        spec = write_spec(tmp_path, "s.json", {"family": family})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["check", spec, "--out", str(tmp_path / "o")])
+        assert code == 1 and capsys.readouterr().err == message + "\n"
+        assert not caught
+
 
 class TestExpand:
     def euler_spec(self):
